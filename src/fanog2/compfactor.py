@@ -22,32 +22,7 @@ def _freeze(table):
     return tuple(tuple(row) for row in table)
 
 
-def is_norm(n):
-    """n maps labels 1..7 to +-1 with N(P+Q) = N(P)N(Q) for P != Q."""
-    for p in fano.POINTS:
-        for q in fano.POINTS:
-            if p != q:
-                if n[fano.add(p, q) - 1] != n[p - 1] * n[q - 1]:
-                    return False
-    return True
-
-
 NORM_ONE = (1,) * 7
-
-
-def norm_plus_support_is_line_or_all(n):
-    support = frozenset(p for p in fano.POINTS if n[p - 1] == 1)
-    return support == frozenset(fano.POINTS) or fano.is_line(support)
-
-
-def is_mult_factor(eps):
-    for p in fano.POINTS:
-        if eps[p - 1][p - 1] != 0:
-            return False
-        for q in fano.POINTS:
-            if p != q and eps[p - 1][q - 1] * eps[q - 1][p - 1] != -1:
-                return False
-    return True
 
 
 def future(eps, p):
@@ -209,16 +184,14 @@ def enumerate_oriented_maps():
 
     alpha_P is stored as a 3-bit dual mask; alpha_P(Q) is the pairing parity.
     """
-
-    def pair(phi, p):
-        return bin(phi & fano.MASK[p]).count("1") % 2
-
-    choices = {p: [phi for phi in range(1, 8) if pair(phi, p) == 1] for p in fano.POINTS}
+    choices = {
+        p: [phi for phi in range(1, 8) if fano.pairing(phi, p) == 1] for p in fano.POINTS
+    }
     out = []
     for combo in product(*(choices[p] for p in fano.POINTS)):
         alpha = dict(zip(fano.POINTS, combo))
         if all(
-            pair(alpha[p], q) + pair(alpha[q], p) == 1
+            fano.pairing(alpha[p], q) + fano.pairing(alpha[q], p) == 1
             for p in fano.POINTS
             for q in fano.POINTS
             if p < q
@@ -234,51 +207,15 @@ def exponentiate(alpha):
     Raises if the resulting table is not a composition factor; callers rely
     on this being validated loudly rather than patched.
     """
-
-    def pair(phi, p):
-        return bin(phi & fano.MASK[p]).count("1") % 2
-
     table = [[0] * 7 for _ in range(7)]
     for p in fano.POINTS:
         for q in fano.POINTS:
             if p != q:
-                table[p - 1][q - 1] = -1 if pair(alpha[p - 1], q) else 1
+                table[p - 1][q - 1] = -1 if fano.pairing(alpha[p - 1], q) else 1
     eps = _freeze(table)
     if not is_composition_factor(eps):
         raise AssertionError("exponentiation candidate failed the composition rules")
     return eps
-
-
-def act_oriented_map(g, alpha):
-    """(g.alpha)_P(Q) = alpha_{g^-1 P}(g^-1 Q)."""
-    ginv = fano.inverse(g)
-    out = []
-    for p in fano.POINTS:
-        src = alpha[fano.apply(ginv, p) - 1]
-        # transported dual mask alpha_{g^-1 P} o g^-1, read off on the basis
-        m = 0
-        for bit, basis_label in ((1, 1), (2, 2), (4, 3)):
-            v = bin(src & fano.MASK[fano.apply(ginv, basis_label)]).count("1") % 2
-            if v:
-                m |= bit
-        out.append(m)
-    return tuple(out)
-
-
-def point_to_bilinear(p):
-    """The bilinear form (Q,R) -> (Q wedge R)(P), as a 7x7 0/1 table.
-
-    Point p may be 0 (the zero vector), giving the zero form.
-    """
-    table = [[0] * 7 for _ in range(7)]
-    if p == 0:
-        return _freeze(table)
-    for q in fano.POINTS:
-        for r in fano.POINTS:
-            if q != r:
-                phi = fano.LINE_DUAL_MASK[fano.wedge(q, r)]
-                table[q - 1][r - 1] = bin(phi & fano.MASK[p]).count("1") % 2
-    return _freeze(table)
 
 
 def twist(eps, v):

@@ -38,10 +38,15 @@ for _i, _pts in LINE_POINTS.items():
 # quadrilaterals are the complements of the lines
 QUADRILATERALS = {i: frozenset(POINTS) - LINE_POINTS[i] for i in LINES}
 
+def pairing(phi, p):
+    """Value at point p of the linear form with 3-bit dual mask phi."""
+    return bin(phi & MASK[p]).count("1") % 2
+
+
 # the linear form vanishing on a line, as a 3-bit mask
 def _dual_mask(i):
     for phi in range(1, 8):
-        if all(bin(phi & MASK[p]).count("1") % 2 == 0 for p in LINE_POINTS[i]):
+        if all(pairing(phi, p) == 0 for p in LINE_POINTS[i]):
             return phi
     raise AssertionError("no vanishing form for line %d" % i)
 
@@ -255,40 +260,6 @@ def generated_subgroup(gens):
     return seen
 
 
-def involution_from(d, p):
-    """The unique order-2 collineation fixing line d pointwise, R -> R+p off d."""
-    if p not in LINE_POINTS[d]:
-        raise ValueError("point P%d is not on line D%d" % (p, d))
-    perm = []
-    for r in POINTS:
-        if r in LINE_POINTS[d]:
-            perm.append(r)
-        else:
-            perm.append(add(r, p))
-    g = tuple(perm)
-    assert is_additive(g) and order(g) == 2
-    return g
-
-
-def stable_triangle(g):
-    """The unique non-collinear 3-set permuted by an order-3 collineation."""
-    if order(g) != 3:
-        raise ValueError("collineation is not of order 3")
-    triangles = []
-    seen = set()
-    for p in POINTS:
-        orbit = frozenset({p, apply(g, p), apply(g, apply(g, p))})
-        if len(orbit) == 3 and orbit not in seen:
-            seen.add(orbit)
-            if not is_line(orbit):
-                triangles.append(orbit)
-    if len(triangles) != 1:
-        raise AssertionError(
-            "expected exactly one stable triangle, found %d" % len(triangles)
-        )
-    return triangles[0]
-
-
 def all_triangles():
     """All 28 non-collinear 3-sets."""
     out = []
@@ -316,34 +287,6 @@ def cyclic_equal(c1, c2):
     """Whether two 3-cycles describe the same cyclic order."""
     a, b, c = c1
     return c2 in ((a, b, c), (b, c, a), (c, a, b))
-
-
-def dual_orientation_type(tau):
-    """Orientation type of the dual plane under the induced line permutation.
-
-    Dual points are lines; three dual points are collinear iff the lines are
-    concurrent, i.e. their dual masks XOR to zero.
-    """
-    lp = line_perm(tau)
-
-    def dapply(perm, d):
-        return perm[d - 1]
-
-    def dcollinear(ds):
-        ds = list(ds)
-        return (
-            len(ds) == 3
-            and LINE_DUAL_MASK[ds[0]] ^ LINE_DUAL_MASK[ds[1]] ^ LINE_DUAL_MASK[ds[2]]
-            == 0
-        )
-
-    lp3 = tuple(lp[lp[lp[i] - 1] - 1] for i in range(7))
-    if all(dcollinear({d, dapply(lp, d), dapply(lp3, d)}) for d in LINES):
-        return (0, 1, 3)
-    lp2 = tuple(lp[lp[i] - 1] for i in range(7))
-    if all(dcollinear({d, dapply(lp2, d), dapply(lp3, d)}) for d in LINES):
-        return (0, 2, 3)
-    raise AssertionError("dual permutation of neither orientation type")
 
 
 def conjugacy_class(g):

@@ -10,7 +10,6 @@ are each a sum of 7 terms with ordering-independent coefficients, and are
 killed by the derivation action of every generator X_{P,D}.
 """
 
-from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import compfactor, fano, g2, linalg

@@ -5,14 +5,15 @@ pair basis e_{PiPj} (i < j), with e_{PjPi} = -e_{PiPj}.  Two independent
 evaluation paths are maintained throughout: structure constants on the pair
 basis, and 8x8 spinor matrices acting on the octonion coordinates.  g2 is
 the annihilator of the unit octonion; its generators X_{P,D} are indexed by
-the 21 incident point-line pairs.
+the 21 incident point-line pairs.  The generators, and so every sign below,
+are those of the canonical composition factor compfactor.EPS_TAU.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 import json
 
-from . import compfactor, fano, lifting, linalg, octonion
+from . import compfactor, fano, linalg, octonion
 from .scalars import QQ
 
 PAIRS = tuple((i, j) for i in range(1, 8) for j in range(i + 1, 8))
@@ -55,10 +56,6 @@ def scale_elt(c, x):
     if not c:
         return {}
     return {k: c * v for k, v in x.items()}
-
-
-def sub_elt(x, y):
-    return add_elt(x, scale_elt(-1, y))
 
 
 def to_vector(x, field=QQ):
@@ -129,15 +126,8 @@ def pair_matrix2():
     r = rho()
     out = {}
     for i, j in PAIRS:
-        a, b = r[i], r[j]
-        m = [
-            [
-                (sum(a[x][k] * b[k][y] - b[x][k] * a[k][y] for k in range(8))) // 2
-                for y in range(8)
-            ]
-            for x in range(8)
-        ]
-        out[(i, j)] = tuple(tuple(row) for row in m)
+        m = _mat_commutator(r[i], r[j])
+        out[(i, j)] = tuple(tuple(v // 2 for v in row) for row in m)
     return out
 
 
@@ -156,29 +146,14 @@ def matrix2(x):
     return m
 
 
-def spinor_matrix(x, field=QQ):
-    half = field.one / field.of(2)
-    m2 = matrix2(x)
-    return [[half * field.of(v) for v in row] for row in m2]
-
-
 def _mat_commutator(a, b):
-    return [
-        [
-            sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(8))
-            for j in range(8)
-        ]
-        for i in range(8)
-    ]
+    ab, ba = linalg.mat_mul(a, b), linalg.mat_mul(b, a)
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
 
 
 def annihilates_unit(x):
     m2 = matrix2(x)
     return all(m2[i][0] == 0 for i in range(8))
-
-
-def is_g2(x):
-    return annihilates_unit(x)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +273,7 @@ def eps_star():
     return tuple(tuple(row) for row in table)
 
 
-def action_on_basis(p, d, q, eps=compfactor.EPS_TAU):
+def action_on_basis(p, d, q):
     """[X_{P,D}, e_Q] as a signed point: (sign, point) or (0, 0) if Q in D.
 
     Predicted by sign = eps_{PQ} * eps*_{P^Q, D}; verified against the
@@ -308,7 +283,8 @@ def action_on_basis(p, d, q, eps=compfactor.EPS_TAU):
     if q in fano.LINE_POINTS[d]:
         predicted = (0, 0)
     else:
-        s = compfactor.eps_get(eps, p, q) * eps_star()[fano.wedge(p, q) - 1][d - 1]
+        eps_pq = compfactor.eps_get(compfactor.EPS_TAU, p, q)
+        s = eps_pq * eps_star()[fano.wedge(p, q) - 1][d - 1]
         predicted = (s, fano.add(p, q))
     # independent path: commutator of 2*rho_hat(X) with rho(e_q) is
     # 2*rho([X, e_q]); compare with 2*sign*rho(e_{p+q}).
@@ -368,28 +344,36 @@ def orbit_census():
     )
 
 
-def bracket_law(pd1, pd2, eps=compfactor.EPS_TAU):
-    """The closed-form bracket [X_{P,D}, X_{P',D'}] as a pair-basis element."""
+def _bracket_case(pd1, pd2):
+    """The closed-form bracket [X_{P,D}, X_{P',D'}] = coeff * X_flag, as
+    (orbit tag, coeff, flag); flag is None when the bracket vanishes.
+    """
     tag = classify_pair(pd1, pd2)
     (p1, d1), (p2, d2) = pd1, pd2
     if tag in ("D", "O1"):
-        return {}
-    e = compfactor.eps_get(eps, p1, p2)
+        return tag, 0, None
+    e = compfactor.eps_get(compfactor.EPS_TAU, p1, p2)
     if tag == "O2":
-        return scale_elt(2 * e, X(fano.add(p1, p2), fano.wedge(p1, p2)))
+        return tag, 2 * e, (fano.add(p1, p2), fano.wedge(p1, p2))
     if tag in ("O3", "O3'"):
-        return scale_elt(-e, X(fano.add(p1, p2), fano.wedge(p1, p2)))
-    return scale_elt(-e, X(fano.add(p1, p2), fano.line_add(d1, d2)))
+        return tag, -e, (fano.add(p1, p2), fano.wedge(p1, p2))
+    return tag, -e, (fano.add(p1, p2), fano.line_add(d1, d2))
 
 
-def check_bracket_law(eps=compfactor.EPS_TAU):
+def bracket_law(pd1, pd2):
+    """The closed-form bracket [X_{P,D}, X_{P',D'}] as a pair-basis element."""
+    _, coeff, flag = _bracket_case(pd1, pd2)
+    return scale_elt(coeff, X(*flag)) if flag else {}
+
+
+def check_bracket_law():
     """Three-way agreement over all 441 ordered pairs: structure-constant
     bracket == closed-form law, and == spinor-matrix commutator.
     """
     for a in INCIDENT_PAIRS:
         for b in INCIDENT_PAIRS:
             sc = bracket(X(*a), X(*b))
-            law = bracket_law(a, b, eps)
+            law = bracket_law(a, b)
             if sc != law:
                 return False
             c = _mat_commutator(matrix2(X(*a)), matrix2(X(*b)))
@@ -421,12 +405,6 @@ def jacobi_check():
 
 # ---------------------------------------------------------------------------
 # Cartan subalgebras and the decomposition
-
-
-def cartan_basis(p):
-    """Two independent generators of h_P (the third X is minus their sum)."""
-    ds = fano.lines_through(p)
-    return (X(p, ds[0]), X(p, ds[1]))
 
 
 def cartan_dimension(p, field=QQ):
@@ -516,8 +494,9 @@ def decomposition_check(field=QQ):
 # line subalgebras (so(4)) and point root systems
 
 
-def eps_cyclic_order(d, eps=compfactor.EPS_TAU):
+def eps_cyclic_order(d):
     """The cyclic order (P,Q,R) on a line with all three eps signs +1."""
+    eps = compfactor.EPS_TAU
     pts = sorted(fano.LINE_POINTS[d])
     for order in (pts, [pts[0], pts[2], pts[1]]):
         p, q, r = order
@@ -531,9 +510,9 @@ def eps_cyclic_order(d, eps=compfactor.EPS_TAU):
     raise AssertionError("no consistent cyclic order on line D%d" % d)
 
 
-def line_subalgebra_report(d, field=QQ, eps=compfactor.EPS_TAU):
+def line_subalgebra_report(d, field=QQ):
     """Structure checks for g_D = h_P + h_Q + h_R, P,Q,R on D."""
-    p, q, r = eps_cyclic_order(d, eps)
+    p, q, r = eps_cyclic_order(d)
     xs = {s: X(s, d) for s in (p, q, r)}
     ys = {s: Y(s, d) for s in (p, q, r)}
     report = {}
@@ -579,7 +558,7 @@ def line_subalgebra_report(d, field=QQ, eps=compfactor.EPS_TAU):
     return report
 
 
-def root_system(p, field=QQ):
+def root_system(p):
     """The 12 vectors {+-X, +-Y} at a point, with squared lengths and the
     alpha/beta closure pattern of a G2 root system.
     """
@@ -638,7 +617,7 @@ def conjugate_matrix2(aug, m2):
     ]
 
 
-def delta_hat(aug, p, eps=compfactor.EPS_TAU):
+def delta_hat(aug, p):
     """The sign with ghat X_{P,D} ghat^-1 = sign * X_{gP,gD}; D-independent."""
     g, _ = aug
     signs = set()
@@ -660,17 +639,8 @@ def delta_hat(aug, p, eps=compfactor.EPS_TAU):
 
 
 @lru_cache(maxsize=2048)
-def delta_hat_fn(aug, eps=compfactor.EPS_TAU):
-    return tuple(delta_hat(aug, p, eps) for p in fano.POINTS)
-
-
-def delta_hat_census(eps=compfactor.EPS_TAU, cache_dir=None):
-    """Over the 1344-element group: the delta functions and their multiplicities."""
-    from collections import Counter
-
-    group = lifting.enumerate_aug_group(eps, cache_dir=cache_dir)
-    counts = Counter(delta_hat_fn(a, eps) for a in group)
-    return counts
+def delta_hat_fn(aug):
+    return tuple(delta_hat(aug, p) for p in fano.POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -703,66 +673,15 @@ def point_subalgebra_annihilates(p):
 
 
 def point_subalgebra_closed(p, field=QQ):
+    """The span of the nine generators contains all 81 of their brackets."""
     gens = [X(q, d) for q, d in point_subalgebra_generators(p)]
     rows = [to_vector(x, field) for x in gens]
-    for x in gens:
-        for y in gens:
-            if not linalg.in_span(rows, to_vector(bracket(x, y), field), field):
-                return False
-    return True
+    brackets = [to_vector(bracket(x, y), field) for x in gens for y in gens]
+    return linalg.rank(rows, field) == linalg.rank(rows + brackets, field)
 
 
 def _felt(x, field):
     return {k: field.of(v) for k, v in x.items()}
-
-
-def _fadd(x, y):
-    out = dict(x)
-    for k, v in y.items():
-        w = out.get(k) + v if k in out else v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _fscale(c, x):
-    out = {}
-    for k, v in x.items():
-        w = c * v
-        if w:
-            out[k] = w
-    return out
-
-
-def _fbracket(x, y, field):
-    terms = {}
-
-    def addt(c, i, j):
-        if i == j:
-            return
-        if i > j:
-            i, j = j, i
-            c = -c
-        w = terms.get((i, j), field.zero) + c
-        if w:
-            terms[(i, j)] = w
-        else:
-            terms.pop((i, j), None)
-
-    for (i, j), a in x.items():
-        for (k, l), b in y.items():
-            c = a * b
-            if i == k:
-                addt(c, j, l)
-            if j == k:
-                addt(-c, i, l)
-            if i == l:
-                addt(c, k, j)
-            if j == l:
-                addt(-c, k, i)
-    return terms
 
 
 def chevalley_report(p=1, field=None):
@@ -785,51 +704,48 @@ def chevalley_report(p=1, field=None):
     def F(x):
         return _felt(x, field)
 
-    h1 = _fscale(-i_, F(X(1, 1)))
-    h2 = _fscale(-i_, F(X(1, 7)))
-    ep1 = _fadd(F(X(2, 1)), _fscale(-i_, F(X(4, 1))))
-    em1 = _fadd(F(X(2, 1)), _fscale(i_, F(X(4, 1))))
-    ep7 = _fadd(F(X(3, 7)), _fscale(-i_, F(X(7, 7))))
-    em7 = _fadd(F(X(3, 7)), _fscale(i_, F(X(7, 7))))
+    h1 = scale_elt(-i_, F(X(1, 1)))
+    h2 = scale_elt(-i_, F(X(1, 7)))
+    ep1 = add_elt(F(X(2, 1)), scale_elt(-i_, F(X(4, 1))))
+    em1 = add_elt(F(X(2, 1)), scale_elt(i_, F(X(4, 1))))
+    ep7 = add_elt(F(X(3, 7)), scale_elt(-i_, F(X(7, 7))))
+    em7 = add_elt(F(X(3, 7)), scale_elt(i_, F(X(7, 7))))
     # the D5 ladder pair: e+- = X_{P5,D5} +- i X_{P6,D5}, pinned by requiring
     # [e+-_{D1}, e+-_{D7}] = -2 e+-_{D5} below
-    ep5 = _fadd(F(X(5, 5)), _fscale(i_, F(X(6, 5))))
-    em5 = _fadd(F(X(5, 5)), _fscale(-i_, F(X(6, 5))))
-
-    def br(x, y):
-        return _fbracket(x, y, field)
+    ep5 = add_elt(F(X(5, 5)), scale_elt(i_, F(X(6, 5))))
+    em5 = add_elt(F(X(5, 5)), scale_elt(-i_, F(X(6, 5))))
 
     def eq(x, y):
-        return _fadd(x, _fscale(field.of(-1), y)) == {}
+        return add_elt(x, scale_elt(field.of(-1), y)) == {}
 
     two = field.of(2)
     four = field.of(4)
     checks = {
-        "h1_ep1": eq(br(h1, ep1), _fscale(two, ep1)),
-        "h1_em1": eq(br(h1, em1), _fscale(-two, em1)),
-        "h1_ep7": eq(br(h1, ep7), _fscale(field.of(-1), ep7)),
-        "h1_em7": eq(br(h1, em7), _fscale(field.one, em7)),
-        "h2_ep1": eq(br(h2, ep1), _fscale(field.of(-1), ep1)),
-        "h2_em1": eq(br(h2, em1), _fscale(field.one, em1)),
-        "h2_ep7": eq(br(h2, ep7), _fscale(two, ep7)),
-        "h2_em7": eq(br(h2, em7), _fscale(-two, em7)),
-        "ep1_em1": eq(br(ep1, em1), _fscale(-four, h1)),
-        "ep7_em7": eq(br(ep7, em7), _fscale(-four, h2)),
-        "ep1_em7": br(ep1, em7) == {},
-        "ep7_em1": br(ep7, em1) == {},
-        "ep1_ep7": eq(br(ep1, ep7), _fscale(-two, ep5)),
-        "em1_em7": eq(br(em1, em7), _fscale(-two, em5)),
-        "h1_ep5": eq(br(h1, ep5), ep5),
-        "h2_ep5": eq(br(h2, ep5), ep5),
-        "h1_em5": eq(br(h1, em5), _fscale(field.of(-1), em5)),
-        "h2_em5": eq(br(h2, em5), _fscale(field.of(-1), em5)),
-        "ep5_em5": eq(br(ep5, em5), _fscale(-four, _fadd(h1, h2))),
+        "h1_ep1": eq(bracket(h1, ep1), scale_elt(two, ep1)),
+        "h1_em1": eq(bracket(h1, em1), scale_elt(-two, em1)),
+        "h1_ep7": eq(bracket(h1, ep7), scale_elt(field.of(-1), ep7)),
+        "h1_em7": eq(bracket(h1, em7), scale_elt(field.one, em7)),
+        "h2_ep1": eq(bracket(h2, ep1), scale_elt(field.of(-1), ep1)),
+        "h2_em1": eq(bracket(h2, em1), scale_elt(field.one, em1)),
+        "h2_ep7": eq(bracket(h2, ep7), scale_elt(two, ep7)),
+        "h2_em7": eq(bracket(h2, em7), scale_elt(-two, em7)),
+        "ep1_em1": eq(bracket(ep1, em1), scale_elt(-four, h1)),
+        "ep7_em7": eq(bracket(ep7, em7), scale_elt(-four, h2)),
+        "ep1_em7": bracket(ep1, em7) == {},
+        "ep7_em1": bracket(ep7, em1) == {},
+        "ep1_ep7": eq(bracket(ep1, ep7), scale_elt(-two, ep5)),
+        "em1_em7": eq(bracket(em1, em7), scale_elt(-two, em5)),
+        "h1_ep5": eq(bracket(h1, ep5), ep5),
+        "h2_ep5": eq(bracket(h2, ep5), ep5),
+        "h1_em5": eq(bracket(h1, em5), scale_elt(field.of(-1), em5)),
+        "h2_em5": eq(bracket(h2, em5), scale_elt(field.of(-1), em5)),
+        "ep5_em5": eq(bracket(ep5, em5), scale_elt(-four, add_elt(h1, h2))),
     }
     checks["cartan_matrix"] = ((2, -1), (-1, 2))
     return checks
 
 
-def almost_complex_report(p, field=QQ, eps=compfactor.EPS_TAU):
+def almost_complex_report(p, field=QQ):
     """J(e_Q) = eps_{QP} e_{P+Q} on V = span(e_Q : Q != P):
     J^2 = -Id, J isometry, J commutes with all of s_P.
     """
@@ -838,17 +754,11 @@ def almost_complex_report(p, field=QQ, eps=compfactor.EPS_TAU):
     zero, one = field.zero, field.one
     J = [[zero] * 6 for _ in range(6)]
     for q in cols:
-        s = compfactor.eps_get(eps, q, p)
+        s = compfactor.eps_get(compfactor.EPS_TAU, q, p)
         target = fano.add(p, q)
         J[pos[target]][pos[q]] = one if s == 1 else -one
 
-    def mat_mul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(6)), zero) for j in range(6)]
-            for i in range(6)
-        ]
-
-    j2 = mat_mul(J, J)
+    j2 = linalg.mat_mul(J, J)
     report = {
         "j_squared_minus_id": all(
             j2[i][j] == (-one if i == j else zero) for i in range(6) for j in range(6)
@@ -856,7 +766,7 @@ def almost_complex_report(p, field=QQ, eps=compfactor.EPS_TAU):
     }
     # isometry for the standard form: columns orthonormal
     jt = [[J[j][i] for j in range(6)] for i in range(6)]
-    jtj = mat_mul(jt, J)
+    jtj = linalg.mat_mul(jt, J)
     report["isometry"] = all(
         jtj[i][j] == (one if i == j else zero) for i in range(6) for j in range(6)
     )
@@ -867,10 +777,10 @@ def almost_complex_report(p, field=QQ, eps=compfactor.EPS_TAU):
         m2 = matrix2(X(q, d))
         # restriction of the spinor matrix to V (rows/cols of the 6 points)
         r = [[half * field.of(m2[cols[i]][cols[j]]) for j in range(6)] for i in range(6)]
-        if mat_mul(r, J) != mat_mul(J, r):
+        if linalg.mat_mul(r, J) != linalg.mat_mul(J, r):
             commutes = False
     report["commutes_with_s_p"] = commutes
-    report["s_p_dimension"] = point_subalgebra_dimension(p, field if field is QQ else QQ)
+    report["s_p_dimension"] = point_subalgebra_dimension(p, field)
     return report
 
 
@@ -939,7 +849,7 @@ def o3_example_report(field=QQ):
 # bracket table export
 
 
-def bracket_table(eps=compfactor.EPS_TAU):
+def bracket_table():
     """21x21 table over incident pairs: orbit tag, sign/coefficient and the
     resulting incident pair (or None for zero brackets).
     """
@@ -947,42 +857,28 @@ def bracket_table(eps=compfactor.EPS_TAU):
     for a in INCIDENT_PAIRS:
         row = []
         for b in INCIDENT_PAIRS:
-            tag = classify_pair(a, b)
-            if tag in ("D", "O1"):
-                row.append({"orbit": tag, "coeff": 0, "result": None})
-                continue
-            e = compfactor.eps_get(eps, a[0], b[0])
-            if tag == "O2":
-                coeff = 2 * e
-                res = (fano.add(a[0], b[0]), fano.wedge(a[0], b[0]))
-            elif tag in ("O3", "O3'"):
-                coeff = -e
-                res = (fano.add(a[0], b[0]), fano.wedge(a[0], b[0]))
-            else:
-                coeff = -e
-                res = (fano.add(a[0], b[0]), fano.line_add(a[1], b[1]))
-            row.append(
-                {"orbit": tag, "coeff": coeff, "result": ["P%d" % res[0], "D%d" % res[1]]}
-            )
+            tag, coeff, flag = _bracket_case(a, b)
+            result = ["P%d" % flag[0], "D%d" % flag[1]] if flag else None
+            row.append({"orbit": tag, "coeff": coeff, "result": result})
         out.append(row)
     return out
 
 
-def bracket_table_json(eps=compfactor.EPS_TAU):
+def bracket_table_json():
     return json.dumps(
         {
             "basis": [["P%d" % p, "D%d" % d] for p, d in INCIDENT_PAIRS],
-            "table": bracket_table(eps),
+            "table": bracket_table(),
         },
         indent=2,
     )
 
 
-def bracket_table_text(eps=compfactor.EPS_TAU):
+def bracket_table_text():
     names = ["X(P%d,D%d)" % pd for pd in INCIDENT_PAIRS]
     width = max(len(n) for n in names) + 2
     lines = [" " * width + "".join("%-12s" % n for n in names)]
-    tab = bracket_table(eps)
+    tab = bracket_table()
     for name, row in zip(names, tab):
         cells = []
         for cell in row:

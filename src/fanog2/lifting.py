@@ -13,10 +13,11 @@ There are 8 lifts per collineation, 1344 in all.
 
 import json
 import os
+import tempfile
 from functools import lru_cache
 from itertools import combinations
 
-from . import compfactor, fano, octonion, radon
+from . import compfactor, fano, radon
 
 CACHE_VERSION = 1
 
@@ -46,14 +47,13 @@ def det(g, eps=compfactor.EPS_TAU):
     return out
 
 
-def delta_star_properties(eps=compfactor.EPS_TAU, sample_pairs=None):
+def delta_star_properties(eps=compfactor.EPS_TAU):
     """Check the global identities of delta_star over the whole group.
 
     - det g = +1 for all 168 collineations;
     - pencil products: the three lines through any point multiply to +1;
     - the multiplier identity delta*(g2 g1, D) = delta*(g2, g1 D) delta*(g1, D)
-      for the given sample of pairs (all pairs if None... that is 168^2, so a
-      deterministic subsample is used by default).
+      on a deterministic sample of 168 of the 168^2 pairs.
     """
     group = fano.all_collineations()
     for g in group:
@@ -66,8 +66,7 @@ def delta_star_properties(eps=compfactor.EPS_TAU, sample_pairs=None):
                 prod *= fn[d - 1]
             if prod != 1:
                 return False
-    if sample_pairs is None:
-        sample_pairs = [(group[i], group[(i * 37 + 11) % 168]) for i in range(168)]
+    sample_pairs = [(group[i], group[(i * 37 + 11) % 168]) for i in range(168)]
     for g1, g2 in sample_pairs:
         g21 = fano.compose(g2, g1)
         for d in fano.LINES:
@@ -105,7 +104,7 @@ def distinguished_point(fn):
 # augmented automorphisms: (base permutation, sign 7-tuple)
 
 
-def aug_apply(aug, coeffs, field=None):
+def aug_apply(aug, coeffs):
     """Apply an augmented automorphism to an 8-coefficient vector."""
     g, s = aug
     out = [coeffs[0]] + [None] * 7
@@ -211,24 +210,40 @@ def _cache_key(eps):
     }
 
 
+def _read_cache(path, key):
+    """The cached group, or None when the file is missing, was written for
+    another key, or does not decode to the {key, elements} shape.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if data["key"] != key:
+            return None
+        return tuple(aug_deserialize(r) for r in data["elements"])
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+
+
 def enumerate_aug_group(eps=compfactor.EPS_TAU, cache_dir=None):
     """All 1344 augmented automorphisms, optionally cached as JSON on disk."""
-    path = None
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, "aug-group.json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            if data.get("key") == _cache_key(eps):
-                return tuple(aug_deserialize(r) for r in data["elements"])
+    if cache_dir is None:
+        return _enumerate_aug_group_uncached(eps)
+    os.makedirs(cache_dir, exist_ok=True)
+    path = os.path.join(cache_dir, "aug-group.json")
+    group = _read_cache(path, _cache_key(eps))
+    if group is not None:
+        return group
     group = _enumerate_aug_group_uncached(eps)
-    if path is not None:
-        data = {"key": _cache_key(eps), "elements": [aug_serialize(a) for a in group]}
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+    data = {"key": _cache_key(eps), "elements": [aug_serialize(a) for a in group]}
+    # a private temporary name, so concurrent writers never share a file
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
             json.dump(data, fh)
         os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return group
 
 
@@ -239,10 +254,6 @@ def _enumerate_aug_group_uncached(eps=compfactor.EPS_TAU):
         out.extend(lifts(g, eps))
     assert len(out) == 1344
     return tuple(out)
-
-
-def projection(aug):
-    return aug[0]
 
 
 def kernel_elements():

@@ -1,8 +1,16 @@
 """Exact dense linear algebra over any of the supported fields.
 
-Matrices are lists of rows of field elements; all operations are fraction-free
-in spirit but simply rely on exact field division, so no rounding occurs.
+Matrices are lists of rows of field elements.  Elimination divides exactly in
+the coefficient field, so no rounding occurs.
 """
+
+from operator import mul
+
+
+def mat_mul(a, b):
+    """Product of two matrices; works for int and field entries alike."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def rref(rows, field):

@@ -10,12 +10,8 @@ with 1 central.  For the canonical factor this is the octonion product.
 
 import json
 
-from . import compfactor, fano
+from . import compfactor, fano, linalg
 from .scalars import QQ
-
-
-def zero(field=QQ):
-    return (field.zero,) * 8
 
 
 def unit(field=QQ):
@@ -136,15 +132,10 @@ def clifford_property(x, eps=compfactor.EPS_TAU, field=QQ):
         raise ValueError("the Clifford identity is for imaginary elements")
     m = left_mult_matrix(x, eps, field)
     n = norm(x)
-    for i in range(8):
-        for j in range(8):
-            v = field.zero
-            for k in range(8):
-                v = v + m[i][k] * m[k][j]
-            want = -n if i == j else field.zero
-            if v != want:
-                return False
-    return True
+    sq = linalg.mat_mul(m, m)
+    return all(
+        sq[i][j] == (-n if i == j else field.zero) for i in range(8) for j in range(8)
+    )
 
 
 def conjugation_is_antiautomorphism(eps=compfactor.EPS_TAU, field=QQ):
@@ -158,7 +149,7 @@ def conjugation_is_antiautomorphism(eps=compfactor.EPS_TAU, field=QQ):
     return True
 
 
-def subalgebra_generated(indices, eps=compfactor.EPS_TAU, field=QQ):
+def subalgebra_generated(indices):
     """Basis labels (0..7) spanning the unital subalgebra generated by the
     given imaginary basis elements; dimensions come out 2, 4 or 8.
     """
@@ -176,7 +167,7 @@ def subalgebra_generated(indices, eps=compfactor.EPS_TAU, field=QQ):
     return tuple(sorted(span))
 
 
-def quaternion_subalgebra(d, eps=compfactor.EPS_TAU):
+def quaternion_subalgebra(d):
     """The span {1} u D_d is a quaternion subalgebra for any line d."""
     return (0,) + tuple(sorted(fano.LINE_POINTS[d]))
 

@@ -41,11 +41,6 @@ def t_line(d):
     return ONE ^ line_indicator(d)
 
 
-def t_point(p):
-    """T_P: one at P, zero elsewhere (the point indicator)."""
-    return point_indicator(p)
-
-
 def radon(f):
     """f*(D) = sum of f over the points of D, for each line."""
     out = 0

@@ -179,14 +179,32 @@ class PrimeFieldElement:
         return "%d (mod %d)" % (self.v, self.p)
 
 
+# Miller-Rabin with these bases is exact for every n below 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 2**64
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin primality test, exact for n < _PRIME_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -250,6 +268,8 @@ class PrimeField:
     def __init__(self, p):
         if p == 2:
             raise ValueError("characteristic 2 is not supported")
+        if p >= _PRIME_LIMIT:
+            raise ValueError("primes of 2^64 and above are not supported")
         if not _is_prime(p):
             raise ValueError("%d is not prime" % p)
         self.p = p
@@ -279,10 +299,16 @@ class PrimeField:
         return self.p % 4 == 1
 
     def sqrt_minus_one(self):
-        for r in range(1, self.p):
-            if (r * r) % self.p == self.p - 1:
-                return PrimeFieldElement(r, self.p)
-        raise ValueError("-1 is not a square in F_%d" % self.p)
+        """The smaller of the two square roots of -1."""
+        p = self.p
+        if not self.has_sqrt_minus_one():
+            raise ValueError("-1 is not a square in F_%d" % p)
+        # c^((p-1)/4) squares to c^((p-1)/2) = -1 for a non-residue c
+        c = 2
+        while pow(c, (p - 1) // 2, p) != p - 1:
+            c += 1
+        r = pow(c, (p - 1) // 4, p)
+        return PrimeFieldElement(min(r, p - r), p)
 
     def __repr__(self):
         return "F_%d" % self.p
@@ -301,8 +327,3 @@ def field_from_descriptor(desc):
     if desc.startswith("fp:"):
         return PrimeField(int(desc[3:]))
     raise ValueError("unsupported field descriptor: %r" % desc)
-
-
-def has_sqrt_minus_one(desc):
-    """True iff -1 is a square in the named field."""
-    return field_from_descriptor(desc).has_sqrt_minus_one()

@@ -1,272 +1,107 @@
-"""Acceptance gate: fourteen certified claims, one pass/fail line each.
+"""Acceptance gate: every claim of the `fanog2 verify` suites.
 
-Every computation is exact; every comparison is exact equality.  Each test
-prints a single summary line so that `pytest -s tests/test_acceptance.py`
-reads as a certificate.  Claim 11 certifies the computed closure dimension
-for mutually-skew generator pairs (three, the bracket-law triple), which is
-what the verified bracket law of claim 8 forces.
+The claims are defined once, in `cli.SUITES`; each acceptance criterion ACn
+runs the suite holding its claims (once per module, with the command line's
+own defaults) and prints one `<claim> PASS|FAIL: <description>` line per
+check, so that `pytest -s tests/test_acceptance.py` reads as a certificate.
 """
 
-import random
+import re
 
 import pytest
 
-from fanog2 import compfactor, fano, forms, g2, lifting, octonion, radon
-from fanog2.scalars import QI, QQ, PrimeField
+from fanog2 import cli
+
+# Acceptance criterion number -> the verify suite that holds its claims.
+CRITERION_SUITE = {
+    1: "fano", 2: "fano", 3: "compfactor", 4: "radon", 5: "lifting",
+    6: "lifting", 7: "g2", 8: "g2", 9: "g2", 10: "g2", 11: "g2", 12: "g2",
+    13: "forms", 14: "octonion",
+}
 
 
-def _report(num, text):
-    print("criterion %2d PASS: %s" % (num, text))
+@pytest.fixture(scope="module")
+def suite_checks(tmp_path_factory):
+    results = {}
+
+    def run(name):
+        if name not in results:
+            cache = tmp_path_factory.mktemp(name)
+            opts = cli.build_parser().parse_args(["verify", name, "--cache-dir", str(cache)])
+            results[name] = cli.SUITES[name](opts)
+        return results[name]
+
+    return run
 
 
-def test_criterion_01_collineation_group():
-    group = fano.all_collineations()
-    assert len(group) == 168
-    assert fano.order_histogram() == {1: 1, 2: 21, 3: 56, 4: 42, 7: 48}
-    _report(1, "168 collineations; order histogram {1:1,2:21,3:56,4:42,7:48}")
+def _criterion(n):
+    return int(re.match(r"AC(\d+)\.", n).group(1))
 
 
-def test_criterion_02_order7_classes():
-    sevens = [g for g in fano.all_collineations() if fano.order(g) == 7]
-    classes = {fano.conjugacy_class(g) for g in sevens}
-    assert len(classes) == 2
-    assert all(len(c) == 24 for c in classes)
-    # one minimal polynomial per class, and they differ
-    tags = []
-    for c in classes:
-        polys = {fano.order7_minimal_polynomial(g) for g in c}
-        assert len(polys) == 1
-        tags.append(polys.pop())
-    assert tags[0] != tags[1]
-    # the quadratic-residue rule for powers of the shift
-    assert fano.order7_class_split()
-    _report(2, "order-7 elements: two 24-classes split by minimal polynomial "
-               "and quadratic-residue powers")
+def _check_criterion(suite_checks, n):
+    name = CRITERION_SUITE[n]
+    checks = suite_checks(name)
+    # Every claim of the suite belongs to one of the criteria mapped to it.
+    assert {_criterion(c["claim"]) for c in checks} == {
+        k for k, s in CRITERION_SUITE.items() if s == name}
+    mine = [c for c in checks if _criterion(c["claim"]) == n]
+    assert mine
+    for c in mine:
+        print("%s %s: %s" % (c["claim"], "PASS" if c["pass"] else "FAIL", c["description"]))
+    assert [c["claim"] for c in mine if not c["pass"]] == []
 
 
-def test_criterion_03_composition_factors():
-    factors = compfactor.enumerate_composition_factors()
-    assert len(factors) == 16
-    orbits = compfactor.orbit_decomposition()
-    assert sorted(len(o) for o in orbits) == [8, 8]
-    iso = compfactor.isotropy(compfactor.EPS_TAU)
-    assert len(iso) == 21
-    tau_powers = set()
-    g = fano.TAU
-    for _ in range(7):
-        tau_powers.add(g)
-        g = fano.compose(fano.TAU, g)
-    normalizer = set()
-    for g in fano.all_collineations():
-        ginv = fano.inverse(g)
-        if all(fano.compose(g, fano.compose(t, ginv)) in tau_powers
-               for t in tau_powers):
-            normalizer.add(g)
-    assert iso == frozenset(normalizer)
-    _report(3, "16 composition factors; two orbits of 8; isotropy of the "
-               "canonical factor = normalizer of the shift (order 21)")
+def test_criterion_01_collineation_group(suite_checks):
+    _check_criterion(suite_checks, 1)
 
 
-def test_criterion_04_radon():
-    assert len(radon.kernel()) == 8
-    assert set(radon.kernel()) == (
-        {radon.ZERO} | {radon.t_line(d) for d in fano.LINES}
-    )
-    assert len(radon.image()) == 16
-    assert len(radon.mult_domain()) == 64
-    assert len(radon.mult_image()) == 8
-    _report(4, "Radon transform: kernel 8 = {0, off-line indicators}; image "
-               "16; multiplicative domain 64 and image 8")
+def test_criterion_02_order7_classes(suite_checks):
+    _check_criterion(suite_checks, 2)
 
 
-def test_criterion_05_delta_star():
-    classes = lifting.classify_delta_star()
-    assert sorted(len(v) for v in classes.values()) == [21] * 8
-    assert lifting.delta_star_properties()
-    a, b = fano.standard_generators()
-    assert lifting.distinguished_point(lifting.delta_star_fn(a)) == 4
-    assert lifting.distinguished_point(lifting.delta_star_fn(b)) == 3
-    _report(5, "line sign functions: 8 classes of 21; det +1 and pencil "
-               "products +1; generator signs distinguish points 4 and 3")
+def test_criterion_03_composition_factors(suite_checks):
+    _check_criterion(suite_checks, 3)
 
 
-def test_criterion_06_augmented_group():
-    group = lifting.enumerate_aug_group()
-    assert len(group) == 1344
-    assert set(lifting.lifts(fano.IDENTITY)) == set(lifting.kernel_elements())
-    assert len(lifting.kernel_elements()) == 8
-    assert all(len(lifting.lifts(g)) == 8 for g in fano.all_collineations())
-    a, b = fano.standard_generators()
-    c = fano.compose(a, fano.compose(b, fano.compose(fano.inverse(a),
-                                                     fano.inverse(b))))
-    assert fano.order(c) == 4
-    assert lifting.fiber_order_profile(a) == (2, 2, 2, 2, 4, 4, 4, 4)
-    assert lifting.fiber_order_profile(b) == (3, 3, 3, 3, 6, 6, 6, 6)
-    assert lifting.fiber_order_profile(fano.TAU) == (7,) * 8
-    assert lifting.fiber_order_profile(c) == (8,) * 8
-    _report(6, "signed automorphism group: order 1344, kernel 8, fibers of "
-               "8 with order profiles 2/4, 3/6, 7, 8 (non-split)")
+def test_criterion_04_radon(suite_checks):
+    _check_criterion(suite_checks, 4)
 
 
-def test_criterion_07_dimension():
-    assert g2.span_dimension() == 14
-    assert g2.annihilator_dimension() == 14
-    for p in fano.POINTS:
-        assert g2.point_relation_holds(p)
-    hold_count = 0
-    for p in fano.POINTS:
-        for trip in [sorted(fano.lines_through(p))]:
-            total = g2.add_elt(g2.add_elt(g2.X(p, trip[0]), g2.X(p, trip[1])),
-                               g2.X(p, trip[2]))
-            if total == {}:
-                hold_count += 1
-    assert hold_count == 7
-    _report(7, "derivation algebra: dimension 14 (span and unit-annihilator "
-               "agree); exactly the 7 point relations among the 21 generators")
+def test_criterion_05_delta_star(suite_checks):
+    _check_criterion(suite_checks, 5)
 
 
-def test_criterion_08_bracket_law():
-    assert g2.check_bracket_law()
-    assert g2.bracket(g2.X(1, 1), g2.X(3, 7)) == g2.scale_elt(-1, g2.X(7, 7))
-    assert g2.bracket(g2.X(4, 1), g2.X(5, 2)) == g2.scale_elt(-1, g2.X(7, 6))
-    assert g2.jacobi_check()
-    _report(8, "bracket law verified on all 441 pairs by two independent "
-               "paths, with anchored values; Jacobi on all basis triples")
+def test_criterion_06_augmented_group(suite_checks):
+    _check_criterion(suite_checks, 6)
 
 
-def test_criterion_09_orbit_census():
-    assert g2.orbit_census() == {
-        "D": 21, "O1": 42, "O2": 42, "O3": 84, "O3'": 84, "O4": 168,
-    }
-    a, b = fano.standard_generators()
-    for g in (a, b):
-        for pd1 in g2.INCIDENT_PAIRS:
-            for pd2 in g2.INCIDENT_PAIRS:
-                img1 = (fano.apply(g, pd1[0]), fano.line_image(g, pd1[1]))
-                img2 = (fano.apply(g, pd2[0]), fano.line_image(g, pd2[1]))
-                assert g2.classify_pair(img1, img2) == g2.classify_pair(
-                    pd1, pd2
-                )
-    _report(9, "pair census {21,42,42,84,84,168}; classes preserved by the "
-               "standard generators")
+def test_criterion_07_dimension(suite_checks):
+    _check_criterion(suite_checks, 7)
 
 
-def test_criterion_10_delta():
-    group = lifting.enumerate_aug_group()
-    fns = []
-    for aug in group:
-        fn = g2.delta_hat_fn(aug)  # raises if any line disagrees
-        assert radon._prod(fn) == 1
-        assert radon.radon_mult(fn) == lifting.delta_star_fn(aug[0])
-        fns.append(fn)
-    from collections import Counter
-
-    counts = Counter(fns)
-    assert len(counts) == 64
-    assert set(counts.values()) == {21}
-    _report(10, "point signs of all 1344 elements: line-independent, product "
-                "+1, Radon image = base line signs; 64 functions x 21")
+def test_criterion_08_bracket_law(suite_checks):
+    _check_criterion(suite_checks, 8)
 
 
-def test_criterion_11_subalgebras():
-    for p in fano.POINTS:
-        assert g2.cartan_dimension(p) == 2
-        assert g2.cartan_is_abelian(p)
-        assert g2.cartan_self_centralizing(p)
-    assert g2.decomposition_check()
-    for d in fano.LINES:
-        rep = g2.line_subalgebra_report(d)
-        assert rep == {
-            "dimension": 6,
-            "x_cyclic": True,
-            "y_cyclic": True,
-            "xy_commute": True,
-            "ix_dim": 3,
-            "iy_dim": 3,
-            "invariant_subspaces": True,
-            "ix_acts_trivially_on_line": True,
-        }
-    for p in fano.POINTS:
-        assert g2.point_subalgebra_dimension(p) == 8
-        assert g2.point_subalgebra_annihilates(p)
-    assert g2.point_subalgebra_closed(1)
-    for field in (QI, PrimeField(5)):
-        rep = g2.chevalley_report(1, field)
-        assert rep["cartan_matrix"] == ((2, -1), (-1, 2))
-        assert all(v is True for k, v in rep.items() if k != "cartan_matrix")
-    for field in (QQ, PrimeField(3)):
-        with pytest.raises(ValueError):
-            g2.chevalley_report(1, field)
-    # closure of mutually-skew pairs: certifies the computed dimension three
-    # for all 168 pairs -- the bracket-law triple {X,X',X''} closes on
-    # itself, as the verified law of criterion 8 forces
-    dims = set()
-    for pd1 in g2.INCIDENT_PAIRS:
-        for pd2 in g2.INCIDENT_PAIRS:
-            if g2.classify_pair(pd1, pd2) == "O4":
-                dims.add(g2.pair_generated_subalgebra(pd1, pd2))
-    assert dims == {3}
-    _report(11, "point planes abelian/self-centralizing with additive sums; "
-                "line so(4) structure; rank-2 presentation over Q(i) and F5 "
-                "(gated over Q, F3); skew pairs close on the 3-dim "
-                "bracket-law triple (all 168)")
+def test_criterion_09_orbit_census(suite_checks):
+    _check_criterion(suite_checks, 9)
 
 
-def test_criterion_12_root_system():
-    for p in fano.POINTS:
-        assert g2.root_system(p) == {
-            "count": 12,
-            "x_lengths": [2, 2, 2],
-            "y_lengths": [6, 6, 6],
-            "closure_matches": True,
-        }
-    _report(12, "12 root vectors per point, squared lengths 2 and 6, closed "
-                "in the hexagonal pattern")
+def test_criterion_10_delta(suite_checks):
+    _check_criterion(suite_checks, 10)
 
 
-def test_criterion_13_forms():
-    om = forms.omega()
-    Om = forms.big_omega()
-    assert len(om) == 7 and len(Om) == 7  # ordering-independence asserted
-    assert forms.invariant_three_form_dimension() == 1
-    assert forms.bilinear_identity_check()
-    assert forms.volume_identity_check()
-    assert forms.norm_report() == {"omega": 7, "Omega": 7}
-    _report(13, "3- and 4-forms: 7 ordering-independent terms; invariant "
-                "space dim 1; -6B and -7 vol identities; norms 7 under the "
-                "orthonormal-subset convention")
+def test_criterion_11_subalgebras(suite_checks):
+    _check_criterion(suite_checks, 11)
 
 
-EXPECTED_TABLE = (
-    (0, 4, 7, -2, 6, -5, -3),
-    (-4, 0, 5, 1, -3, 7, -6),
-    (-7, -5, 0, 6, 2, -4, 1),
-    (2, -1, -6, 0, 7, 3, -5),
-    (-6, 3, -2, -7, 0, 1, 4),
-    (5, -7, 4, -3, -1, 0, 2),
-    (3, 6, -1, 5, -4, -2, 0),
-)
+def test_criterion_12_root_system(suite_checks):
+    _check_criterion(suite_checks, 12)
 
 
-def test_criterion_14_octonions():
-    assert octonion.table() == EXPECTED_TABLE
-    rng = random.Random(14)
-    samples = [
-        (tuple(rng.randint(-20, 20) for _ in range(8)),
-         tuple(rng.randint(-20, 20) for _ in range(8)))
-        for _ in range(128)
-    ]
-    assert octonion.is_multiplicative_norm(compfactor.EPS_TAU, QQ, samples)
-    assert octonion.is_multiplicative_norm(compfactor.EPS_TAU)
-    for d in fano.LINES:
-        idx = octonion.quaternion_subalgebra(d)
-        basis = [octonion.basis(i) for i in idx]
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    assert not any(octonion.associator(x, y, z))
-    for t in fano.all_triangles():
-        assert len(octonion.subalgebra_generated(sorted(t))) == 8
-    _report(14, "multiplication table cell-for-cell; norm multiplicative on "
-                "128 random pairs and structurally; quaternion subalgebras "
-                "associative; triangles generate dimension 8")
+def test_criterion_13_forms(suite_checks):
+    _check_criterion(suite_checks, 13)
+
+
+def test_criterion_14_octonions(suite_checks):
+    _check_criterion(suite_checks, 14)

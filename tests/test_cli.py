@@ -100,7 +100,22 @@ def test_usage_errors():
     assert _run([]) == 2
 
 
+def test_truncated_cache_is_recomputed(tmp_path):
+    cold = tmp_path / "cold.json"
+    assert _run(["verify", "lifting", "--json", "--out", str(cold)]) == 0
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "aug-group.json").write_text('{"key": {"version": 1}, "elem')
+    warm = tmp_path / "warm.json"
+    assert _run(["verify", "lifting", "--json", "--cache-dir", str(cache),
+                 "--out", str(warm)]) == 0
+    assert _read(warm) == _read(cold)
+    assert [p.name for p in cache.iterdir()] == ["aug-group.json"]
+
+
 def test_field_descriptor_gate():
     assert _run(["verify", "fano", "--field", "zzz", "--out", "/dev/null"]) == 2
+    assert _run(["verify", "fano", "--field", "fp:%d" % (2**64 + 13),
+                 "--out", "/dev/null"]) == 2
     assert _run(["verify", "fano", "--field", "fp:11",
                  "--out", "/dev/null"]) == 0

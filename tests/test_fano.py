@@ -53,6 +53,8 @@ def test_compose_inverse_order():
     assert fano.compose(a, fano.inverse(a)) == fano.IDENTITY
     assert fano.compose(a, b) == fano.TAU
     assert fano.order(fano.TAU) == 7
+    c = fano.compose(a, fano.compose(b, fano.compose(fano.inverse(a), fano.inverse(b))))
+    assert fano.order(c) == 4
 
 
 def test_orientation_types():

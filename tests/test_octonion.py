@@ -1,7 +1,7 @@
 import json
 
 from fanog2 import compfactor, fano, octonion
-from fanog2.scalars import QI, QQ, PrimeField
+from fanog2.scalars import QI, PrimeField
 
 
 def test_unit_and_basis():

@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from fanog2 import g2
 from fanog2.scalars import (
     QI,
     QQ,
@@ -43,8 +45,10 @@ def test_prime_field():
     assert f5.of(2) * f5.of(3) == f5.one
     assert f5.one / f5.of(2) == f5.of(3)
     assert f5.has_sqrt_minus_one()
-    r = f5.sqrt_minus_one()
-    assert r * r == -f5.one
+    for p in (5, 13, 17, 29, 37, 41, 10009):
+        r = PrimeField(p).sqrt_minus_one()
+        assert r * r == -PrimeField(p).one
+        assert r.v == min(x for x in range(1, p) if x * x % p == p - 1)
     f3 = PrimeField(3)
     assert not f3.has_sqrt_minus_one()
 
@@ -58,3 +62,15 @@ def test_field_descriptors():
         field_from_descriptor("fp:6")
     with pytest.raises(ValueError):
         field_from_descriptor("nope")
+
+
+def test_large_primes_return_quickly():
+    start = time.perf_counter()
+    assert not PrimeField(2**61 - 1).has_sqrt_minus_one()
+    f = PrimeField(1000000009)
+    r = f.sqrt_minus_one()
+    assert r * r == f.of(-1)
+    assert g2.chevalley_report(1, f)["ep5_em5"] is True
+    with pytest.raises(ValueError):
+        PrimeField(1000000007 * 1000000009)
+    assert time.perf_counter() - start < 5
