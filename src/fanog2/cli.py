@@ -893,10 +893,17 @@ def cmd_diagram(opts):
     return 0
 
 
+class UsageError(Exception):
+    """Bad command-line input; main reports it on one line and exits 2."""
+
+
 def _emit(text, opts):
     if opts.out:
-        with open(opts.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(opts.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError("cannot write --out %s: %s" % (opts.out, exc.strerror))
     else:
         sys.stdout.write(text + "\n")
 
@@ -945,20 +952,22 @@ def main(argv=None):
     if opts.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    commands = {
+        "verify": cmd_verify,
+        "enumerate": cmd_enumerate,
+        "table": cmd_table,
+        "diagram": cmd_diagram,
+    }
     try:
         field_from_descriptor(opts.field)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    if opts.command == "verify":
-        return cmd_verify(opts)
-    if opts.command == "enumerate":
-        return cmd_enumerate(opts)
-    if opts.command == "table":
-        return cmd_table(opts)
-    if opts.command == "diagram":
-        return cmd_diagram(opts)
-    return 2
+    try:
+        return commands[opts.command](opts)
+    except UsageError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -327,7 +327,11 @@ def serialize(g):
     return "".join(str(v) for v in g)
 
 
+@lru_cache(maxsize=None)
 def deserialize(s):
+    """The collineation of a digit string; memoized, since a cached group
+    repeats each of the 168 strings eight times (only valid ones are kept).
+    """
     g = tuple(int(ch) for ch in s)
     if sorted(g) != list(POINTS) or not is_additive(g):
         raise ValueError("not a collineation: %r" % s)

@@ -146,6 +146,23 @@ def matrix2(x):
     return m
 
 
+@lru_cache(maxsize=None)
+def x_matrix2(p, d):
+    """2 * spinor matrix of the generator X_{P,D}, memoized (21 in all)."""
+    return tuple(map(tuple, matrix2(X(p, d))))
+
+
+@lru_cache(maxsize=None)
+def _x_entries(p, d):
+    """The nonzero entries of x_matrix2(p, d) as {(row, col): value}."""
+    return {
+        (i, j): v
+        for i, row in enumerate(x_matrix2(p, d))
+        for j, v in enumerate(row)
+        if v
+    }
+
+
 def _mat_commutator(a, b):
     ab, ba = linalg.mat_mul(a, b), linalg.mat_mul(b, a)
     return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
@@ -234,13 +251,8 @@ def annihilator_dimension(field=QQ):
 @lru_cache(maxsize=None)
 def g2_basis():
     """A 14-element subset of the X's forming a basis of g2 over Q."""
-    basis = []
-    rows = []
-    for p, d in INCIDENT_PAIRS:
-        v = to_vector(X(p, d))
-        if linalg.rank(rows + [v], QQ) > len(basis):
-            rows.append(v)
-            basis.append((p, d))
+    echelon = linalg.Echelon(QQ)
+    basis = [pd for pd in INCIDENT_PAIRS if echelon.add(to_vector(X(*pd)))]
     assert len(basis) == 14
     return tuple(basis)
 
@@ -288,8 +300,7 @@ def action_on_basis(p, d, q):
         predicted = (s, fano.add(p, q))
     # independent path: commutator of 2*rho_hat(X) with rho(e_q) is
     # 2*rho([X, e_q]); compare with 2*sign*rho(e_{p+q}).
-    m2 = matrix2(X(p, d))
-    c = _mat_commutator(m2, rho()[q])
+    c = _mat_commutator(x_matrix2(p, d), rho()[q])
     if predicted[0] == 0:
         ok = all(v == 0 for row in c for v in row)
     else:
@@ -376,7 +387,7 @@ def check_bracket_law():
             law = bracket_law(a, b)
             if sc != law:
                 return False
-            c = _mat_commutator(matrix2(X(*a)), matrix2(X(*b)))
+            c = _mat_commutator(x_matrix2(*a), x_matrix2(*b))
             m = matrix2(sc)
             # [2A, 2B] = 4[A,B] = 2 * (2[A,B])
             if any(
@@ -543,8 +554,7 @@ def line_subalgebra_report(d, field=QQ):
     stable = True
     ix_trivial = True
     for s in (p, q, r):
-        for gen, is_x in ((xs[s], True), (ys[s], False)):
-            m2 = matrix2(gen)
+        for m2, is_x in ((x_matrix2(s, d), True), (matrix2(ys[s]), False)):
             for col in on_line:
                 if any(m2[i][col] != 0 for i in [0] + off_line):
                     stable = False
@@ -601,33 +611,26 @@ def root_system(p):
 # the sign delta of augmented automorphisms acting on the X's
 
 
-def conjugate_matrix2(aug, m2):
-    """Conjugation of a 2x-scaled spinor matrix by an augmented automorphism,
-    done as a signed permutation of indices (unit coordinate is fixed).
+def delta_hat(aug, p):
+    """The sign with ghat X_{P,D} ghat^-1 = sign * X_{gP,gD}; D-independent.
+
+    ghat fixes e_0 and sends e_Q to s_Q e_{gQ}, so conjugating a spinor
+    matrix moves its entry (a, b) to (ga, gb) times s_a s_b (with g0 = 0 and
+    s_0 = 1).  Applied to the nonzero entries of 2 rho_hat(X_{P,D}).
     """
     g, s = aug
-    ginv = fano.inverse(g)
-    # U e_0 = e_0; U e_p = s_p e_{g p}.  (U M U^-1)[a][b] = s'_a s'_b M[a'][b']
-    # where a' = g^-1 a (0 fixed) and s'_0 = 1, s'_p = s_{g^-1 p}.
-    idx = [0] + [fano.apply(ginv, p) for p in fano.POINTS]
-    sgn = [1] + [s[idx[p] - 1] for p in fano.POINTS]
-    return [
-        [sgn[a] * sgn[b] * m2[idx[a]][idx[b]] for b in range(8)]
-        for a in range(8)
-    ]
-
-
-def delta_hat(aug, p):
-    """The sign with ghat X_{P,D} ghat^-1 = sign * X_{gP,gD}; D-independent."""
-    g, _ = aug
+    img = (0,) + g
+    sg = (1,) + s
     signs = set()
     for d in fano.lines_through(p):
-        m2 = matrix2(X(p, d))
-        conj = conjugate_matrix2(aug, m2)
-        target = matrix2(X(fano.apply(g, p), fano.line_image(g, d)))
+        conj = {
+            (img[a], img[b]): sg[a] * sg[b] * v
+            for (a, b), v in _x_entries(p, d).items()
+        }
+        target = _x_entries(fano.apply(g, p), fano.line_image(g, d))
         if conj == target:
             signs.add(1)
-        elif conj == [[-v for v in row] for row in target]:
+        elif conj == {k: -v for k, v in target.items()}:
             signs.add(-1)
         else:
             raise AssertionError(
@@ -666,7 +669,7 @@ def point_subalgebra_dimension(p, field=QQ):
 def point_subalgebra_annihilates(p):
     """Each generator's spinor matrix kills both the unit and e_P."""
     for q, d in point_subalgebra_generators(p):
-        m2 = matrix2(X(q, d))
+        m2 = x_matrix2(q, d)
         if any(m2[i][0] != 0 or m2[i][p] != 0 for i in range(8)):
             return False
     return True
@@ -675,9 +678,8 @@ def point_subalgebra_annihilates(p):
 def point_subalgebra_closed(p, field=QQ):
     """The span of the nine generators contains all 81 of their brackets."""
     gens = [X(q, d) for q, d in point_subalgebra_generators(p)]
-    rows = [to_vector(x, field) for x in gens]
-    brackets = [to_vector(bracket(x, y), field) for x in gens for y in gens]
-    return linalg.rank(rows, field) == linalg.rank(rows + brackets, field)
+    span = linalg.Echelon(field, [to_vector(x, field) for x in gens])
+    return all(to_vector(bracket(x, y), field) in span for x in gens for y in gens)
 
 
 def _felt(x, field):
@@ -774,7 +776,7 @@ def almost_complex_report(p, field=QQ):
     half = one / field.of(2)
     commutes = True
     for q, d in point_subalgebra_generators(p):
-        m2 = matrix2(X(q, d))
+        m2 = x_matrix2(q, d)
         # restriction of the spinor matrix to V (rows/cols of the 6 points)
         r = [[half * field.of(m2[cols[i]][cols[j]]) for j in range(6)] for i in range(6)]
         if linalg.mat_mul(r, J) != linalg.mat_mul(J, r):
@@ -790,27 +792,18 @@ def almost_complex_report(p, field=QQ):
 
 def lie_closure_dimension(gens, field=QQ):
     """Dimension of the Lie algebra generated by the given elements."""
-    basis_elts = []
-    rows = []
-    for x in gens:
-        v = to_vector(x, field)
-        if linalg.rank(rows + [v], field) > len(rows):
-            rows.append(v)
-            basis_elts.append(x)
+    echelon = linalg.Echelon(field)
+    basis_elts = [x for x in gens if echelon.add(to_vector(x, field))]
     changed = True
     while changed:
         changed = False
         for x in list(basis_elts):
             for y in list(basis_elts):
                 z = bracket(x, y)
-                if not z:
-                    continue
-                v = to_vector(z, field)
-                if linalg.rank(rows + [v], field) > len(rows):
-                    rows.append(v)
+                if z and echelon.add(to_vector(z, field)):
                     basis_elts.append(z)
                     changed = True
-    return len(rows), basis_elts
+    return len(echelon), basis_elts
 
 
 def pair_generated_subalgebra(pd1, pd2, field=QQ):

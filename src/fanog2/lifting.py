@@ -14,8 +14,10 @@ There are 8 lifts per collineation, 1344 in all.
 import json
 import os
 import tempfile
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from . import compfactor, fano, radon
 
@@ -53,11 +55,12 @@ def delta_star_properties(eps=compfactor.EPS_TAU):
     - det g = +1 for all 168 collineations;
     - pencil products: the three lines through any point multiply to +1;
     - the multiplier identity delta*(g2 g1, D) = delta*(g2, g1 D) delta*(g1, D)
-      on a deterministic sample of 168 of the 168^2 pairs.
+      for all 168^2 pairs (g1, g2) and all seven lines D.
     """
     group = fano.all_collineations()
+    fns = {g: delta_star_fn(g, eps) for g in group}
     for g in group:
-        fn = delta_star_fn(g, eps)
+        fn = fns[g]
         if det(g, eps) != 1:
             return False
         for p in fano.POINTS:
@@ -66,13 +69,15 @@ def delta_star_properties(eps=compfactor.EPS_TAU):
                 prod *= fn[d - 1]
             if prod != 1:
                 return False
-    sample_pairs = [(group[i], group[(i * 37 + 11) % 168]) for i in range(168)]
-    for g1, g2 in sample_pairs:
-        g21 = fano.compose(g2, g1)
-        for d in fano.LINES:
-            if delta_star(g21, d, eps) != delta_star(
-                g2, fano.line_image(g1, d), eps
-            ) * delta_star(g1, d, eps):
+    for g1 in group:
+        f1 = fns[g1]
+        # index of the line g1 D for each D
+        moved = tuple(d - 1 for d in fano.line_perm(g1))
+        for g2 in group:
+            f2 = fns[g2]
+            if fns[fano.compose(g2, g1)] != tuple(
+                map(mul, map(f2.__getitem__, moved), f1)
+            ):
                 return False
     return True
 
@@ -141,21 +146,23 @@ def aug_order(aug):
     return n
 
 
+# (P, Q, P+Q) as 0-based indices, for the 42 ordered pairs of distinct points
+_PRODUCTS = tuple(
+    (p - 1, q - 1, fano.add(p, q) - 1)
+    for p in fano.POINTS
+    for q in fano.POINTS
+    if p != q
+)
+
+
 def is_algebra_automorphism(aug, eps=compfactor.EPS_TAU):
-    """Check multiplicativity on all imaginary basis pairs."""
+    """Check multiplicativity on all imaginary basis pairs:
+    eps(P,Q) s(P+Q) = s(P) s(Q) eps(gP,gQ) for every P != Q.
+    """
     g, s = aug
-    for p in fano.POINTS:
-        for q in fano.POINTS:
-            if p == q:
-                continue
-            lhs_sign = compfactor.eps_get(eps, p, q) * s[fano.add(p, q) - 1]
-            rhs_sign = (
-                s[p - 1]
-                * s[q - 1]
-                * compfactor.eps_get(eps, fano.apply(g, p), fano.apply(g, q))
-            )
-            if lhs_sign != rhs_sign:
-                return False
+    for p, q, r in _PRODUCTS:
+        if eps[p][q] * s[r] != s[p] * s[q] * eps[g[p] - 1][g[q] - 1]:
+            return False
     return True
 
 
@@ -167,23 +174,29 @@ def t_map(d):
     )
 
 
+@lru_cache(maxsize=None)
+def _radon_preimages():
+    """Each multiplicative Radon image of the 128 sign functions, mapped to
+    its preimages in the order of radon.all_sign_functions().
+    """
+    table = {}
+    for s in radon.all_sign_functions():
+        table.setdefault(radon.radon_mult(s), []).append(s)
+    return table
+
+
 def lifts(g, eps=compfactor.EPS_TAU):
-    """The eight sign functions lifting g, via Radon preimages of delta_star.
+    """The sign functions lifting g (eight of them), via Radon preimages.
 
     A sign tuple s lifts g iff its multiplicative Radon transform equals
-    delta_star(g, .); each result is validated as an algebra automorphism.
+    delta_star(g, .); only candidates validated as algebra automorphisms are
+    returned, and the claims compare the count.
     """
-    target = delta_star_fn(g, eps)
-    out = []
-    for s in radon.all_sign_functions():
-        if radon.radon_mult(s) == target:
-            aug = (g, s)
-            if not is_algebra_automorphism(aug, eps):
-                raise AssertionError("lift candidate fails multiplicativity")
-            out.append(aug)
-    if len(out) != 8:
-        raise AssertionError("expected 8 lifts of %r, found %d" % (g, len(out)))
-    return tuple(out)
+    return tuple(
+        (g, s)
+        for s in _radon_preimages().get(delta_star_fn(g, eps), ())
+        if is_algebra_automorphism((g, s), eps)
+    )
 
 
 def aug_serialize(aug):
@@ -210,18 +223,27 @@ def _cache_key(eps):
     }
 
 
-def _read_cache(path, key):
+def _read_cache(path, eps):
     """The cached group, or None when the file is missing, was written for
-    another key, or does not decode to the {key, elements} shape.
+    another key, does not decode to the {key, elements} shape, or does not
+    hold 1344 distinct algebra automorphisms, eight over each collineation.
     """
     try:
         with open(path) as fh:
             data = json.load(fh)
-        if data["key"] != key:
+        if data["key"] != _cache_key(eps):
             return None
-        return tuple(aug_deserialize(r) for r in data["elements"])
+        group = tuple(aug_deserialize(r) for r in data["elements"])
     except (OSError, ValueError, LookupError, TypeError):
         return None
+    fibers = Counter(g for g, _ in group)
+    if (
+        len(set(group)) != 1344
+        or fibers != dict.fromkeys(fano.all_collineations(), 8)
+        or not all(is_algebra_automorphism(a, eps) for a in group)
+    ):
+        return None
+    return group
 
 
 def enumerate_aug_group(eps=compfactor.EPS_TAU, cache_dir=None):
@@ -230,7 +252,7 @@ def enumerate_aug_group(eps=compfactor.EPS_TAU, cache_dir=None):
         return _enumerate_aug_group_uncached(eps)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, "aug-group.json")
-    group = _read_cache(path, _cache_key(eps))
+    group = _read_cache(path, eps)
     if group is not None:
         return group
     group = _enumerate_aug_group_uncached(eps)
@@ -252,7 +274,6 @@ def _enumerate_aug_group_uncached(eps=compfactor.EPS_TAU):
     out = []
     for g in fano.all_collineations():
         out.extend(lifts(g, eps))
-    assert len(out) == 1344
     return tuple(out)
 
 

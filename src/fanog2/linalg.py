@@ -1,7 +1,8 @@
 """Exact dense linear algebra over any of the supported fields.
 
 Matrices are lists of rows of field elements.  Elimination divides exactly in
-the coefficient field, so no rounding occurs.
+the coefficient field, so no rounding occurs.  Rank and span questions go
+through Echelon, a basis that grows one row at a time; rref serves nullspace.
 """
 
 from operator import mul
@@ -32,10 +33,14 @@ def rref(rows, field):
         m[r], m[pr] = m[pr], m[r]
         inv = field.one / m[r][c]
         m[r] = [inv * v for v in m[r]]
+        # eliminate along the pivot row's nonzero entries only
+        terms = [(j, v) for j, v in enumerate(m[r]) if v]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                row = m[i]
+                for j, v in terms:
+                    row[j] -= f * v
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -43,8 +48,50 @@ def rref(rows, field):
     return m, pivots
 
 
+class Echelon:
+    """A semi-echelon basis of a row space, built one vector at a time.
+
+    Each stored row has a pivot column where it is one and where every later
+    row is zero, so reducing a vector against the rows in insertion order
+    clears all the pivots.  A row is kept with the columns it is nonzero in.
+    """
+
+    def __init__(self, field, rows=()):
+        self.field = field
+        self._rows = []  # (pivot, [(column, value), ...])
+        for v in rows:
+            self.add(v)
+
+    def _reduce(self, v):
+        v = list(v)
+        for pivot, terms in self._rows:
+            f = v[pivot]
+            if f:
+                for c, b in terms:
+                    v[c] -= f * b
+        return v
+
+    def add(self, v):
+        """Add v to the basis; False (and no change) when v is in the span."""
+        v = self._reduce(v)
+        for pivot, x in enumerate(v):
+            if x:
+                inv = self.field.one / x
+                self._rows.append(
+                    (pivot, [(c, inv * y) for c, y in enumerate(v) if y])
+                )
+                return True
+        return False
+
+    def __contains__(self, v):
+        return not any(self._reduce(v))
+
+    def __len__(self):
+        return len(self._rows)
+
+
 def rank(rows, field):
-    return len(rref(rows, field)[1])
+    return len(Echelon(field, rows))
 
 
 def nullspace(rows, field):
@@ -66,10 +113,9 @@ def nullspace(rows, field):
 
 def in_span(rows, vec, field):
     """Whether vec lies in the row span of rows."""
-    return rank(rows, field) == rank(list(rows) + [list(vec)], field)
+    return vec in Echelon(field, rows)
 
 
 def span_equal(rows_a, rows_b, field):
-    ra = rank(rows_a, field)
-    rb = rank(rows_b, field)
-    return ra == rb == rank(list(rows_a) + list(rows_b), field)
+    basis = Echelon(field, rows_a)
+    return len(basis) == rank(rows_b, field) and all(v in basis for v in rows_b)

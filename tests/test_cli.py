@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fanog2 import cli
+from fanog2 import cli, fano, radon
 
 
 def _run(args):
@@ -119,3 +119,50 @@ def test_field_descriptor_gate():
                  "--out", "/dev/null"]) == 2
     assert _run(["verify", "fano", "--field", "fp:11",
                  "--out", "/dev/null"]) == 0
+
+
+def _duplicate_first(elements):
+    elements[1] = elements[0]
+
+
+def _flip_one_sign(elements):
+    # still 1344 distinct elements, 8 over each collineation, but the
+    # element's sign function is no lift of its collineation
+    elements[0][1] ^= 1
+
+
+@pytest.mark.parametrize("tamper", [_duplicate_first, _flip_one_sign])
+def test_tampered_cache_is_recomputed(tmp_path, tamper):
+    cache = tmp_path / "cache"
+    assert _run(["enumerate", "aug-aut", "--cache-dir", str(cache),
+                 "--out", "/dev/null"]) == 0
+    path = cache / "aug-group.json"
+    data = json.loads(path.read_text())
+    tamper(data["elements"])
+    path.write_text(json.dumps(data))
+    for suite in ("lifting", "g2"):
+        out = tmp_path / (suite + ".txt")
+        assert _run(["verify", suite, "--cache-dir", str(cache),
+                     "--out", str(out)]) == 0
+        assert "overall PASS" in _read(out)
+    assert len(set(map(tuple, json.loads(path.read_text())["elements"]))) == 1344
+
+
+def test_out_to_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    assert _run(["verify", "fano", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out")
+    assert err.count("\n") == 1
+
+
+def test_radon_claim_fails_instead_of_raising(monkeypatch):
+    # T_D broken to the line indicator: the kernel no longer has the shape
+    # that AC4.kernel-shape claims, which must come out as a FAIL record
+    monkeypatch.setattr(radon, "t_line", radon.line_indicator)
+    radon.kernel.cache_clear()
+    opts = cli.build_parser().parse_args(["verify", "radon"])
+    checks = {c["claim"]: c for c in cli.suite_radon(opts)}
+    assert checks["AC4.kernel-shape"]["pass"] is False
+    assert checks["AC4.kernel"]["pass"] is True
+    assert {radon.t_line(d) for d in fano.LINES}.isdisjoint(radon.kernel())

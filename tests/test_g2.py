@@ -104,6 +104,13 @@ def test_delta_hat():
     assert radon.radon_mult(fn) == lifting.delta_star_fn(a)
 
 
+def test_delta_hat_rejects_a_non_automorphism():
+    # flipping the sign of e_1 alone breaks multiplicativity, so the
+    # conjugate of a generator off the lines through P1 is no signed X
+    with pytest.raises(AssertionError, match=r"conjugate of X_\{P2,D2\} is not proportional"):
+        g2.delta_hat_fn((fano.IDENTITY, (-1, 1, 1, 1, 1, 1, 1)))
+
+
 def test_point_subalgebras():
     for p in fano.POINTS:
         assert g2.point_subalgebra_dimension(p) == 8

@@ -79,6 +79,8 @@ def test_cache_roundtrip(tmp_path):
     assert len(data["elements"]) == 1344
     warm = lifting.enumerate_aug_group(cache_dir=str(tmp_path))
     assert cold == warm
+    # the validated read accepts the file it wrote
+    assert lifting._read_cache(path, compfactor.EPS_TAU) == cold
 
 
 def test_cache_invalidation(tmp_path):
