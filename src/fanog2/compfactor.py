@@ -124,7 +124,6 @@ def enumerate_composition_factors():
         eps = _freeze(table)
         if is_composition_factor(eps):
             found.append(eps)
-    assert len(found) == 16
     return tuple(found)
 
 
@@ -197,7 +196,6 @@ def enumerate_oriented_maps():
             if p < q
         ):
             out.append(tuple(combo))
-    assert len(out) == 8
     return tuple(out)
 
 

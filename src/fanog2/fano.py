@@ -134,7 +134,6 @@ def all_collineations():
                 im ^= c
             perm[LABEL[m] - 1] = LABEL[im]
         result.append(tuple(perm))
-    assert len(result) == 168
     return tuple(sorted(result))
 
 
@@ -325,17 +324,6 @@ def order7_class_split():
 def serialize(g):
     """A collineation as a 7-character digit string."""
     return "".join(str(v) for v in g)
-
-
-@lru_cache(maxsize=None)
-def deserialize(s):
-    """The collineation of a digit string; memoized, since a cached group
-    repeats each of the 168 strings eight times (only valid ones are kept).
-    """
-    g = tuple(int(ch) for ch in s)
-    if sorted(g) != list(POINTS) or not is_additive(g):
-        raise ValueError("not a collineation: %r" % s)
-    return g
 
 
 def line_name(d):

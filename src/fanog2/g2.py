@@ -747,42 +747,37 @@ def chevalley_report(p=1, field=None):
     return checks
 
 
-def almost_complex_report(p, field=QQ):
+def almost_complex_report(p):
     """J(e_Q) = eps_{QP} e_{P+Q} on V = span(e_Q : Q != P):
     J^2 = -Id, J isometry, J commutes with all of s_P.
+
+    J has entries 0 and +-1, and it commutes with rho_hat(X) iff it commutes
+    with the integer matrix 2 rho_hat(X), so all of it is integer arithmetic.
     """
     cols = [q for q in fano.POINTS if q != p]
     pos = {q: n for n, q in enumerate(cols)}
-    zero, one = field.zero, field.one
-    J = [[zero] * 6 for _ in range(6)]
+    J = [[0] * 6 for _ in range(6)]
     for q in cols:
-        s = compfactor.eps_get(compfactor.EPS_TAU, q, p)
-        target = fano.add(p, q)
-        J[pos[target]][pos[q]] = one if s == 1 else -one
+        J[pos[fano.add(p, q)]][pos[q]] = compfactor.eps_get(compfactor.EPS_TAU, q, p)
 
-    j2 = linalg.mat_mul(J, J)
+    ident = [[int(i == j) for j in range(6)] for i in range(6)]
     report = {
-        "j_squared_minus_id": all(
-            j2[i][j] == (-one if i == j else zero) for i in range(6) for j in range(6)
-        )
+        "j_squared_minus_id": linalg.mat_mul(J, J)
+        == [[-v for v in row] for row in ident]
     }
     # isometry for the standard form: columns orthonormal
-    jt = [[J[j][i] for j in range(6)] for i in range(6)]
-    jtj = linalg.mat_mul(jt, J)
-    report["isometry"] = all(
-        jtj[i][j] == (one if i == j else zero) for i in range(6) for j in range(6)
-    )
+    jt = [list(col) for col in zip(*J)]
+    report["isometry"] = linalg.mat_mul(jt, J) == ident
     # commutation with the restricted spinor matrices of the s_P generators
-    half = one / field.of(2)
     commutes = True
     for q, d in point_subalgebra_generators(p):
         m2 = x_matrix2(q, d)
-        # restriction of the spinor matrix to V (rows/cols of the 6 points)
-        r = [[half * field.of(m2[cols[i]][cols[j]]) for j in range(6)] for i in range(6)]
+        # restriction of 2 rho_hat(X) to V (rows/cols of the 6 points)
+        r = [[m2[i][j] for j in cols] for i in cols]
         if linalg.mat_mul(r, J) != linalg.mat_mul(J, r):
             commutes = False
     report["commutes_with_s_p"] = commutes
-    report["s_p_dimension"] = point_subalgebra_dimension(p, field)
+    report["s_p_dimension"] = point_subalgebra_dimension(p)
     return report
 
 

@@ -11,57 +11,62 @@ when the product of the three signs on every line equals delta_star(g, D).
 There are 8 lifts per collineation, 1344 in all.
 """
 
-import json
-import os
-import tempfile
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
 from . import compfactor, fano, radon
 
-CACHE_VERSION = 1
+
+def _pair_sign(g, p, q):
+    """eps_PQ * eps_{gP,gQ}."""
+    eps = compfactor.EPS_TAU
+    return compfactor.eps_get(eps, p, q) * compfactor.eps_get(
+        eps, fano.apply(g, p), fano.apply(g, q)
+    )
 
 
-def delta_star(g, d, eps=compfactor.EPS_TAU, check=False):
-    pts = sorted(fano.LINE_POINTS[d])
-    values = {
-        compfactor.eps_get(eps, p, q)
-        * compfactor.eps_get(eps, fano.apply(g, p), fano.apply(g, q))
-        for p, q in combinations(pts, 2)
-    }
-    if check and len(values) != 1:
-        raise AssertionError("delta_star depends on the pair for g=%r D=%d" % (g, d))
-    return next(iter(values))
+def delta_star(g, d):
+    """The line sign delta_star(g, D), read from the first pair P < Q of D;
+    delta_star_properties certifies that the other two pairs agree.
+    """
+    p, q = sorted(fano.LINE_POINTS[d])[:2]
+    return _pair_sign(g, p, q)
 
 
-def delta_star_fn(g, eps=compfactor.EPS_TAU):
+def delta_star_fn(g):
     """The sign function D -> delta_star(g, D) as a 7-tuple."""
-    return tuple(delta_star(g, d, eps) for d in fano.LINES)
+    return tuple(delta_star(g, d) for d in fano.LINES)
 
 
-def det(g, eps=compfactor.EPS_TAU):
+def det(g):
     """Product of delta_star(g, D) over all seven lines; always +1."""
     out = 1
-    for v in delta_star_fn(g, eps):
+    for v in delta_star_fn(g):
         out *= v
     return out
 
 
-def delta_star_properties(eps=compfactor.EPS_TAU):
+def delta_star_properties():
     """Check the global identities of delta_star over the whole group.
 
+    - well defined: all three pairs of every line D give the same sign, for
+      all 168 collineations g;
     - det g = +1 for all 168 collineations;
     - pencil products: the three lines through any point multiply to +1;
     - the multiplier identity delta*(g2 g1, D) = delta*(g2, g1 D) delta*(g1, D)
       for all 168^2 pairs (g1, g2) and all seven lines D.
     """
     group = fano.all_collineations()
-    fns = {g: delta_star_fn(g, eps) for g in group}
+    for g in group:
+        for d in fano.LINES:
+            pairs = combinations(sorted(fano.LINE_POINTS[d]), 2)
+            if len({_pair_sign(g, p, q) for p, q in pairs}) != 1:
+                return False
+    fns = {g: delta_star_fn(g) for g in group}
     for g in group:
         fn = fns[g]
-        if det(g, eps) != 1:
+        if det(g) != 1:
             return False
         for p in fano.POINTS:
             prod = 1
@@ -82,11 +87,11 @@ def delta_star_properties(eps=compfactor.EPS_TAU):
     return True
 
 
-def classify_delta_star(eps=compfactor.EPS_TAU):
+def classify_delta_star():
     """Partition of the 168 collineations by their delta_star function."""
     classes = {}
     for g in fano.all_collineations():
-        classes.setdefault(delta_star_fn(g, eps), []).append(g)
+        classes.setdefault(delta_star_fn(g), []).append(g)
     return classes
 
 
@@ -155,10 +160,11 @@ _PRODUCTS = tuple(
 )
 
 
-def is_algebra_automorphism(aug, eps=compfactor.EPS_TAU):
+def is_algebra_automorphism(aug):
     """Check multiplicativity on all imaginary basis pairs:
     eps(P,Q) s(P+Q) = s(P) s(Q) eps(gP,gQ) for every P != Q.
     """
+    eps = compfactor.EPS_TAU
     g, s = aug
     for p, q, r in _PRODUCTS:
         if eps[p][q] * s[r] != s[p] * s[q] * eps[g[p] - 1][g[q] - 1]:
@@ -185,7 +191,7 @@ def _radon_preimages():
     return table
 
 
-def lifts(g, eps=compfactor.EPS_TAU):
+def lifts(g):
     """The sign functions lifting g (eight of them), via Radon preimages.
 
     A sign tuple s lifts g iff its multiplicative Radon transform equals
@@ -194,8 +200,8 @@ def lifts(g, eps=compfactor.EPS_TAU):
     """
     return tuple(
         (g, s)
-        for s in _radon_preimages().get(delta_star_fn(g, eps), ())
-        if is_algebra_automorphism((g, s), eps)
+        for s in _radon_preimages().get(delta_star_fn(g), ())
+        if is_algebra_automorphism((g, s))
     )
 
 
@@ -208,72 +214,12 @@ def aug_serialize(aug):
     return [fano.serialize(g), mask]
 
 
-def aug_deserialize(rec):
-    g = fano.deserialize(rec[0])
-    mask = rec[1]
-    s = tuple(-1 if (mask >> i) & 1 else 1 for i in range(7))
-    return (g, s)
-
-
-def _cache_key(eps):
-    return {
-        "version": CACHE_VERSION,
-        "coordinates": [fano.MASK[p] for p in fano.POINTS],
-        "eps": compfactor.serialize(eps),
-    }
-
-
-def _read_cache(path, eps):
-    """The cached group, or None when the file is missing, was written for
-    another key, does not decode to the {key, elements} shape, or does not
-    hold 1344 distinct algebra automorphisms, eight over each collineation.
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if data["key"] != _cache_key(eps):
-            return None
-        group = tuple(aug_deserialize(r) for r in data["elements"])
-    except (OSError, ValueError, LookupError, TypeError):
-        return None
-    fibers = Counter(g for g, _ in group)
-    if (
-        len(set(group)) != 1344
-        or fibers != dict.fromkeys(fano.all_collineations(), 8)
-        or not all(is_algebra_automorphism(a, eps) for a in group)
-    ):
-        return None
-    return group
-
-
-def enumerate_aug_group(eps=compfactor.EPS_TAU, cache_dir=None):
-    """All 1344 augmented automorphisms, optionally cached as JSON on disk."""
-    if cache_dir is None:
-        return _enumerate_aug_group_uncached(eps)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, "aug-group.json")
-    group = _read_cache(path, eps)
-    if group is not None:
-        return group
-    group = _enumerate_aug_group_uncached(eps)
-    data = {"key": _cache_key(eps), "elements": [aug_serialize(a) for a in group]}
-    # a private temporary name, so concurrent writers never share a file
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return group
-
-
 @lru_cache(maxsize=None)
-def _enumerate_aug_group_uncached(eps=compfactor.EPS_TAU):
+def enumerate_aug_group():
+    """All 1344 augmented automorphisms: the lifts of the 168 collineations."""
     out = []
     for g in fano.all_collineations():
-        out.extend(lifts(g, eps))
+        out.extend(lifts(g))
     return tuple(out)
 
 
@@ -282,22 +228,23 @@ def kernel_elements():
     return (AUG_IDENTITY,) + tuple(t_map(d) for d in fano.LINES)
 
 
-def fiber_order_profile(g, eps=compfactor.EPS_TAU):
-    return tuple(sorted(aug_order(a) for a in lifts(g, eps)))
+def fiber_order_profile(g):
+    return tuple(sorted(aug_order(a) for a in lifts(g)))
 
 
-def order7_same_orientation(tau_prime, tau=fano.TAU):
-    """Whether an order-7 collineation induces tau's cyclic order on each line.
+def order7_same_orientation(tau_prime):
+    """Whether an order-7 collineation induces the cyclic order of the shift
+    fano.TAU on each line.
 
     True exactly for tau, tau^2 and tau^4.
     """
     if fano.order(tau_prime) != 7:
         raise ValueError("an orientation must have order 7")
-    if fano.orientation_type(tau_prime) != fano.orientation_type(tau):
+    if fano.orientation_type(tau_prime) != fano.orientation_type(fano.TAU):
         return False
     for d in fano.LINES:
         if not fano.cyclic_equal(
-            fano.induced_line_orientation(tau, d),
+            fano.induced_line_orientation(fano.TAU, d),
             fano.induced_line_orientation(tau_prime, d),
         ):
             return False
@@ -308,11 +255,11 @@ def order7_same_orientation(tau_prime, tau=fano.TAU):
 # diagram emitters for the eight delta_star colorings
 
 
-def delta_star_diagram_text(eps=compfactor.EPS_TAU):
+def delta_star_diagram_text():
     """Text grid: one section per R* member, lines tagged +/-, with the
     distinguished point (or '-' for the constant function).
     """
-    classes = classify_delta_star(eps)
+    classes = classify_delta_star()
     sections = []
     for fn in sorted(classes, key=lambda f: (distinguished_point(f), f)):
         p = distinguished_point(fn)
@@ -333,11 +280,11 @@ def delta_star_diagram_text(eps=compfactor.EPS_TAU):
     return "\n\n".join(sections)
 
 
-def delta_star_diagram_dot(eps=compfactor.EPS_TAU):
+def delta_star_diagram_dot():
     """DOT graphs: incidence graph of the plane, one graph per coloring,
     line nodes colored by the sign.
     """
-    classes = classify_delta_star(eps)
+    classes = classify_delta_star()
     out = []
     for idx, fn in enumerate(
         sorted(classes, key=lambda f: (distinguished_point(f), f))

@@ -108,28 +108,29 @@ def all_sign_functions():
 @lru_cache(maxsize=None)
 def mult_domain():
     """R: the 64 sign functions on points whose total product is +1."""
-    out = tuple(f for f in all_sign_functions() if _prod(f) == 1)
-    assert len(out) == 64
-    return out
+    return tuple(f for f in all_sign_functions() if _prod(f) == 1)
 
 
 @lru_cache(maxsize=None)
 def mult_image():
-    """R*: the 8 line sign functions with product +1 on every pencil.
+    """R*: the multiplicative transform of the domain R, as a sorted tuple.
 
-    Equal to the multiplicative transform of the domain R.
+    The claims compare it with the line sign functions whose product is +1
+    on every pencil (see pencil_sign_functions).
     """
-    img = sorted({radon_mult(f) for f in mult_domain()})
-    pencil_ok = [
+    return tuple(sorted({radon_mult(f) for f in mult_domain()}))
+
+
+def pencil_sign_functions():
+    """The line sign functions with product +1 on every pencil."""
+    return tuple(
         h
         for h in all_sign_functions()
         if all(
             _prod(h[d - 1] for d in fano.lines_through(p)) == 1
             for p in fano.POINTS
         )
-    ]
-    assert sorted(pencil_ok) == img and len(img) == 8
-    return tuple(img)
+    )
 
 
 def mult_kernel():

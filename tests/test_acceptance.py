@@ -1,11 +1,16 @@
 """Acceptance gate: every claim of the `fanog2 verify` suites.
 
-The claims are defined once, in `cli.SUITES`; each acceptance criterion ACn
-runs the suite holding its claims (once per module, with the command line's
-own defaults) and prints one `<claim> PASS|FAIL: <description>` line per
-check, so that `pytest -s tests/test_acceptance.py` reads as a certificate.
+The claims are defined once, in `cli.SUITES`; the module runs
+`fanog2 verify all --json` once, and each acceptance criterion ACn reads the
+checks of the suite holding its claims from that report and prints one
+`<claim> PASS|FAIL: <description>` line per check, so that
+`pytest -s tests/test_acceptance.py` reads as a certificate.  The report's
+bytes are pinned by their sha256; a change to a claim's text or value
+updates the digest in the same diff.
 """
 
+import hashlib
+import json
 import re
 
 import pytest
@@ -19,19 +24,27 @@ CRITERION_SUITE = {
     13: "forms", 14: "octonion",
 }
 
+REPORT_SHA256 = "80a9bf240e04cb107072ca0cde2725c41f6f213393976db9906a358acf9b1275"
+
 
 @pytest.fixture(scope="module")
-def suite_checks(tmp_path_factory):
-    results = {}
+def report_bytes(tmp_path_factory):
+    # the exit code is not asserted here, so that a failing claim is named
+    # by its criterion below rather than erroring every test
+    out = tmp_path_factory.mktemp("report") / "all.json"
+    cli.main(["verify", "all", "--json", "--out", str(out)])
+    return out.read_bytes()
 
-    def run(name):
-        if name not in results:
-            cache = tmp_path_factory.mktemp(name)
-            opts = cli.build_parser().parse_args(["verify", name, "--cache-dir", str(cache)])
-            results[name] = cli.SUITES[name](opts)
-        return results[name]
 
-    return run
+@pytest.fixture(scope="module")
+def suite_checks(report_bytes):
+    suites = {s["suite"]: s["checks"] for s in json.loads(report_bytes)["suites"]}
+    return suites.__getitem__
+
+
+def test_report_bytes_are_pinned(report_bytes):
+    assert len(report_bytes) == 22119
+    assert hashlib.sha256(report_bytes).hexdigest() == REPORT_SHA256
 
 
 def _criterion(n):

@@ -36,15 +36,27 @@ def test_verify_json_structure(tmp_path):
 
 
 def test_verify_all_deterministic_with_cache(tmp_path):
-    cache = tmp_path / "cache"
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    assert _run(["verify", "lifting", "--json", "--cache-dir", str(cache),
-                 "--out", str(a)]) == 0
-    assert (cache / "aug-group.json").exists()
-    assert _run(["verify", "lifting", "--json", "--cache-dir", str(cache),
-                 "--out", str(b)]) == 0
+    assert _run(["verify", "lifting", "--json", "--out", str(a)]) == 0
+    assert _run(["verify", "lifting", "--json", "--out", str(b)]) == 0
     assert _read(a) == _read(b)
+
+
+def test_cache_dir_has_no_effect(tmp_path):
+    # accepted for compatibility, never read: a path below a regular file
+    # neither fails nor gets created
+    plain = tmp_path / "plain.txt"
+    assert _run(["verify", "lifting", "--out", str(plain)]) == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = tmp_path / "with-flag.txt"
+    assert _run(["verify", "lifting", "--cache-dir", str(blocker / "sub"),
+                 "--out", str(out)]) == 0
+    assert _read(out) == _read(plain)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "file", "plain.txt", "with-flag.txt"]
+    assert blocker.read_text() == ""
 
 
 def test_enumerate_counts(tmp_path):
@@ -60,9 +72,7 @@ def test_enumerate_counts(tmp_path):
 
 def test_enumerate_aug_aut(tmp_path):
     out = tmp_path / "aug.jsonl"
-    cache = tmp_path / "cache"
-    assert _run(["enumerate", "aug-aut", "--cache-dir", str(cache),
-                 "--out", str(out)]) == 0
+    assert _run(["enumerate", "aug-aut", "--out", str(out)]) == 0
     lines = _read(out).strip().splitlines()
     assert len(lines) == 1344
     rec = json.loads(lines[0])
@@ -100,52 +110,12 @@ def test_usage_errors():
     assert _run([]) == 2
 
 
-def test_truncated_cache_is_recomputed(tmp_path):
-    cold = tmp_path / "cold.json"
-    assert _run(["verify", "lifting", "--json", "--out", str(cold)]) == 0
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "aug-group.json").write_text('{"key": {"version": 1}, "elem')
-    warm = tmp_path / "warm.json"
-    assert _run(["verify", "lifting", "--json", "--cache-dir", str(cache),
-                 "--out", str(warm)]) == 0
-    assert _read(warm) == _read(cold)
-    assert [p.name for p in cache.iterdir()] == ["aug-group.json"]
-
-
 def test_field_descriptor_gate():
     assert _run(["verify", "fano", "--field", "zzz", "--out", "/dev/null"]) == 2
     assert _run(["verify", "fano", "--field", "fp:%d" % (2**64 + 13),
                  "--out", "/dev/null"]) == 2
     assert _run(["verify", "fano", "--field", "fp:11",
                  "--out", "/dev/null"]) == 0
-
-
-def _duplicate_first(elements):
-    elements[1] = elements[0]
-
-
-def _flip_one_sign(elements):
-    # still 1344 distinct elements, 8 over each collineation, but the
-    # element's sign function is no lift of its collineation
-    elements[0][1] ^= 1
-
-
-@pytest.mark.parametrize("tamper", [_duplicate_first, _flip_one_sign])
-def test_tampered_cache_is_recomputed(tmp_path, tamper):
-    cache = tmp_path / "cache"
-    assert _run(["enumerate", "aug-aut", "--cache-dir", str(cache),
-                 "--out", "/dev/null"]) == 0
-    path = cache / "aug-group.json"
-    data = json.loads(path.read_text())
-    tamper(data["elements"])
-    path.write_text(json.dumps(data))
-    for suite in ("lifting", "g2"):
-        out = tmp_path / (suite + ".txt")
-        assert _run(["verify", suite, "--cache-dir", str(cache),
-                     "--out", str(out)]) == 0
-        assert "overall PASS" in _read(out)
-    assert len(set(map(tuple, json.loads(path.read_text())["elements"]))) == 1344
 
 
 def test_out_to_missing_directory(tmp_path, capsys):
@@ -166,3 +136,18 @@ def test_radon_claim_fails_instead_of_raising(monkeypatch):
     assert checks["AC4.kernel-shape"]["pass"] is False
     assert checks["AC4.kernel"]["pass"] is True
     assert {radon.t_line(d) for d in fano.LINES}.isdisjoint(radon.kernel())
+    monkeypatch.undo()
+    # the multiplicative transform broken to the identity: its image of R is
+    # no longer the pencil-product set, which must come out as a FAIL record
+    # naming the first sign function in one set but not the other
+    monkeypatch.setattr(radon, "radon_mult", lambda f: f)
+    radon.mult_domain.cache_clear()
+    radon.mult_image.cache_clear()
+    try:
+        checks = {c["claim"]: c for c in cli.suite_radon(opts)}
+    finally:
+        radon.mult_domain.cache_clear()
+        radon.mult_image.cache_clear()
+    assert checks["AC4.mult-domain"]["pass"] is True
+    assert checks["AC4.mult-image"]["pass"] is False
+    assert checks["AC4.mult-image"]["observed"] == (-1, -1, -1, -1, -1, -1, 1)
