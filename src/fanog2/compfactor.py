@@ -22,9 +22,6 @@ def _freeze(table):
     return tuple(tuple(row) for row in table)
 
 
-NORM_ONE = (1,) * 7
-
-
 def future(eps, p):
     return frozenset(q for q in fano.POINTS if q != p and eps_get(eps, p, q) == 1)
 
@@ -33,30 +30,24 @@ def past(eps, p):
     return frozenset(q for q in fano.POINTS if q != p and eps_get(eps, p, q) == -1)
 
 
-def is_composition_factor(eps, norm=NORM_ONE):
-    """The line and quadrilateral rules for a general norm.
+def is_composition_factor(eps):
+    """The line and quadrilateral rules for the trivial norm.
 
-    (i)  N(P+R) eps_PQ eps_QR = 1 for any line {P,Q,R};
-    (ii) N(P+Q) eps_PQ eps_QR eps_RS eps_SP N(P+S) = -1 for any
-         quadrilateral {P,Q,R,S}.
+    (i)  eps_PQ eps_QR = 1 for any line {P,Q,R};
+    (ii) eps_PQ eps_QR eps_RS eps_SP = -1 for any quadrilateral {P,Q,R,S}.
     Both rules are checked over all orderings.
     """
     for d in fano.LINES:
         for p, q, r in permutations(sorted(fano.LINE_POINTS[d])):
-            if (
-                norm[fano.add(p, r) - 1] * eps_get(eps, p, q) * eps_get(eps, q, r)
-                != 1
-            ):
+            if eps_get(eps, p, q) * eps_get(eps, q, r) != 1:
                 return False
     for d in fano.LINES:
         for p, q, r, s in permutations(sorted(fano.QUADRILATERALS[d])):
             v = (
-                norm[fano.add(p, q) - 1]
-                * eps_get(eps, p, q)
+                eps_get(eps, p, q)
                 * eps_get(eps, q, r)
                 * eps_get(eps, r, s)
                 * eps_get(eps, s, p)
-                * norm[fano.add(p, s) - 1]
             )
             if v != -1:
                 return False
@@ -72,16 +63,16 @@ def side(eps):
     return None
 
 
-def canonical_epsilon(tau=fano.TAU, base_point=1):
+def canonical_epsilon(tau=fano.TAU):
     """The canonical composition factor of an oriented Fano plane.
 
-    eps_{tau^i P0, tau^j P0} = legendre7(j - i); the result does not depend
-    on the base point.
+    eps_{tau^i P1, tau^j P1} = legendre7(j - i).  Given the permutation
+    that tau induces on line labels, it builds the factor of the dual plane.
     """
     if fano.order(tau) != 7:
         raise ValueError("an orientation must have order 7")
     exponent = {}
-    p = base_point
+    p = 1
     for k in range(7):
         exponent[p] = k
         p = fano.apply(tau, p)
@@ -140,10 +131,8 @@ def act(g, eps):
     return _freeze(table)
 
 
-def orbit(eps, group=None):
-    if group is None:
-        group = fano.all_collineations()
-    return frozenset(act(g, eps) for g in group)
+def orbit(eps):
+    return frozenset(act(g, eps) for g in fano.all_collineations())
 
 
 def orbit_decomposition():
@@ -159,10 +148,8 @@ def orbit_decomposition():
     return orbits
 
 
-def isotropy(eps, group=None):
-    if group is None:
-        group = fano.all_collineations()
-    return frozenset(g for g in group if act(g, eps) == eps)
+def isotropy(eps):
+    return frozenset(g for g in fano.all_collineations() if act(g, eps) == eps)
 
 
 def orientable_triangles(eps):

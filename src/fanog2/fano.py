@@ -11,6 +11,8 @@ predicate.
 from functools import lru_cache
 from itertools import permutations
 
+from . import linalg
+
 # label -> 3-bit mask, generated by the recurrence P_{i+3} = P_i + P_{i+1}
 MASK = {1: 0b001, 2: 0b010, 3: 0b100, 4: 0b011, 5: 0b110, 6: 0b111, 7: 0b101}
 LABEL = {m: i for i, m in MASK.items()}
@@ -172,13 +174,6 @@ def as_matrix(g):
     return [[(cols[j] >> i) & 1 for j in range(3)] for i in range(3)]
 
 
-def _mat_mul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(3)) % 2 for j in range(3)]
-        for i in range(3)
-    ]
-
-
 def order7_minimal_polynomial(g):
     """Which cubic over Z_2 annihilates an order-7 collineation.
 
@@ -187,8 +182,8 @@ def order7_minimal_polynomial(g):
     if order(g) != 7:
         raise ValueError("collineation is not of order 7")
     m = as_matrix(g)
-    m2 = _mat_mul(m, m)
-    m3 = _mat_mul(m2, m)
+    m2 = linalg.mat_mul(m, m)
+    m3 = linalg.mat_mul(m2, m)
     ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
 
     def is_zero(mat):

@@ -180,9 +180,9 @@ def inner(a, b):
     return out
 
 
-def derivation_kills_forms(eps=compfactor.EPS_TAU):
-    om = omega(eps)
-    Om = big_omega(eps)
+def derivation_kills_forms():
+    om = omega()
+    Om = big_omega()
     for p, d in g2.INCIDENT_PAIRS:
         x = g2.X(p, d)
         if so7_derivation(x, om) != {}:
@@ -192,7 +192,7 @@ def derivation_kills_forms(eps=compfactor.EPS_TAU):
     return True
 
 
-def invariant_three_form_dimension(field=QQ):
+def invariant_three_form_dimension():
     """Dimension of the space of 3-forms killed by all of g2."""
     keys = list(combinations(range(1, 8), 3))
     key_index = {k: n for n, k in enumerate(keys)}
@@ -205,13 +205,13 @@ def invariant_three_form_dimension(field=QQ):
         for k in keys:
             images.append(so7_derivation(x, {k: 1}))
         for out_key in keys:
-            rows.append([field.of(img.get(out_key, 0)) for img in images])
-    return len(linalg.nullspace(rows, field))
+            rows.append([QQ.of(img.get(out_key, 0)) for img in images])
+    return len(linalg.nullspace(rows, QQ))
 
 
-def bilinear_identity_check(eps=compfactor.EPS_TAU):
+def bilinear_identity_check():
     """i_v omega ^ i_w omega ^ omega = -6 B(v,w) vol on all basis pairs."""
-    om = omega(eps)
+    om = omega()
     for p in fano.POINTS:
         for q in fano.POINTS:
             lhs = wedge(
@@ -229,10 +229,10 @@ def volume_identity_check(eps=compfactor.EPS_TAU):
     return wedge(big_omega(eps), omega(eps)) == {VOL_KEY: -7}
 
 
-def norm_report(eps=compfactor.EPS_TAU):
+def norm_report():
     """<omega,omega> and <Omega,Omega> under the orthonormal-subset
     convention; both come out 7 since each form is 7 terms of +-1.
     """
-    om = omega(eps)
-    Om = big_omega(eps)
+    om = omega()
+    Om = big_omega()
     return {"omega": inner(om, om), "Omega": inner(Om, Om)}

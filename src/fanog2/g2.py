@@ -58,8 +58,8 @@ def scale_elt(c, x):
     return {k: c * v for k, v in x.items()}
 
 
-def to_vector(x, field=QQ):
-    return [field.of(x.get(p, 0)) for p in PAIRS]
+def to_vector(x):
+    return [QQ.of(x.get(p, 0)) for p in PAIRS]
 
 
 def bracket(x, y):
@@ -229,13 +229,13 @@ def point_relation_holds(p):
     return s == {}
 
 
-def span_dimension(field=QQ):
+def span_dimension():
     """Rank of the 21 X's in the pair basis; equals dim g2 = 14."""
-    rows = [to_vector(X(p, d), field) for p, d in INCIDENT_PAIRS]
-    return linalg.rank(rows, field)
+    rows = [to_vector(X(p, d)) for p, d in INCIDENT_PAIRS]
+    return linalg.rank(rows, QQ)
 
 
-def annihilator_dimension(field=QQ):
+def annihilator_dimension():
     """Dimension of {x in so(7): rho_hat(x)(1) = 0}, solved as a linear system.
 
     The map x -> 2*rho_hat(x)(unit) is linear in the 21 pair coordinates.
@@ -244,8 +244,8 @@ def annihilator_dimension(field=QQ):
     for k in PAIRS:
         m = pair_matrix2()[k]
         cols.append([m[i][0] for i in range(8)])
-    rows = [[field.of(cols[n][i]) for n in range(len(PAIRS))] for i in range(8)]
-    return len(linalg.nullspace(rows, field))
+    rows = [[QQ.of(cols[n][i]) for n in range(len(PAIRS))] for i in range(8)]
+    return len(linalg.nullspace(rows, QQ))
 
 
 @lru_cache(maxsize=None)
@@ -271,18 +271,7 @@ def eps_star():
     [X_{P,D}, e_Q] reproduces the spinor commutators exactly, while the
     opposite orientation flips every off-line sign.
     """
-    sigma = fano.line_perm(fano.TAU)
-    exponent = {}
-    d = 1
-    for k in range(7):
-        exponent[d] = k
-        d = sigma[d - 1]
-    table = [[0] * 7 for _ in range(7)]
-    for a in fano.LINES:
-        for b in fano.LINES:
-            if a != b:
-                table[a - 1][b - 1] = fano.legendre7(exponent[b] - exponent[a])
-    return tuple(tuple(row) for row in table)
+    return compfactor.canonical_epsilon(fano.line_perm(fano.TAU))
 
 
 def action_on_basis(p, d, q):
@@ -418,9 +407,9 @@ def jacobi_check():
 # Cartan subalgebras and the decomposition
 
 
-def cartan_dimension(p, field=QQ):
-    rows = [to_vector(X(p, d), field) for d in fano.lines_through(p)]
-    return linalg.rank(rows, field)
+def cartan_dimension(p):
+    rows = [to_vector(X(p, d)) for d in fano.lines_through(p)]
+    return linalg.rank(rows, QQ)
 
 
 def cartan_is_abelian(p):
@@ -432,7 +421,7 @@ def cartan_is_abelian(p):
     return True
 
 
-def centralizer_in_g2(elements, field=QQ):
+def centralizer_in_g2(elements):
     """Basis (as coefficient vectors over the 14 g2 basis X's) of the
     centralizer of the given elements inside g2.
     """
@@ -442,13 +431,13 @@ def centralizer_in_g2(elements, field=QQ):
         # columns: coefficients c_n; constraint [h, sum c_n x_n] = 0
         cols = [bracket(h, x) for x in basis]
         for pr in PAIRS:
-            rows.append([field.of(c.get(pr, 0)) for c in cols])
-    return linalg.nullspace(rows, field)
+            rows.append([QQ.of(c.get(pr, 0)) for c in cols])
+    return linalg.nullspace(rows, QQ)
 
 
-def cartan_self_centralizing(p, field=QQ):
+def cartan_self_centralizing(p):
     hp = [X(p, d) for d in fano.lines_through(p)]
-    cen = centralizer_in_g2(hp, field)
+    cen = centralizer_in_g2(hp)
     if len(cen) != 2:
         return False
     basis = [X(pp, dd) for pp, dd in g2_basis()]
@@ -456,10 +445,10 @@ def cartan_self_centralizing(p, field=QQ):
     for vec in cen:
         x = {}
         for c, b in zip(vec, basis):
-            x = add_elt(x, scale_elt(c, {k: field.of(v) for k, v in b.items()}))
-        cen_rows.append([x.get(pr, field.zero) for pr in PAIRS])
-    hp_rows = [to_vector(h, field) for h in hp]
-    return linalg.span_equal(cen_rows, hp_rows, field)
+            x = add_elt(x, scale_elt(c, _felt(b, QQ)))
+        cen_rows.append([x.get(pr, QQ.zero) for pr in PAIRS])
+    hp_rows = [to_vector(h) for h in hp]
+    return linalg.span_equal(cen_rows, hp_rows, QQ)
 
 
 def pair_inner(x, y):
@@ -470,17 +459,17 @@ def pair_inner(x, y):
     return out
 
 
-def decomposition_check(field=QQ):
+def decomposition_check():
     """g2 = direct sum of the seven h_P, pairwise orthogonal, with
     [h_P, h_Q] = h_{P+Q}.
     """
     # direct sum: total rank 14 and each summand rank 2
     all_rows = []
     for p in fano.POINTS:
-        if cartan_dimension(p, field) != 2:
+        if cartan_dimension(p) != 2:
             return False
-        all_rows.extend(to_vector(X(p, d), field) for d in fano.lines_through(p))
-    if linalg.rank(all_rows, field) != 14:
+        all_rows.extend(to_vector(X(p, d)) for d in fano.lines_through(p))
+    if linalg.rank(all_rows, QQ) != 14:
         return False
     # orthogonality and bracket law between summands
     for p in fano.POINTS:
@@ -494,9 +483,9 @@ def decomposition_check(field=QQ):
                     if pair_inner(x, y) != 0:
                         return False
             r = fano.add(p, q)
-            hr_rows = [to_vector(X(r, d), field) for d in fano.lines_through(r)]
-            br_rows = [to_vector(bracket(x, y), field) for x in hp for y in hq]
-            if not linalg.span_equal(br_rows, hr_rows, field):
+            hr_rows = [to_vector(X(r, d)) for d in fano.lines_through(r)]
+            br_rows = [to_vector(bracket(x, y)) for x in hp for y in hq]
+            if not linalg.span_equal(br_rows, hr_rows, QQ):
                 return False
     return True
 
@@ -521,7 +510,7 @@ def eps_cyclic_order(d):
     raise AssertionError("no consistent cyclic order on line D%d" % d)
 
 
-def line_subalgebra_report(d, field=QQ):
+def line_subalgebra_report(d):
     """Structure checks for g_D = h_P + h_Q + h_R, P,Q,R on D."""
     p, q, r = eps_cyclic_order(d)
     xs = {s: X(s, d) for s in (p, q, r)}
@@ -531,8 +520,8 @@ def line_subalgebra_report(d, field=QQ):
     rows = []
     for s in (p, q, r):
         for dd in fano.lines_through(s):
-            rows.append(to_vector(X(s, dd), field))
-    report["dimension"] = linalg.rank(rows, field)
+            rows.append(to_vector(X(s, dd)))
+    report["dimension"] = linalg.rank(rows, QQ)
     # cyclic bracket laws
     cyc = {(p, q): r, (q, r): p, (r, p): q}
     report["x_cyclic"] = all(
@@ -545,8 +534,8 @@ def line_subalgebra_report(d, field=QQ):
         bracket(xs[a], ys[b]) == {} for a in (p, q, r) for b in (p, q, r)
     )
     # ideals are 3-dimensional
-    report["ix_dim"] = linalg.rank([to_vector(xs[s], field) for s in (p, q, r)], field)
-    report["iy_dim"] = linalg.rank([to_vector(ys[s], field) for s in (p, q, r)], field)
+    report["ix_dim"] = linalg.rank([to_vector(xs[s]) for s in (p, q, r)], QQ)
+    report["iy_dim"] = linalg.rank([to_vector(ys[s]) for s in (p, q, r)], QQ)
     # invariant subspaces of the octonion action: span(e_P: P in D) and its
     # complement are stable; I_X acts as zero on the first
     on_line = sorted(fano.LINE_POINTS[d])
@@ -661,9 +650,9 @@ def point_subalgebra_generators(p):
     return tuple(gens)
 
 
-def point_subalgebra_dimension(p, field=QQ):
-    rows = [to_vector(X(q, d), field) for q, d in point_subalgebra_generators(p)]
-    return linalg.rank(rows, field)
+def point_subalgebra_dimension(p):
+    rows = [to_vector(X(q, d)) for q, d in point_subalgebra_generators(p)]
+    return linalg.rank(rows, QQ)
 
 
 def point_subalgebra_annihilates(p):
@@ -675,32 +664,26 @@ def point_subalgebra_annihilates(p):
     return True
 
 
-def point_subalgebra_closed(p, field=QQ):
+def point_subalgebra_closed(p):
     """The span of the nine generators contains all 81 of their brackets."""
     gens = [X(q, d) for q, d in point_subalgebra_generators(p)]
-    span = linalg.Echelon(field, [to_vector(x, field) for x in gens])
-    return all(to_vector(bracket(x, y), field) in span for x in gens for y in gens)
+    span = linalg.Echelon(QQ, [to_vector(x) for x in gens])
+    return all(to_vector(bracket(x, y)) in span for x in gens for y in gens)
 
 
 def _felt(x, field):
     return {k: field.of(v) for k, v in x.items()}
 
 
-def chevalley_report(p=1, field=None):
-    """The rank-2 presentation of s_P over a field containing sqrt(-1).
+def chevalley_report(field):
+    """The rank-2 presentation of s_P1 over a field containing sqrt(-1).
 
     Checks every displayed relation: the h-eigenvalues, [e+,e-] = -4h,
     cross terms zero, [e+-_{D1}, e+-_{D7}] = -2 e+-_{D5}, the D5 ladder, and
     the Cartan matrix ((2,-1),(-1,2)).
     """
-    from .scalars import QI
-
-    if field is None:
-        field = QI
     if not field.has_sqrt_minus_one():
         raise ValueError("the Chevalley presentation needs sqrt(-1) in the field")
-    if p != 1:
-        raise ValueError("the explicit presentation is anchored at P1")
     i_ = field.sqrt_minus_one()
 
     def F(x):
@@ -785,51 +768,49 @@ def almost_complex_report(p):
 # Lie closures generated by two X's
 
 
-def lie_closure_dimension(gens, field=QQ):
+def lie_closure_dimension(gens):
     """Dimension of the Lie algebra generated by the given elements."""
-    echelon = linalg.Echelon(field)
-    basis_elts = [x for x in gens if echelon.add(to_vector(x, field))]
+    echelon = linalg.Echelon(QQ)
+    basis_elts = [x for x in gens if echelon.add(to_vector(x))]
     changed = True
     while changed:
         changed = False
         for x in list(basis_elts):
             for y in list(basis_elts):
                 z = bracket(x, y)
-                if z and echelon.add(to_vector(z, field)):
+                if z and echelon.add(to_vector(z)):
                     basis_elts.append(z)
                     changed = True
     return len(echelon), basis_elts
 
 
-def pair_generated_subalgebra(pd1, pd2, field=QQ):
-    dim, _ = lie_closure_dimension([X(*pd1), X(*pd2)], field)
+def pair_generated_subalgebra(pd1, pd2):
+    dim, _ = lie_closure_dimension([X(*pd1), X(*pd2)])
     return dim
 
 
-def o3_example_report(field=QQ):
+def o3_example_report():
     """Structure of the algebra generated by the O3 pair (X_{P1,D1}, X_{P7,D7}):
     dimension 4, -1/2 Y_{P1,D7} central, derived ideal spanned by the three
     X_{.,D7}.
     """
     g1 = X(1, 1)
     g2_ = X(7, 7)
-    dim, basis_elts = lie_closure_dimension([g1, g2_], field)
-    rows = [to_vector(x, field) for x in basis_elts]
+    dim, basis_elts = lie_closure_dimension([g1, g2_])
+    rows = [to_vector(x) for x in basis_elts]
     center_elt = scale_elt(Fraction(-1, 2), Y(1, 7))
     report = {"dimension": dim}
-    report["center_elt_in_algebra"] = linalg.in_span(
-        rows, to_vector(center_elt, field), field
-    )
+    report["center_elt_in_algebra"] = linalg.in_span(rows, to_vector(center_elt), QQ)
     report["center_elt_central"] = all(
         bracket(center_elt, x) == {} for x in basis_elts
     )
     derived = []
     for x in basis_elts:
         for y in basis_elts:
-            derived.append(to_vector(bracket(x, y), field))
-    expected = [to_vector(X(q, 7), field) for q in sorted(fano.LINE_POINTS[7])]
-    report["derived_ideal_matches"] = linalg.span_equal(derived, expected, field)
-    report["derived_dimension"] = linalg.rank(derived, field)
+            derived.append(to_vector(bracket(x, y)))
+    expected = [to_vector(X(q, 7)) for q in sorted(fano.LINE_POINTS[7])]
+    report["derived_ideal_matches"] = linalg.span_equal(derived, expected, QQ)
+    report["derived_dimension"] = linalg.rank(derived, QQ)
     return report
 
 

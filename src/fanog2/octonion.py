@@ -14,17 +14,17 @@ from . import compfactor, fano, linalg
 from .scalars import QQ
 
 
-def unit(field=QQ):
-    return (field.one,) + (field.zero,) * 7
+def unit():
+    return (QQ.one,) + (QQ.zero,) * 7
 
 
-def basis(i, field=QQ):
+def basis(i):
     """Basis element: index 0 is the unit, 1..7 are the imaginary units."""
-    return tuple(field.one if j == i else field.zero for j in range(8))
+    return tuple(QQ.one if j == i else QQ.zero for j in range(8))
 
 
-def from_ints(coeffs, field=QQ):
-    return tuple(field.of(c) for c in coeffs)
+def from_ints(coeffs):
+    return tuple(QQ.of(c) for c in coeffs)
 
 
 def add(x, y):
@@ -80,7 +80,7 @@ def bilinear(x, y):
     return out
 
 
-def is_multiplicative_norm(eps, field=QQ, samples=None):
+def is_multiplicative_norm(eps, samples=None):
     """Check N(xy) = N(x)N(y), either on given samples or structurally.
 
     With samples=None the check is structural: for a multiplication factor,
@@ -89,61 +89,57 @@ def is_multiplicative_norm(eps, field=QQ, samples=None):
     if samples is None:
         return compfactor.is_composition_factor(eps)
     for x, y in samples:
-        xf = from_ints(x, field)
-        yf = from_ints(y, field)
-        if norm(mul(xf, yf, eps, field)) != norm(xf) * norm(yf):
+        xf = from_ints(x)
+        yf = from_ints(y)
+        if norm(mul(xf, yf, eps)) != norm(xf) * norm(yf):
             return False
     return True
 
 
-def associator(x, y, z, eps=compfactor.EPS_TAU, field=QQ):
-    return sub(
-        mul(mul(x, y, eps, field), z, eps, field),
-        mul(x, mul(y, z, eps, field), eps, field),
-    )
+def associator(x, y, z):
+    return sub(mul(mul(x, y), z), mul(x, mul(y, z)))
 
 
-def is_alternative(eps=compfactor.EPS_TAU, field=QQ):
-    """[x,x,y] = [y,x,x] = 0 for all basis pairs (enough by bilinearity...
-    actually the associator is trilinear, so alternativity needs x=y sums;
-    we check [u+v, u+v, w] = 0 over all basis triples, which is equivalent).
+def is_alternative():
+    """[x,x,y] = [y,x,x] = 0 for all x, y.
+
+    The associator is linear in each slot, so for x = sum a_i e_i and a
+    basis element w, [x,x,w] = sum a_i a_j [e_i,e_j,w].  That vanishes for
+    every x iff [e_i,e_i,w] = 0 and [e_i,e_j,w] + [e_j,e_i,w] = 0 for all
+    i, j, and the sums u = e_i + e_j (u = 2 e_i when i = j) test exactly
+    these conditions; likewise [w,u,u] for the other side.
     """
-    bs = [basis(i, field) for i in range(8)]
+    bs = [basis(i) for i in range(8)]
     for i in range(8):
         for j in range(8):
             u = add(bs[i], bs[j])
-            for k in range(8):
-                w = bs[k]
-                if any(associator(u, u, w, eps, field)):
-                    return False
-                if any(associator(w, u, u, eps, field)):
+            for w in bs:
+                if any(associator(u, u, w)) or any(associator(w, u, u)):
                     return False
     return True
 
 
-def left_mult_matrix(x, eps=compfactor.EPS_TAU, field=QQ):
-    cols = [mul(x, basis(j, field), eps, field) for j in range(8)]
+def left_mult_matrix(x):
+    cols = [mul(x, basis(j)) for j in range(8)]
     return [[cols[j][i] for j in range(8)] for i in range(8)]
 
 
-def clifford_property(x, eps=compfactor.EPS_TAU, field=QQ):
+def clifford_property(x):
     """L_x^2 = -B(x,x) Id for purely imaginary x (first coefficient zero)."""
     if x[0]:
         raise ValueError("the Clifford identity is for imaginary elements")
-    m = left_mult_matrix(x, eps, field)
+    m = left_mult_matrix(x)
     n = norm(x)
     sq = linalg.mat_mul(m, m)
-    return all(
-        sq[i][j] == (-n if i == j else field.zero) for i in range(8) for j in range(8)
-    )
+    return all(sq[i][j] == (-n if i == j else 0) for i in range(8) for j in range(8))
 
 
-def conjugation_is_antiautomorphism(eps=compfactor.EPS_TAU, field=QQ):
-    bs = [basis(i, field) for i in range(8)]
+def conjugation_is_antiautomorphism():
+    bs = [basis(i) for i in range(8)]
     for i in range(8):
         for j in range(8):
-            lhs = conjugate(mul(bs[i], bs[j], eps, field))
-            rhs = mul(conjugate(bs[j]), conjugate(bs[i]), eps, field)
+            lhs = conjugate(mul(bs[i], bs[j]))
+            rhs = mul(conjugate(bs[j]), conjugate(bs[i]))
             if lhs != rhs:
                 return False
     return True
@@ -172,7 +168,7 @@ def quaternion_subalgebra(d):
     return (0,) + tuple(sorted(fano.LINE_POINTS[d]))
 
 
-def table(eps=compfactor.EPS_TAU):
+def table():
     """The 7x7 imaginary part of the multiplication table.
 
     Entry (i, j) is a signed label: +k or -k meaning e_i e_j = +-e_k, and
@@ -185,15 +181,15 @@ def table(eps=compfactor.EPS_TAU):
             if i == j:
                 row.append(0)
             else:
-                row.append(compfactor.eps_get(eps, i, j) * fano.add(i, j))
+                row.append(compfactor.eps_get(compfactor.EPS_TAU, i, j) * fano.add(i, j))
         out.append(tuple(row))
     return tuple(out)
 
 
-def table_text(eps=compfactor.EPS_TAU):
+def table_text():
     header = "    " + " ".join("%5s" % ("e%d" % j) for j in fano.POINTS)
     lines = [header]
-    for i, row in zip(fano.POINTS, table(eps)):
+    for i, row in zip(fano.POINTS, table()):
         cells = []
         for v in row:
             if v == 0:
@@ -204,5 +200,5 @@ def table_text(eps=compfactor.EPS_TAU):
     return "\n".join(lines)
 
 
-def table_json(eps=compfactor.EPS_TAU):
-    return json.dumps({"table": [list(row) for row in table(eps)]}, indent=2)
+def table_json():
+    return json.dumps({"table": [list(row) for row in table()]}, indent=2)

@@ -2,8 +2,8 @@
 
 Three coefficient fields are supported: the rationals Q (backed by
 fractions.Fraction), the Gaussian rationals Q(i), and prime fields F_p for
-odd primes p.  Everything downstream is parameterized by a field object so
-the same algebra code runs over any of them with no rounding anywhere.
+odd primes p.  The code that takes a field object (linalg, octonion.mul,
+g2.chevalley_report) runs over any of them with no rounding anywhere.
 """
 
 from fractions import Fraction

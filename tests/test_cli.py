@@ -110,6 +110,16 @@ def test_usage_errors():
     assert _run([]) == 2
 
 
+def test_options_only_where_read():
+    # --field is read by verify alone, --json by verify and table
+    for argv in (["table", "octonion", "--field", "q"],
+                 ["diagram", "delta", "--json"],
+                 ["enumerate", "aut", "--json"]):
+        with pytest.raises(SystemExit) as exc:
+            _run(argv)
+        assert exc.value.code == 2
+
+
 def test_field_descriptor_gate():
     assert _run(["verify", "fano", "--field", "zzz", "--out", "/dev/null"]) == 2
     assert _run(["verify", "fano", "--field", "fp:%d" % (2**64 + 13),

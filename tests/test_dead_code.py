@@ -1,5 +1,6 @@
 """Guard against dead code: every top-level function in the package is used
-somewhere in src/ or tests/, and every parameter is read by its function.
+somewhere in src/ or tests/, every parameter is read by its function, and
+every defaulted parameter is passed by some call.
 
 Stdlib only (ast), so it runs wherever the tests run.
 """
@@ -72,3 +73,65 @@ def test_every_parameter_is_read():
                     continue
                 ignored.append("%s.%s(%s)" % (path.stem, fn.name, p.arg))
     assert not ignored, "parameters never read: %s" % ", ".join(ignored)
+
+
+def _defaulted(fn):
+    """(name, position) of each defaulted parameter; position is None for a
+    keyword-only one."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+    out += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(path, tree):
+    """(module, name, call) for each call of a bare or `mod.name` function.
+
+    A bare name belongs to the module it was imported from, else to its own.
+    """
+    imported = {
+        alias.asname or alias.name: node.module.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name):
+            yield imported.get(f.id, path.stem), f.id, node
+        elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+            yield f.value.id, f.attr, node
+
+
+def _passes(call, name, position):
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args
+    )
+
+
+def test_every_default_is_passed():
+    """A defaulted parameter that no call passes has one value: make it a
+    constant."""
+    trees = _trees(ROOT / "src", ROOT / "tests")
+    calls = {}
+    for path, tree in trees.items():
+        for mod, name, call in _calls(path, tree):
+            calls.setdefault((mod, name), []).append(call)
+    never = [
+        "%s.%s(%s)" % (path.stem, fn.name, arg)
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for arg, pos in _defaulted(fn)
+        if not any(_passes(c, arg, pos) for c in calls.get((path.stem, fn.name), ()))
+    ]
+    assert not never, "defaulted parameters never passed: %s" % ", ".join(never)

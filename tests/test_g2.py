@@ -120,12 +120,12 @@ def test_point_subalgebras():
 
 def test_chevalley_fields():
     for field in (QI, PrimeField(5), PrimeField(13)):
-        rep = g2.chevalley_report(1, field)
+        rep = g2.chevalley_report(field)
         assert rep["cartan_matrix"] == ((2, -1), (-1, 2))
         assert all(v is True for k, v in rep.items() if k != "cartan_matrix")
     for field in (QQ, PrimeField(3), PrimeField(7)):
         with pytest.raises(ValueError):
-            g2.chevalley_report(1, field)
+            g2.chevalley_report(field)
 
 
 def test_almost_complex():

@@ -1,7 +1,38 @@
 import json
 
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
 from fanog2 import compfactor, fano, octonion
-from fanog2.scalars import QI, PrimeField
+from fanog2.scalars import QI, QQ, PrimeField
+
+# Deterministic and small, so tier-1 stays repeatable and fast.  Shrinking
+# is off: shrinking 8-coefficient elements takes minutes, and the first
+# counterexample is enough to report.
+PROPERTY = settings(
+    max_examples=10,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+FIELDS = (QQ, QI, PrimeField(7), PrimeField(1000000007))
+
+
+def _scalars(field):
+    if field is QQ:
+        return st.fractions(-20, 20, max_denominator=6)
+    ints = st.integers(-20, 20)
+    if field is QI:
+        return st.builds(lambda a, b: QI.of(a) + QI.sqrt_minus_one() * b, ints, ints)
+    return ints.map(field.of)
+
+
+def _draw(data, field, n):
+    """A composition factor and n octonions over field."""
+    eps = data.draw(st.sampled_from(compfactor.enumerate_composition_factors()))
+    element = st.tuples(*[_scalars(field)] * 8)
+    return (eps,) + tuple(data.draw(element) for _ in range(n))
 
 
 def test_unit_and_basis():
@@ -94,3 +125,24 @@ def test_table_formats():
     assert len(data["table"]) == 7
     text = octonion.table_text()
     assert "e1" in text and len(text.splitlines()) == 8
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@PROPERTY
+@given(data=st.data())
+def test_moufang_identity(field, data):
+    eps, x, y, z = _draw(data, field, 3)
+
+    def m(a, b):
+        return octonion.mul(a, b, eps, field)
+
+    assert m(m(x, y), m(z, x)) == m(m(x, m(y, z)), x)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@PROPERTY
+@given(data=st.data())
+def test_norm_is_multiplicative(field, data):
+    eps, x, y = _draw(data, field, 2)
+    xy = octonion.mul(x, y, eps, field)
+    assert octonion.norm(xy) == octonion.norm(x) * octonion.norm(y)

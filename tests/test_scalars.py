@@ -70,7 +70,7 @@ def test_large_primes_return_quickly():
     f = PrimeField(1000000009)
     r = f.sqrt_minus_one()
     assert r * r == f.of(-1)
-    assert g2.chevalley_report(1, f)["ep5_em5"] is True
+    assert g2.chevalley_report(f)["ep5_em5"] is True
     with pytest.raises(ValueError):
         PrimeField(1000000007 * 1000000009)
     assert time.perf_counter() - start < 5
