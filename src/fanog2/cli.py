@@ -85,7 +85,7 @@ def _normalizer_of_tau():
 def suite_compfactor(opts):
     factors = compfactor.enumerate_composition_factors()
     orbits = compfactor.orbit_decomposition()
-    iso = compfactor.isotropy(compfactor.EPS_TAU)
+    iso = compfactor.isotropy()
     maps = compfactor.enumerate_oriented_maps()
     exps = {compfactor.exponentiate(al) for al in maps}
     checks = [
@@ -315,7 +315,7 @@ def suite_lifting(opts):
             "AC5.constant-class",
             "constant +1 class equals the isotropy of the factor",
             True,
-            frozenset(classes[(1,) * 7]) == compfactor.isotropy(compfactor.EPS_TAU),
+            frozenset(classes[(1,) * 7]) == compfactor.isotropy(),
         ),
     ]
     group = lifting.enumerate_aug_group()

@@ -148,12 +148,15 @@ def orbit_decomposition():
     return orbits
 
 
-def isotropy(eps):
+def isotropy():
+    """The collineations fixing EPS_TAU."""
+    eps = EPS_TAU
     return frozenset(g for g in fano.all_collineations() if act(g, eps) == eps)
 
 
-def orientable_triangles(eps):
-    """Triangles {P,Q,R} carrying a cyclically consistent eps-orientation."""
+def orientable_triangles():
+    """Triangles {P,Q,R} carrying a cyclically consistent EPS_TAU-orientation."""
+    eps = EPS_TAU
     out = []
     for t in fano.all_triangles():
         p, q, r = sorted(t)
@@ -169,20 +172,28 @@ def enumerate_oriented_maps():
     """All 8 maps alpha: F -> V_F* with alpha_P(P)=1, alpha_P(Q)+alpha_Q(P)=1.
 
     alpha_P is stored as a 3-bit dual mask; alpha_P(Q) is the pairing parity.
+    The points are assigned in order P1..P7, each from its forms in
+    increasing order, and a partial assignment is dropped at the first pair
+    Q < P that breaks the rule; the maps come out in that order.
     """
-    choices = {
-        p: [phi for phi in range(1, 8) if fano.pairing(phi, p) == 1] for p in fano.POINTS
-    }
+    choices = [
+        [phi for phi in range(1, 8) if fano.pairing(phi, p) == 1] for p in fano.POINTS
+    ]
     out = []
-    for combo in product(*(choices[p] for p in fano.POINTS)):
-        alpha = dict(zip(fano.POINTS, combo))
-        if all(
-            fano.pairing(alpha[p], q) + fano.pairing(alpha[q], p) == 1
-            for p in fano.POINTS
-            for q in fano.POINTS
-            if p < q
-        ):
-            out.append(tuple(combo))
+
+    def extend(partial):
+        p = len(partial) + 1
+        if p > 7:
+            out.append(tuple(partial))
+            return
+        for phi in choices[p - 1]:
+            if all(
+                fano.pairing(alpha_q, p) + fano.pairing(phi, q) == 1
+                for q, alpha_q in enumerate(partial, 1)
+            ):
+                extend(partial + [phi])
+
+    extend([])
     return tuple(out)
 
 

@@ -86,6 +86,7 @@ def is_line(points):
     return MASK[pts[0]] ^ MASK[pts[1]] ^ MASK[pts[2]] == 0
 
 
+@lru_cache(maxsize=None)
 def lines_through(p):
     return tuple(i for i in LINES if p in LINE_POINTS[i])
 
@@ -106,13 +107,16 @@ def inverse(g):
     return tuple(inv)
 
 
+# (P, Q, P+Q) as 0-based indices, for the 21 pairs P < Q
+_SUMS = tuple((p - 1, q - 1, add(p, q) - 1) for p in POINTS for q in POINTS if p < q)
+
+
+@lru_cache(maxsize=None)
 def is_additive(g):
-    for p in POINTS:
-        for q in POINTS:
-            if p < q:
-                if add(g[p - 1], g[q - 1]) != g[add(p, q) - 1]:
-                    return False
-    return True
+    """g(P+Q) = gP + gQ for all P, Q (add is symmetric, so P < Q suffices);
+    memoized.
+    """
+    return all(add(g[p], g[q]) == g[r] for p, q, r in _SUMS)
 
 
 @lru_cache(maxsize=None)
@@ -163,8 +167,9 @@ def line_image(g, d):
     return wedge(*sorted(imgs)[:2])
 
 
+@lru_cache(maxsize=None)
 def line_perm(g):
-    """The induced permutation on line labels."""
+    """The induced permutation on line labels, memoized."""
     return tuple(line_image(g, d) for d in LINES)
 
 
@@ -297,10 +302,10 @@ def order7_class_split():
     and powers tau^n fall in the class of tau exactly when n is a quadratic
     residue mod 7.
     """
-    sevens = [g for g in all_collineations() if order(g) == 7]
-    classes = set()
-    for g in sevens:
-        classes.add(conjugacy_class(g))
+    classes = []
+    for g in all_collineations():
+        if order(g) == 7 and not any(g in c for c in classes):
+            classes.append(conjugacy_class(g))
     if len(classes) != 2 or any(len(c) != 24 for c in classes):
         return False
     for c in classes:

@@ -59,7 +59,7 @@ def scale_elt(c, x):
 
 
 def to_vector(x):
-    return [QQ.of(x.get(p, 0)) for p in PAIRS]
+    return [x.get(p, 0) for p in PAIRS]
 
 
 def bracket(x, y):
@@ -126,8 +126,10 @@ def pair_matrix2():
     r = rho()
     out = {}
     for i, j in PAIRS:
-        m = _mat_commutator(r[i], r[j])
-        out[(i, j)] = tuple(tuple(v // 2 for v in row) for row in m)
+        m = _commutator(_entries(r[i]), _entries(r[j]))
+        out[(i, j)] = tuple(
+            tuple(m.get((a, b), 0) // 2 for b in range(8)) for a in range(8)
+        )
     return out
 
 
@@ -154,18 +156,26 @@ def x_matrix2(p, d):
 
 @lru_cache(maxsize=None)
 def _x_entries(p, d):
-    """The nonzero entries of x_matrix2(p, d) as {(row, col): value}."""
-    return {
-        (i, j): v
-        for i, row in enumerate(x_matrix2(p, d))
-        for j, v in enumerate(row)
-        if v
-    }
+    """The nonzero entries of x_matrix2(p, d), memoized."""
+    return _entries(x_matrix2(p, d))
 
 
-def _mat_commutator(a, b):
-    ab, ba = linalg.mat_mul(a, b), linalg.mat_mul(b, a)
-    return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+def _entries(m):
+    """The nonzero entries of a dense matrix as {(row, col): value}."""
+    return {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
+
+
+def _commutator(a, b):
+    """ab - ba for sparse matrices {(row, col): value}; zeros are dropped."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        rows = {}
+        for (k, j), v in y.items():
+            rows.setdefault(k, []).append((j, v))
+        for (i, k), u in x.items():
+            for j, v in rows.get(k, ()):
+                out[(i, j)] = out.get((i, j), 0) + sign * u * v
+    return {k: v for k, v in out.items() if v}
 
 
 def annihilates_unit(x):
@@ -289,14 +299,12 @@ def action_on_basis(p, d, q):
         predicted = (s, fano.add(p, q))
     # independent path: commutator of 2*rho_hat(X) with rho(e_q) is
     # 2*rho([X, e_q]); compare with 2*sign*rho(e_{p+q}).
-    c = _mat_commutator(x_matrix2(p, d), rho()[q])
+    c = _commutator(_x_entries(p, d), _entries(rho()[q]))
     if predicted[0] == 0:
-        ok = all(v == 0 for row in c for v in row)
+        ok = c == {}
     else:
-        t = rho()[predicted[1]]
-        ok = all(
-            c[i][j] == 2 * predicted[0] * t[i][j] for i in range(8) for j in range(8)
-        )
+        t = _entries(rho()[predicted[1]])
+        ok = c == {k: 2 * predicted[0] * v for k, v in t.items()}
     if not ok:
         raise AssertionError(
             "action formula disagrees with the matrix action at (P%d,D%d,P%d)"
@@ -376,12 +384,9 @@ def check_bracket_law():
             law = bracket_law(a, b)
             if sc != law:
                 return False
-            c = _mat_commutator(x_matrix2(*a), x_matrix2(*b))
-            m = matrix2(sc)
+            c = _commutator(_x_entries(*a), _x_entries(*b))
             # [2A, 2B] = 4[A,B] = 2 * (2[A,B])
-            if any(
-                c[i][j] != 2 * m[i][j] for i in range(8) for j in range(8)
-            ):
+            if c != {k: 2 * v for k, v in _entries(matrix2(sc)).items()}:
                 return False
     return True
 
@@ -605,26 +610,33 @@ def delta_hat(aug, p):
 
     ghat fixes e_0 and sends e_Q to s_Q e_{gQ}, so conjugating a spinor
     matrix moves its entry (a, b) to (ga, gb) times s_a s_b (with g0 = 0 and
-    s_0 = 1).  Applied to the nonzero entries of 2 rho_hat(X_{P,D}).
+    s_0 = 1).  Applied to the nonzero entries of 2 rho_hat(X_{P,D}), each of
+    which must land on sign times the entry of 2 rho_hat(X_{gP,gD}) there;
+    the two matrices have equally many nonzero entries.
     """
     g, s = aug
     img = (0,) + g
     sg = (1,) + s
+    lines = fano.line_perm(g)
     signs = set()
     for d in fano.lines_through(p):
-        conj = {
-            (img[a], img[b]): sg[a] * sg[b] * v
-            for (a, b), v in _x_entries(p, d).items()
-        }
-        target = _x_entries(fano.apply(g, p), fano.line_image(g, d))
-        if conj == target:
-            signs.add(1)
-        elif conj == {k: -v for k, v in target.items()}:
-            signs.add(-1)
-        else:
+        source = _x_entries(p, d)
+        target = _x_entries(g[p - 1], lines[d - 1])
+        sign = 0
+        if len(source) == len(target):
+            for (a, b), v in source.items():
+                w = sg[a] * sg[b] * v
+                t = target.get((img[a], img[b]))
+                if not sign:
+                    sign = 1 if t == w else -1
+                if t != sign * w:
+                    sign = 0
+                    break
+        if not sign:
             raise AssertionError(
                 "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
             )
+        signs.add(sign)
     if len(signs) != 1:
         raise AssertionError("delta depends on the line at P%d" % p)
     return signs.pop()

@@ -13,7 +13,7 @@ There are 8 lifts per collineation, 1344 in all.
 
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
+from operator import itemgetter
 
 from . import compfactor, fano, radon
 
@@ -55,7 +55,8 @@ def delta_star_properties():
     - det g = +1 for all 168 collineations;
     - pencil products: the three lines through any point multiply to +1;
     - the multiplier identity delta*(g2 g1, D) = delta*(g2, g1 D) delta*(g1, D)
-      for all 168^2 pairs (g1, g2) and all seven lines D.
+      for all 168^2 pairs (g1, g2) and all seven lines D, on 7-bit masks
+      with bit D - 1 set where the sign is -1.
     """
     group = fano.all_collineations()
     for g in group:
@@ -74,15 +75,18 @@ def delta_star_properties():
                 prod *= fn[d - 1]
             if prod != 1:
                 return False
+    masks = {g: radon.from_values(v < 0 for v in fn) for g, fn in fns.items()}
+    values = set(masks.values())
     for g1 in group:
-        f1 = fns[g1]
-        # index of the line g1 D for each D
-        moved = tuple(d - 1 for d in fano.line_perm(g1))
+        after_g1 = itemgetter(*(p - 1 for p in g1))  # g2 -> g2 g1
+        # m(g1 D) at bit D - 1, for each mask m that occurs
+        moved = {
+            m: radon.from_values(m >> (e - 1) for e in fano.line_perm(g1))
+            for m in values
+        }
+        m1 = masks[g1]
         for g2 in group:
-            f2 = fns[g2]
-            if fns[fano.compose(g2, g1)] != tuple(
-                map(mul, map(f2.__getitem__, moved), f1)
-            ):
+            if masks[after_g1(g2)] != moved[masks[g2]] ^ m1:
                 return False
     return True
 
@@ -129,7 +133,7 @@ def aug_compose(a2, a1):
     g2, s2 = a2
     g1, s1 = a1
     g = fano.compose(g2, g1)
-    s = tuple(s2[fano.apply(g1, p) - 1] * s1[p - 1] for p in fano.POINTS)
+    s = tuple(s2[q - 1] * x for q, x in zip(g1, s1))
     return (g, s)
 
 
@@ -161,11 +165,14 @@ _PRODUCTS = tuple(
 
 
 def is_algebra_automorphism(aug):
-    """Check multiplicativity on all imaginary basis pairs:
-    eps(P,Q) s(P+Q) = s(P) s(Q) eps(gP,gQ) for every P != Q.
+    """Check multiplicativity on all imaginary basis pairs: g(P+Q) = gP + gQ
+    (g is a collineation) and eps(P,Q) s(P+Q) = s(P) s(Q) eps(gP,gQ) for
+    every P != Q.
     """
     eps = compfactor.EPS_TAU
     g, s = aug
+    if not fano.is_additive(g):
+        return False
     for p, q, r in _PRODUCTS:
         if eps[p][q] * s[r] != s[p] * s[q] * eps[g[p] - 1][g[q] - 1]:
             return False

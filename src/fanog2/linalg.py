@@ -1,11 +1,16 @@
 """Exact dense linear algebra over any of the supported fields.
 
-Matrices are lists of rows of field elements.  Elimination divides exactly in
-the coefficient field, so no rounding occurs.  Rank and span questions go
-through Echelon, a basis that grows one row at a time; rref serves nullspace.
+Matrices are lists of rows of field elements.  No rounding occurs anywhere.
+Rank and span questions go through Echelon, a basis that grows one row at a
+time.  Over Q it is fraction-free: each row is a primitive integer vector,
+reduced by cross-multiplication (Bareiss, Math. Comp. 22, 1968).  Over the
+other fields it divides exactly in the field.  rref serves nullspace.
 """
 
+from math import gcd, lcm
 from operator import mul
+
+from .scalars import QQ
 
 
 def mat_mul(a, b):
@@ -51,22 +56,40 @@ def rref(rows, field):
 class Echelon:
     """A semi-echelon basis of a row space, built one vector at a time.
 
-    Each stored row has a pivot column where it is one and where every later
-    row is zero, so reducing a vector against the rows in insertion order
-    clears all the pivots.  A row is kept with the columns it is nonzero in.
+    Each stored row has a pivot column where it is nonzero and where every
+    later row is zero, so reducing a vector against the rows in insertion
+    order clears all the pivots.  A row is kept with the columns it is
+    nonzero in.  Over Q the rows are primitive integer vectors, and a vector
+    is reduced as v <- a v - f row with a the row's pivot entry and f the
+    vector's, both divided by their gcd; over the other fields the pivot
+    entry is one and f row is subtracted.
     """
 
     def __init__(self, field, rows=()):
         self.field = field
-        self._rows = []  # (pivot, [(column, value), ...])
+        self._integral = field is QQ
+        self._rows = []  # (pivot, pivot entry, [(column, value), ...])
         for v in rows:
             self.add(v)
 
     def _reduce(self, v):
-        v = list(v)
-        for pivot, terms in self._rows:
+        if not self._integral:
+            v = list(v)
+            for pivot, _, terms in self._rows:
+                f = v[pivot]
+                if f:
+                    for c, b in terms:
+                        v[c] -= f * b
+            return v
+        v = _integer_row(v)
+        for pivot, a, terms in self._rows:
             f = v[pivot]
             if f:
+                g = gcd(a, f)
+                if g != a:
+                    s = a // g
+                    v = [s * x for x in v]
+                f //= g
                 for c, b in terms:
                     v[c] -= f * b
         return v
@@ -76,10 +99,16 @@ class Echelon:
         v = self._reduce(v)
         for pivot, x in enumerate(v):
             if x:
-                inv = self.field.one / x
-                self._rows.append(
-                    (pivot, [(c, inv * y) for c, y in enumerate(v) if y])
-                )
+                if self._integral:
+                    g = gcd(*v) if x > 0 else -gcd(*v)
+                    self._rows.append(
+                        (pivot, x // g, [(c, y // g) for c, y in enumerate(v) if y])
+                    )
+                else:
+                    inv = self.field.one / x
+                    self._rows.append(
+                        (pivot, 1, [(c, inv * y) for c, y in enumerate(v) if y])
+                    )
                 return True
         return False
 
@@ -88,6 +117,17 @@ class Echelon:
 
     def __len__(self):
         return len(self._rows)
+
+
+def _integer_row(v):
+    """A rational vector times the lcm of its denominators, as ints."""
+    den = 1
+    for x in v:
+        if type(x) is not int:
+            den = lcm(den, x.denominator)
+    if den == 1:
+        return [x.numerator for x in v]
+    return [x.numerator * (den // x.denominator) for x in v]
 
 
 def rank(rows, field):

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from fanog2 import compfactor, fano
@@ -55,7 +57,7 @@ def test_group_action():
 
 
 def test_isotropy_is_subgroup():
-    iso = compfactor.isotropy(compfactor.EPS_TAU)
+    iso = compfactor.isotropy()
     for g in iso:
         for h in iso:
             assert fano.compose(g, h) in iso
@@ -63,7 +65,7 @@ def test_isotropy_is_subgroup():
 
 
 def test_orientable_triangles():
-    tris = compfactor.orientable_triangles(compfactor.EPS_TAU)
+    tris = compfactor.orientable_triangles()
     assert len(tris) == 7
     assert frozenset({1, 3, 4}) in {frozenset(t) for t in tris}
 
@@ -75,6 +77,22 @@ def test_oriented_maps_and_exponentiation():
     assert len(exps) == 8
     assert compfactor.EPS_TAU in exps
     assert {compfactor.side(e) for e in exps} == {"O+"}
+
+
+def test_oriented_maps_match_brute_force():
+    # the pruned search returns what filtering all 4^7 combinations returns,
+    # in the same order
+    choices = [[phi for phi in range(1, 8) if fano.pairing(phi, p)] for p in fano.POINTS]
+    brute = tuple(
+        combo
+        for combo in product(*choices)
+        if all(
+            fano.pairing(combo[p - 1], q) + fano.pairing(combo[q - 1], p) == 1
+            for p, q in combinations(fano.POINTS, 2)
+        )
+    )
+    assert len(brute) == 8
+    assert compfactor.enumerate_oriented_maps() == brute
 
 
 def test_exponentiate_rejects_bad_input():

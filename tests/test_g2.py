@@ -26,8 +26,8 @@ def test_spinor_representation_faithful_bracket():
         for pair2 in g2.PAIRS[:6]:
             x = g2.elt((1, *pair1))
             y = g2.elt((1, *pair2))
-            lhs = g2._mat_commutator(g2.matrix2(x), g2.matrix2(y))
-            rhs = g2.matrix2(g2.scale_elt(2, g2.bracket(x, y)))
+            lhs = g2._commutator(g2._entries(g2.matrix2(x)), g2._entries(g2.matrix2(y)))
+            rhs = g2._entries(g2.matrix2(g2.scale_elt(2, g2.bracket(x, y))))
             assert lhs == rhs
     assert len(rho) == 8  # identity at index 0 plus the seven units
 

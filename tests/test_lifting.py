@@ -53,6 +53,23 @@ def test_aug_group_axioms():
     assert lhs == rhs
 
 
+def test_automorphism_check_requires_a_collineation():
+    # this signed permutation satisfies the sign rule on all 42 ordered
+    # pairs, but it is not additive: it does not send e_P e_Q to the slot
+    # gP + gQ, and octonion.mul shows it is not multiplicative
+    g = (1, 2, 3, 6, 7, 5, 4)
+    bad = (g, (-1, -1, -1, 1, 1, 1, 1))
+    assert not fano.is_additive(g)
+    e = octonion.basis
+    assert lifting.aug_apply(bad, octonion.mul(e(1), e(2))) != octonion.mul(
+        lifting.aug_apply(bad, e(1)), lifting.aug_apply(bad, e(2))
+    )
+    assert not lifting.is_algebra_automorphism(bad)
+    group = lifting.enumerate_aug_group()
+    assert len(group) == 1344
+    assert all(lifting.is_algebra_automorphism(aug) for aug in group)
+
+
 def test_kernel_is_translation_signs():
     ker = lifting.kernel_elements()
     assert len(ker) == 8

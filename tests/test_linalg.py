@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,18 +16,26 @@ def _entry(rng, field):
     return v
 
 
-def _combination(rng, rows, field):
-    out = [field.zero] * len(rows[0])
+def _rational(rng):
+    """An int or a Fraction with a denominator up to 9; integral values
+    stay int, so rows mix the two types.
+    """
+    v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return v.numerator if v.denominator == 1 else v
+
+
+def _combination(rng, rows, entry):
+    out = [0] * len(rows[0])
     for row in rows:
-        c = _entry(rng, field)
+        c = entry(rng)
         out = [a + c * b for a, b in zip(out, row)]
     return out
 
 
-def _deficient(rng, field, rank, nrows, ncols):
+def _deficient(rng, entry, rank, nrows, ncols):
     """nrows dense rows spanning a space of dimension at most rank."""
-    free = [[_entry(rng, field) for _ in range(ncols)] for _ in range(rank)]
-    rows = free + [_combination(rng, free, field) for _ in range(nrows - rank)]
+    free = [[entry(rng) for _ in range(ncols)] for _ in range(rank)]
+    rows = free + [_combination(rng, free, entry) for _ in range(nrows - rank)]
     rng.shuffle(rows)
     return rows
 
@@ -36,25 +45,39 @@ def _rref_rows(rows, field):
     return red[: len(pivots)]
 
 
-@pytest.mark.parametrize("name", sorted(FIELDS))
-def test_echelon_agrees_with_rref(name):
-    field = FIELDS[name]
-    rng = random.Random(name)
+def _check_against_rref(rng, field, entry):
+    """Echelon's rank, in_span and span_equal agree with rref."""
     for rank, nrows, ncols in ((3, 6, 5), (5, 8, 9), (7, 10, 12)):
-        rows = _deficient(rng, field, rank, nrows, ncols)
+        rows = _deficient(rng, entry, rank, nrows, ncols)
         reduced = _rref_rows(rows, field)
         assert len(linalg.Echelon(field, rows)) == len(reduced) <= rank
         assert linalg.rank(rows, field) == len(reduced)
-        inside = _combination(rng, rows, field)
-        outside = [_entry(rng, field) for _ in range(ncols)]
+        inside = _combination(rng, rows, entry)
+        outside = [entry(rng) for _ in range(ncols)]
         for vec in (inside, outside):
             expected = _rref_rows(rows + [vec], field) == reduced
             assert linalg.in_span(rows, vec, field) == expected
         assert linalg.in_span(rows, inside, field)
-        rebased = [_combination(rng, rows, field) for _ in range(nrows)]
+        rebased = [_combination(rng, rows, entry) for _ in range(nrows)]
         for other in (rebased, rebased[:1], rows[:-1] + [outside]):
             expected = _rref_rows(other, field) == reduced
             assert linalg.span_equal(rows, other, field) == expected
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_echelon_agrees_with_rref(name):
+    field = FIELDS[name]
+    _check_against_rref(random.Random(name), field, lambda rng: _entry(rng, field))
+
+
+def test_rational_echelon_agrees_with_rref():
+    # the fraction-free rows over Q must clear every denominator, including
+    # in rows that mix int and Fraction entries
+    rng = random.Random("Q fractions")
+    rows = _deficient(rng, _rational, 3, 6, 5)
+    assert {type(v) for row in rows for v in row} == {int, Fraction}
+    assert any(v.denominator > 1 for row in rows for v in row)
+    _check_against_rref(rng, QQ, _rational)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
