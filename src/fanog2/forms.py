@@ -205,8 +205,8 @@ def invariant_three_form_dimension():
         for k in keys:
             images.append(so7_derivation(x, {k: 1}))
         for out_key in keys:
-            rows.append([QQ.of(img.get(out_key, 0)) for img in images])
-    return len(linalg.nullspace(rows, QQ))
+            rows.append([img.get(out_key, 0) for img in images])
+    return len(keys) - linalg.rank(rows, QQ)
 
 
 def bilinear_identity_check():

@@ -254,8 +254,8 @@ def annihilator_dimension():
     for k in PAIRS:
         m = pair_matrix2()[k]
         cols.append([m[i][0] for i in range(8)])
-    rows = [[QQ.of(cols[n][i]) for n in range(len(PAIRS))] for i in range(8)]
-    return len(linalg.nullspace(rows, QQ))
+    rows = [[cols[n][i] for n in range(len(PAIRS))] for i in range(8)]
+    return len(PAIRS) - linalg.rank(rows, QQ)
 
 
 @lru_cache(maxsize=None)
@@ -436,7 +436,7 @@ def centralizer_in_g2(elements):
         # columns: coefficients c_n; constraint [h, sum c_n x_n] = 0
         cols = [bracket(h, x) for x in basis]
         for pr in PAIRS:
-            rows.append([QQ.of(c.get(pr, 0)) for c in cols])
+            rows.append([c.get(pr, 0) for c in cols])
     return linalg.nullspace(rows, QQ)
 
 

@@ -15,8 +15,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __add__(self, other):
         other = _as_gauss(other)
@@ -324,6 +324,7 @@ def field_from_descriptor(desc):
         return QQ
     if desc == "qi":
         return QI
-    if desc.startswith("fp:"):
-        return PrimeField(int(desc[3:]))
+    digits = desc[3:]
+    if desc.startswith("fp:") and digits.isascii() and digits.isdigit():
+        return PrimeField(int(digits))
     raise ValueError("unsupported field descriptor: %r" % desc)

@@ -120,8 +120,13 @@ def test_options_only_where_read():
         assert exc.value.code == 2
 
 
-def test_field_descriptor_gate():
+def test_field_descriptor_gate(capsys):
     assert _run(["verify", "fano", "--field", "zzz", "--out", "/dev/null"]) == 2
+    # only ASCII decimal digits after fp:, and the message names the descriptor
+    for desc in ("fp: 7", "fp:1_000_003", "fp:\u0661\u0663", "fp:+7", "fp:", "fp:abc"):
+        capsys.readouterr()
+        assert _run(["verify", "fano", "--field", desc, "--out", "/dev/null"]) == 2
+        assert capsys.readouterr().err == "error: unsupported field descriptor: %r\n" % desc
     assert _run(["verify", "fano", "--field", "fp:%d" % (2**64 + 13),
                  "--out", "/dev/null"]) == 2
     assert _run(["verify", "fano", "--field", "fp:11",

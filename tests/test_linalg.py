@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fanog2 import linalg
-from fanog2.scalars import QI, QQ, PrimeField
+from fanog2.scalars import QI, QQ, GaussianRational, PrimeField
 
 FIELDS = {"Q": QQ, "Q(i)": QI, "F_p": PrimeField(1000003)}
 
@@ -24,6 +24,14 @@ def _rational(rng):
     return v.numerator if v.denominator == 1 else v
 
 
+def _gaussian(rng):
+    """An int, a Fraction or a Gaussian rational with Fraction parts, all
+    with denominators up to 9, so rows mix the three types.
+    """
+    re, im = _rational(rng), _rational(rng)
+    return GaussianRational(re, im) if im else re
+
+
 def _combination(rng, rows, entry):
     out = [0] * len(rows[0])
     for row in rows:
@@ -40,9 +48,54 @@ def _deficient(rng, entry, rank, nrows, ncols):
     return rows
 
 
+def _gauss_jordan(rows, field):
+    """The reduced row echelon form by division in the field, independent of
+    linalg: (nonzero rows, pivot columns).
+    """
+    m = [[field.of(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
 def _rref_rows(rows, field):
-    red, pivots = linalg.rref(rows, field)
-    return red[: len(pivots)]
+    return _gauss_jordan(rows, field)[0]
+
+
+def _kernel_basis(rows, field):
+    """One vector per free column fc: one at fc, minus the reduced rows'
+    entries in column fc at their pivots, zero elsewhere.
+    """
+    reduced, pivots = _gauss_jordan(rows, field)
+    ncols = len(rows[0])
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [field.zero] * ncols
+            vec[fc] = field.one
+            for row, pc in zip(reduced, pivots):
+                vec[pc] = -row[fc]
+            basis.append(vec)
+    return basis
+
+
+def _types(vectors):
+    return [
+        [(type(x), type(x.re), type(x.im)) if type(x) is GaussianRational else type(x) for x in v]
+        for v in vectors
+    ]
 
 
 def _check_against_rref(rng, field, entry):
@@ -93,3 +146,29 @@ def test_echelon_add_rejects_dependent_rows(name):
     assert len(basis) == 2
     assert dependent in basis
     assert basis.add(rows[2]) == (len(_rref_rows(rows, field)) == 3)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_nullspace_is_the_reduced_kernel_basis(name):
+    field = FIELDS[name]
+    rng = random.Random("kernel " + name)
+    entries = [lambda rng: _entry(rng, field)]
+    if field is QQ:
+        entries.append(_rational)
+    if field is QI:
+        # Fraction parts, and rows sharing a Gaussian factor no integer clears
+        factor = (QI.one + QI.sqrt_minus_one()) * (QI.of(2) + QI.sqrt_minus_one())
+        entries += [_gaussian, lambda rng: factor * _entry(rng, field)]
+    for entry in entries:
+        for rank, nrows, ncols in ((3, 6, 5), (5, 8, 9), (4, 4, 9), (6, 6, 6), (7, 7, 3)):
+            rows = _deficient(rng, entry, rank, nrows, ncols)
+            basis, expected = linalg.nullspace(rows, field), _kernel_basis(rows, field)
+            assert basis == expected and _types(basis) == _types(expected)
+            assert len(basis) == ncols - linalg.rank(rows, field)
+    for zero in (0, field.zero):
+        rows = [[zero] * 4 for _ in range(3)]
+        identity = [[field.one if i == j else field.zero for j in range(4)] for i in range(4)]
+        basis = linalg.nullspace(rows, field)
+        assert basis == _kernel_basis(rows, field) == identity
+        assert _types(basis) == _types(identity)
+    assert linalg.nullspace([], field) == []

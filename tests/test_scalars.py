@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from fanog2 import g2
 from fanog2.scalars import (
@@ -74,3 +75,58 @@ def test_large_primes_return_quickly():
     with pytest.raises(ValueError):
         PrimeField(1000000007 * 1000000009)
     assert time.perf_counter() - start < 5
+
+
+# Deterministic and with no shrink phase, as the octonion property tests.
+PROPERTY = settings(
+    max_examples=50,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+FIELDS = (QQ, QI, PrimeField(7), PrimeField(1000000007))
+
+
+def _elements(field):
+    fractions = st.fractions(-20, 20, max_denominator=9)
+    if field is QQ:
+        return fractions
+    if field is QI:
+        # parts given as int or as Fraction, so equal elements are built
+        # both ways
+        parts = st.one_of(st.integers(-20, 20), fractions)
+        return st.builds(GaussianRational, parts, parts)
+    return st.integers(-20, 20).map(field.of)
+
+
+def _equal_and_same_hash(a, b):
+    return a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@PROPERTY
+@given(data=st.data())
+def test_field_axioms(field, data):
+    x, y, z = (data.draw(_elements(field)) for _ in range(3))
+    zero, one = field.zero, field.one
+    assert _equal_and_same_hash((x + y) + z, x + (y + z))
+    assert _equal_and_same_hash((x * y) * z, x * (y * z))
+    assert _equal_and_same_hash(x * (y + z), x * y + x * z)
+    assert _equal_and_same_hash(x + y, y + x)
+    assert _equal_and_same_hash(x * y, y * x)
+    assert _equal_and_same_hash(x + zero, x)
+    assert _equal_and_same_hash(x * one, x)
+    assert _equal_and_same_hash(x + (-x), zero)
+    assert _equal_and_same_hash(x - y, x + (-y))
+    assert _equal_and_same_hash(field.of(x), x)
+    if x:
+        assert _equal_and_same_hash(x * (one / x), one)
+        assert _equal_and_same_hash((y / x) * x, y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            one / x
+    assert (x == y) == (x - y == zero)
+    if field is QI:
+        for v in (x, y, x + y, x * y, x - y):
+            assert type(v.re) is Fraction and type(v.im) is Fraction
