@@ -92,30 +92,32 @@ def negate(eps):
 
 
 @lru_cache(maxsize=None)
-def enumerate_composition_factors():
-    """All 16 composition factors for the trivial norm.
-
-    Every composition factor orients each line consistently, so candidates
-    are exactly the 2^7 choices of a cyclic orientation per line; the
-    quadrilateral rule then cuts the 128 candidates down to 16.
-    """
-    # two cyclic orientations per line, as ordered triples
-    line_orients = {}
-    for d in fano.LINES:
-        p, q, r = sorted(fano.LINE_POINTS[d])
-        line_orients[d] = ((p, q, r), (p, r, q))
+def line_orientations():
+    """The 2^7 = 128 antisymmetric tables that orient each line cyclically,
+    one choice of (P, Q, R) or (P, R, Q) per line D_1..D_7 (P < Q < R)."""
     found = []
     for choice in product((0, 1), repeat=7):
         table = [[0] * 7 for _ in range(7)]
         for d in fano.LINES:
-            a, b, c = line_orients[d][choice[d - 1]]
+            a, b, c = sorted(fano.LINE_POINTS[d])
+            if choice[d - 1]:
+                b, c = c, b
             for x, y in ((a, b), (b, c), (c, a)):
                 table[x - 1][y - 1] = 1
                 table[y - 1][x - 1] = -1
-        eps = _freeze(table)
-        if is_composition_factor(eps):
-            found.append(eps)
+        found.append(_freeze(table))
     return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def enumerate_composition_factors():
+    """All 16 composition factors for the trivial norm.
+
+    Every composition factor orients each line consistently, so candidates
+    are exactly the 128 line orientations; the quadrilateral rule then cuts
+    them down to 16.
+    """
+    return tuple(eps for eps in line_orientations() if is_composition_factor(eps))
 
 
 def act(g, eps):

@@ -103,10 +103,8 @@ def bracket(x, y):
 def _left_mult_int(p):
     """8x8 integer matrix of left multiplication by e_p on the octonions."""
     m = [[0] * 8 for _ in range(8)]
-    for j in range(8):
-        col = octonion.mul(octonion.basis(p), octonion.basis(j))
-        for i in range(8):
-            m[i][j] = int(col[i])
+    for j, (s, k) in enumerate(octonion.products(compfactor.EPS_TAU)[p]):
+        m[k][j] = s
     return m
 
 
@@ -207,27 +205,12 @@ def X(p, d):
 
 
 def Y(p, d):
-    """Y_{P,D} = difference of the other two X's at P, explicitly:
-
-    Y_{Pi,Di} = e_{P_{i-3},P_{i-2}} + e_{P_{i+2},P_{i-1}} - 2 e_{P_{i+1},P_{i+3}}
-    and the two cyclic companions.
-    """
+    """Y_{P,D} = X_{P,next} - X_{P,prev}, where next and prev follow D in
+    the cycle (D_i, D_{i-1}, D_{i-3}) of the lines through P = P_i."""
     _check_incident(p, d)
-    i = p
-    la = fano._lab
-    if d == i:
-        return elt(
-            (1, la(i - 3), la(i - 2)), (1, la(i + 2), la(i - 1)), (-2, la(i + 1), la(i + 3))
-        )
-    if d == la(i - 1):
-        return elt(
-            (1, la(i - 3), la(i - 2)), (1, la(i + 1), la(i + 3)), (-2, la(i + 2), la(i - 1))
-        )
-    if d == la(i - 3):
-        return elt(
-            (1, la(i + 1), la(i + 3)), (1, la(i + 2), la(i - 1)), (-2, la(i - 3), la(i - 2))
-        )
-    raise AssertionError("line D%d not among the lines through P%d" % (d, p))
+    cycle = (p, fano._lab(p - 1), fano._lab(p - 3))
+    k = cycle.index(d)
+    return add_elt(X(p, cycle[(k + 1) % 3]), scale_elt(-1, X(p, cycle[k - 1])))
 
 
 def point_relation_holds(p):
@@ -743,7 +726,7 @@ def chevalley_report(field):
 
 
 def almost_complex_report(p):
-    """J(e_Q) = eps_{QP} e_{P+Q} on V = span(e_Q : Q != P):
+    """J(e_Q) = e_Q e_P = eps_{QP} e_{P+Q} on V = span(e_Q : Q != P):
     J^2 = -Id, J isometry, J commutes with all of s_P.
 
     J has entries 0 and +-1, and it commutes with rho_hat(X) iff it commutes
@@ -751,9 +734,11 @@ def almost_complex_report(p):
     """
     cols = [q for q in fano.POINTS if q != p]
     pos = {q: n for n, q in enumerate(cols)}
+    t = octonion.products(compfactor.EPS_TAU)
     J = [[0] * 6 for _ in range(6)]
     for q in cols:
-        J[pos[fano.add(p, q)]][pos[q]] = compfactor.eps_get(compfactor.EPS_TAU, q, p)
+        s, k = t[q][p]
+        J[pos[k]][pos[q]] = s
 
     ident = [[int(i == j) for j in range(6)] for i in range(6)]
     report = {

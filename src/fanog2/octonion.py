@@ -1,16 +1,23 @@
 """The 8-dimensional composition algebra attached to a sign table.
 
 Elements are length-8 coefficient tuples (1, e1, ..., e7) over a coefficient
-field; the product is determined by a composition factor eps via
+field.  Every basis product is a signed basis element,
 
     e_P e_Q = eps_PQ e_{P+Q}   (P != Q),      e_P^2 = -1,
 
-with 1 central.  For the canonical factor this is the octonion product.
+with 1 central: a twisted group algebra on the Fano cube (Z_2)^3, whose
+signs come from a factor eps.  For the canonical factor this is the octonion
+product.  The rule is worked out once, in the table products(eps); the
+product and every certificate read it.  The certificates are integer
+identities on the table over all basis tuples, which by linearity hold for
+all elements.
 """
 
+from functools import lru_cache
+from itertools import product
 import json
 
-from . import compfactor, fano, linalg
+from . import compfactor, fano
 from .scalars import QQ
 
 
@@ -31,33 +38,41 @@ def add(x, y):
     return tuple(a + b for a, b in zip(x, y))
 
 
-def sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def scale(c, x):
     return tuple(c * a for a in x)
 
 
+@lru_cache(maxsize=None)
+def products(eps):
+    """The basis products: products(eps)[a][b] = (s, c) with e_a e_b = s e_c
+    for basis labels a, b, c in 0..7 (0 is the unit); memoized."""
+    rows = []
+    for a in range(8):
+        row = []
+        for b in range(8):
+            if not a or not b:
+                row.append((1, a or b))
+            elif a == b:
+                row.append((-1, 0))
+            else:
+                row.append((compfactor.eps_get(eps, a, b), fano.add(a, b)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def mul(x, y, eps=compfactor.EPS_TAU, field=QQ):
     out = [field.zero] * 8
-    for i in range(8):
-        if not x[i]:
+    t = products(eps)
+    for i, a in enumerate(x):
+        if not a:
             continue
-        for j in range(8):
-            if not y[j]:
+        row = t[i]
+        for j, b in enumerate(y):
+            if not b:
                 continue
-            c = x[i] * y[j]
-            if i == 0:
-                out[j] = out[j] + c
-            elif j == 0:
-                out[i] = out[i] + c
-            elif i == j:
-                out[0] = out[0] - c
-            else:
-                k = fano.add(i, j)
-                s = compfactor.eps_get(eps, i, j)
-                out[k] = out[k] + c if s == 1 else out[k] - c
+            s, k = row[j]
+            c = a * b
+            out[k] = out[k] + c if s == 1 else out[k] - c
     return tuple(out)
 
 
@@ -67,10 +82,7 @@ def conjugate(x):
 
 def norm(x):
     """The quadratic form B(x,x): sum of squares of the 8 coefficients."""
-    out = x[0] * x[0]
-    for a in x[1:]:
-        out = out + a * a
-    return out
+    return bilinear(x, x)
 
 
 def bilinear(x, y):
@@ -80,86 +92,109 @@ def bilinear(x, y):
     return out
 
 
-def is_multiplicative_norm(eps, samples=None):
-    """Check N(xy) = N(x)N(y), either on given samples or structurally.
+# The certificates below work on signed labels (s, c), meaning s e_c.
 
-    With samples=None the check is structural: for a multiplication factor,
-    N is multiplicative iff eps is a composition factor.
+
+def polarized_norm_identity(eps):
+    """<e_a e_b, e_c e_d> + <e_a e_d, e_c e_b> = 2 d_ac d_bd on all 8^4
+    quadruples: N(xy) = N(x)N(y) polarized in x and in y, so it holds on the
+    basis iff the norm is multiplicative (characteristic != 2).
     """
-    if samples is None:
-        return compfactor.is_composition_factor(eps)
-    for x, y in samples:
-        xf = from_ints(x)
-        yf = from_ints(y)
-        if norm(mul(xf, yf, eps)) != norm(xf) * norm(yf):
-            return False
-    return True
+    t = products(eps)
+
+    def inner(u, v):
+        return u[0] * v[0] if u[1] == v[1] else 0
+
+    return all(
+        inner(t[a][b], t[c][d]) + inner(t[a][d], t[c][b])
+        == (2 if a == c and b == d else 0)
+        for a, b, c, d in product(range(8), repeat=4)
+    )
 
 
-def associator(x, y, z):
-    return sub(mul(mul(x, y), z), mul(x, mul(y, z)))
+def _mul(t, u, v):
+    r, m = t[u[1]][v[1]]
+    return u[0] * v[0] * r, m
+
+
+def _vanishes(*terms):
+    out = [0] * 8
+    for c, k in terms:
+        out[k] += c
+    return not any(out)
+
+
+def _associator(t, a, b, c):
+    """[e_a, e_b, e_c] = (e_a e_b) e_c - e_a (e_b e_c) as two signed labels."""
+    return _mul(t, t[a][b], (1, c)), _mul(t, (-1, a), t[b][c])
 
 
 def is_alternative():
     """[x,x,y] = [y,x,x] = 0 for all x, y.
 
-    The associator is linear in each slot, so for x = sum a_i e_i and a
-    basis element w, [x,x,w] = sum a_i a_j [e_i,e_j,w].  That vanishes for
-    every x iff [e_i,e_i,w] = 0 and [e_i,e_j,w] + [e_j,e_i,w] = 0 for all
-    i, j, and the sums u = e_i + e_j (u = 2 e_i when i = j) test exactly
-    these conditions; likewise [w,u,u] for the other side.
+    The associator is linear in each slot, so this holds iff its
+    linearizations [e_a,e_b,e_c] + [e_b,e_a,e_c] and [e_c,e_a,e_b] +
+    [e_c,e_b,e_a] vanish on all 8^3 basis triples (a = b included).
     """
-    bs = [basis(i) for i in range(8)]
-    for i in range(8):
-        for j in range(8):
-            u = add(bs[i], bs[j])
-            for w in bs:
-                if any(associator(u, u, w)) or any(associator(w, u, u)):
-                    return False
-    return True
-
-
-def left_mult_matrix(x):
-    cols = [mul(x, basis(j)) for j in range(8)]
-    return [[cols[j][i] for j in range(8)] for i in range(8)]
-
-
-def clifford_property(x):
-    """L_x^2 = -B(x,x) Id for purely imaginary x (first coefficient zero)."""
-    if x[0]:
-        raise ValueError("the Clifford identity is for imaginary elements")
-    m = left_mult_matrix(x)
-    n = norm(x)
-    sq = linalg.mat_mul(m, m)
-    return all(sq[i][j] == (-n if i == j else 0) for i in range(8) for j in range(8))
+    t = products(compfactor.EPS_TAU)
+    return all(
+        _vanishes(*_associator(t, a, b, c), *_associator(t, b, a, c))
+        and _vanishes(*_associator(t, c, a, b), *_associator(t, c, b, a))
+        for a, b, c in product(range(8), repeat=3)
+    )
 
 
 def conjugation_is_antiautomorphism():
-    bs = [basis(i) for i in range(8)]
-    for i in range(8):
-        for j in range(8):
-            lhs = conjugate(mul(bs[i], bs[j]))
-            rhs = mul(conjugate(bs[j]), conjugate(bs[i]))
-            if lhs != rhs:
-                return False
-    return True
+    """conj(e_a e_b) = conj(e_b) conj(e_a) on all 8^2 basis pairs."""
+    t = products(compfactor.EPS_TAU)
+
+    def bar(u):
+        return (u[0] if u[1] == 0 else -u[0]), u[1]
+
+    return all(
+        bar(t[a][b]) == _mul(t, bar((1, b)), bar((1, a)))
+        for a, b in product(range(8), repeat=2)
+    )
+
+
+def lines_are_associative():
+    """Each quaternion line {1} u D is associative on all its basis triples."""
+    t = products(compfactor.EPS_TAU)
+    return all(
+        _vanishes(*_associator(t, a, b, c))
+        for d in fano.LINES
+        for a, b, c in product(quaternion_subalgebra(d), repeat=3)
+    )
+
+
+def clifford_identity():
+    """L_p L_q + L_q L_p = -2 d_pq Id for the imaginary units, on every
+    basis element e_b; by linearity L_x^2 = -B(x,x) Id for imaginary x."""
+    t = products(compfactor.EPS_TAU)
+    return all(
+        _vanishes(
+            _mul(t, (1, p), t[q][b]), _mul(t, (1, q), t[p][b]), (2 if p == q else 0, b)
+        )
+        for p, q in product(fano.POINTS, repeat=2)
+        for b in range(8)
+    )
 
 
 def subalgebra_generated(indices):
     """Basis labels (0..7) spanning the unital subalgebra generated by the
     given imaginary basis elements; dimensions come out 2, 4 or 8.
     """
+    t = products(compfactor.EPS_TAU)
     span = {0} | set(indices)
     changed = True
     while changed:
         changed = False
         for i in sorted(span):
             for j in sorted(span):
-                if i and j and i != j:
-                    k = fano.add(i, j)
-                    if k not in span:
-                        span.add(k)
-                        changed = True
+                k = t[i][j][1]
+                if k not in span:
+                    span.add(k)
+                    changed = True
     return tuple(sorted(span))
 
 
@@ -174,16 +209,8 @@ def table():
     Entry (i, j) is a signed label: +k or -k meaning e_i e_j = +-e_k, and
     0 meaning e_i e_i = -1.
     """
-    out = []
-    for i in fano.POINTS:
-        row = []
-        for j in fano.POINTS:
-            if i == j:
-                row.append(0)
-            else:
-                row.append(compfactor.eps_get(compfactor.EPS_TAU, i, j) * fano.add(i, j))
-        out.append(tuple(row))
-    return tuple(out)
+    t = products(compfactor.EPS_TAU)
+    return tuple(tuple(s * k for s, k in t[i][1:]) for i in fano.POINTS)
 
 
 def table_text():

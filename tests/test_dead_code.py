@@ -1,6 +1,8 @@
 """Guard against dead code: every top-level function in the package is used
-somewhere in src/ or tests/, every parameter is read by its function, and
-every defaulted parameter is passed by some call.
+somewhere in src/ or tests/, every parameter is read by its function, every
+defaulted parameter is passed by some call, and no required parameter gets
+the same constant from every call.  A guard also keeps `random` out of the
+package: a certificate is exhaustive or an exact identity, never a sample.
 
 Stdlib only (ast), so it runs wherever the tests run.
 """
@@ -86,17 +88,22 @@ def _defaulted(fn):
     return out
 
 
-def _calls(path, tree):
-    """(module, name, call) for each call of a bare or `mod.name` function.
-
-    A bare name belongs to the module it was imported from, else to its own.
-    """
-    imported = {
+def _imported(tree):
+    """Bare names that a file imports from a module, mapped to that module."""
+    return {
         alias.asname or alias.name: node.module.rsplit(".", 1)[-1]
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module
         for alias in node.names
     }
+
+
+def _calls(path, tree):
+    """(module, name, call) for each call of a bare or `mod.name` function.
+
+    A bare name belongs to the module it was imported from, else to its own.
+    """
+    imported = _imported(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -117,14 +124,20 @@ def _passes(call, name, position):
     )
 
 
+def _all_calls(trees):
+    """{(module, name): [(path, call), ...]} over the given files."""
+    calls = {}
+    for path, tree in trees.items():
+        for mod, name, call in _calls(path, tree):
+            calls.setdefault((mod, name), []).append((path, call))
+    return calls
+
+
 def test_every_default_is_passed():
     """A defaulted parameter that no call passes has one value: make it a
     constant."""
     trees = _trees(ROOT / "src", ROOT / "tests")
-    calls = {}
-    for path, tree in trees.items():
-        for mod, name, call in _calls(path, tree):
-            calls.setdefault((mod, name), []).append(call)
+    calls = _all_calls(trees)
     never = [
         "%s.%s(%s)" % (path.stem, fn.name, arg)
         for path, tree in trees.items()
@@ -132,6 +145,77 @@ def test_every_default_is_passed():
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
         for arg, pos in _defaulted(fn)
-        if not any(_passes(c, arg, pos) for c in calls.get((path.stem, fn.name), ()))
+        if not any(
+            _passes(c, arg, pos) for _, c in calls.get((path.stem, fn.name), ())
+        )
     ]
     assert not never, "defaulted parameters never passed: %s" % ", ".join(never)
+
+
+def _required(fn):
+    """(name, position) of each required parameter, as in _defaulted."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(p.arg, i) for i, p in enumerate(positional) if i < first]
+    out += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is None]
+    return out
+
+
+def _constant(path, tree, node):
+    """A key for a literal or a `module.NAME` / imported NAME constant, else
+    None.  A bare NAME belongs to the module it was imported from, else to
+    its own."""
+    if isinstance(node, ast.Constant):
+        return ("literal", repr(node.value))
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        if node.attr.isupper():
+            return (node.value.id, node.attr)
+    if isinstance(node, ast.Name) and node.id.isupper():
+        return (_imported(tree).get(node.id, path.stem), node.id)
+    return None
+
+
+def _argument(call, name, position):
+    """The expression a call passes for a parameter, or None if unknown."""
+    for k in call.keywords:
+        if k.arg == name:
+            return k.value
+    if position is None or any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    return call.args[position] if len(call.args) > position else None
+
+
+def test_no_required_parameter_has_one_value():
+    """A required parameter that every call sets to the same literal or
+    named constant has one value: make it a constant."""
+    trees = _trees(ROOT / "src", ROOT / "tests")
+    calls = _all_calls(trees)
+    one_value = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            sites = calls.get((path.stem, fn.name), ())
+            for arg, pos in _required(fn):
+                keys = {
+                    _constant(p, trees[p], _argument(c, arg, pos)) for p, c in sites
+                }
+                if len(keys) == 1 and None not in keys:
+                    one_value.append("%s.%s(%s)" % (path.stem, fn.name, arg))
+    assert not one_value, "required parameters with one value: %s" % ", ".join(
+        one_value
+    )
+
+
+def test_package_does_not_import_random():
+    importers = sorted(
+        path.stem
+        for path, tree in _trees(PACKAGE).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and "random" in (a.name for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "random"
+    )
+    assert not importers, "modules importing random: %s" % ", ".join(importers)

@@ -86,14 +86,40 @@ def test_conjugation():
 
 def test_alternative_not_associative():
     assert octonion.is_alternative()
-    x, y, z = octonion.basis(1), octonion.basis(2), octonion.basis(3)
-    assert any(octonion.associator(x, y, z))
+    e1, e2, e3 = (octonion.basis(p) for p in (1, 2, 3))
+    m = octonion.mul
+    assert m(m(e1, e2), e3) != m(e1, m(e2, e3))
 
 
 def test_clifford_property():
-    for p in fano.POINTS:
-        assert octonion.clifford_property(octonion.basis(p))
-    assert octonion.clifford_property(octonion.from_ints((0, 1, 1, 0, -2, 0, 3, 0)))
+    assert octonion.clifford_identity()
+    x = octonion.from_ints((0, 1, 1, 0, -2, 0, 3, 0))
+    n = octonion.norm(x)
+    for b in range(8):
+        e = octonion.basis(b)
+        assert octonion.mul(x, octonion.mul(x, e)) == octonion.scale(-n, e)
+
+
+def test_certificates_reject_a_flipped_pair(monkeypatch):
+    """One antisymmetric pair of EPS_TAU flipped breaks every certificate
+    but conjugation, which holds for any antisymmetric table."""
+    table = [list(row) for row in compfactor.EPS_TAU]
+    table[0][1] = -table[0][1]
+    table[1][0] = -table[1][0]
+    bad = octonion.products(tuple(map(tuple, table)))
+    monkeypatch.setattr(octonion, "products", lambda eps: bad)
+    assert not octonion.polarized_norm_identity(compfactor.EPS_TAU)
+    assert not octonion.is_alternative()
+    assert not octonion.clifford_identity()
+    assert not octonion.lines_are_associative()
+
+
+def test_norm_identity_on_line_orientations():
+    orientations = compfactor.line_orientations()
+    assert len(set(orientations)) == 128
+    passing = [e for e in orientations if octonion.polarized_norm_identity(e)]
+    assert passing == list(compfactor.enumerate_composition_factors())
+    assert len(passing) == 16
 
 
 def test_subalgebra_dimensions():

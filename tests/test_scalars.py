@@ -130,3 +130,7 @@ def test_field_axioms(field, data):
     if field is QI:
         for v in (x, y, x + y, x * y, x - y):
             assert type(v.re) is Fraction and type(v.im) is Fraction
+        # a real element equals the int or Fraction it is, in a set as well
+        r = x.re.numerator if x.re.denominator == 1 else x.re
+        assert _equal_and_same_hash(GaussianRational(x.re), r)
+        assert len({GaussianRational(x.re), r}) == 1
