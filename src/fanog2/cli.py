@@ -444,9 +444,10 @@ def suite_g2(opts):
     prod_ok = all(
         radon._prod(fn) == 1 for fn in counts
     )
+    # delta_star depends on the collineation alone: 168 values for 1344 elements
+    delta_star = {g: lifting.delta_star_fn(g) for g in {aug[0] for aug in group}}
     radon_ok = all(
-        radon.radon_mult(g2.delta_hat_fn(aug)) == lifting.delta_star_fn(aug[0])
-        for aug in group
+        radon.radon_mult(g2.delta_hat_fn(aug)) == delta_star[aug[0]] for aug in group
     )
     checks.extend(
         [

@@ -10,10 +10,10 @@ the kernel basis off them.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter, mul
 
-from .scalars import QI, QQ, GaussianRational
+from .scalars import QI, QQ, GaussianRational, clear_denominators, gaussian_parts
 
 
 def mat_mul(a, b):
@@ -51,12 +51,9 @@ class Echelon:
     def _dense(self, v):
         """v in the form the rows are kept in, as a new list."""
         if self.field is QQ:
-            return _integer_row(v)
+            return clear_denominators(v)[0]
         if self.field is QI:
-            parts = []
-            for x in v:
-                parts += (x.re, x.im) if type(x) is GaussianRational else (x, 0)
-            return _integer_row(parts)
+            return clear_denominators(gaussian_parts(v))[0]
         return list(v)
 
     def _reduce(self, v):
@@ -132,17 +129,6 @@ class Echelon:
 
     def __len__(self):
         return len(self._rows)
-
-
-def _integer_row(v):
-    """A rational vector times the lcm of its denominators, as ints."""
-    den = 1
-    for x in v:
-        if type(x) is not int:
-            den = lcm(den, x.denominator)
-    if den == 1:
-        return [x.numerator for x in v]
-    return [x.numerator * (den // x.denominator) for x in v]
 
 
 def rank(rows, field):

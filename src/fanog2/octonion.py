@@ -11,14 +11,23 @@ product.  The rule is worked out once, in the table products(eps); the
 product and every certificate read it.  The certificates are integer
 identities on the table over all basis tuples, which by linearity hold for
 all elements.
+
+mul and bilinear evaluate over Q, Q(i) and F_p on integer coordinates: both
+are bilinear, so each factor is scaled to integers once (by the lcm of its
+denominators, or to its residues mod p), one integer loop does the
+arithmetic, and each output coordinate becomes a field element once.  Over
+Q(i) the scalar i is central, so the real and imaginary parts go through the
+same loop.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 import json
+import operator
 
 from . import compfactor, fano
-from .scalars import QQ
+from .scalars import QI, QQ, GaussianRational, clear_denominators, gaussian_parts
 
 
 def unit():
@@ -60,20 +69,50 @@ def products(eps):
     return tuple(rows)
 
 
+def _integer_mul(t, x, y):
+    """The product of two integer coordinate vectors under the table t."""
+    out = [0] * 8
+    for a, row in zip(x, t):
+        if a:
+            for b, (s, k) in zip(y, row):
+                out[k] += s * a * b
+    return out
+
+
+def _gaussian_integers(v):
+    """((re, im), d): the real and imaginary parts of d v as int lists, for
+    v over Q(i) and d the lcm of the parts' denominators."""
+    parts, d = clear_denominators(gaussian_parts(v))
+    return (parts[0::2], parts[1::2]), d
+
+
 def mul(x, y, eps=compfactor.EPS_TAU, field=QQ):
-    out = [field.zero] * 8
+    """The product xy in the algebra of eps over field.
+
+    The coordinates of x and y are elements of field, or ints and Fractions
+    that field contains.  Over Q the product is xy = (dx x)(dy y) / (dx dy)
+    with dx x and dy y integer vectors; over Q(i) the real and imaginary
+    parts multiply as (xr + i xi)(yr + i yi) = (xr yr - xi yi) + i(xr yi +
+    xi yr); over F_p the residues multiply and are reduced once.
+    """
     t = products(eps)
-    for i, a in enumerate(x):
-        if not a:
-            continue
-        row = t[i]
-        for j, b in enumerate(y):
-            if not b:
-                continue
-            s, k = row[j]
-            c = a * b
-            out[k] = out[k] + c if s == 1 else out[k] - c
-    return tuple(out)
+    if field is QQ:
+        xs, dx = clear_denominators(x)
+        ys, dy = clear_denominators(y)
+        d = dx * dy
+        return tuple(Fraction(z, d) for z in _integer_mul(t, xs, ys))
+    if field is QI:
+        (xr, xi), dx = _gaussian_integers(x)
+        (yr, yi), dy = _gaussian_integers(y)
+        d = dx * dy
+        re = map(operator.sub, _integer_mul(t, xr, yr), _integer_mul(t, xi, yi))
+        im = map(operator.add, _integer_mul(t, xr, yi), _integer_mul(t, xi, yr))
+        return tuple(
+            GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im)
+        )
+    xs = [field.of(a).v for a in x]
+    ys = [field.of(b).v for b in y]
+    return tuple(map(field.of, _integer_mul(t, xs, ys)))
 
 
 def conjugate(x):
@@ -85,7 +124,31 @@ def norm(x):
     return bilinear(x, x)
 
 
+def _dot(x, y):
+    return sum(map(operator.mul, x, y))
+
+
 def bilinear(x, y):
+    """B(x, y) = x_0 y_0 + ... + x_7 y_7, of the type that sum has when
+    taken term by term: an int when every coordinate is an int, a Fraction
+    over Q, a GaussianRational over Q(i).  Over Q and Q(i) it is one integer
+    dot product per part over the common denominator; other coordinates
+    (F_p) are summed as field elements.
+    """
+    kinds = set(map(type, x)) | set(map(type, y))
+    if kinds <= {int, Fraction}:
+        xs, dx = clear_denominators(x)
+        ys, dy = clear_denominators(y)
+        z = _dot(xs, ys)
+        return z if kinds == {int} else Fraction(z, dx * dy)
+    if kinds <= {int, Fraction, GaussianRational}:
+        (xr, xi), dx = _gaussian_integers(x)
+        (yr, yi), dy = _gaussian_integers(y)
+        d = dx * dy
+        return GaussianRational(
+            Fraction(_dot(xr, yr) - _dot(xi, yi), d),
+            Fraction(_dot(xr, yi) + _dot(xi, yr), d),
+        )
     out = x[0] * y[0]
     for a, b in zip(x[1:], y[1:]):
         out = out + a * b

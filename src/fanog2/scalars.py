@@ -4,9 +4,13 @@ Three coefficient fields are supported: the rationals Q (backed by
 fractions.Fraction), the Gaussian rationals Q(i), and prime fields F_p for
 odd primes p.  The code that takes a field object (linalg, octonion.mul,
 g2.chevalley_report) runs over any of them with no rounding anywhere.
+Over Q and Q(i) the kernels work on integers: clear_denominators scales a
+rational vector to integers once, and gaussian_parts splits a vector over
+Q(i) into rational real and imaginary parts for it.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 class GaussianRational:
@@ -87,6 +91,27 @@ class GaussianRational:
         if not self.im:
             return repr(self.re)
         return "(%s + %s*i)" % (self.re, self.im)
+
+
+def clear_denominators(v):
+    """(d v, d) for a vector v of ints and Fractions: d is the lcm of the
+    denominators, and d v is a list of ints."""
+    den = 1
+    for x in v:
+        if type(x) is not int:
+            den = lcm(den, x.denominator)
+    if den == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def gaussian_parts(v):
+    """The real and imaginary parts of a vector over Q(i), side by side:
+    those of v[c] at positions 2c and 2c + 1."""
+    parts = []
+    for x in v:
+        parts += (x.re, x.im) if type(x) is GaussianRational else (x, 0)
+    return parts
 
 
 def _as_gauss(x):

@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from fanog2 import compfactor, fano, octonion
-from fanog2.scalars import QI, QQ, PrimeField
+from fanog2.scalars import QI, QQ, GaussianRational, PrimeField
 
 # Deterministic and small, so tier-1 stays repeatable and fast.  Shrinking
 # is off: shrinking 8-coefficient elements takes minutes, and the first
@@ -20,12 +21,15 @@ FIELDS = (QQ, QI, PrimeField(7), PrimeField(1000000007))
 
 
 def _scalars(field):
-    if field is QQ:
-        return st.fractions(-20, 20, max_denominator=6)
+    """Coordinates over field: ints, Fractions and elements of the field,
+    mixed; over Q(i) with fractional real and imaginary parts."""
     ints = st.integers(-20, 20)
+    fractions = st.fractions(-20, 20, max_denominator=6)
+    if field is QQ:
+        return st.one_of(ints, fractions)
     if field is QI:
-        return st.builds(lambda a, b: QI.of(a) + QI.sqrt_minus_one() * b, ints, ints)
-    return ints.map(field.of)
+        return st.builds(lambda a, b: QI.of(a) + QI.sqrt_minus_one() * b, fractions, fractions)
+    return st.one_of(ints, ints.map(field.of))
 
 
 def _draw(data, field, n):
@@ -141,6 +145,81 @@ def test_other_fields():
     i = QI.sqrt_minus_one()
     z = tuple(QI.of(0) for _ in range(7)) + (i,)
     assert octonion.norm(octonion.mul(z, z, compfactor.EPS_TAU, QI)) == QI.of(1)
+
+
+def _reference_mul(x, y, eps, field):
+    """xy as a sum of field elements, term by term from the basis rule
+    e_a e_b = eps_ab e_{a+b}, e_a^2 = -1, with e_0 = 1 central."""
+    out = [field.zero] * 8
+    for a, u in enumerate(x):
+        for b, v in enumerate(y):
+            if not a or not b:
+                s, c = 1, a or b
+            elif a == b:
+                s, c = -1, 0
+            else:
+                s, c = compfactor.eps_get(eps, a, b), fano.add(a, b)
+            out[c] = out[c] + s * (u * v)
+    return tuple(out)
+
+
+def _reference_bilinear(x, y):
+    out = x[0] * y[0]
+    for a, b in zip(x[1:], y[1:]):
+        out = out + a * b
+    return out
+
+
+def _same(got, want):
+    """Equal in value, type and repr, coordinate by coordinate."""
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert repr(got) == repr(want)
+
+
+def _reference_cases(field):
+    """Pairs of factors over field: all ints, a zero factor, ints mixed with
+    Fractions, and the field's own elements."""
+    f = Fraction
+    ints = (3, -1, 0, 2, 7, 0, 5, -4)
+    mixed = (f(1, 2), 3, f(-5, 6), 0, f(7, 4), -2, f(9, 10), 1)
+    cases = [
+        (ints, (1, 2, 3, 4, 5, 6, 7, 8)),
+        ((0,) * 8, mixed),
+        (mixed, ints),
+        (mixed, (f(2, 3), f(-1, 9), 4, f(5, 8), 0, f(1, 12), -1, f(3, 5))),
+    ]
+    if field is QI:
+        # real and imaginary parts with different denominators
+        g = GaussianRational
+        gauss = (g(f(1, 3), f(-5, 4)), 2, g(0, f(7, 10)), f(1, 6), g(3, 1), 0, g(f(-2, 9), 5), 1)
+        cases += [(gauss, mixed), (gauss, gauss[::-1])]
+    elif field is not QQ:
+        cases.append((tuple(map(field.of, ints)), mixed))
+    return cases
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_mul_and_bilinear_match_the_term_by_term_sums(field):
+    for eps in compfactor.enumerate_composition_factors():
+        for x, y in _reference_cases(field):
+            xy = octonion.mul(x, y, eps, field)
+            _same(xy, _reference_mul(x, y, eps, field))
+            for u, v in ((x, y), (x, x), (y, y), (xy, xy), (x, xy)):
+                _same((octonion.bilinear(u, v),), (_reference_bilinear(u, v),))
+    ints = _reference_cases(field)[0][0]
+    assert type(octonion.norm(ints)) is int
+
+
+def test_mixed_prime_fields_raise():
+    f5, f7 = PrimeField(5), PrimeField(7)
+    x = tuple(map(f5.of, (1, 2, 3, 4, 0, 1, 2, 3)))
+    y = tuple(map(f7.of, (4, 0, 1, 3, 2, 2, 1, 0)))
+    for field in (f5, f7):
+        with pytest.raises(ValueError):
+            octonion.mul(x, y, compfactor.EPS_TAU, field)
+    with pytest.raises(ValueError):
+        octonion.bilinear(x, y)
 
 
 def test_table_formats():

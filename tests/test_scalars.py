@@ -10,7 +10,9 @@ from fanog2.scalars import (
     QQ,
     GaussianRational,
     PrimeField,
+    clear_denominators,
     field_from_descriptor,
+    gaussian_parts,
 )
 
 
@@ -38,6 +40,16 @@ def test_gaussian_division_exact():
     assert (a / b) * b == a
     with pytest.raises(ZeroDivisionError):
         a / QI.zero
+
+
+def test_clear_denominators():
+    assert clear_denominators([1, Fraction(1, 2), Fraction(-2, 3), 0]) == ([6, 3, -4, 0], 6)
+    ints, d = clear_denominators([3, Fraction(4), -1])
+    assert (ints, d) == ([3, 4, -1], 1) and all(type(v) is int for v in ints)
+    v = [GaussianRational(Fraction(1, 3), Fraction(-5, 4)), Fraction(1, 6), 2]
+    parts = gaussian_parts(v)
+    assert parts == [Fraction(1, 3), Fraction(-5, 4), Fraction(1, 6), 0, 2, 0]
+    assert clear_denominators(parts) == ([4, -15, 2, 0, 24, 0], 12)
 
 
 def test_prime_field():
