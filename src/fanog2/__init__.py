@@ -11,19 +11,11 @@ Modules:
     forms       invariant 3- and 4-forms on the imaginary part
     linalg      exact dense linear algebra helpers
     cli         the `fanog2` certificate command
+
+Importing the package loads scalars alone; import a submodule by name to
+use it, as each command of the cli imports only the layers it runs.
 """
 
 __version__ = "1.0.0"
 
-from . import (  # noqa: F401
-    compfactor,
-    fano,
-    forms,
-    g2,
-    lifting,
-    linalg,
-    octonion,
-    radon,
-    scalars,
-)
 from .scalars import QI, QQ, PrimeField, field_from_descriptor  # noqa: F401

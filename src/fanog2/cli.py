@@ -7,13 +7,15 @@ Subcommands:
   diagram   emit the delta-star / delta colorings as DOT or text
 
 Exit codes: 0 success, 1 failed check, 2 usage error.
+
+Each suite and each command target imports only the modules it calls, so a
+command loads (and, without cached bytecode, compiles) only those layers.
 """
 
 import argparse
 import json
 import sys
 
-from . import compfactor, fano, forms, g2, lifting, octonion, radon
 from .scalars import QQ, QI, PrimeField, field_from_descriptor
 
 
@@ -32,6 +34,8 @@ def _check(claim, description, expected, observed):
 
 
 def suite_fano(opts):
+    from . import fano
+
     group = fano.all_collineations()
     checks = [
         _check("AC1.size", "collineation group order", 168, len(group)),
@@ -66,6 +70,8 @@ def suite_fano(opts):
 
 
 def _normalizer_of_tau():
+    from . import fano
+
     tau_powers = fano.generated_subgroup((fano.TAU,))
     out = set()
     for g in fano.all_collineations():
@@ -78,6 +84,8 @@ def _normalizer_of_tau():
 
 
 def suite_compfactor(opts):
+    from . import compfactor
+
     factors = compfactor.enumerate_composition_factors()
     orbits = compfactor.orbit_decomposition()
     iso = compfactor.isotropy()
@@ -124,6 +132,8 @@ def _set_agreement(a, b):
 
 
 def suite_radon(opts):
+    from . import fano, radon
+
     img = radon.image()
     checks = [
         _check("AC4.kernel", "kernel size of the transform", 8, len(radon.kernel())),
@@ -190,6 +200,8 @@ EXPECTED_TABLE = (
 
 
 def suite_octonion(opts):
+    from . import compfactor, fano, octonion
+
     return [
         _check(
             "AC14.table",
@@ -252,6 +264,8 @@ def suite_octonion(opts):
 
 
 def suite_lifting(opts):
+    from . import compfactor, fano, lifting
+
     a, b = fano.standard_generators()
     classes = lifting.classify_delta_star()
     checks = [
@@ -356,6 +370,8 @@ def suite_lifting(opts):
 
 
 def suite_g2(opts):
+    from . import fano, g2, lifting, radon
+
     checks = [
         _check("AC7.dimension", "span of the 21 incidence generators", 14, g2.span_dimension()),
         _check(
@@ -664,6 +680,8 @@ def suite_g2(opts):
 
 
 def suite_forms(opts):
+    from . import forms
+
     om = forms.omega()
     Om = forms.big_omega()
     checks = [
@@ -766,6 +784,8 @@ def _jsonable(v):
 def cmd_enumerate(opts):
     lines = []
     if opts.target == "aut":
+        from . import fano
+
         for g_ in fano.all_collineations():
             lines.append(
                 json.dumps(
@@ -778,6 +798,8 @@ def cmd_enumerate(opts):
                 )
             )
     elif opts.target == "aug-aut":
+        from . import lifting
+
         group = lifting.enumerate_aug_group()
         for aug in group:
             perm, mask = lifting.aug_serialize(aug)
@@ -788,6 +810,8 @@ def cmd_enumerate(opts):
                 )
             )
     elif opts.target == "comp-factors":
+        from . import compfactor
+
         orbits = compfactor.orbit_decomposition()
         orbit_of = {}
         for n, o in enumerate(sorted(orbits, key=lambda o: min(o))):
@@ -805,6 +829,8 @@ def cmd_enumerate(opts):
                 )
             )
     elif opts.target == "oriented-maps":
+        from . import compfactor
+
         for alpha in compfactor.enumerate_oriented_maps():
             lines.append(
                 json.dumps(
@@ -825,8 +851,12 @@ def cmd_enumerate(opts):
 
 def cmd_table(opts):
     if opts.target == "octonion":
+        from . import octonion
+
         text = octonion.table_json() if opts.json else octonion.table_text()
     else:
+        from . import g2
+
         text = g2.bracket_table_json() if opts.json else g2.bracket_table_text()
     _emit(text, opts)
     return 0
@@ -834,6 +864,8 @@ def cmd_table(opts):
 
 def cmd_diagram(opts):
     if opts.target == "delta-star":
+        from . import lifting
+
         text = (
             lifting.delta_star_diagram_dot()
             if opts.format == "dot"
@@ -841,6 +873,8 @@ def cmd_diagram(opts):
         )
     else:
         # the 64 point-sign colorings over the augmented group
+        from . import fano, g2, lifting
+
         group = lifting.enumerate_aug_group()
         fns = sorted({g2.delta_hat_fn(aug) for aug in group})
         if opts.format == "dot":

@@ -588,46 +588,93 @@ def root_system(p):
 # the sign delta of augmented automorphisms acting on the X's
 
 
-def delta_hat(aug, p):
-    """The sign with ghat X_{P,D} ghat^-1 = sign * X_{gP,gD}; D-independent.
+_POINT_BIT = (0,) + tuple(1 << (q - 1) for q in fano.POINTS)
+_ONE = 1 << 7  # the affine form with value 1 at every sign vector
 
-    ghat fixes e_0 and sends e_Q to s_Q e_{gQ}, so conjugating a spinor
-    matrix moves its entry (a, b) to (ga, gb) times s_a s_b (with g0 = 0 and
-    s_0 = 1).  Applied to the nonzero entries of 2 rho_hat(X_{P,D}), each of
-    which must land on sign times the entry of 2 rho_hat(X_{gP,gD}) there;
-    the two matrices have equally many nonzero entries.
+
+def _delta_hat_forms(g):
+    """The affine form of each bit of the sign word of (g, s), and the error
+    message of each check bit, for a collineation g.
+
+    ghat = (g, s) fixes e_0 and sends e_Q to s_Q e_{gQ}, so conjugating a
+    spinor matrix moves its entry (a, b) to (ga, gb) times s_a s_b (with
+    g0 = 0 and s_0 = 1).  A nonzero entry v of 2 rho_hat(X_{P,D}) lands on
+    sign times the entry t of 2 rho_hat(X_{gP,gD}) at (ga, gb) iff t = +-v
+    and sign = (t/v) s_a s_b.  With -1 written as the bit 1, that sign is an
+    affine form over Z_2 in the bits of s: bit 7 of a form is its constant,
+    which depends on g, and bit Q - 1 its coefficient of s_Q, which does not.
+
+    Bits 0..6 of the word hold the sign at each point, read off its first
+    entry.  Each higher bit is a check that passes iff it reads 0.  Per
+    (P, D): each further entry agrees with the first; then a constant bit,
+    set if some entry lands on no +-v or the two matrices differ in their
+    number of entries.  Per P, after its lines: the other two lines agree
+    with the first.
     """
-    g, s = aug
     img = (0,) + g
-    sg = (1,) + s
     lines = fano.line_perm(g)
-    signs = set()
-    for d in fano.lines_through(p):
-        source = _x_entries(p, d)
-        target = _x_entries(g[p - 1], lines[d - 1])
-        sign = 0
-        if len(source) == len(target):
+    signs, checks, errors = [], [], []
+    for p in fano.POINTS:
+        leads = []
+        for d in fano.lines_through(p):
+            source = _x_entries(p, d)
+            target = _x_entries(g[p - 1], lines[d - 1])
+            forms, lands = [], len(source) == len(target)
             for (a, b), v in source.items():
-                w = sg[a] * sg[b] * v
                 t = target.get((img[a], img[b]))
-                if not sign:
-                    sign = 1 if t == w else -1
-                if t != sign * w:
-                    sign = 0
-                    break
-        if not sign:
-            raise AssertionError(
+                lands = lands and (t == v or t == -v)
+                forms.append((t == -v) << 7 | _POINT_BIT[a] ^ _POINT_BIT[b])
+            leads.append(forms[0])
+            checks += [f ^ forms[0] for f in forms[1:]]
+            checks.append(0 if lands else _ONE)
+            errors += [
                 "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
-            )
-        signs.add(sign)
-    if len(signs) != 1:
-        raise AssertionError("delta depends on the line at P%d" % p)
-    return signs.pop()
+            ] * len(forms)
+        signs.append(leads[0])
+        checks += [lead ^ leads[0] for lead in leads[1:]]
+        errors += ["delta depends on the line at P%d" % p] * (len(leads) - 1)
+    return signs + checks, errors
+
+
+@lru_cache(maxsize=None)
+def _delta_hat_layout():
+    """What the sign words share for every g: the word of each point Q,
+    XORed in when s_Q is -1, and the error message of each check bit."""
+    forms, errors = _delta_hat_forms(fano.IDENTITY)
+    cols = tuple(
+        sum((f >> q & 1) << k for k, f in enumerate(forms)) for q in range(7)
+    )
+    return cols, tuple(errors)
+
+
+@lru_cache(maxsize=None)
+def _delta_hat_word(g):
+    """The sign word of (g, +1), memoized per collineation."""
+    forms, _ = _delta_hat_forms(g)
+    return sum(f >> 7 << k for k, f in enumerate(forms))
 
 
 @lru_cache(maxsize=2048)
 def delta_hat_fn(aug):
-    return tuple(delta_hat(aug, p) for p in fano.POINTS)
+    """The signs delta(P), P = P1..P7, with ghat X_{P,D} ghat^-1 =
+    delta(P) X_{gP,gD} for every line D through P.
+
+    The word of (g, s) is that of (g, +1) with the word of each Q whose s_Q
+    is -1 XORed in, so every entry and agreement of all 21 generators is
+    evaluated at once.  The first set check bit raises AssertionError naming
+    the first (P, D) whose conjugate is no signed X, or the first P whose
+    sign depends on the line.
+    """
+    g, s = aug
+    cols, errors = _delta_hat_layout()
+    word = _delta_hat_word(g)
+    for col, v in zip(cols, s):
+        if v < 0:
+            word ^= col
+    failed = word >> 7
+    if failed:
+        raise AssertionError(errors[(failed & -failed).bit_length() - 1])
+    return tuple(-1 if word >> i & 1 else 1 for i in range(7))
 
 
 # ---------------------------------------------------------------------------

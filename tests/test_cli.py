@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fanog2
 from fanog2 import cli, fano, radon
 
 
@@ -166,3 +170,44 @@ def test_radon_claim_fails_instead_of_raising(monkeypatch):
     assert checks["AC4.mult-domain"]["pass"] is True
     assert checks["AC4.mult-image"]["pass"] is False
     assert checks["AC4.mult-image"]["observed"] == (-1, -1, -1, -1, -1, -1, 1)
+
+
+# the fanog2 modules that a fresh interpreter holds after each command: every
+# command imports only the layers it runs (fano always brings linalg)
+BASE = {"fanog2", "fanog2.cli", "fanog2.scalars"}
+FANO = BASE | {"fanog2.fano", "fanog2.linalg"}
+COMPFACTOR = FANO | {"fanog2.compfactor"}
+LIFTING = COMPFACTOR | {"fanog2.lifting", "fanog2.radon"}
+OCTONION = COMPFACTOR | {"fanog2.octonion"}
+MODULES_LOADED = (
+    ([], BASE),
+    (["enumerate", "aut"], FANO),
+    (["enumerate", "aug-aut"], LIFTING),
+    (["enumerate", "comp-factors"], COMPFACTOR),
+    (["enumerate", "oriented-maps"], COMPFACTOR),
+    (["table", "octonion"], OCTONION),
+    (["table", "brackets", "--json"], OCTONION | {"fanog2.g2"}),
+    (["diagram", "delta-star", "--format", "dot"], LIFTING),
+    (["diagram", "delta", "--format", "text"], LIFTING | OCTONION | {"fanog2.g2"}),
+    (["verify", "lifting"], LIFTING),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected", MODULES_LOADED, ids=["-".join(a[:2]) or "import" for a, _ in MODULES_LOADED]
+)
+def test_each_command_imports_only_its_layers(tmp_path, argv, expected):
+    code = (
+        "import sys, fanog2.cli\n"
+        "rc = fanog2.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'fanog2'))\n"
+        "sys.exit(rc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fanog2.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = ["--out", str(tmp_path / "out")] if argv else []
+    proc = subprocess.run(
+        [sys.executable, "-c", code] + argv + out,
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert set(proc.stdout.split()) == expected

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from fanog2 import fano, g2, lifting
@@ -102,6 +104,66 @@ def test_delta_hat():
     from fanog2 import radon
 
     assert radon.radon_mult(fn) == lifting.delta_star_fn(a)
+
+
+def _reference_delta_hat(aug, p):
+    """delta at P entry by entry: each nonzero entry (a, b) of
+    2 rho_hat(X_{P,D}), times s_a s_b, must land on sign times the entry of
+    2 rho_hat(X_{gP,gD}) at (ga, gb), with one sign for all lines through P."""
+    g, s = aug
+    img = (0,) + g
+    sg = (1,) + s
+    lines = fano.line_perm(g)
+    signs = set()
+    for d in fano.lines_through(p):
+        source = g2._x_entries(p, d)
+        target = g2._x_entries(g[p - 1], lines[d - 1])
+        sign = 0
+        if len(source) == len(target):
+            for (a, b), v in source.items():
+                w = sg[a] * sg[b] * v
+                t = target.get((img[a], img[b]))
+                if not sign:
+                    sign = 1 if t == w else -1
+                if t != sign * w:
+                    sign = 0
+                    break
+        if not sign:
+            raise AssertionError(
+                "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
+            )
+        signs.add(sign)
+    if len(signs) != 1:
+        raise AssertionError("delta depends on the line at P%d" % p)
+    return signs.pop()
+
+
+def _outcome(fn, aug):
+    """fn(aug), or the message of the AssertionError it raises."""
+    try:
+        return fn(aug)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_delta_hat_matches_the_entry_by_entry_reference():
+    # all 168 x 128 signed collineations: the same signs where the reference
+    # has them, else the same message.  s and -s give the same s_a s_b, so
+    # the automorphisms and their negatives have signs; the rest fail.
+    group = set(lifting.enumerate_aug_group())
+    accepted = set()
+    for g in fano.all_collineations():
+        for s in itertools.product((1, -1), repeat=7):
+            aug = (g, s)
+            expected = _outcome(
+                lambda x: tuple(_reference_delta_hat(x, p) for p in fano.POINTS), aug
+            )
+            assert _outcome(g2.delta_hat_fn, aug) == expected, aug
+            if isinstance(expected, tuple):
+                accepted.add(aug)
+    assert len(accepted) == 2688
+    assert group <= accepted
+    assert {(g, tuple(-v for v in s)) for g, s in group} == accepted - group
 
 
 def test_delta_hat_rejects_a_non_automorphism():
