@@ -93,9 +93,7 @@ def mul(x, y, eps=compfactor.EPS_TAU, field=QQ):
     that field contains.  Over Q the product is xy = (dx x)(dy y) / (dx dy)
     with dx x and dy y integer vectors; over Q(i) the real and imaginary
     parts multiply as (xr + i xi)(yr + i yi) = (xr yr - xi yi) + i(xr yi +
-    xi yr), in three integer products since xr yi + xi yr = (xr + xi)(yr +
-    yi) - xr yr - xi yi; over F_p the residues multiply and are reduced
-    once.
+    xi yr); over F_p the residues multiply and are reduced once.
     """
     t = products(eps)
     if field is QQ:
@@ -107,14 +105,10 @@ def mul(x, y, eps=compfactor.EPS_TAU, field=QQ):
         (xr, xi), dx = _gaussian_integers(x)
         (yr, yi), dy = _gaussian_integers(y)
         d = dx * dy
-        rr = _integer_mul(t, xr, yr)
-        ii = _integer_mul(t, xi, yi)
-        sums = _integer_mul(
-            t, list(map(operator.add, xr, xi)), list(map(operator.add, yr, yi))
-        )
+        re = map(operator.sub, _integer_mul(t, xr, yr), _integer_mul(t, xi, yi))
+        im = map(operator.add, _integer_mul(t, xr, yi), _integer_mul(t, xi, yr))
         return tuple(
-            GaussianRational(Fraction(a - b, d), Fraction(c - a - b, d))
-            for a, b, c in zip(rr, ii, sums)
+            GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im)
         )
     xs = [field.of(a).v for a in x]
     ys = [field.of(b).v for b in y]

@@ -211,3 +211,24 @@ def test_each_command_imports_only_its_layers(tmp_path, argv, expected):
         capture_output=True, text=True, env=env, check=True,
     )
     assert set(proc.stdout.split()) == expected
+
+
+def test_package_attributes_load_each_layer_on_first_use():
+    code = (
+        "import sys, fanog2\n"
+        "assert 'fanog2.g2' not in sys.modules\n"
+        "assert fanog2.g2.bracket is sys.modules['fanog2.g2'].bracket\n"
+        "assert fanog2.octonion.mul((1,) + (0,) * 7, (1,) + (0,) * 7)[0] == 1\n"
+        "try:\n"
+        "    fanog2.nope\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fanog2.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert fanog2.__getattr__("radon") is radon
+    with pytest.raises(AttributeError):
+        fanog2.__getattr__("nope")

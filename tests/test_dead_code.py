@@ -26,7 +26,8 @@ def _references(path, tree):
     """(module, name) pairs that a file refers to.
 
     A bare name refers to its own module; `mod.name` and
-    `from ...mod import name` refer to `mod`.
+    `from ...mod import name` refer to `mod`, and `fanog2.name` to the
+    package's `__init__`.
     """
     refs = set()
     for node in ast.walk(tree):
@@ -34,6 +35,8 @@ def _references(path, tree):
             refs.add((path.stem, node.id))
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             refs.add((node.value.id, node.attr))
+            if node.value.id == PACKAGE.name:
+                refs.add(("__init__", node.attr))
         elif isinstance(node, ast.ImportFrom) and node.module:
             mod = node.module.rsplit(".", 1)[-1]
             refs.update((mod, alias.name) for alias in node.names)
