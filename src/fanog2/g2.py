@@ -11,6 +11,7 @@ are those of the canonical composition factor compfactor.EPS_TAU.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 import json
 
 from . import compfactor, fano, linalg, octonion
@@ -62,38 +63,70 @@ def to_vector(x):
     return [x.get(p, 0) for p in PAIRS]
 
 
-def bracket(x, y):
-    """[x, y] via the so(7) structure constants on pairs:
+@lru_cache(maxsize=None)
+def structure_constants():
+    """The so(7) structure constants on pairs, memoized:
 
     [e_{ij}, e_{kl}] = d_ik e_{jl} - d_jk e_{il} + d_il e_{kj} - d_jl e_{ki}.
+
+    Two pairs bracket to zero unless they share exactly one index (e_{ii} =
+    0), and then exactly one delta is 1.  So each e_{ij} has a row of 10
+    entries, 210 in all.  Pairs are named by their index in PAIRS: row r maps
+    the index of e_{kl} to (s, index of e_{mn}), where [PAIRS[r], e_{kl}] =
+    s e_{mn} and m < n.
     """
-    out = {}
+    table = []
+    for i, j in PAIRS:
+        row = {}
+        for k, l in PAIRS:
+            for delta, s, m, n in (
+                (i == k, 1, j, l),
+                (j == k, -1, i, l),
+                (i == l, 1, k, j),
+                (j == l, -1, k, i),
+            ):
+                if delta and m != n:
+                    s, mn = (s, (m, n)) if m < n else (-s, (n, m))
+                    row[PAIR_INDEX[(k, l)]] = (s, PAIR_INDEX[mn])
+        table.append(row)
+    return tuple(table)
 
-    def addt(c, i, j):
-        # e_{ii} = 0, so coincident indices contribute nothing
-        if i == j:
-            return
-        if i > j:
-            i, j = j, i
-            c = -c
-        w = out.get((i, j), 0) + c
-        if w:
-            out[(i, j)] = w
-        else:
-            out.pop((i, j), None)
 
-    for (i, j), a in x.items():
-        for (k, l), b in y.items():
-            c = a * b
-            if i == k:
-                addt(c, j, l)
-            if j == k:
-                addt(-c, i, l)
-            if i == l:
-                addt(c, k, j)
-            if j == l:
-                addt(-c, k, i)
-    return out
+def bracket(x, y):
+    """[x, y] read off structure_constants(), for coefficients of any of the
+    supported fields.  Each term of x meets the 10 constants of its row.
+    When y has fewer terms than that, the loop runs over y and looks each
+    term up in the row; otherwise it runs over the row and reads y as a
+    dense vector.
+    """
+    table = structure_constants()
+    if len(y) < 10:
+        ys = [(PAIR_INDEX[l], b) for l, b in y.items()]
+        out = {}
+        for k, a in x.items():
+            row = table[PAIR_INDEX[k]]
+            for l, b in ys:
+                sm = row.get(l)
+                if sm:
+                    s, m = sm
+                    c = out.get(m, 0)
+                    out[m] = c + a * b if s > 0 else c - a * b
+        terms = out.items()
+    else:
+        yv = [0] * len(PAIRS)
+        for l, b in y.items():
+            yv[PAIR_INDEX[l]] = b
+        out = [0] * len(PAIRS)
+        for k, a in x.items():
+            for l, (s, m) in table[PAIR_INDEX[k]].items():
+                b = yv[l]
+                if b:
+                    if s > 0:
+                        out[m] += a * b
+                    else:
+                        out[m] -= a * b
+        terms = enumerate(out)
+    return {PAIRS[m]: c for m, c in terms if c}
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +408,30 @@ def check_bracket_law():
 
 
 def jacobi_check():
-    """Jacobi identity over all triples of the 14-element basis."""
+    """Jacobi identity on the 14-element basis, certified for all 14^3
+    ordered triples from 196 + 364 checks.
+
+    First [x, y] + [y, x] = 0 on all 196 ordered basis pairs.  The bracket is
+    bilinear, so it is then antisymmetric on all of g2, and the Jacobi sum
+    J(x, y, z) = [x, [y, z]] + [y, [z, x]] + [z, [x, y]], which is cyclic by
+    its form, changes sign when two arguments swap:
+    J(y, x, z) = -J(x, y, z).  So J is alternating: it vanishes when two
+    arguments are equal (2J = 0, characteristic 0), and on any other
+    ordered triple it is +-J of the sorted one.  Second, J = 0 on the 364
+    triples i < j < k.
+    """
     xs = [X(p, d) for p, d in g2_basis()]
     for x in xs:
         for y in xs:
-            for z in xs:
-                s = add_elt(
-                    bracket(x, bracket(y, z)),
-                    add_elt(
-                        bracket(y, bracket(z, x)), bracket(z, bracket(x, y))
-                    ),
-                )
-                if s != {}:
-                    return False
+            if add_elt(bracket(x, y), bracket(y, x)) != {}:
+                return False
+    for x, y, z in combinations(xs, 3):
+        s = add_elt(
+            bracket(x, bracket(y, z)),
+            add_elt(bracket(y, bracket(z, x)), bracket(z, bracket(x, y))),
+        )
+        if s != {}:
+            return False
     return True
 
 

@@ -4,9 +4,10 @@ Matrices are lists of rows of field elements.  No rounding occurs anywhere.
 Rank, span and kernel questions all go through Echelon, a basis that grows
 one row at a time.  Over Q and Q(i) it is fraction-free: each row is a
 primitive vector of integers or of Gaussian integers, reduced by
-cross-multiplication (Bareiss, Math. Comp. 22, 1968).  Over F_p it divides
-in the field.  nullspace brings the Echelon's rows to reduced form and reads
-the kernel basis off them.
+cross-multiplication (Bareiss, Math. Comp. 22, 1968).  Over F_p each row
+is a list of int residues with pivot entry 1; a vector is reduced on plain
+ints and brought back to residues once.  nullspace brings the Echelon's rows
+to reduced form and reads the kernel basis off them, as field elements.
 """
 
 from fractions import Fraction
@@ -38,7 +39,10 @@ class Echelon:
       The row was multiplied by the conjugate of its pivot entry, so that
       entry is a positive integer a, and v is reduced as over Q with
       g = gcd(a, Re f, Im f);
-    - over F_p, field entries with pivot entry one; v <- v - f row.
+    - over F_p, residues in 0..p-1 with pivot entry 1; v <- v - f row on
+      ints, with f the vector's pivot entry mod p, and every entry of v is
+      reduced mod p once all rows are cleared.  Each step adds less than p^2
+      to an entry, so entries stay below (rows + 1) p^2 in between.
     """
 
     def __init__(self, field, rows=()):
@@ -54,7 +58,7 @@ class Echelon:
             return clear_denominators(v)[0]
         if self.field is QI:
             return clear_denominators(gaussian_parts(v))[0]
-        return list(v)
+        return [self.field.of(x).v for x in v]
 
     def _reduce(self, v):
         """v, in kept form, with every stored pivot cleared."""
@@ -83,11 +87,13 @@ class Echelon:
                         v[c] -= fr * br - fi * bi
                         v[c + 1] -= fr * bi + fi * br
         else:
+            p = self.field.p
             for pivot, _, terms in self._rows:
-                f = v[pivot]
+                f = v[pivot] % p
                 if f:
                     for c, b in terms:
                         v[c] -= f * b
+            v = [x % p for x in v]
         return v
 
     def _store(self, v):
@@ -115,8 +121,9 @@ class Echelon:
                  for c in range(0, len(w), 2) if w[c] or w[c + 1]],
             )
         else:
-            inv = self.field.one / x
-            row = (pivot, 1, [(c, inv * y) for c, y in enumerate(v) if y])
+            p = self.field.p
+            inv = pow(x, -1, p)
+            row = (pivot, 1, [(c, inv * y % p) for c, y in enumerate(v) if y])
         self._rows.append(row)
         return True
 
@@ -163,7 +170,7 @@ def nullspace(rows, field):
             elif field is QI:
                 x = GaussianRational(Fraction(-b[0], a), Fraction(-b[1], a))
             else:
-                x = -b[0]
+                x = field.of(-b[0])
             out[c // step] = x
         solved[pivot // step] = out
     basis = []

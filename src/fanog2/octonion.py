@@ -22,12 +22,19 @@ same loop.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 import json
 import operator
 
 from . import compfactor, fano
-from .scalars import QI, QQ, GaussianRational, clear_denominators, gaussian_parts
+from .scalars import (
+    QI,
+    QQ,
+    GaussianRational,
+    PrimeFieldElement,
+    clear_denominators,
+    gaussian_parts,
+)
 
 
 def unit():
@@ -131,9 +138,9 @@ def _dot(x, y):
 def bilinear(x, y):
     """B(x, y) = x_0 y_0 + ... + x_7 y_7, of the type that sum has when
     taken term by term: an int when every coordinate is an int, a Fraction
-    over Q, a GaussianRational over Q(i).  Over Q and Q(i) it is one integer
-    dot product per part over the common denominator; other coordinates
-    (F_p) are summed as field elements.
+    over Q, a GaussianRational over Q(i), a PrimeFieldElement over F_p.  Over
+    Q and Q(i) it is one integer dot product per part over the common
+    denominator; over F_p it is one dot product of residues, reduced once.
     """
     kinds = set(map(type, x)) | set(map(type, y))
     if kinds <= {int, Fraction}:
@@ -149,10 +156,14 @@ def bilinear(x, y):
             Fraction(_dot(xr, yr) - _dot(xi, yi), d),
             Fraction(_dot(xr, yi) + _dot(xi, yr), d),
         )
-    out = x[0] * y[0]
-    for a, b in zip(x[1:], y[1:]):
-        out = out + a * b
-    return out
+    if not kinds <= {int, Fraction, PrimeFieldElement}:
+        raise TypeError("coordinates of no one supported field: %s" % kinds)
+    # F_p: every coordinate is read as a residue of the first field
+    # element's prime, which raises ValueError on an element of another
+    e = next(a for a in chain(x, y) if type(a) is PrimeFieldElement)
+    xs = [e._coerce(a).v for a in x]
+    ys = [e._coerce(b).v for b in y]
+    return PrimeFieldElement(_dot(xs, ys), e.p)
 
 
 # The certificates below work on signed labels (s, c), meaning s e_c.

@@ -1,9 +1,11 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
 from fanog2 import fano, g2, lifting
-from fanog2.scalars import QI, QQ, PrimeField
+from fanog2.scalars import QI, QQ, GaussianRational, PrimeField
 
 
 def test_pair_basis_shape():
@@ -19,6 +21,101 @@ def test_so7_bracket_antisymmetric():
             x = g2.elt((1, *pair1))
             y = g2.elt((1, *pair2))
             assert g2.bracket(x, y) == g2.scale_elt(-1, g2.bracket(y, x))
+
+
+def _reference_bracket(x, y):
+    """[x, y] term by term: [e_ij, e_kl] = d_ik e_jl - d_jk e_il + d_il e_kj
+    - d_jl e_ki on every pair of terms."""
+    out = {}
+
+    def addt(c, i, j):
+        # e_{ii} = 0, so coincident indices contribute nothing
+        if i == j:
+            return
+        if i > j:
+            i, j = j, i
+            c = -c
+        w = out.get((i, j), 0) + c
+        if w:
+            out[(i, j)] = w
+        else:
+            out.pop((i, j), None)
+
+    for (i, j), a in x.items():
+        for (k, l), b in y.items():
+            c = a * b
+            if i == k:
+                addt(c, j, l)
+            if j == k:
+                addt(-c, i, l)
+            if i == l:
+                addt(c, k, j)
+            if j == l:
+                addt(-c, k, i)
+    return out
+
+
+def _same_element(got, want):
+    """Equal as elements, with the same coefficient types term by term."""
+    assert got == want
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
+
+def _combination(rng, coeff):
+    """A dense combination of the 21 X(P, D) with coefficients coeff(rng)."""
+    x = {}
+    for pd in g2.INCIDENT_PAIRS:
+        x = g2.add_elt(x, g2.scale_elt(coeff(rng), g2.X(*pd)))
+    return x
+
+
+def test_bracket_matches_the_pairwise_reference():
+    assert sum(map(len, g2.structure_constants())) == 210
+    basis = [g2.elt((1, *pair)) for pair in g2.PAIRS]
+    for x in basis:
+        for y in basis:
+            _same_element(g2.bracket(x, y), _reference_bracket(x, y))
+    f5, big = PrimeField(5), PrimeField(1000000007)
+    coeffs = {
+        "int": lambda rng: rng.randint(-3, 3),
+        "Fraction": lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        "Q(i)": lambda rng: GaussianRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-3, 3)
+        ),
+        "F_5": lambda rng: f5.of(rng.randrange(5)),
+        "F_p": lambda rng: big.of(rng.randrange(big.p)),
+    }
+    for name, coeff in coeffs.items():
+        rng = random.Random("bracket " + name)
+        dense = [_combination(rng, coeff) for _ in range(6)]
+        # short elements too, so both the row loop and the loop over y run
+        short = [{k: v for k, v in x.items() if rng.random() < 0.2} for x in dense]
+        assert {len(x) >= 10 for x in dense} == {True}
+        assert {len(x) < 10 for x in short} == {True}
+        elements = dense + short + [g2.scale_elt(coeff(rng) or 1, x) for x in basis[::7]]
+        for x in elements:
+            for y in elements:
+                _same_element(g2.bracket(x, y), _reference_bracket(x, y))
+
+
+def test_jacobi_check_catches_a_broken_bracket(monkeypatch):
+    assert g2.jacobi_check()
+    bracket = g2.bracket
+    a, b, c = (g2.X(*pd) for pd in g2.g2_basis()[:3])
+
+    def one_sided(x, y):
+        # [a, b] gains a term that [b, a] lacks: antisymmetry fails
+        return g2.add_elt(bracket(x, y), c) if (x, y) == (a, b) else bracket(x, y)
+
+    def skewed(x, y):
+        # an alternating bilinear term, so only the Jacobi sums can fail
+        t = g2.pair_inner(x, a) * g2.pair_inner(y, b) - g2.pair_inner(y, a) * g2.pair_inner(x, b)
+        return g2.add_elt(bracket(x, y), g2.scale_elt(t, c))
+
+    assert g2.add_elt(skewed(a, b), skewed(b, a)) == {} != skewed(a, b)
+    for bad in (one_sided, skewed):
+        monkeypatch.setattr(g2, "bracket", bad)
+        assert not g2.jacobi_check()
 
 
 def test_spinor_representation_faithful_bracket():

@@ -6,7 +6,15 @@ import pytest
 from fanog2 import linalg
 from fanog2.scalars import QI, QQ, GaussianRational, PrimeField
 
-FIELDS = {"Q": QQ, "Q(i)": QI, "F_p": PrimeField(1000003)}
+# F_p rows are kept as int residues; entries grow to about rows * p^2
+# before the final reduction, past 2^128 for the prime near 2^63.
+FIELDS = {
+    "Q": QQ,
+    "Q(i)": QI,
+    "F_p": PrimeField(1000003),
+    "F_7": PrimeField(7),
+    "F_p near 2^63": PrimeField(2**63 - 25),
+}
 
 
 def _entry(rng, field):
@@ -30,6 +38,20 @@ def _gaussian(rng):
     """
     re, im = _rational(rng), _rational(rng)
     return GaussianRational(re, im) if im else re
+
+
+def _residue(rng, field):
+    """An int, a Fraction or an element of the prime field, with values up
+    to p, so rows mix the three types.
+    """
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-field.p, field.p)
+    if kind == 1:
+        return Fraction(rng.randint(-field.p, field.p), rng.randint(1, 6))
+    if kind == 2:
+        return 0
+    return field.of(rng.randrange(field.p))
 
 
 def _combination(rng, rows, entry):
@@ -120,7 +142,10 @@ def _check_against_rref(rng, field, entry):
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_echelon_agrees_with_rref(name):
     field = FIELDS[name]
-    _check_against_rref(random.Random(name), field, lambda rng: _entry(rng, field))
+    rng = random.Random(name)
+    _check_against_rref(rng, field, lambda rng: _entry(rng, field))
+    if field not in (QQ, QI):
+        _check_against_rref(rng, field, lambda rng: _residue(rng, field))
 
 
 def test_rational_echelon_agrees_with_rref():
@@ -159,6 +184,8 @@ def test_nullspace_is_the_reduced_kernel_basis(name):
         # Fraction parts, and rows sharing a Gaussian factor no integer clears
         factor = (QI.one + QI.sqrt_minus_one()) * (QI.of(2) + QI.sqrt_minus_one())
         entries += [_gaussian, lambda rng: factor * _entry(rng, field)]
+    if field not in (QQ, QI):
+        entries.append(lambda rng: _residue(rng, field))
     for entry in entries:
         for rank, nrows, ncols in ((3, 6, 5), (5, 8, 9), (4, 4, 9), (6, 6, 6), (7, 7, 3)):
             rows = _deficient(rng, entry, rank, nrows, ncols)

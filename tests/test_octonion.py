@@ -220,6 +220,9 @@ def test_mixed_prime_fields_raise():
             octonion.mul(x, y, compfactor.EPS_TAU, field)
     with pytest.raises(ValueError):
         octonion.bilinear(x, y)
+    # coordinates of no supported field
+    with pytest.raises(TypeError):
+        octonion.bilinear(x, (0.5,) * 8)
 
 
 def test_table_formats():
