@@ -172,7 +172,7 @@ def suite_radon(opts):
             len(radon.mult_kernel()),
         ),
     ]
-    ok = True
+    ok = len(radon.concurrent_triples()) == 7
     for f in range(128):
         lhs, rhs = radon.concurrency_identity(f)
         if any(v != rhs for v in lhs):

@@ -39,17 +39,12 @@ def is_composition_factor(eps):
     """
     for d in fano.LINES:
         for p, q, r in permutations(sorted(fano.LINE_POINTS[d])):
-            if eps_get(eps, p, q) * eps_get(eps, q, r) != 1:
+            if eps[p - 1][q - 1] * eps[q - 1][r - 1] != 1:
                 return False
     for d in fano.LINES:
         for p, q, r, s in permutations(sorted(fano.QUADRILATERALS[d])):
-            v = (
-                eps_get(eps, p, q)
-                * eps_get(eps, q, r)
-                * eps_get(eps, r, s)
-                * eps_get(eps, s, p)
-            )
-            if v != -1:
+            v = eps[p - 1][q - 1] * eps[q - 1][r - 1]
+            if v * eps[r - 1][s - 1] * eps[s - 1][p - 1] != -1:
                 return False
     return True
 
@@ -122,15 +117,8 @@ def enumerate_composition_factors():
 
 def act(g, eps):
     """Left action: (g.eps)_{PQ} = eps_{g^-1 P, g^-1 Q}."""
-    ginv = fano.inverse(g)
-    table = [[0] * 7 for _ in range(7)]
-    for p in fano.POINTS:
-        for q in fano.POINTS:
-            if p != q:
-                table[p - 1][q - 1] = eps_get(
-                    eps, fano.apply(ginv, p), fano.apply(ginv, q)
-                )
-    return _freeze(table)
+    idx = [p - 1 for p in fano.inverse(g)]
+    return tuple(tuple(eps[i][j] for j in idx) for i in idx)
 
 
 def orbit(eps):

@@ -143,6 +143,7 @@ def all_collineations():
     return tuple(sorted(result))
 
 
+@lru_cache(maxsize=None)
 def order(g):
     n = 1
     h = g

@@ -637,8 +637,8 @@ _ONE = 1 << 7  # the affine form with value 1 at every sign vector
 
 
 def _delta_hat_forms(g):
-    """The affine form of each bit of the sign word of (g, s), and the error
-    message of each check bit, for a collineation g.
+    """The affine form of each bit of the sign word of (g, s), for a
+    collineation g.
 
     ghat = (g, s) fixes e_0 and sends e_Q to s_Q e_{gQ}, so conjugating a
     spinor matrix moves its entry (a, b) to (ga, gb) times s_a s_b (with
@@ -657,7 +657,7 @@ def _delta_hat_forms(g):
     """
     img = (0,) + g
     lines = fano.line_perm(g)
-    signs, checks, errors = [], [], []
+    signs, checks = [], []
     for p in fano.POINTS:
         leads = []
         for d in fano.lines_through(p):
@@ -671,31 +671,35 @@ def _delta_hat_forms(g):
             leads.append(forms[0])
             checks += [f ^ forms[0] for f in forms[1:]]
             checks.append(0 if lands else _ONE)
-            errors += [
-                "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
-            ] * len(forms)
         signs.append(leads[0])
         checks += [lead ^ leads[0] for lead in leads[1:]]
-        errors += ["delta depends on the line at P%d" % p] * (len(leads) - 1)
-    return signs + checks, errors
+    return signs + checks
 
 
 @lru_cache(maxsize=None)
 def _delta_hat_layout():
     """What the sign words share for every g: the word of each point Q,
-    XORed in when s_Q is -1, and the error message of each check bit."""
-    forms, errors = _delta_hat_forms(fano.IDENTITY)
+    XORed in when s_Q is -1, and the error message of each check bit, in
+    the order in which _delta_hat_forms appends the checks."""
+    forms = _delta_hat_forms(fano.IDENTITY)
     cols = tuple(
         sum((f >> q & 1) << k for k, f in enumerate(forms)) for q in range(7)
     )
+    errors = []
+    for p in fano.POINTS:
+        ds = fano.lines_through(p)
+        for d in ds:
+            errors += [
+                "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
+            ] * len(_x_entries(p, d))
+        errors += ["delta depends on the line at P%d" % p] * (len(ds) - 1)
     return cols, tuple(errors)
 
 
 @lru_cache(maxsize=None)
 def _delta_hat_word(g):
     """The sign word of (g, +1), memoized per collineation."""
-    forms, _ = _delta_hat_forms(g)
-    return sum(f >> 7 << k for k, f in enumerate(forms))
+    return sum(f >> 7 << k for k, f in enumerate(_delta_hat_forms(g)))
 
 
 @lru_cache(maxsize=2048)

@@ -21,9 +21,7 @@ from . import compfactor, fano, radon
 def _pair_sign(g, p, q):
     """eps_PQ * eps_{gP,gQ}."""
     eps = compfactor.EPS_TAU
-    return compfactor.eps_get(eps, p, q) * compfactor.eps_get(
-        eps, fano.apply(g, p), fano.apply(g, q)
-    )
+    return eps[p - 1][q - 1] * eps[g[p - 1] - 1][g[q - 1] - 1]
 
 
 def delta_star(g, d):
@@ -34,8 +32,10 @@ def delta_star(g, d):
     return _pair_sign(g, p, q)
 
 
+@lru_cache(maxsize=None)
 def delta_star_fn(g):
-    """The sign function D -> delta_star(g, D) as a 7-tuple."""
+    """The sign function D -> delta_star(g, D) as a 7-tuple; memoized per
+    collineation."""
     return tuple(delta_star(g, d) for d in fano.LINES)
 
 
@@ -76,18 +76,21 @@ def delta_star_properties():
             if prod != 1:
                 return False
     masks = {g: radon.from_values(v < 0 for v in fn) for g, fn in fns.items()}
-    values = set(masks.values())
+    listed = [masks[g] for g in group]
+    values = set(listed)
     for g1 in group:
         after_g1 = itemgetter(*(p - 1 for p in g1))  # g2 -> g2 g1
-        # m(g1 D) at bit D - 1, for each mask m that occurs
+        # m(g1 D) at bit D - 1, times delta*(g1, D), for each mask m that occurs
+        m1 = masks[g1]
         moved = {
-            m: radon.from_values(m >> (e - 1) for e in fano.line_perm(g1))
+            m: radon.from_values(m >> (e - 1) for e in fano.line_perm(g1)) ^ m1
             for m in values
         }
-        m1 = masks[g1]
-        for g2 in group:
-            if masks[after_g1(g2)] != moved[masks[g2]] ^ m1:
-                return False
+        # the masks of g2 g1 against the moved masks of g2, for all g2 at once
+        if list(map(masks.__getitem__, map(after_g1, group))) != list(
+            map(moved.__getitem__, listed)
+        ):
+            return False
     return True
 
 
@@ -147,11 +150,22 @@ def aug_inverse(aug):
 
 
 def aug_order(aug):
-    n = 1
-    h = aug
-    while h != AUG_IDENTITY:
-        h = aug_compose(aug, h)
-        n += 1
+    """The order of (g, s), in closed form: n or 2n, for n = ord(g).
+
+    By aug_compose, (g, s)^k = (g^k, s_k) with s_k(P) = s(P) s(gP) ...
+    s(g^(k-1) P).  The order is a multiple of n, since (g, s) -> g is a
+    homomorphism, and (g, s)^n = (1, s_n).  So it is n if s_n is +1 at every
+    P; otherwise (1, s_n) has order 2, and the order of (g, s) is 2n.
+    """
+    g, s = aug
+    n = fano.order(g)
+    for p in fano.POINTS:
+        sign, q = 1, p
+        for _ in range(n):
+            sign *= s[q - 1]
+            q = g[q - 1]
+        if sign < 0:
+            return 2 * n
     return n
 
 
@@ -198,8 +212,10 @@ def _radon_preimages():
     return table
 
 
+@lru_cache(maxsize=None)
 def lifts(g):
-    """The sign functions lifting g (eight of them), via Radon preimages.
+    """The sign functions lifting g (eight of them), via Radon preimages;
+    memoized per collineation, so each (g, s) is checked once.
 
     A sign tuple s lifts g iff its multiplicative Radon transform equals
     delta_star(g, .); only candidates validated as algebra automorphisms are

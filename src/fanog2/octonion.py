@@ -173,17 +173,32 @@ def polarized_norm_identity(eps):
     """<e_a e_b, e_c e_d> + <e_a e_d, e_c e_b> = 2 d_ac d_bd on all 8^4
     quadruples: N(xy) = N(x)N(y) polarized in x and in y, so it holds on the
     basis iff the norm is multiplicative (characteristic != 2).
+
+    For fixed (a, c) the left side is M + M^T at (b, d), with M[b][d] =
+    <e_a e_b, e_c e_d>.  When the labels of rows a and c of the table are
+    permutations, M is a signed permutation matrix: its one nonzero entry
+    in row b sits at the d with e_c e_d on the label of e_a e_b.  So M + M^T
+    can be nonzero only at those (b, d) and their transposes, where it is
+    checked; when a = c every such d is b, so the 2 on the diagonal is
+    checked there too.  That certifies all 64 entries from 8 per (a, c).
+    If the labels of a row a are no permutation, e_a e_b and e_a e_d share
+    a label for some b != d, the identity fails at (a, b, a, d), and the
+    answer is False.
     """
     t = products(eps)
-
-    def inner(u, v):
-        return u[0] * v[0] if u[1] == v[1] else 0
-
-    return all(
-        inner(t[a][b], t[c][d]) + inner(t[a][d], t[c][b])
-        == (2 if a == c and b == d else 0)
-        for a, b, c, d in product(range(8), repeat=4)
-    )
+    if any(sorted(k for _, k in row) != list(range(8)) for row in t):
+        return False
+    # where[c][k]: the d with e_c e_d = +-e_k
+    where = [{k: d for d, (_, k) in enumerate(row)} for row in t]
+    for a, c in product(range(8), repeat=2):
+        ra, rc = t[a], t[c]
+        for b, (s, k) in enumerate(ra):
+            d = where[c][k]
+            sd, kd = ra[d]
+            partner = sd * rc[b][0] if kd == rc[b][1] else 0
+            if s * rc[d][0] + partner != (2 if a == c and b == d else 0):
+                return False
+    return True
 
 
 def _mul(t, u, v):

@@ -172,6 +172,22 @@ def test_radon_claim_fails_instead_of_raising(monkeypatch):
     assert checks["AC4.mult-image"]["observed"] == (-1, -1, -1, -1, -1, -1, 1)
 
 
+def test_concurrency_claim_counts_the_triples(monkeypatch):
+    # line addition broken so that no three lines are concurrent: the
+    # identity then holds on every triple found, vacuously, and only the
+    # count of 7 triples can fail, as a FAIL record rather than a raise
+    monkeypatch.setattr(fano, "line_add", lambda d1, d2: 0)
+    radon.concurrent_triples.cache_clear()
+    try:
+        opts = cli.build_parser().parse_args(["verify", "radon"])
+        checks = {c["claim"]: c for c in cli.suite_radon(opts)}
+        assert radon.concurrent_triples() == ()
+    finally:
+        radon.concurrent_triples.cache_clear()
+    assert checks["AC4.concurrency"]["pass"] is False
+    assert all(c["pass"] for k, c in checks.items() if k != "AC4.concurrency")
+
+
 # the fanog2 modules that a fresh interpreter holds after each command: every
 # command imports only the layers it runs (fano always brings linalg)
 BASE = {"fanog2", "fanog2.cli", "fanog2.scalars"}

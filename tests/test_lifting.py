@@ -1,3 +1,5 @@
+import pytest
+
 from fanog2 import compfactor, fano, lifting, octonion
 
 
@@ -23,14 +25,56 @@ def test_delta_star_pair_independent():
             assert vals.pop() == lifting.delta_star(g, d)
 
 
-def test_delta_star_global_identities(monkeypatch):
+# memoized per collineation, and read compfactor.EPS_TAU when filled
+COLLINEATION_MEMOS = (
+    lifting.delta_star_fn,
+    lifting.lifts,
+    lifting.enumerate_aug_group,
+)
+
+
+def _clear_memos():
+    for memo in COLLINEATION_MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def fresh_memos():
+    """Clear the per-collineation memos before and after a test that patches
+    compfactor.EPS_TAU, so no value computed under the patch outlives it."""
+    _clear_memos()
+    yield
+    _clear_memos()
+
+
+def _flipped_pair():
+    """EPS_TAU with one antisymmetric pair flipped."""
+    table = [list(row) for row in compfactor.EPS_TAU]
+    table[0][1], table[1][0] = table[1][0], table[0][1]
+    return tuple(map(tuple, table))
+
+
+def test_delta_star_global_identities(monkeypatch, fresh_memos):
     assert lifting.delta_star_properties()
     # one antisymmetric pair flipped: the sign of some line then depends on
     # the pair chosen in it, which the identities report rather than raise
-    table = [list(row) for row in compfactor.EPS_TAU]
-    table[0][1], table[1][0] = table[1][0], table[0][1]
-    monkeypatch.setattr(compfactor, "EPS_TAU", tuple(map(tuple, table)))
+    monkeypatch.setattr(compfactor, "EPS_TAU", _flipped_pair())
+    _clear_memos()
     assert lifting.delta_star_properties() is False
+
+
+def test_memos_filled_under_a_patch_are_cleared(monkeypatch, fresh_memos):
+    clean = {g: lifting.delta_star_fn(g) for g in fano.all_collineations()}
+    _clear_memos()
+    monkeypatch.setattr(compfactor, "EPS_TAU", _flipped_pair())
+    patched = {g: lifting.delta_star_fn(g) for g in fano.all_collineations()}
+    short = [g for g in fano.all_collineations() if len(lifting.lifts(g)) != 8]
+    # the patch changes what the memos hold, so a stale one would be seen
+    assert patched != clean and short
+    monkeypatch.undo()
+    _clear_memos()
+    assert lifting.delta_star_properties()
+    assert all(len(lifting.lifts(g)) == 8 for g in fano.all_collineations())
 
 
 def test_distinguished_points():
@@ -107,3 +151,21 @@ def test_diagram_emitters():
     dot = lifting.delta_star_diagram_dot()
     assert dot.count("graph ") == 8
     assert "doublecircle" in dot
+
+
+def _iterated_order(aug):
+    """The order of aug by composing it with itself until the identity."""
+    n, h = 1, aug
+    while h != lifting.AUG_IDENTITY:
+        h = lifting.aug_compose(aug, h)
+        n += 1
+    return n
+
+
+def test_closed_form_order_matches_iteration():
+    # the lifts, and their negatives (g, -s), which are no automorphisms
+    group = lifting.enumerate_aug_group()
+    negatives = [(g, tuple(-v for v in s)) for g, s in group]
+    assert len(set(negatives) | set(group)) == 2688
+    for aug in list(group) + negatives:
+        assert lifting.aug_order(aug) == _iterated_order(aug), aug

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -116,6 +117,59 @@ def test_certificates_reject_a_flipped_pair(monkeypatch):
     assert not octonion.is_alternative()
     assert not octonion.clifford_identity()
     assert not octonion.lines_are_associative()
+
+
+def _failing_quadruples(t):
+    """The quadruples (a, b, c, d) of all 8^4 on which <e_a e_b, e_c e_d> +
+    <e_a e_d, e_c e_b> = 2 d_ac d_bd fails, for a table t of signed labels:
+    the reference for polarized_norm_identity."""
+
+    def inner(u, v):
+        return u[0] * v[0] if u[1] == v[1] else 0
+
+    return [
+        (a, b, c, d)
+        for a, b, c, d in product(range(8), repeat=4)
+        if inner(t[a][b], t[c][d]) + inner(t[a][d], t[c][b])
+        != (2 if a == c and b == d else 0)
+    ]
+
+
+def test_sparse_norm_identity_matches_the_quadruple_loop():
+    for eps in (compfactor.EPS_TAU,) + compfactor.line_orientations():
+        reference = not _failing_quadruples(octonion.products(eps))
+        assert octonion.polarized_norm_identity(eps) is reference, eps
+
+
+def _patched(monkeypatch, rows):
+    bad = tuple(map(tuple, rows))
+    monkeypatch.setattr(octonion, "products", lambda eps: bad)
+    return _failing_quadruples(bad)
+
+
+def test_sparse_norm_identity_rejects_a_repeated_label(monkeypatch):
+    t = octonion.products(compfactor.EPS_TAU)
+    rows = [list(row) for row in t]
+    rows[1][1] = (rows[1][1][0], rows[1][0][1])  # row 1 is no permutation
+    assert _patched(monkeypatch, rows)
+    assert octonion.polarized_norm_identity(compfactor.EPS_TAU) is False
+    # every entry of every row given the label of another entry of its row
+    for a, b, b2 in product(range(8), repeat=3):
+        if b != b2:
+            rows = [list(row) for row in t]
+            rows[a][b] = (rows[a][b][0], rows[a][b2][1])
+            bad = tuple(map(tuple, rows))
+            monkeypatch.setattr(octonion, "products", lambda eps: bad)
+            assert octonion.polarized_norm_identity(compfactor.EPS_TAU) is False
+
+
+def test_sparse_norm_identity_checks_the_diagonal(monkeypatch):
+    # every sign doubled: M + M^T = 4 (2 d_ac d_bd), wrong only where a = c
+    # and b = d
+    t = octonion.products(compfactor.EPS_TAU)
+    failing = _patched(monkeypatch, [[(2 * s, k) for s, k in row] for row in t])
+    assert failing and all(a == c and b == d for a, b, c, d in failing)
+    assert octonion.polarized_norm_identity(compfactor.EPS_TAU) is False
 
 
 def test_norm_identity_on_line_orientations():
