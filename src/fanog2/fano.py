@@ -11,8 +11,6 @@ predicate.
 from functools import lru_cache
 from itertools import permutations
 
-from . import linalg
-
 # label -> 3-bit mask, generated by the recurrence P_{i+3} = P_i + P_{i+1}
 MASK = {1: 0b001, 2: 0b010, 3: 0b100, 4: 0b011, 5: 0b110, 6: 0b111, 7: 0b101}
 LABEL = {m: i for i, m in MASK.items()}
@@ -174,36 +172,20 @@ def line_perm(g):
     return tuple(line_image(g, d) for d in LINES)
 
 
-def as_matrix(g):
-    """3x3 Z_2 matrix of g in the basis (P1, P2, P3) = (001, 010, 100)."""
-    cols = [MASK[g[LABEL[1 << j] - 1]] for j in range(3)]
-    return [[(cols[j] >> i) & 1 for j in range(3)] for i in range(3)]
-
-
 def order7_minimal_polynomial(g):
     """Which cubic over Z_2 annihilates an order-7 collineation.
 
-    Returns 'x^3+x^2+1' or 'x^3+x+1'.
+    Returns 'x^3+x^2+1' or 'x^3+x+1'.  g is linear on the masks, so
+    g^3 + h + 1 = 0 (h = g^2 or g) holds iff it holds on the seven nonzero
+    vectors: MASK[g^3 P] ^ MASK[h P] == MASK[P] for every point P.
     """
     if order(g) != 7:
         raise ValueError("collineation is not of order 7")
-    m = as_matrix(g)
-    m2 = linalg.mat_mul(m, m)
-    m3 = linalg.mat_mul(m2, m)
-    ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-
-    def is_zero(mat):
-        return all(v == 0 for row in mat for v in row)
-
-    def madd(*ms):
-        return [
-            [sum(mm[i][j] for mm in ms) % 2 for j in range(3)] for i in range(3)
-        ]
-
-    if is_zero(madd(m3, m2, ident)):
-        return "x^3+x^2+1"
-    if is_zero(madd(m3, m, ident)):
-        return "x^3+x+1"
+    g2 = compose(g, g)
+    g3 = compose(g, g2)
+    for h, tag in ((g2, "x^3+x^2+1"), (g, "x^3+x+1")):
+        if all(MASK[g3[p - 1]] ^ MASK[h[p - 1]] == MASK[p] for p in POINTS):
+            return tag
     raise AssertionError("order-7 element annihilated by neither cubic")
 
 

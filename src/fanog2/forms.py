@@ -7,7 +7,9 @@ wedge products resolve signs by inversion parity.  The distinguished forms
     Omega = sum over quadrilaterals {P,Q,R,S} of eps_PQ eps_RS e^P^e^Q^e^R^e^S
 
 are each a sum of 7 terms with ordering-independent coefficients, and are
-killed by the derivation action of every generator X_{P,D}.
+killed by the derivation action of every generator X_{P,D}.  Forms are
+sparse dicts like the so(7) elements of g2, so g2.add_elt, g2.scale_elt and
+g2.pair_inner add, scale and pair them.
 """
 
 from itertools import combinations, permutations
@@ -30,38 +32,6 @@ def _sort_with_sign(idx):
     if len(set(lst)) != len(lst):
         return None, 0
     return tuple(lst), sign
-
-
-def form(terms=()):
-    """Build a form from (coeff, indices) terms."""
-    out = {}
-    for c, idx in terms:
-        key, s = _sort_with_sign(tuple(idx))
-        if key is None:
-            continue
-        v = out.get(key, 0) + (c if s == 1 else -c)
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return out
-
-
-def add_forms(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, 0) + v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
-
-def scale_form(c, a):
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
 
 
 def wedge(a, b):
@@ -172,14 +142,6 @@ def so7_derivation(x, a):
     return out
 
 
-def inner(a, b):
-    """Inner product with sorted subsets orthonormal."""
-    out = 0
-    for k, v in a.items():
-        out += v * b.get(k, 0)
-    return out
-
-
 def derivation_kills_forms():
     om = omega()
     Om = big_omega()
@@ -235,4 +197,4 @@ def norm_report():
     """
     om = omega()
     Om = big_omega()
-    return {"omega": inner(om, om), "Omega": inner(Om, Om)}
+    return {"omega": g2.pair_inner(om, om), "Omega": g2.pair_inner(Om, Om)}

@@ -3,7 +3,10 @@
 Elements of so(7) are sparse dicts {(i,j): coefficient} over the 21-element
 pair basis e_{PiPj} (i < j), with e_{PjPi} = -e_{PiPj}.  Two independent
 evaluation paths are maintained throughout: structure constants on the pair
-basis, and 8x8 spinor matrices acting on the octonion coordinates.  g2 is
+basis, and 8x8 spinor matrices acting on the octonion coordinates.  A
+spinor matrix is kept as its nonzero entries {(row, col): value}, and
+_product is the one matrix product; commutators, J^2 and J^T J go through
+it.  g2 is
 the annihilator of the unit octonion; its generators X_{P,D} are indexed by
 the 21 incident point-line pairs.  The generators, and so every sign below,
 are those of the canonical composition factor compfactor.EPS_TAU.
@@ -130,88 +133,59 @@ def bracket(x, y):
 
 
 # ---------------------------------------------------------------------------
-# spinor matrices (integer fast path: everything scaled by 2)
-
-
-def _left_mult_int(p):
-    """8x8 integer matrix of left multiplication by e_p on the octonions."""
-    m = [[0] * 8 for _ in range(8)]
-    for j, (s, k) in enumerate(octonion.products(compfactor.EPS_TAU)[p]):
-        m[k][j] = s
-    return m
+# spinor matrices, each kept as its nonzero entries {(row, col): value}
 
 
 @lru_cache(maxsize=None)
 def rho():
-    """rho()[p] for p in 1..7; index 0 holds the identity matrix."""
-    mats = [None] * 8
-    mats[0] = [[1 if i == j else 0 for j in range(8)] for i in range(8)]
-    for p in fano.POINTS:
-        mats[p] = _left_mult_int(p)
-    return mats
+    """rho()[p], p = 1..7: left multiplication by e_p on the octonions."""
+    t = octonion.products(compfactor.EPS_TAU)
+    return {p: {(k, j): s for j, (s, k) in enumerate(t[p])} for p in fano.POINTS}
+
+
+def _product(a, b):
+    """ab for matrices given by their entries; zeros are dropped."""
+    rows = {}
+    for (k, j), v in b.items():
+        rows.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), u in a.items():
+        for j, v in rows.get(k, ()):
+            out[(i, j)] = out.get((i, j), 0) + u * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _commutator(a, b):
+    return add_elt(_product(a, b), scale_elt(-1, _product(b, a)))
 
 
 @lru_cache(maxsize=None)
 def pair_matrix2():
-    """2 * rho_hat(e_{PiPj}) = (1/2)[rho_i, rho_j]: integer 8x8 matrices."""
+    """2 * rho_hat(e_{PiPj}) = (1/2)[rho_i, rho_j], integer entries."""
     r = rho()
-    out = {}
-    for i, j in PAIRS:
-        m = _commutator(_entries(r[i]), _entries(r[j]))
-        out[(i, j)] = tuple(
-            tuple(m.get((a, b), 0) // 2 for b in range(8)) for a in range(8)
-        )
-    return out
+    return {
+        (i, j): {k: v // 2 for k, v in _commutator(r[i], r[j]).items()}
+        for i, j in PAIRS
+    }
 
 
 def matrix2(x):
     """2 * spinor matrix of a pair-basis element with integer coefficients."""
     pm = pair_matrix2()
-    m = [[0] * 8 for _ in range(8)]
+    out = {}
     for k, c in x.items():
-        t = pm[k]
-        for i in range(8):
-            row = t[i]
-            mi = m[i]
-            for j in range(8):
-                if row[j]:
-                    mi[j] += c * row[j]
-    return m
+        out = add_elt(out, scale_elt(c, pm[k]))
+    return out
 
 
 @lru_cache(maxsize=None)
 def x_matrix2(p, d):
     """2 * spinor matrix of the generator X_{P,D}, memoized (21 in all)."""
-    return tuple(map(tuple, matrix2(X(p, d))))
-
-
-@lru_cache(maxsize=None)
-def _x_entries(p, d):
-    """The nonzero entries of x_matrix2(p, d), memoized."""
-    return _entries(x_matrix2(p, d))
-
-
-def _entries(m):
-    """The nonzero entries of a dense matrix as {(row, col): value}."""
-    return {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
-
-
-def _commutator(a, b):
-    """ab - ba for sparse matrices {(row, col): value}; zeros are dropped."""
-    out = {}
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        rows = {}
-        for (k, j), v in y.items():
-            rows.setdefault(k, []).append((j, v))
-        for (i, k), u in x.items():
-            for j, v in rows.get(k, ()):
-                out[(i, j)] = out.get((i, j), 0) + sign * u * v
-    return {k: v for k, v in out.items() if v}
+    return matrix2(X(p, d))
 
 
 def annihilates_unit(x):
-    m2 = matrix2(x)
-    return all(m2[i][0] == 0 for i in range(8))
+    return all(col != 0 for _, col in matrix2(x))
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +240,8 @@ def annihilator_dimension():
 
     The map x -> 2*rho_hat(x)(unit) is linear in the 21 pair coordinates.
     """
-    cols = []
-    for k in PAIRS:
-        m = pair_matrix2()[k]
-        cols.append([m[i][0] for i in range(8)])
-    rows = [[cols[n][i] for n in range(len(PAIRS))] for i in range(8)]
+    pm = pair_matrix2()
+    rows = [[pm[k].get((i, 0), 0) for k in PAIRS] for i in range(8)]
     return len(PAIRS) - linalg.rank(rows, QQ)
 
 
@@ -293,7 +264,7 @@ def eps_star():
     permutation induced by the point shift; a 7x7 sign table on line labels.
 
     The sign convention is pinned by the exhaustive matrix cross-check in
-    action_on_basis: with this orientation the incidence formula for
+    action_formula_holds: with this orientation the incidence formula for
     [X_{P,D}, e_Q] reproduces the spinor commutators exactly, while the
     opposite orientation flips every off-line sign.
     """
@@ -303,30 +274,26 @@ def eps_star():
 def action_on_basis(p, d, q):
     """[X_{P,D}, e_Q] as a signed point: (sign, point) or (0, 0) if Q in D.
 
-    Predicted by sign = eps_{PQ} * eps*_{P^Q, D}; verified against the
-    spinor-matrix commutator on every call.
+    Predicted by sign = eps_{PQ} * eps*_{P^Q, D}.
     """
     _check_incident(p, d)
     if q in fano.LINE_POINTS[d]:
-        predicted = (0, 0)
-    else:
-        eps_pq = compfactor.eps_get(compfactor.EPS_TAU, p, q)
-        s = eps_pq * eps_star()[fano.wedge(p, q) - 1][d - 1]
-        predicted = (s, fano.add(p, q))
-    # independent path: commutator of 2*rho_hat(X) with rho(e_q) is
-    # 2*rho([X, e_q]); compare with 2*sign*rho(e_{p+q}).
-    c = _commutator(_x_entries(p, d), _entries(rho()[q]))
-    if predicted[0] == 0:
-        ok = c == {}
-    else:
-        t = _entries(rho()[predicted[1]])
-        ok = c == {k: 2 * predicted[0] * v for k, v in t.items()}
-    if not ok:
-        raise AssertionError(
-            "action formula disagrees with the matrix action at (P%d,D%d,P%d)"
-            % (p, d, q)
-        )
-    return predicted
+        return 0, 0
+    eps_pq = compfactor.eps_get(compfactor.EPS_TAU, p, q)
+    return eps_pq * eps_star()[fano.wedge(p, q) - 1][d - 1], fano.add(p, q)
+
+
+def action_formula_holds():
+    """action_on_basis against the spinor matrices on all 147 cases (P, D, Q):
+    the commutator of 2 rho_hat(X_{P,D}) with rho(e_Q) is 2 rho([X_{P,D}, e_Q]).
+    """
+    r = rho()
+    for p, d in INCIDENT_PAIRS:
+        for q in fano.POINTS:
+            s, k = action_on_basis(p, d, q)
+            if _commutator(x_matrix2(p, d), r[q]) != (scale_elt(2 * s, r[k]) if s else {}):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +367,8 @@ def check_bracket_law():
             law = bracket_law(a, b)
             if sc != law:
                 return False
-            c = _commutator(_x_entries(*a), _x_entries(*b))
             # [2A, 2B] = 4[A,B] = 2 * (2[A,B])
-            if c != {k: 2 * v for k, v in _entries(matrix2(sc)).items()}:
+            if _commutator(x_matrix2(*a), x_matrix2(*b)) != scale_elt(2, matrix2(sc)):
                 return False
     return True
 
@@ -468,23 +434,15 @@ def centralizer_in_g2(elements):
 
 
 def cartan_self_centralizing(p):
+    """h_P is abelian, so it lies in its centralizer; equal dimensions then
+    make the two equal."""
     hp = [X(p, d) for d in fano.lines_through(p)]
-    cen = centralizer_in_g2(hp)
-    if len(cen) != 2:
-        return False
-    basis = [X(pp, dd) for pp, dd in g2_basis()]
-    cen_rows = []
-    for vec in cen:
-        x = {}
-        for c, b in zip(vec, basis):
-            x = add_elt(x, scale_elt(c, _felt(b, QQ)))
-        cen_rows.append([x.get(pr, QQ.zero) for pr in PAIRS])
-    hp_rows = [to_vector(h) for h in hp]
-    return linalg.span_equal(cen_rows, hp_rows, QQ)
+    return cartan_is_abelian(p) and len(centralizer_in_g2(hp)) == cartan_dimension(p)
 
 
 def pair_inner(x, y):
-    """Inner product with the pair basis orthonormal."""
+    """Inner product with the keys orthonormal: the pair basis here, the
+    sorted subsets of a form in forms."""
     out = 0
     for k, v in x.items():
         out += v * y.get(k, 0)
@@ -569,23 +527,20 @@ def line_subalgebra_report(d):
     report["ix_dim"] = linalg.rank([to_vector(xs[s]) for s in (p, q, r)], QQ)
     report["iy_dim"] = linalg.rank([to_vector(ys[s]) for s in (p, q, r)], QQ)
     # invariant subspaces of the octonion action: span(e_P: P in D) and its
-    # complement are stable; I_X acts as zero on the first
-    on_line = sorted(fano.LINE_POINTS[d])
-    off_line = sorted(set(fano.POINTS) - fano.LINE_POINTS[d])
-    stable = True
-    ix_trivial = True
-    for s in (p, q, r):
-        for m2, is_x in ((x_matrix2(s, d), True), (matrix2(ys[s]), False)):
-            for col in on_line:
-                if any(m2[i][col] != 0 for i in [0] + off_line):
-                    stable = False
-                if is_x and any(m2[i][col] != 0 for i in range(8)):
-                    ix_trivial = False
-            for col in off_line:
-                if any(m2[i][col] != 0 for i in [0] + on_line):
-                    stable = False
-    report["invariant_subspaces"] = stable
-    report["ix_acts_trivially_on_line"] = ix_trivial
+    # complement in Im(O) are stable, so an entry in the column of a point
+    # lies in the row of a point on the same side of D; I_X acts as zero on
+    # the first, so its matrices have no entry in the column of a point on D
+    line = fano.LINE_POINTS[d]
+    xm = [x_matrix2(s, d) for s in (p, q, r)]
+    ym = [matrix2(ys[s]) for s in (p, q, r)]
+    report["invariant_subspaces"] = all(
+        col == 0 or (i != 0 and (i in line) == (col in line))
+        for m2 in xm + ym
+        for i, col in m2
+    )
+    report["ix_acts_trivially_on_line"] = all(
+        col not in line for m2 in xm for _, col in m2
+    )
     return report
 
 
@@ -661,8 +616,8 @@ def _delta_hat_forms(g):
     for p in fano.POINTS:
         leads = []
         for d in fano.lines_through(p):
-            source = _x_entries(p, d)
-            target = _x_entries(g[p - 1], lines[d - 1])
+            source = x_matrix2(p, d)
+            target = x_matrix2(g[p - 1], lines[d - 1])
             forms, lands = [], len(source) == len(target)
             for (a, b), v in source.items():
                 t = target.get((img[a], img[b]))
@@ -691,7 +646,7 @@ def _delta_hat_layout():
         for d in ds:
             errors += [
                 "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
-            ] * len(_x_entries(p, d))
+            ] * len(x_matrix2(p, d))
         errors += ["delta depends on the line at P%d" % p] * (len(ds) - 1)
     return cols, tuple(errors)
 
@@ -747,11 +702,11 @@ def point_subalgebra_dimension(p):
 
 def point_subalgebra_annihilates(p):
     """Each generator's spinor matrix kills both the unit and e_P."""
-    for q, d in point_subalgebra_generators(p):
-        m2 = x_matrix2(q, d)
-        if any(m2[i][0] != 0 or m2[i][p] != 0 for i in range(8)):
-            return False
-    return True
+    return all(
+        col not in (0, p)
+        for q, d in point_subalgebra_generators(p)
+        for _, col in x_matrix2(q, d)
+    )
 
 
 def point_subalgebra_closed(p):
@@ -761,23 +716,20 @@ def point_subalgebra_closed(p):
     return all(to_vector(bracket(x, y)) in span for x in gens for y in gens)
 
 
-def _felt(x, field):
-    return {k: field.of(v) for k, v in x.items()}
-
-
 def chevalley_report(field):
     """The rank-2 presentation of s_P1 over a field containing sqrt(-1).
 
     Checks every displayed relation: the h-eigenvalues, [e+,e-] = -4h,
-    cross terms zero, [e+-_{D1}, e+-_{D7}] = -2 e+-_{D5}, the D5 ladder, and
-    the Cartan matrix ((2,-1),(-1,2)).
+    cross terms zero, [e+-_{D1}, e+-_{D7}] = -2 e+-_{D5} and the D5 ladder.
+    The eigenvalues h1_ep1, h1_ep7, h2_ep1 and h2_ep7 are the four entries
+    of the Cartan matrix ((2,-1),(-1,2)).
     """
     if not field.has_sqrt_minus_one():
         raise ValueError("the Chevalley presentation needs sqrt(-1) in the field")
     i_ = field.sqrt_minus_one()
 
     def F(x):
-        return _felt(x, field)
+        return {k: field.of(v) for k, v in x.items()}
 
     h1 = scale_elt(-i_, F(X(1, 1)))
     h2 = scale_elt(-i_, F(X(1, 7)))
@@ -816,7 +768,6 @@ def chevalley_report(field):
         "h2_em5": eq(bracket(h2, em5), scale_elt(field.of(-1), em5)),
         "ep5_em5": eq(bracket(ep5, em5), scale_elt(-four, add_elt(h1, h2))),
     }
-    checks["cartan_matrix"] = ((2, -1), (-1, 2))
     return checks
 
 
@@ -827,31 +778,21 @@ def almost_complex_report(p):
     J has entries 0 and +-1, and it commutes with rho_hat(X) iff it commutes
     with the integer matrix 2 rho_hat(X), so all of it is integer arithmetic.
     """
-    cols = [q for q in fano.POINTS if q != p]
-    pos = {q: n for n, q in enumerate(cols)}
-    t = octonion.products(compfactor.EPS_TAU)
-    J = [[0] * 6 for _ in range(6)]
-    for q in cols:
-        s, k = t[q][p]
-        J[pos[k]][pos[q]] = s
-
-    ident = [[int(i == j) for j in range(6)] for i in range(6)]
-    report = {
-        "j_squared_minus_id": linalg.mat_mul(J, J)
-        == [[-v for v in row] for row in ident]
-    }
+    v = [q for q in fano.POINTS if q != p]
+    # column Q of J is e_Q e_P, column P of rho(e_Q)
+    J = {(k, q): s for q in v for (k, j), s in rho()[q].items() if j == p}
+    ident = {(q, q): 1 for q in v}
+    report = {"j_squared_minus_id": _product(J, J) == scale_elt(-1, ident)}
     # isometry for the standard form: columns orthonormal
-    jt = [list(col) for col in zip(*J)]
-    report["isometry"] = linalg.mat_mul(jt, J) == ident
-    # commutation with the restricted spinor matrices of the s_P generators
-    commutes = True
+    jt = {(j, i): s for (i, j), s in J.items()}
+    report["isometry"] = _product(jt, J) == ident
+    # commutation with the restrictions to V of the spinor matrices of the
+    # s_P generators
+    report["commutes_with_s_p"] = True
     for q, d in point_subalgebra_generators(p):
-        m2 = x_matrix2(q, d)
-        # restriction of 2 rho_hat(X) to V (rows/cols of the 6 points)
-        r = [[m2[i][j] for j in cols] for i in cols]
-        if linalg.mat_mul(r, J) != linalg.mat_mul(J, r):
-            commutes = False
-    report["commutes_with_s_p"] = commutes
+        r = {(i, j): c for (i, j), c in x_matrix2(q, d).items() if i in v and j in v}
+        if _product(r, J) != _product(J, r):
+            report["commutes_with_s_p"] = False
     report["s_p_dimension"] = point_subalgebra_dimension(p)
     return report
 

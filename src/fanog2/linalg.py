@@ -1,6 +1,8 @@
 """Exact dense linear algebra over any of the supported fields.
 
 Matrices are lists of rows of field elements.  No rounding occurs anywhere.
+There is no matrix product here: the package's one matrix product is
+g2._product, on spinor matrices kept as their nonzero entries.
 Rank, span and kernel questions all go through Echelon, a basis that grows
 one row at a time.  Over Q and Q(i) it is fraction-free: each row is a
 primitive vector of integers or of Gaussian integers, reduced by
@@ -12,15 +14,9 @@ to reduced form and reads the kernel basis off them, as field elements.
 
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .scalars import QI, QQ, GaussianRational, clear_denominators, gaussian_parts
-
-
-def mat_mul(a, b):
-    """Product of two matrices; works for int and field entries alike."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 class Echelon:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import fanog2
-from fanog2 import cli, fano, radon
+from fanog2 import cli, compfactor, fano, g2, radon
 
 
 def _run(args):
@@ -81,6 +82,32 @@ def test_enumerate_aug_aut(tmp_path):
     assert len(lines) == 1344
     rec = json.loads(lines[0])
     assert set(rec) == {"perm", "sign_mask", "order"}
+
+
+# sha256 of each artifact command's output, pinned like the `verify all --json`
+# report in test_acceptance.py, so no change to the layers behind them can
+# alter their bytes unnoticed
+ARTIFACT_SHA256 = {
+    ("table", "octonion"): "947ad6e091592a0269d33120816e8ae73606823e35d5b66d44d138009f8e303c",
+    ("table", "octonion", "--json"): "65fd303aceaebfd8af16c5ca6df3a09bdff7b6a2b45cbeb6377cb6784dfa10f1",
+    ("table", "brackets"): "b719b32b9f5569612a9911b6f4db52f88891ef0135995ecbe6fb19161be59373",
+    ("table", "brackets", "--json"): "6c40dfef22ec40156d59e2c759a1b05a5fd13e3feafb16d92a29b7b6e7bbdbb2",
+    ("diagram", "delta", "--format", "dot"): "6de33a58989c8d722c4110df0b2a57b0ad81067333912a8a859cc4f953ed41e6",
+    ("diagram", "delta", "--format", "text"): "696b7b353de2fd65ca9ce730ec3f1ead966f3c154d0db71aa50a8c087fd56a17",
+    ("diagram", "delta-star", "--format", "dot"): "d7c16360928a512b39e07f1e51a6ab874ad41dda7e7afb03a10ea538526e80ec",
+    ("diagram", "delta-star", "--format", "text"): "2eb04df132639cf57c97621bde72e14b66e51d66cb3071b33fc00054de47290b",
+    ("enumerate", "aut"): "acf94365f8de97495d79561f05fb5b6c7cb62b2c5e881508a76b5141a058326c",
+    ("enumerate", "aug-aut"): "91d1be6f87a528129b4b19544165dac970d72909eb023fc24533931e0583a6ef",
+    ("enumerate", "comp-factors"): "a1b3bf9b6963a0d521496793c49b726bb9fafeebd0bfebc01bb1f8967e53cf8f",
+    ("enumerate", "oriented-maps"): "2340dfb318c3fc40a3f07565295b4ff488ef3a810b2c280384c9132115f684d9",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ARTIFACT_SHA256), ids=" ".join)
+def test_artifact_bytes_are_pinned(tmp_path, argv):
+    out = tmp_path / "artifact"
+    assert _run(list(argv) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ARTIFACT_SHA256[argv]
 
 
 def test_tables(tmp_path):
@@ -188,13 +215,27 @@ def test_concurrency_claim_counts_the_triples(monkeypatch):
     assert all(c["pass"] for k, c in checks.items() if k != "AC4.concurrency")
 
 
+def test_action_claim_fails_instead_of_raising(monkeypatch):
+    # the dual factor of the opposite orientation flips every off-line sign
+    # of the incidence formula: AC8.action must come out as a FAIL record
+    eps_star = g2.eps_star
+    sign, point = g2.action_on_basis(1, 1, 3)
+    monkeypatch.setattr(g2, "eps_star", lambda: compfactor.negate(eps_star()))
+    assert g2.action_on_basis(1, 1, 3) == (-sign, point)
+    opts = cli.build_parser().parse_args(["verify", "g2"])
+    checks = {c["claim"]: c for c in cli.suite_g2(opts)}
+    assert checks["AC8.action"]["pass"] is False
+    assert all(c["pass"] for k, c in checks.items() if k != "AC8.action")
+
+
 # the fanog2 modules that a fresh interpreter holds after each command: every
-# command imports only the layers it runs (fano always brings linalg)
+# command imports only the layers it runs (g2 brings linalg)
 BASE = {"fanog2", "fanog2.cli", "fanog2.scalars"}
-FANO = BASE | {"fanog2.fano", "fanog2.linalg"}
+FANO = BASE | {"fanog2.fano"}
 COMPFACTOR = FANO | {"fanog2.compfactor"}
 LIFTING = COMPFACTOR | {"fanog2.lifting", "fanog2.radon"}
 OCTONION = COMPFACTOR | {"fanog2.octonion"}
+G2 = OCTONION | {"fanog2.g2", "fanog2.linalg"}
 MODULES_LOADED = (
     ([], BASE),
     (["enumerate", "aut"], FANO),
@@ -202,9 +243,9 @@ MODULES_LOADED = (
     (["enumerate", "comp-factors"], COMPFACTOR),
     (["enumerate", "oriented-maps"], COMPFACTOR),
     (["table", "octonion"], OCTONION),
-    (["table", "brackets", "--json"], OCTONION | {"fanog2.g2"}),
+    (["table", "brackets", "--json"], G2),
     (["diagram", "delta-star", "--format", "dot"], LIFTING),
-    (["diagram", "delta", "--format", "text"], LIFTING | OCTONION | {"fanog2.g2"}),
+    (["diagram", "delta", "--format", "text"], LIFTING | G2),
     (["verify", "lifting"], LIFTING),
 )
 

@@ -75,6 +75,10 @@ def test_minimal_polynomial_tags():
     tags = {fano.order7_minimal_polynomial(g)
             for g in fano.all_collineations() if fano.order(g) == 7}
     assert len(tags) == 2
+    # tau^3 = tau + 1 on the masks (P4 = P1 + P2 is tau^3 P1), so the two
+    # tags cannot be swapped unnoticed
+    assert fano.order7_minimal_polynomial(fano.TAU) == "x^3+x+1"
+    assert fano.order7_minimal_polynomial(fano.inverse(fano.TAU)) == "x^3+x^2+1"
 
 
 def test_triangles():

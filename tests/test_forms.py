@@ -9,12 +9,12 @@ def test_sort_with_sign():
 
 
 def test_wedge_graded_commutativity():
-    a = forms.form([(1, (1, 2))])
-    b = forms.form([(1, (3, 4, 5))])
+    a = {(1, 2): 1}
+    b = {(3, 4, 5): 1}
     assert forms.wedge(a, b) == forms.wedge(b, a)  # (-1)^{2*3} = +1
-    c = forms.form([(1, (6,))])
-    d = forms.form([(1, (7,))])
-    assert forms.wedge(c, d) == forms.scale_form(-1, forms.wedge(d, c))
+    c = {(6,): 1}
+    d = {(7,): 1}
+    assert forms.wedge(c, d) == g2.scale_elt(-1, forms.wedge(d, c))
     assert forms.wedge(c, c) == {}
 
 
@@ -47,10 +47,10 @@ def test_forms_are_invariant():
 
 def test_derivation_leibniz():
     x = g2.X(1, 1)
-    a = forms.form([(1, (2, 3))])
-    b = forms.form([(1, (5, 6))])
+    a = {(2, 3): 1}
+    b = {(5, 6): 1}
     lhs = forms.so7_derivation(x, forms.wedge(a, b))
-    rhs = forms.add_forms(
+    rhs = g2.add_elt(
         forms.wedge(forms.so7_derivation(x, a), b),
         forms.wedge(a, forms.so7_derivation(x, b)),
     )

@@ -120,15 +120,28 @@ def test_jacobi_check_catches_a_broken_bracket(monkeypatch):
 
 def test_spinor_representation_faithful_bracket():
     # matrix commutators realize the so(7) bracket at twice the scale
-    rho = g2.rho()
     for pair1 in g2.PAIRS[:6]:
         for pair2 in g2.PAIRS[:6]:
             x = g2.elt((1, *pair1))
             y = g2.elt((1, *pair2))
-            lhs = g2._commutator(g2._entries(g2.matrix2(x)), g2._entries(g2.matrix2(y)))
-            rhs = g2._entries(g2.matrix2(g2.scale_elt(2, g2.bracket(x, y))))
+            lhs = g2._commutator(g2.matrix2(x), g2.matrix2(y))
+            rhs = g2.matrix2(g2.scale_elt(2, g2.bracket(x, y)))
             assert lhs == rhs
-    assert len(rho) == 8  # identity at index 0 plus the seven units
+
+
+def test_clifford_relation():
+    # L_p L_q + L_q L_p = -2 delta_pq I on all 49 ordered pairs of units, and
+    # so (L_p + L_q)^2 = -(2 + 2 delta_pq) I, a product whose entries each
+    # sum two terms
+    rho = g2.rho()
+    assert sorted(rho) == list(fano.POINTS)
+    minus_two = {(i, i): -2 for i in range(8)}
+    for p in fano.POINTS:
+        for q in fano.POINTS:
+            anti = g2.add_elt(g2._product(rho[p], rho[q]), g2._product(rho[q], rho[p]))
+            assert anti == (minus_two if p == q else {}), (p, q)
+            s = g2.add_elt(rho[p], rho[q])
+            assert g2._product(s, s) == {(i, i): -2 - 2 * (p == q) for i in range(8)}
 
 
 def test_generators_annihilate_unit():
@@ -145,9 +158,8 @@ def test_point_relation_and_dimension():
 
 def test_eps_star_matches_action():
     # the sign rule for the action on basis octonions, pinned by matrices
-    for p, d in g2.INCIDENT_PAIRS:
-        for q in fano.POINTS:
-            g2.action_on_basis(p, d, q)  # raises on any mismatch
+    assert g2.action_formula_holds()
+    assert g2.action_on_basis(1, 1, 2) == (0, 0)
 
 
 def test_anchored_brackets():
@@ -213,8 +225,8 @@ def _reference_delta_hat(aug, p):
     lines = fano.line_perm(g)
     signs = set()
     for d in fano.lines_through(p):
-        source = g2._x_entries(p, d)
-        target = g2._x_entries(g[p - 1], lines[d - 1])
+        source = g2.x_matrix2(p, d)
+        target = g2.x_matrix2(g[p - 1], lines[d - 1])
         sign = 0
         if len(source) == len(target):
             for (a, b), v in source.items():
@@ -280,8 +292,7 @@ def test_point_subalgebras():
 def test_chevalley_fields():
     for field in (QI, PrimeField(5), PrimeField(13)):
         rep = g2.chevalley_report(field)
-        assert rep["cartan_matrix"] == ((2, -1), (-1, 2))
-        assert all(v is True for k, v in rep.items() if k != "cartan_matrix")
+        assert all(v is True for v in rep.values())
     for field in (QQ, PrimeField(3), PrimeField(7)):
         with pytest.raises(ValueError):
             g2.chevalley_report(field)
