@@ -12,24 +12,18 @@ There are 8 lifts per collineation, 1344 in all.
 """
 
 from functools import lru_cache
-from itertools import combinations
 from operator import itemgetter
 
 from . import compfactor, fano, radon
 
 
-def _pair_sign(g, p, q):
-    """eps_PQ * eps_{gP,gQ}."""
-    eps = compfactor.EPS_TAU
-    return eps[p - 1][q - 1] * eps[g[p - 1] - 1][g[q - 1] - 1]
-
-
 def delta_star(g, d):
-    """The line sign delta_star(g, D), read from the first pair P < Q of D;
-    delta_star_properties certifies that the other two pairs agree.
+    """The line sign eps_PQ * eps_{gP,gQ} of D, read from the first pair
+    P < Q of D; delta_star_properties certifies that the other pairs agree.
     """
+    eps = compfactor.EPS_TAU
     p, q = sorted(fano.LINE_POINTS[d])[:2]
-    return _pair_sign(g, p, q)
+    return eps[p - 1][q - 1] * eps[g[p - 1] - 1][g[q - 1] - 1]
 
 
 @lru_cache(maxsize=None)
@@ -50,8 +44,8 @@ def det(g):
 def delta_star_properties():
     """Check the global identities of delta_star over the whole group.
 
-    - well defined: all three pairs of every line D give the same sign, for
-      all 168 collineations g;
+    - well defined: all six ordered pairs of every line D give the same
+      sign, for all 168 collineations g, read off their line words;
     - det g = +1 for all 168 collineations;
     - pencil products: the three lines through any point multiply to +1;
     - the multiplier identity delta*(g2 g1, D) = delta*(g2, g1 D) delta*(g1, D)
@@ -59,11 +53,8 @@ def delta_star_properties():
       with bit D - 1 set where the sign is -1.
     """
     group = fano.all_collineations()
-    for g in group:
-        for d in fano.LINES:
-            pairs = combinations(sorted(fano.LINE_POINTS[d]), 2)
-            if len({_pair_sign(g, p, q) for p, q in pairs}) != 1:
-                return False
+    if any(_line_word(g) is None for g in group):
+        return False
     fns = {g: delta_star_fn(g) for g in group}
     for g in group:
         fn = fns[g]
@@ -169,28 +160,67 @@ def aug_order(aug):
     return n
 
 
-# (P, Q, P+Q) as 0-based indices, for the 42 ordered pairs of distinct points
+# (P, Q, D) as 0-based indices, for the 42 ordered pairs of distinct points
+# and the line D through them
 _PRODUCTS = tuple(
-    (p - 1, q - 1, fano.add(p, q) - 1)
+    (p - 1, q - 1, fano.wedge(p, q) - 1)
     for p in fano.POINTS
     for q in fano.POINTS
     if p != q
 )
 
 
-def is_algebra_automorphism(aug):
-    """Check multiplicativity on all imaginary basis pairs: g(P+Q) = gP + gQ
-    (g is a collineation) and eps(P,Q) s(P+Q) = s(P) s(Q) eps(gP,gQ) for
-    every P != Q.
+@lru_cache(maxsize=None)
+def _line_word(g):
+    """The 7-bit word of the line condition for a collineation g, memoized;
+    None when no sign vector lifts g.
+
+    (g, s) is multiplicative on e_P e_Q = eps(P,Q) e_{P+Q} iff g is additive
+    and eps(P,Q) s(P+Q) = s(P) s(Q) eps(gP,gQ) for every P != Q, that is
+    s(P) s(Q) s(P+Q) = eps(P,Q) eps(gP,gQ).  The left side is the product of
+    s over the line D through P and Q, the same for all six ordered pairs of
+    D.  So s lifts g iff the six pairs of each line D agree and the product
+    of s over D is that common sign: bit D - 1 of the word is set where it
+    is -1.  None means g is not additive, or some line's pairs disagree.
     """
-    eps = compfactor.EPS_TAU
-    g, s = aug
     if not fano.is_additive(g):
-        return False
-    for p, q, r in _PRODUCTS:
-        if eps[p][q] * s[r] != s[p] * s[q] * eps[g[p] - 1][g[q] - 1]:
-            return False
-    return True
+        return None
+    eps = compfactor.EPS_TAU
+    signs = [0] * 7
+    for p, q, d in _PRODUCTS:
+        v = eps[p][q] * eps[g[p] - 1][g[q] - 1]
+        if signs[d] != v:
+            if signs[d]:
+                return None
+            signs[d] = v
+    return sum(1 << d for d, v in enumerate(signs) if v < 0)
+
+
+@lru_cache(maxsize=None)
+def _sign_words():
+    """Each of the 128 sign vectors, in the order of
+    radon.all_sign_functions(), mapped to its line word: bit D - 1 set where
+    the product of its signs over the points of D is -1."""
+    words = {}
+    for s in radon.all_sign_functions():
+        word = 0
+        for d in fano.LINES:
+            p, q, r = fano.LINE_POINTS[d]
+            if s[p - 1] * s[q - 1] * s[r - 1] < 0:
+                word |= 1 << (d - 1)
+        words[s] = word
+    return words
+
+
+def is_algebra_automorphism(aug):
+    """Multiplicativity of (g, s) on all imaginary basis pairs, as one
+    comparison of line words (see _line_word): g is a collineation whose
+    ordered pairs agree on each line, and s has the product those pairs
+    give on every line.
+    """
+    g, s = aug
+    word = _line_word(g)
+    return word is not None and _sign_words().get(s) == word
 
 
 def t_map(d):
@@ -202,30 +232,19 @@ def t_map(d):
 
 
 @lru_cache(maxsize=None)
-def _radon_preimages():
-    """Each multiplicative Radon image of the 128 sign functions, mapped to
-    its preimages in the order of radon.all_sign_functions().
-    """
-    table = {}
-    for s in radon.all_sign_functions():
-        table.setdefault(radon.radon_mult(s), []).append(s)
-    return table
-
-
-@lru_cache(maxsize=None)
 def lifts(g):
-    """The sign functions lifting g (eight of them), via Radon preimages;
-    memoized per collineation, so each (g, s) is checked once.
+    """The sign functions lifting g, memoized per collineation: all 128 sign
+    vectors are compared with the line word of g, in the order of
+    radon.all_sign_functions().
 
-    A sign tuple s lifts g iff its multiplicative Radon transform equals
-    delta_star(g, .); only candidates validated as algebra automorphisms are
-    returned, and the claims compare the count.
+    The word of g is delta_star(g, .) as a mask, and the line word of s is
+    its multiplicative Radon transform, both read without radon.  The
+    sweep covers every sign vector, so AC6.fibers certifies both halves of
+    the lifting theorem: s lifts g iff radon_mult(s) = delta_star(g, .),
+    and eight do for every g.
     """
-    return tuple(
-        (g, s)
-        for s in _radon_preimages().get(delta_star_fn(g), ())
-        if is_algebra_automorphism((g, s))
-    )
+    word = _line_word(g)
+    return tuple((g, s) for s, w in _sign_words().items() if w == word)
 
 
 def aug_serialize(aug):

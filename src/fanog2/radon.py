@@ -100,7 +100,9 @@ def _prod(it):
     return out
 
 
+@lru_cache(maxsize=None)
 def all_sign_functions():
+    """The 128 sign tuples, the i-th with -1 at the set bits of i; memoized."""
     out = []
     for m in range(128):
         out.append(tuple(-1 if (m >> i) & 1 else 1 for i in range(7)))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import fanog2
-from fanog2 import cli, compfactor, fano, g2, radon
+from fanog2 import cli, compfactor, fano, g2, lifting, radon
 
 
 def _run(args):
@@ -226,6 +226,32 @@ def test_action_claim_fails_instead_of_raising(monkeypatch):
     checks = {c["claim"]: c for c in cli.suite_g2(opts)}
     assert checks["AC8.action"]["pass"] is False
     assert all(c["pass"] for k, c in checks.items() if k != "AC8.action")
+
+
+@pytest.fixture
+def fresh_delta_hat():
+    """Clear the memo of delta_hat_fn before and after a test that patches
+    the sign words it reads."""
+    g2.delta_hat_fn.cache_clear()
+    yield
+    g2.delta_hat_fn.cache_clear()
+
+
+def test_broken_delta_hat_fails_instead_of_raising(monkeypatch, tmp_path, fresh_delta_hat):
+    # check bit 7 set for every collineation but the identity: delta_hat_fn
+    # raises on the 1336 elements off the kernel, and the AC10 claims that
+    # read their values must come out as FAIL records
+    word = g2._delta_hat_word
+    monkeypatch.setattr(
+        g2, "_delta_hat_word", lambda g: word(g) | (g != fano.IDENTITY) << 7
+    )
+    with pytest.raises(AssertionError, match="conjugate of X_"):
+        g2.delta_hat_fn(lifting.enumerate_aug_group()[-1])
+    out = tmp_path / "g2.json"
+    assert _run(["verify", "g2", "--json", "--out", str(out)]) == 1
+    (suite,) = json.loads(_read(out))["suites"]
+    failed = {c["claim"] for c in suite["checks"] if not c["pass"]}
+    assert failed == {"AC10.welldefined", "AC10.count", "AC10.ahat"}
 
 
 # the fanog2 modules that a fresh interpreter holds after each command: every

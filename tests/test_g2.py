@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanog2 import fano, g2, lifting
+from fanog2 import fano, g2, lifting, linalg
 from fanog2.scalars import QI, QQ, GaussianRational, PrimeField
 
 
@@ -314,6 +314,47 @@ def test_pair_closures():
     assert g2.pair_generated_subalgebra((1, 1), (2, 1)) == 3
     assert g2.classify_pair((1, 1), (3, 2)) == "O4"
     assert g2.pair_generated_subalgebra((1, 1), (3, 2)) == 3
+
+
+def _reference_closure(gens):
+    """The Lie closure by fixpoint: bracket every ordered pair of the kept
+    elements until a full pass keeps nothing new."""
+    echelon = linalg.Echelon(QQ)
+    kept = [x for x in gens if echelon.add(g2.to_vector(x))]
+    changed = True
+    while changed:
+        changed = False
+        for x in list(kept):
+            for y in list(kept):
+                z = g2.bracket(x, y)
+                if z and echelon.add(g2.to_vector(z)):
+                    kept.append(z)
+                    changed = True
+    return len(echelon), kept
+
+
+def _same_span(a, b):
+    return linalg.span_equal(
+        [g2.to_vector(x) for x in a], [g2.to_vector(x) for x in b], QQ
+    )
+
+
+def test_closure_matches_the_fixpoint_reference():
+    dims = set()
+    for pd1 in g2.INCIDENT_PAIRS:
+        for pd2 in g2.INCIDENT_PAIRS:
+            gens = [g2.X(*pd1), g2.X(*pd2)]
+            dim, _ = _reference_closure(gens)
+            assert g2.lie_closure_dimension(gens)[0] == dim, (pd1, pd2)
+            dims.add(dim)
+    # a repeated generator (D), two commuting ones (O1), and closures of
+    # dimension 3 (O2, O4) and 4 (O3, O3')
+    assert dims == {1, 2, 3, 4}
+    triangle = [g2.X(p, d) for p in (1, 2, 3) for d in fano.lines_through(p)]
+    for gens, dim in ((triangle, 14), ([g2.X(1, 1), g2.X(7, 7)], 4)):
+        got, want = g2.lie_closure_dimension(gens), _reference_closure(gens)
+        assert got[0] == want[0] == len(got[1]) == dim
+        assert _same_span(got[1], want[1])
 
 
 def test_o3_example():

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from fanog2 import compfactor, fano, lifting, octonion
+from fanog2 import compfactor, fano, lifting, octonion, radon
 
 
 def test_delta_star_pair_independent():
@@ -27,6 +29,7 @@ def test_delta_star_pair_independent():
 
 # memoized per collineation, and read compfactor.EPS_TAU when filled
 COLLINEATION_MEMOS = (
+    lifting._line_word,
     lifting.delta_star_fn,
     lifting.lifts,
     lifting.enumerate_aug_group,
@@ -52,6 +55,58 @@ def _flipped_pair():
     table = [list(row) for row in compfactor.EPS_TAU]
     table[0][1], table[1][0] = table[1][0], table[0][1]
     return tuple(map(tuple, table))
+
+
+def _reference_is_automorphism(aug):
+    """Multiplicativity pair by pair: g is additive and eps(P,Q) s(P+Q) =
+    s(P) s(Q) eps(gP,gQ) for each of the 42 ordered pairs P != Q."""
+    eps = compfactor.EPS_TAU
+    g, s = aug
+    if not fano.is_additive(g):
+        return False
+    for p in fano.POINTS:
+        for q in fano.POINTS:
+            if p == q:
+                continue
+            r = fano.add(p, q)
+            if eps[p - 1][q - 1] * s[r - 1] != s[p - 1] * s[q - 1] * eps[g[p - 1] - 1][g[q - 1] - 1]:
+                return False
+    return True
+
+
+def _compare_with_the_pairwise_reference():
+    """is_algebra_automorphism and lifts against the reference on all
+    168 x 128 signed collineations, and on the 5040 permutations with all
+    signs +1; the number of automorphisms found in each sweep."""
+    lifted = 0
+    for g in fano.all_collineations():
+        expected = tuple(
+            (g, s) for s in radon.all_sign_functions() if _reference_is_automorphism((g, s))
+        )
+        for s in radon.all_sign_functions():
+            assert lifting.is_algebra_automorphism((g, s)) == ((g, s) in expected), (g, s)
+        assert lifting.lifts(g) == expected, g
+        lifted += len(expected)
+    unsigned = 0
+    for g in itertools.permutations(fano.POINTS):
+        aug = (g, (1,) * 7)
+        expected = _reference_is_automorphism(aug)
+        assert lifting.is_algebra_automorphism(aug) == expected, g
+        unsigned += expected
+    return lifted, unsigned
+
+
+def test_line_words_match_the_pairwise_reference(monkeypatch, fresh_memos):
+    # the signs +1 lift exactly the 21 collineations of the isotropy group
+    assert _compare_with_the_pairwise_reference() == (1344, 21)
+    # one antisymmetric pair flipped: the six ordered pairs of the line
+    # through P1 and P2 then disagree for some collineations, which no sign
+    # vector lifts
+    monkeypatch.setattr(compfactor, "EPS_TAU", _flipped_pair())
+    _clear_memos()
+    assert any(lifting._line_word(g) is None for g in fano.all_collineations())
+    lifted, _ = _compare_with_the_pairwise_reference()
+    assert 0 < lifted < 1344
 
 
 def test_delta_star_global_identities(monkeypatch, fresh_memos):
