@@ -12,23 +12,26 @@ Modules:
     linalg      exact dense linear algebra helpers
     cli         the `fanog2` certificate command
 
-Importing the package loads scalars alone.  Each other module is loaded the
-first time it is imported or read as an attribute (`fanog2.g2`), so each
-command of the cli loads only the layers it runs.
+Importing the package loads none of its modules, nor `fractions`.  Each
+module is loaded the first time it is imported or read as an attribute
+(`fanog2.g2`), and the fields QQ, QI, PrimeField and field_from_descriptor
+are read from scalars the first time they are read from the package, so
+each command of the cli loads only the layers it runs.
 """
 
 import importlib
 
 __version__ = "1.0.0"
 
-from .scalars import QI, QQ, PrimeField, field_from_descriptor  # noqa: F401
-
 _MODULES = frozenset(
     "scalars fano compfactor radon octonion lifting g2 forms linalg cli".split()
 )
+_FIELDS = frozenset(("QI", "QQ", "PrimeField", "field_from_descriptor"))
 
 
 def __getattr__(name):
     if name in _MODULES:
         return importlib.import_module("." + name, __name__)
+    if name in _FIELDS:
+        return getattr(importlib.import_module(".scalars", __name__), name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

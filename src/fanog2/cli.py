@@ -9,14 +9,14 @@ Subcommands:
 Exit codes: 0 success, 1 failed check, 2 usage error.
 
 Each suite and each command target imports only the modules it calls, so a
-command loads (and, without cached bytecode, compiles) only those layers.
+command loads (and, without cached bytecode, compiles) only those layers;
+scalars, and with it fractions, only where verify reads --field and where
+the layers it runs need it.
 """
 
 import argparse
 import json
 import sys
-
-from .scalars import QQ, QI, PrimeField, field_from_descriptor
 
 
 def _check(claim, description, expected, observed):
@@ -413,11 +413,11 @@ def suite_g2(opts):
     a, b = fano.standard_generators()
     closed = True
     for g_ in (a, b):
+        lines = fano.line_perm(g_)
+        image = {(p, d): (g_[p - 1], lines[d - 1]) for p, d in g2.INCIDENT_PAIRS}
         for pd1 in g2.INCIDENT_PAIRS:
             for pd2 in g2.INCIDENT_PAIRS:
-                img1 = (fano.apply(g_, pd1[0]), fano.line_image(g_, pd1[1]))
-                img2 = (fano.apply(g_, pd2[0]), fano.line_image(g_, pd2[1]))
-                if g2.classify_pair(img1, img2) != g2.classify_pair(pd1, pd2):
+                if g2.classify_pair(image[pd1], image[pd2]) != g2.classify_pair(pd1, pd2):
                     closed = False
     checks.append(
         _check(
@@ -493,9 +493,9 @@ def suite_g2(opts):
     )
     # subalgebra suite
     cartan_ok = all(
-        g2.cartan_dimension(p) == 2 and g2.cartan_is_abelian(p)
+        g2.cartan_dimension(p) == 2 and g2.cartan_self_centralizing(p)
         for p in fano.POINTS
-    ) and all(g2.cartan_self_centralizing(p) for p in fano.POINTS)
+    )
     checks.append(
         _check(
             "AC11.cartan",
@@ -546,6 +546,8 @@ def suite_g2(opts):
         )
     )
 
+    from .scalars import QI, QQ, PrimeField, field_from_descriptor
+
     def chevalley_outcome(field):
         """The relations hold when -1 is a square in field, ValueError otherwise."""
         if not field.has_sqrt_minus_one():
@@ -585,13 +587,18 @@ def suite_g2(opts):
     )
     # pair-generated closures; the mutually-skew (O4) case closes on the
     # bracket-law triple of dimension 3 -- forced by the verified law, since
-    # the third generator cycles back onto the first two
+    # the third generator cycles back onto the first two.  Both orders of a
+    # pair list the same two generators, so each is closed once
     closure_dims = {"O4": set(), "O2": set()}
+    closure_of = {}
     for pd1 in g2.INCIDENT_PAIRS:
         for pd2 in g2.INCIDENT_PAIRS:
             dims = closure_dims.get(g2.classify_pair(pd1, pd2))
             if dims is not None:
-                dims.add(g2.pair_generated_subalgebra(pd1, pd2))
+                pair = frozenset((pd1, pd2))
+                if pair not in closure_of:
+                    closure_of[pair] = g2.pair_generated_subalgebra(pd1, pd2)
+                dims.add(closure_of[pair])
     checks.append(
         _check(
             "AC11.pair-closures",
@@ -852,11 +859,16 @@ def cmd_diagram(opts):
             else lifting.delta_star_diagram_text()
         )
     else:
-        # the 64 point-sign colorings over the augmented group
+        # the 64 point-sign colorings over the augmented group; a delta that
+        # fails its checks is reported as a failed check
         from . import fano, g2, lifting
 
         group = lifting.enumerate_aug_group()
-        fns = sorted({g2.delta_hat_fn(aug) for aug in group})
+        try:
+            fns = sorted({g2.delta_hat_fn(aug) for aug in group})
+        except AssertionError as exc:
+            sys.stderr.write("error: %s\n" % exc)
+            return 1
         if opts.format == "dot":
             out = []
             for idx, fn in enumerate(fns):
@@ -955,6 +967,8 @@ def main(argv=None):
         "diagram": cmd_diagram,
     }
     if opts.command == "verify":
+        from .scalars import field_from_descriptor
+
         try:
             field_from_descriptor(opts.field)
         except ValueError as exc:

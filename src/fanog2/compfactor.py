@@ -30,8 +30,10 @@ def past(eps, p):
     return frozenset(q for q in fano.POINTS if q != p and eps_get(eps, p, q) == -1)
 
 
+@lru_cache(maxsize=None)
 def is_composition_factor(eps):
-    """The line and quadrilateral rules for the trivial norm.
+    """The line and quadrilateral rules for the trivial norm, memoized per
+    table.
 
     (i)  eps_PQ eps_QR = 1 for any line {P,Q,R};
     (ii) eps_PQ eps_QR eps_RS eps_SP = -1 for any quadrilateral {P,Q,R,S}.

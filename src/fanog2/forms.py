@@ -12,6 +12,7 @@ sparse dicts like the so(7) elements of g2, so g2.add_elt, g2.scale_elt and
 g2.pair_inner add, scale and pair them.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from . import compfactor, fano, g2, linalg
@@ -20,8 +21,10 @@ from .scalars import QQ
 VOL_KEY = (1, 2, 3, 4, 5, 6, 7)
 
 
+@lru_cache(maxsize=None)
 def _sort_with_sign(idx):
-    """Sort a tuple of distinct labels, tracking the permutation parity."""
+    """Sort a tuple of distinct labels, tracking the permutation parity;
+    memoized per tuple."""
     lst = list(idx)
     sign = 1
     for i in range(len(lst)):

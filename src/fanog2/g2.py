@@ -198,7 +198,14 @@ def _check_incident(p, d):
 
 
 def X(p, d):
-    """The g2 generator of an incident pair, per the three line slots at p."""
+    """The g2 generator of an incident pair, per the three line slots at p:
+    a fresh dict on each call, copied from the memo of the 21."""
+    return dict(_generator(p, d))
+
+
+@lru_cache(maxsize=None)
+def _generator(p, d):
+    """X(p, d), built once per incident pair; callers get copies."""
     _check_incident(p, d)
     i = p
     la = fano._lab
@@ -300,8 +307,10 @@ def action_formula_holds():
 # orbit classification of pairs of incident pairs and the bracket law
 
 
+@lru_cache(maxsize=None)
 def classify_pair(pd1, pd2):
-    """Orbit tag of a pair of incident pairs: D, O1, O2, O3, O3', or O4."""
+    """Orbit tag of a pair of incident pairs: D, O1, O2, O3, O3', or O4;
+    memoized (441 in all)."""
     (p1, d1), (p2, d2) = pd1, pd2
     _check_incident(p1, d1)
     _check_incident(p2, d2)
@@ -351,24 +360,22 @@ def _bracket_case(pd1, pd2):
     return tag, -e, (fano.add(p1, p2), fano.line_add(d1, d2))
 
 
-def bracket_law(pd1, pd2):
-    """The closed-form bracket [X_{P,D}, X_{P',D'}] as a pair-basis element."""
-    _, coeff, flag = _bracket_case(pd1, pd2)
-    return scale_elt(coeff, X(*flag)) if flag else {}
-
-
 def check_bracket_law():
     """Three-way agreement over all 441 ordered pairs: structure-constant
     bracket == closed-form law, and == spinor-matrix commutator.
+
+    Once the bracket equals the law coeff * X_flag, matrix2 of it is
+    coeff * x_matrix2(flag), since matrix2 is linear.
     """
     for a in INCIDENT_PAIRS:
         for b in INCIDENT_PAIRS:
-            sc = bracket(X(*a), X(*b))
-            law = bracket_law(a, b)
-            if sc != law:
+            _, coeff, flag = _bracket_case(a, b)
+            law = scale_elt(coeff, X(*flag)) if flag else {}
+            if bracket(X(*a), X(*b)) != law:
                 return False
             # [2A, 2B] = 4[A,B] = 2 * (2[A,B])
-            if _commutator(x_matrix2(*a), x_matrix2(*b)) != scale_elt(2, matrix2(sc)):
+            want = scale_elt(2 * coeff, x_matrix2(*flag)) if flag else {}
+            if _commutator(x_matrix2(*a), x_matrix2(*b)) != want:
                 return False
     return True
 

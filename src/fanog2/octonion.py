@@ -71,7 +71,7 @@ def products(eps):
             elif a == b:
                 row.append((-1, 0))
             else:
-                row.append((compfactor.eps_get(eps, a, b), fano.add(a, b)))
+                row.append((eps[a - 1][b - 1], fano.add(a, b)))
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -7,6 +7,13 @@ checks of the suite holding its claims from that report and prints one
 `pytest -s tests/test_acceptance.py` reads as a certificate.  The report's
 bytes are pinned by their sha256; a change to a claim's text or value
 updates the digest in the same diff.
+
+Two more tests run `verify all` in process.  One runs it twice, the second
+time on warm memos, and pins both reports.  The other counts the values
+that `verify all` builds once per process: the 21 generators X(P, D), the
+composition-factor test of the 128 line orientations and the 1120 index
+tuples that the forms sort, so that a change that rebuilds them per call
+fails here.
 """
 
 import hashlib
@@ -15,7 +22,7 @@ import re
 
 import pytest
 
-from fanog2 import cli
+from fanog2 import cli, compfactor, forms, g2
 
 # Acceptance criterion number -> the verify suite that holds its claims.
 CRITERION_SUITE = {
@@ -45,6 +52,35 @@ def suite_checks(report_bytes):
 def test_report_bytes_are_pinned(report_bytes):
     assert len(report_bytes) == 22178
     assert hashlib.sha256(report_bytes).hexdigest() == REPORT_SHA256
+
+
+def _verify_all(path):
+    cli.main(["verify", "all", "--json", "--out", str(path)])
+    return path.read_bytes()
+
+
+def test_verify_all_is_unchanged_on_warm_memos(tmp_path):
+    first = _verify_all(tmp_path / "first.json")
+    second = _verify_all(tmp_path / "second.json")
+    assert first == second
+    assert hashlib.sha256(second).hexdigest() == REPORT_SHA256
+    # each call hands out its own dict, so a caller that edits one leaves
+    # the memo behind X intact
+    x = g2.X(1, 1)
+    want = dict(x)
+    x.clear()
+    assert g2.X(1, 1) == want != {}
+
+
+# the memos that verify all fills, and the number of distinct values of each
+MEMOS = (g2._generator, compfactor.is_composition_factor, forms._sort_with_sign)
+
+
+def test_verify_all_builds_each_memoized_value_once(tmp_path):
+    for memo in MEMOS:
+        memo.cache_clear()
+    _verify_all(tmp_path / "all.json")
+    assert [memo.cache_info().misses for memo in MEMOS] == [21, 128, 1120]
 
 
 def _criterion(n):

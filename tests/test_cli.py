@@ -40,14 +40,6 @@ def test_verify_json_structure(tmp_path):
         assert check["description"]
 
 
-def test_verify_all_deterministic_with_cache(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert _run(["verify", "lifting", "--json", "--out", str(a)]) == 0
-    assert _run(["verify", "lifting", "--json", "--out", str(b)]) == 0
-    assert _read(a) == _read(b)
-
-
 def test_cache_dir_has_no_effect(tmp_path):
     # accepted for compatibility, never read: a path below a regular file
     # neither fails nor gets created
@@ -254,13 +246,31 @@ def test_broken_delta_hat_fails_instead_of_raising(monkeypatch, tmp_path, fresh_
     assert failed == {"AC10.welldefined", "AC10.count", "AC10.ahat"}
 
 
+def test_broken_delta_hat_diagram_exits_with_a_message(
+    monkeypatch, capsys, tmp_path, fresh_delta_hat
+):
+    # the same broken sign words: `diagram delta` reads delta_hat_fn on all
+    # 1344 elements, and must exit 1 with the first error, not a traceback
+    word = g2._delta_hat_word
+    monkeypatch.setattr(
+        g2, "_delta_hat_word", lambda g: word(g) | (g != fano.IDENTITY) << 7
+    )
+    out = tmp_path / "delta.txt"
+    assert _run(["diagram", "delta", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: conjugate of X_{P1,D1} is not proportional to an X\n"
+    )
+    assert not out.exists()
+
+
 # the fanog2 modules that a fresh interpreter holds after each command: every
-# command imports only the layers it runs (g2 brings linalg)
-BASE = {"fanog2", "fanog2.cli", "fanog2.scalars"}
+# command imports only the layers it runs (g2 brings linalg), and scalars only
+# where a layer computes over a field or verify reads --field
+BASE = {"fanog2", "fanog2.cli"}
 FANO = BASE | {"fanog2.fano"}
 COMPFACTOR = FANO | {"fanog2.compfactor"}
 LIFTING = COMPFACTOR | {"fanog2.lifting", "fanog2.radon"}
-OCTONION = COMPFACTOR | {"fanog2.octonion"}
+OCTONION = COMPFACTOR | {"fanog2.octonion", "fanog2.scalars"}
 G2 = OCTONION | {"fanog2.g2", "fanog2.linalg"}
 MODULES_LOADED = (
     ([], BASE),
@@ -272,7 +282,7 @@ MODULES_LOADED = (
     (["table", "brackets", "--json"], G2),
     (["diagram", "delta-star", "--format", "dot"], LIFTING),
     (["diagram", "delta", "--format", "text"], LIFTING | G2),
-    (["verify", "lifting"], LIFTING),
+    (["verify", "lifting"], LIFTING | {"fanog2.scalars"}),
 )
 
 
@@ -298,7 +308,10 @@ def test_each_command_imports_only_its_layers(tmp_path, argv, expected):
 
 def test_package_attributes_load_each_layer_on_first_use():
     code = (
-        "import sys, fanog2\n"
+        "import sys, fanog2, fanog2.cli\n"
+        "assert not {'fractions', 'decimal', 'fanog2.scalars'} & set(sys.modules)\n"
+        "assert fanog2.QQ is sys.modules['fanog2.scalars'].QQ\n"
+        "assert fanog2.field_from_descriptor('qi') is fanog2.QI\n"
         "assert 'fanog2.g2' not in sys.modules\n"
         "assert fanog2.g2.bracket is sys.modules['fanog2.g2'].bracket\n"
         "assert fanog2.octonion.mul((1,) + (0,) * 7, (1,) + (0,) * 7)[0] == 1\n"
