@@ -22,12 +22,9 @@ def _freeze(table):
     return tuple(tuple(row) for row in table)
 
 
-def future(eps, p):
-    return frozenset(q for q in fano.POINTS if q != p and eps_get(eps, p, q) == 1)
-
-
-def past(eps, p):
-    return frozenset(q for q in fano.POINTS if q != p and eps_get(eps, p, q) == -1)
+def _cone(eps, p, sign):
+    """The future of p (sign 1) or its past (sign -1): the q with eps_pq = sign."""
+    return frozenset(q for q in fano.POINTS if q != p and eps_get(eps, p, q) == sign)
 
 
 @lru_cache(maxsize=None)
@@ -53,10 +50,9 @@ def is_composition_factor(eps):
 
 def side(eps):
     """'O+' if the future of every point is a line, 'O-' if every past is."""
-    if all(fano.is_line(future(eps, p)) for p in fano.POINTS):
-        return "O+"
-    if all(fano.is_line(past(eps, p)) for p in fano.POINTS):
-        return "O-"
+    for sign, tag in ((1, "O+"), (-1, "O-")):
+        if all(fano.is_line(_cone(eps, p, sign)) for p in fano.POINTS):
+            return tag
     return None
 
 
@@ -127,37 +123,41 @@ def orbit(eps):
     return frozenset(act(g, eps) for g in fano.all_collineations())
 
 
+@lru_cache(maxsize=None)
 def orbit_decomposition():
-    """The two 8-element orbits, keyed by side tag."""
-    factors = enumerate_composition_factors()
+    """The two 8-element orbits of the composition factors, each found from
+    its least member; memoized."""
+    remaining = set(enumerate_composition_factors())
     orbits = []
-    remaining = set(factors)
     while remaining:
-        eps = min(remaining)
-        o = orbit(eps)
+        o = orbit(min(remaining))
         orbits.append(o)
         remaining -= o
-    return orbits
+    return tuple(orbits)
 
 
+def orbit_sides():
+    """AC3.sides: the set of side tags of each orbit, sorted."""
+    return sorted(({side(f) for f in o} for o in orbit_decomposition()), key=str)
+
+
+@lru_cache(maxsize=None)
 def isotropy():
-    """The collineations fixing EPS_TAU."""
+    """The collineations fixing EPS_TAU; memoized."""
     eps = EPS_TAU
     return frozenset(g for g in fano.all_collineations() if act(g, eps) == eps)
 
 
-def orientable_triangles():
-    """Triangles {P,Q,R} carrying a cyclically consistent EPS_TAU-orientation."""
-    eps = EPS_TAU
-    out = []
-    for t in fano.all_triangles():
-        p, q, r = sorted(t)
-        # orientable iff some cyclic order of the triangle gives all +1
-        s1 = eps_get(eps, p, q) == eps_get(eps, q, r) == eps_get(eps, r, p) == 1
-        s2 = eps_get(eps, p, r) == eps_get(eps, r, q) == eps_get(eps, q, p) == 1
-        if s1 or s2:
-            out.append(t)
-    return tuple(out)
+def isotropy_is_shift_normalizer():
+    """AC3.isotropy-normalizer: the isotropy equals the normalizer of the
+    subgroup generated by the shift fano.TAU."""
+    powers = fano.generated_subgroup((fano.TAU,))
+    normalizer = set()
+    for g in fano.all_collineations():
+        ginv = fano.inverse(g)
+        if all(fano.compose(g, fano.compose(t, ginv)) in powers for t in powers):
+            normalizer.add(g)
+    return isotropy() == normalizer
 
 
 def enumerate_oriented_maps():
@@ -204,6 +204,13 @@ def exponentiate(alpha):
     if not is_composition_factor(eps):
         raise AssertionError("exponentiation candidate failed the composition rules")
     return eps
+
+
+def exponentials_summary():
+    """AC3.exponentiation: how many distinct factors the 8 oriented maps
+    exponentiate to, their sides, and whether EPS_TAU is one of them."""
+    exps = {exponentiate(alpha) for alpha in enumerate_oriented_maps()}
+    return len(exps), {side(e) for e in exps}, EPS_TAU in exps
 
 
 def twist(eps, v):

@@ -9,7 +9,7 @@ predicate.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 # label -> 3-bit mask, generated by the recurrence P_{i+3} = P_i + P_{i+1}
 MASK = {1: 0b001, 2: 0b010, 3: 0b100, 4: 0b011, 5: 0b110, 6: 0b111, 7: 0b101}
@@ -225,6 +225,17 @@ def standard_generators():
     return a, b
 
 
+def standard_generators_check():
+    """AC1.generators: (ab is the shift, a and b are additive, the order of
+    the group they generate)."""
+    a, b = standard_generators()
+    return (
+        compose(a, b) == TAU,
+        is_additive(a) and is_additive(b),
+        len(generated_subgroup((a, b))),
+    )
+
+
 def generated_subgroup(gens):
     """Closure of a set of collineations under composition."""
     seen = set(gens)
@@ -244,13 +255,7 @@ def generated_subgroup(gens):
 
 def all_triangles():
     """All 28 non-collinear 3-sets."""
-    out = []
-    for p in POINTS:
-        for q in POINTS:
-            for r in POINTS:
-                if p < q < r and not is_line({p, q, r}):
-                    out.append(frozenset({p, q, r}))
-    return out
+    return [frozenset(t) for t in combinations(POINTS, 3) if not is_line(t)]
 
 
 def induced_line_orientation(tau, d):

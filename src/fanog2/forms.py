@@ -14,6 +14,7 @@ g2.pair_inner add, scale and pair them.
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import prod
 
 from . import compfactor, fano, g2, linalg
 from .scalars import QQ
@@ -75,43 +76,49 @@ def basis_vector(p):
 
 
 def omega(eps=compfactor.EPS_TAU):
-    """The invariant 3-form; each line contributes one term whose coefficient
-    is recomputed over all orderings of the line and must agree.
+    """The invariant 3-form: one term eps_PQ eps_QR eps_RP e^P^e^Q^e^R per
+    line {P,Q,R}.  Memoized per table, as big_omega is: callers share the
+    dict and only read it.
     """
-    out = {}
-    for d in fano.LINES:
-        pts = sorted(fano.LINE_POINTS[d])
-        results = set()
-        for p, q, r in permutations(pts):
-            c = (
-                compfactor.eps_get(eps, p, q)
-                * compfactor.eps_get(eps, q, r)
-                * compfactor.eps_get(eps, r, p)
-            )
-            key, s = _sort_with_sign((p, q, r))
-            results.add((key, c * s))
-        if len(results) != 1:
-            raise AssertionError("line term depends on the point ordering")
-        key, c = results.pop()
-        out[key] = c
-    return out
+    return _form(eps, "line")
 
 
 def big_omega(eps=compfactor.EPS_TAU):
-    """The invariant 4-form over the seven quadrilaterals."""
+    """The invariant 4-form: one term eps_PQ eps_RS e^P^e^Q^e^R^e^S per
+    quadrilateral {P,Q,R,S}."""
+    return _form(eps, "quadrilateral")
+
+
+# the blocks of each form, and the pairs of positions in a block whose eps
+# multiply to the coefficient of its term
+_BLOCKS = {
+    "line": (fano.LINE_POINTS, ((0, 1), (1, 2), (2, 0))),
+    "quadrilateral": (fano.QUADRILATERALS, ((0, 1), (2, 3))),
+}
+
+
+@lru_cache(maxsize=None)
+def _form(eps, block):
+    """The form with one term per block; the coefficient of each term is
+    recomputed over all orderings of its block and must agree."""
+    blocks, pairs = _BLOCKS[block]
     out = {}
     for d in fano.LINES:
-        pts = sorted(fano.QUADRILATERALS[d])
         results = set()
-        for p, q, r, s_ in permutations(pts):
-            c = compfactor.eps_get(eps, p, q) * compfactor.eps_get(eps, r, s_)
-            key, s = _sort_with_sign((p, q, r, s_))
+        for pts in permutations(sorted(blocks[d])):
+            c = prod(eps[pts[i] - 1][pts[j] - 1] for i, j in pairs)
+            key, s = _sort_with_sign(pts)
             results.add((key, c * s))
         if len(results) != 1:
-            raise AssertionError("quadrilateral term depends on the point ordering")
+            raise AssertionError("%s term depends on the point ordering" % block)
         key, c = results.pop()
         out[key] = c
     return out
+
+
+def term_counts():
+    """AC13.terms: the number of terms of omega and of Omega."""
+    return len(omega()), len(big_omega())
 
 
 def so7_derivation(x, a):

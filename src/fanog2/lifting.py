@@ -12,6 +12,7 @@ There are 8 lifts per collineation, 1344 in all.
 """
 
 from functools import lru_cache
+from math import prod
 from operator import itemgetter
 
 from . import compfactor, fano, radon
@@ -35,10 +36,7 @@ def delta_star_fn(g):
 
 def det(g):
     """Product of delta_star(g, D) over all seven lines; always +1."""
-    out = 1
-    for v in delta_star_fn(g):
-        out *= v
-    return out
+    return prod(delta_star_fn(g))
 
 
 def delta_star_properties():
@@ -58,14 +56,10 @@ def delta_star_properties():
     fns = {g: delta_star_fn(g) for g in group}
     for g in group:
         fn = fns[g]
-        if det(g) != 1:
+        if det(g) != 1 or any(
+            prod(fn[d - 1] for d in fano.lines_through(p)) != 1 for p in fano.POINTS
+        ):
             return False
-        for p in fano.POINTS:
-            prod = 1
-            for d in fano.lines_through(p):
-                prod *= fn[d - 1]
-            if prod != 1:
-                return False
     masks = {g: radon.from_values(v < 0 for v in fn) for g, fn in fns.items()}
     listed = [masks[g] for g in group]
     values = set(listed)
@@ -93,6 +87,17 @@ def classify_delta_star():
     return classes
 
 
+def class_sizes():
+    """AC5.classes: the sizes of the classes, sorted."""
+    return sorted(len(v) for v in classify_delta_star().values())
+
+
+def constant_class_is_isotropy():
+    """AC5.constant-class: the class of the constant +1 is the isotropy of
+    compfactor.EPS_TAU."""
+    return frozenset(classify_delta_star()[(1,) * 7]) == compfactor.isotropy()
+
+
 def distinguished_point(fn):
     """The point attached to a member of R*: the unique P whose three lines
     carry +1, for a non-constant member; 0 for the constant function 1.
@@ -106,6 +111,14 @@ def distinguished_point(fn):
     if len(common) != 1:
         raise ValueError("not a member of R*: %r" % (fn,))
     return common.pop()
+
+
+def generator_points():
+    """AC5.generator-a and AC5.generator-b: the distinguished points of the
+    delta_star functions of the standard generators a and b."""
+    return tuple(
+        distinguished_point(delta_star_fn(g)) for g in fano.standard_generators()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +146,8 @@ def aug_compose(a2, a1):
 
 AUG_IDENTITY = (fano.IDENTITY, (1,) * 7)
 
-
-def aug_inverse(aug):
-    g, s = aug
-    ginv = fano.inverse(g)
-    return (ginv, tuple(s[fano.apply(ginv, p) - 1] for p in fano.POINTS))
+# the explicit signed lift a-hat of the order-2 standard generator a
+AHAT = (fano.standard_generators()[0], (1, 1, 1, 1, -1, 1, -1))
 
 
 def aug_order(aug):
@@ -249,11 +259,7 @@ def lifts(g):
 
 def aug_serialize(aug):
     g, s = aug
-    mask = 0
-    for i, v in enumerate(s):
-        if v == -1:
-            mask |= 1 << i
-    return [fano.serialize(g), mask]
+    return [fano.serialize(g), radon.from_values(v == -1 for v in s)]
 
 
 @lru_cache(maxsize=None)
@@ -270,8 +276,30 @@ def kernel_elements():
     return (AUG_IDENTITY,) + tuple(t_map(d) for d in fano.LINES)
 
 
+def kernel_is_t_maps():
+    """AC6.kernel: the lifts of the identity are the kernel elements."""
+    return set(lifts(fano.IDENTITY)) == set(kernel_elements())
+
+
+def fibers_have_eight():
+    """AC6.fibers: every collineation has exactly eight lifts."""
+    return all(len(lifts(g)) == 8 for g in fano.all_collineations())
+
+
 def fiber_order_profile(g):
     return tuple(sorted(aug_order(a) for a in lifts(g)))
+
+
+@lru_cache(maxsize=None)
+def order_profiles():
+    """AC6.profile-n: the lift order profile over a base of each order n =
+    2, 3, 7 and 4; memoized.  The bases are the standard generators a and
+    b, the shift, and the commutator a b a^-1 b^-1, whose profile is the
+    non-splitness witness."""
+    a, b = fano.standard_generators()
+    c = fano.compose(a, fano.compose(b, fano.compose(fano.inverse(a), fano.inverse(b))))
+    bases = {2: a, 3: b, 7: fano.TAU, 4: c}
+    return {n: fiber_order_profile(g) for n, g in bases.items()}
 
 
 def order7_same_orientation(tau_prime):
@@ -291,6 +319,16 @@ def order7_same_orientation(tau_prime):
         ):
             return False
     return True
+
+
+def orientation_power_count():
+    """AC6.orientation-powers: the number of order-7 collineations that
+    induce the line orientations of the shift."""
+    return sum(
+        1
+        for g in fano.all_collineations()
+        if fano.order(g) == 7 and order7_same_orientation(g)
+    )
 
 
 # ---------------------------------------------------------------------------

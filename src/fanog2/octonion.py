@@ -183,9 +183,14 @@ def polarized_norm_identity(eps):
     checked there too.  That certifies all 64 entries from 8 per (a, c).
     If the labels of a row a are no permutation, e_a e_b and e_a e_d share
     a label for some b != d, the identity fails at (a, b, a, d), and the
-    answer is False.
+    answer is False.  The answer is memoized per table.
     """
-    t = products(eps)
+    return _norm_identity_holds(products(eps))
+
+
+@lru_cache(maxsize=None)
+def _norm_identity_holds(t):
+    """polarized_norm_identity on the table t of products(eps)."""
     if any(sorted(k for _, k in row) != list(range(8)) for row in t):
         return False
     # where[c][k]: the d with e_c e_d = +-e_k
@@ -199,6 +204,15 @@ def polarized_norm_identity(eps):
             if s * rc[d][0] + partner != (2 if a == c and b == d else 0):
                 return False
     return True
+
+
+def norm_identity_matches_rules():
+    """AC14.norm-structural: on each of the 128 line orientations, the
+    polarized norm identity holds iff the line and quadrilateral rules do."""
+    return all(
+        polarized_norm_identity(eps) == compfactor.is_composition_factor(eps)
+        for eps in compfactor.line_orientations()
+    )
 
 
 def _mul(t, u, v):
@@ -285,6 +299,14 @@ def subalgebra_generated(indices):
                     span.add(k)
                     changed = True
     return tuple(sorted(span))
+
+
+def triangles_generate_algebra():
+    """AC14.triangles: each of the 28 non-aligned triples generates the
+    whole 8-dimensional algebra."""
+    return all(
+        len(subalgebra_generated(sorted(t))) == 8 for t in fano.all_triangles()
+    )
 
 
 def quaternion_subalgebra(d):

@@ -6,6 +6,8 @@ D_d.  The transform sums f over the three points of each line.
 """
 
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 
 from . import fano
 
@@ -26,10 +28,6 @@ def from_values(values):
 ALL_FUNCTIONS = tuple(range(128))
 ZERO = 0
 ONE = 127
-
-
-def point_indicator(p):
-    return 1 << (p - 1)
 
 
 def line_indicator(d):
@@ -59,6 +57,11 @@ def kernel():
     return tuple(f for f in ALL_FUNCTIONS if radon(f) == 0)
 
 
+def kernel_is_off_line_indicators():
+    """AC4.kernel-shape: the kernel is 0 and the seven T_D."""
+    return set(kernel()) == {ZERO} | {t_line(d) for d in fano.LINES}
+
+
 @lru_cache(maxsize=None)
 def image():
     """The 16-element image of the transform."""
@@ -78,8 +81,21 @@ def image_membership(h):
     return h in members
 
 
+def image_is_pencil_set():
+    """AC4.image-membership: every image point passes image_membership,
+    which exactly 16 functions pass."""
+    return all(image_membership(h) for h in image()) and (
+        sum(1 for h in ALL_FUNCTIONS if image_membership(h)) == 16
+    )
+
+
 def preimages(h):
     return tuple(f for f in ALL_FUNCTIONS if radon(f) == h)
+
+
+def preimages_have_eight():
+    """AC4.preimages: each point of the image has eight preimages."""
+    return all(len(preimages(h)) == 8 for h in image())
 
 
 def radon_mult(f):
@@ -88,16 +104,7 @@ def radon_mult(f):
     Defined for functions with values in {+1,-1}, stored as sign tuples
     indexed by label-1.
     """
-    return tuple(
-        _prod(f[p - 1] for p in fano.LINE_POINTS[d]) for d in fano.LINES
-    )
-
-
-def _prod(it):
-    out = 1
-    for v in it:
-        out *= v
-    return out
+    return tuple(prod(f[p - 1] for p in fano.LINE_POINTS[d]) for d in fano.LINES)
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +119,7 @@ def all_sign_functions():
 @lru_cache(maxsize=None)
 def mult_domain():
     """R: the 64 sign functions on points whose total product is +1."""
-    return tuple(f for f in all_sign_functions() if _prod(f) == 1)
+    return tuple(f for f in all_sign_functions() if prod(f) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -131,10 +138,18 @@ def pencil_sign_functions():
         h
         for h in all_sign_functions()
         if all(
-            _prod(h[d - 1] for d in fano.lines_through(p)) == 1
+            prod(h[d - 1] for d in fano.lines_through(p)) == 1
             for p in fano.POINTS
         )
     )
+
+
+def mult_image_agreement():
+    """AC4.mult-image: the common size of R* and the pencil sign functions
+    when the two sets are equal, else the first member of one that the
+    other lacks."""
+    a, b = set(mult_image()), set(pencil_sign_functions())
+    return len(a) if a == b else min(a ^ b)
 
 
 def mult_kernel():
@@ -147,13 +162,9 @@ def mult_kernel():
 def concurrent_triples():
     """All 3-sets of concurrent lines (dual lines); AC4.concurrency claims
     there are 7 of them."""
-    out = []
-    for d1 in fano.LINES:
-        for d2 in fano.LINES:
-            for d3 in fano.LINES:
-                if d1 < d2 < d3 and fano.line_add(d1, d2) == d3:
-                    out.append((d1, d2, d3))
-    return tuple(out)
+    return tuple(
+        (d1, d2, d3) for d1, d2, d3 in combinations(fano.LINES, 3) if fano.line_add(d1, d2) == d3
+    )
 
 
 def concurrency_identity(f):
@@ -168,3 +179,12 @@ def concurrency_identity(f):
         for d1, d2, d3 in concurrent_triples()
     )
     return lhs, rhs
+
+
+def concurrency_holds():
+    """AC4.concurrency: there are exactly 7 concurrent line triples, and
+    the identity holds on each of them for all 128 functions."""
+    return len(concurrent_triples()) == 7 and all(
+        all(v == rhs for v in lhs)
+        for lhs, rhs in map(concurrency_identity, ALL_FUNCTIONS)
+    )

@@ -1,6 +1,7 @@
 """Acceptance gate: every claim of the `fanog2 verify` suites.
 
-The claims are defined once, in `cli.SUITES`; the module runs
+The claims are listed once, in `cli.SUITES`, and each claim's observed
+value is computed by one call into the module it is about.  This module runs
 `fanog2 verify all --json` once, and each acceptance criterion ACn reads the
 checks of the suite holding its claims from that report and prints one
 `<claim> PASS|FAIL: <description>` line per check, so that
@@ -10,10 +11,8 @@ updates the digest in the same diff.
 
 Two more tests run `verify all` in process.  One runs it twice, the second
 time on warm memos, and pins both reports.  The other counts the values
-that `verify all` builds once per process: the 21 generators X(P, D), the
-composition-factor test of the 128 line orientations and the 1120 index
-tuples that the forms sort, so that a change that rebuilds them per call
-fails here.
+that `verify all` builds once per process (see MEMOS), so that a change
+that rebuilds them per call fails here.
 """
 
 import hashlib
@@ -22,7 +21,7 @@ import re
 
 import pytest
 
-from fanog2 import cli, compfactor, forms, g2
+from fanog2 import cli, compfactor, forms, g2, lifting, octonion
 
 # Acceptance criterion number -> the verify suite that holds its claims.
 CRITERION_SUITE = {
@@ -72,15 +71,30 @@ def test_verify_all_is_unchanged_on_warm_memos(tmp_path):
     assert g2.X(1, 1) == want != {}
 
 
-# the memos that verify all fills, and the number of distinct values of each
-MEMOS = (g2._generator, compfactor.is_composition_factor, forms._sort_with_sign)
+# the memos that verify all fills, and the number of distinct values of each:
+# a value that several claims read is built once per process
+MEMOS = {
+    g2._generator: 21,  # the generators X(P, D)
+    compfactor.is_composition_factor: 128,  # per line orientation
+    forms._sort_with_sign: 1120,  # the index tuples the forms sort
+    g2.cartan_dimension: 7,  # the rank of each h_P
+    g2.point_subalgebra_dimension: 7,  # the rank of each s_P
+    forms._form: 2,  # omega and Omega
+    octonion._norm_identity_holds: 128,  # EPS_TAU is a line orientation
+    compfactor.isotropy: 1,
+    compfactor.orbit_decomposition: 1,
+    g2.chevalley_outcome: 4,  # Q(i), F_5, Q and F_3; --field q reads Q again
+    g2.delta_hat_claims: 1,  # the 1344 deltas behind the AC10 claims
+    lifting.order_profiles: 1,
+}
 
 
 def test_verify_all_builds_each_memoized_value_once(tmp_path):
     for memo in MEMOS:
         memo.cache_clear()
     _verify_all(tmp_path / "all.json")
-    assert [memo.cache_info().misses for memo in MEMOS] == [21, 128, 1120]
+    assert {memo.__name__: memo.cache_info().misses for memo in MEMOS} == {
+        memo.__name__: n for memo, n in MEMOS.items()}
 
 
 def _criterion(n):

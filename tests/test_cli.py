@@ -8,6 +8,7 @@ import pytest
 
 import fanog2
 from fanog2 import cli, compfactor, fano, g2, lifting, radon
+from fanog2.scalars import PrimeField
 
 
 def _run(args):
@@ -102,6 +103,33 @@ def test_artifact_bytes_are_pinned(tmp_path, argv):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ARTIFACT_SHA256[argv]
 
 
+# sha256 of verify outputs that the pin of `verify all --json` does not
+# cover: the text report, a single suite, and the g2 suite over other fields
+VERIFY_SHA256 = {
+    ("verify", "all"): "9bd797372f4da393e5858a41cca34d15e220603b0e6f78621d6c6077cee0599e",
+    ("verify", "lifting"): "8f9a473a1adf6a59321523d1b0ff1b524bdef57dcb8a700e18438d1061e5cecc",
+    ("verify", "g2", "--json", "--field", "qi"): "b7c341bca0ec185d6c088caf251d9c2b4cdc8da8a10bfa53b5617d0b7c698b16",
+    ("verify", "g2", "--json", "--field", "fp:5"): "124d4dcaa6eba4d056c8e963f9c307787b0319b05b593bf39bde4416c6817c35",
+    ("verify", "g2", "--json", "--field", "fp:3"): "74866141a89b2a605386183d07b533cdbb4b51a0976eab6001e0c8e671c2dde9",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_SHA256), ids=" ".join)
+def test_verify_bytes_are_pinned(tmp_path, argv):
+    out = tmp_path / "report"
+    assert _run(list(argv) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SHA256[argv]
+
+
+def test_field_claim_names_the_parsed_field(tmp_path):
+    # the record names the field that the descriptor parses to
+    out = tmp_path / "g2.json"
+    assert _run(["verify", "g2", "--json", "--field", "fp:05", "--out", str(out)]) == 0
+    (suite,) = json.loads(_read(out))["suites"]
+    (check,) = [c for c in suite["checks"] if c["claim"] == "AC11.chevalley-field"]
+    assert check["expected"] == check["observed"] == ["fp:5", True]
+
+
 def test_tables(tmp_path):
     out = tmp_path / "oct.txt"
     assert _run(["table", "octonion", "--out", str(out)]) == 0
@@ -169,8 +197,7 @@ def test_radon_claim_fails_instead_of_raising(monkeypatch):
     # that AC4.kernel-shape claims, which must come out as a FAIL record
     monkeypatch.setattr(radon, "t_line", radon.line_indicator)
     radon.kernel.cache_clear()
-    opts = cli.build_parser().parse_args(["verify", "radon"])
-    checks = {c["claim"]: c for c in cli.suite_radon(opts)}
+    checks = {c["claim"]: c for c in cli.suite_radon()}
     assert checks["AC4.kernel-shape"]["pass"] is False
     assert checks["AC4.kernel"]["pass"] is True
     assert {radon.t_line(d) for d in fano.LINES}.isdisjoint(radon.kernel())
@@ -182,7 +209,7 @@ def test_radon_claim_fails_instead_of_raising(monkeypatch):
     radon.mult_domain.cache_clear()
     radon.mult_image.cache_clear()
     try:
-        checks = {c["claim"]: c for c in cli.suite_radon(opts)}
+        checks = {c["claim"]: c for c in cli.suite_radon()}
     finally:
         radon.mult_domain.cache_clear()
         radon.mult_image.cache_clear()
@@ -198,8 +225,7 @@ def test_concurrency_claim_counts_the_triples(monkeypatch):
     monkeypatch.setattr(fano, "line_add", lambda d1, d2: 0)
     radon.concurrent_triples.cache_clear()
     try:
-        opts = cli.build_parser().parse_args(["verify", "radon"])
-        checks = {c["claim"]: c for c in cli.suite_radon(opts)}
+        checks = {c["claim"]: c for c in cli.suite_radon()}
         assert radon.concurrent_triples() == ()
     finally:
         radon.concurrent_triples.cache_clear()
@@ -214,19 +240,20 @@ def test_action_claim_fails_instead_of_raising(monkeypatch):
     sign, point = g2.action_on_basis(1, 1, 3)
     monkeypatch.setattr(g2, "eps_star", lambda: compfactor.negate(eps_star()))
     assert g2.action_on_basis(1, 1, 3) == (-sign, point)
-    opts = cli.build_parser().parse_args(["verify", "g2"])
-    checks = {c["claim"]: c for c in cli.suite_g2(opts)}
+    checks = {c["claim"]: c for c in cli.suite_g2(PrimeField(13))}
     assert checks["AC8.action"]["pass"] is False
     assert all(c["pass"] for k, c in checks.items() if k != "AC8.action")
 
 
 @pytest.fixture
 def fresh_delta_hat():
-    """Clear the memo of delta_hat_fn before and after a test that patches
-    the sign words it reads."""
+    """Clear the memos of delta_hat_fn and of the AC10 sweep over it before
+    and after a test that patches the sign words they read."""
     g2.delta_hat_fn.cache_clear()
+    g2.delta_hat_claims.cache_clear()
     yield
     g2.delta_hat_fn.cache_clear()
+    g2.delta_hat_claims.cache_clear()
 
 
 def test_broken_delta_hat_fails_instead_of_raising(monkeypatch, tmp_path, fresh_delta_hat):

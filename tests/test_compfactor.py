@@ -64,12 +64,6 @@ def test_isotropy_is_subgroup():
     assert fano.TAU in iso
 
 
-def test_orientable_triangles():
-    tris = compfactor.orientable_triangles()
-    assert len(tris) == 7
-    assert frozenset({1, 3, 4}) in {frozenset(t) for t in tris}
-
-
 def test_oriented_maps_and_exponentiation():
     maps = compfactor.enumerate_oriented_maps()
     assert len(maps) == 8

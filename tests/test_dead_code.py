@@ -3,6 +3,8 @@ somewhere in src/ or tests/, every parameter is read by its function, every
 defaulted parameter is passed by some call, and no required parameter gets
 the same constant from every call.  A guard also keeps `random` out of the
 package: a certificate is exhaustive or an exact identity, never a sample.
+Another keeps loops out of the cli suites, so that each claim's sweep is
+defined in the module the claim is about.
 
 Stdlib only (ast), so it runs wherever the tests run.
 """
@@ -73,8 +75,6 @@ def test_every_parameter_is_read():
             }
             for p in params:
                 if p.arg in ("self", "cls") or p.arg in read:
-                    continue
-                if path.stem == "cli" and fn.name.startswith("suite_") and p.arg == "opts":
                     continue
                 ignored.append("%s.%s(%s)" % (path.stem, fn.name, p.arg))
     assert not ignored, "parameters never read: %s" % ", ".join(ignored)
@@ -222,3 +222,21 @@ def test_package_does_not_import_random():
         or isinstance(node, ast.ImportFrom) and node.module == "random"
     )
     assert not importers, "modules importing random: %s" % ", ".join(importers)
+
+
+def test_suites_hold_no_loops():
+    """A cli suite lists its claims; a for, while or try in one is a sweep
+    or a control flow that belongs in the module the claim is about."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    suites = [
+        fn for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("suite_")
+    ]
+    assert suites
+    found = [
+        "%s line %d" % (fn.name, node.lineno)
+        for fn in suites
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.For, ast.While, ast.Try))
+    ]
+    assert not found, "statements in suites: %s" % ", ".join(found)

@@ -27,10 +27,11 @@ def test_image_membership_matches_image():
 
 
 def test_point_and_line_indicators():
-    for p in fano.POINTS:
-        ind = radon.point_indicator(p)
-        assert radon.evaluate(ind, p) == 1
-        assert sum(radon.evaluate(ind, q) for q in fano.POINTS) == 1
+    for d in fano.LINES:
+        ind = radon.line_indicator(d)
+        for p in fano.POINTS:
+            assert radon.evaluate(ind, p) == (p in fano.LINE_POINTS[d])
+        assert radon.t_line(d) == radon.ONE ^ ind
 
 
 def test_mult_transform():
