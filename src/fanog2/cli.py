@@ -410,7 +410,7 @@ def suite_g2(field):
             "AC11.chevalley",
             "rank-2 presentation over fields containing i, gated otherwise",
             (True, True, True),
-            g2.chevalley_gating(),
+            g2.chevalley_gates(),
         ),
         _check(
             "AC11.almost-complex",
@@ -449,7 +449,7 @@ def suite_g2(field):
             "rank-2 presentation outcome over the selected coefficient field "
             "(relations hold when -1 is a square, ValueError otherwise)",
             (field.name, True),
-            (field.name, g2.chevalley_outcome(field)),
+            (field.name, g2.chevalley_gate(field)),
         ),
         _check(
             "AC12.roots",

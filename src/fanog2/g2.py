@@ -871,7 +871,7 @@ def chevalley_report(field):
 
 
 @lru_cache(maxsize=None)
-def chevalley_outcome(field):
+def chevalley_gate(field):
     """Whether every relation holds when -1 is a square in field, and
     chevalley_report raises ValueError otherwise; memoized per field."""
     if not field.has_sqrt_minus_one():
@@ -883,12 +883,12 @@ def chevalley_outcome(field):
     return all(v is True for v in chevalley_report(field).values())
 
 
-def chevalley_gating():
+def chevalley_gates():
     """AC11.chevalley: the outcome over Q(i), over F_5, and over Q and F_3."""
     return (
-        chevalley_outcome(QI),
-        chevalley_outcome(PrimeField(5)),
-        chevalley_outcome(QQ) and chevalley_outcome(PrimeField(3)),
+        chevalley_gate(QI),
+        chevalley_gate(PrimeField(5)),
+        chevalley_gate(QQ) and chevalley_gate(PrimeField(3)),
     )
 
 

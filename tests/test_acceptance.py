@@ -83,7 +83,7 @@ MEMOS = {
     octonion._norm_identity_holds: 128,  # EPS_TAU is a line orientation
     compfactor.isotropy: 1,
     compfactor.orbit_decomposition: 1,
-    g2.chevalley_outcome: 4,  # Q(i), F_5, Q and F_3; --field q reads Q again
+    g2.chevalley_gate: 4,  # Q(i), F_5, Q and F_3; --field q reads Q again
     g2.delta_hat_claims: 1,  # the 1344 deltas behind the AC10 claims
     lifting.order_profiles: 1,
 }
