@@ -12,7 +12,6 @@ There are 8 lifts per collineation, 1344 in all.
 """
 
 from functools import lru_cache
-from math import prod
 from operator import itemgetter
 
 from . import compfactor, fano, radon
@@ -34,43 +33,41 @@ def delta_star_fn(g):
     return tuple(delta_star(g, d) for d in fano.LINES)
 
 
-def det(g):
-    """Product of delta_star(g, D) over all seven lines; always +1."""
-    return prod(delta_star_fn(g))
-
-
 def delta_star_properties():
-    """Check the global identities of delta_star over the whole group.
+    """Check the global identities of delta_star over the whole group, on
+    the line words of _line_word as the delta_star masks: bit D - 1 set
+    where the sign of D is -1.
 
     - well defined: all six ordered pairs of every line D give the same
-      sign, for all 168 collineations g, read off their line words;
-    - det g = +1 for all 168 collineations;
-    - pencil products: the three lines through any point multiply to +1;
+      sign, for all 168 collineations g, read off their line words; and
+      delta_star_fn, which reads the first pair, gives that sign;
+    - det g = +1 for all 168 collineations: an even number of lines of
+      sign -1;
+    - pencil products: the three lines through any point multiply to +1,
+      an even number of them in the mask;
     - the multiplier identity delta*(g2 g1, D) = delta*(g2, g1 D) delta*(g1, D)
-      for all 168^2 pairs (g1, g2) and all seven lines D, on 7-bit masks
-      with bit D - 1 set where the sign is -1.
+      for all 168^2 pairs (g1, g2) and all seven lines D.
     """
     group = fano.all_collineations()
-    if any(_line_word(g) is None for g in group):
+    masks = {g: _line_word(g) for g in group}
+    signs = radon.all_sign_functions()
+    if any(m is None or delta_star_fn(g) != signs[m] for g, m in masks.items()):
         return False
-    fns = {g: delta_star_fn(g) for g in group}
-    for g in group:
-        fn = fns[g]
-        if det(g) != 1 or any(
-            prod(fn[d - 1] for d in fano.lines_through(p)) != 1 for p in fano.POINTS
-        ):
-            return False
-    masks = {g: radon.from_values(v < 0 for v in fn) for g, fn in fns.items()}
+    # det g reads all seven lines, a pencil product the three through a point
+    if any(
+        (m & lines).bit_count() % 2
+        for m in masks.values()
+        for lines in (radon.ONE,) + radon.PENCILS
+    ):
+        return False
     listed = [masks[g] for g in group]
     values = set(listed)
     for g1 in group:
         after_g1 = itemgetter(*(p - 1 for p in g1))  # g2 -> g2 g1
         # m(g1 D) at bit D - 1, times delta*(g1, D), for each mask m that occurs
         m1 = masks[g1]
-        moved = {
-            m: radon.from_values(m >> (e - 1) for e in fano.line_perm(g1)) ^ m1
-            for m in values
-        }
+        bits = tuple(enumerate(e - 1 for e in fano.line_perm(g1)))
+        moved = {m: sum((m >> e & 1) << d for d, e in bits) ^ m1 for m in values}
         # the masks of g2 g1 against the moved masks of g2, for all g2 at once
         if list(map(masks.__getitem__, map(after_g1, group))) != list(
             map(moved.__getitem__, listed)

@@ -190,20 +190,35 @@ def polarized_norm_identity(eps):
 
 @lru_cache(maxsize=None)
 def _norm_identity_holds(t):
-    """polarized_norm_identity on the table t of products(eps)."""
-    if any(sorted(k for _, k in row) != list(range(8)) for row in t):
+    """polarized_norm_identity on the table t of products(eps): the 512
+    sign checks of _label_plan on the signs of t."""
+    plan = _label_plan(tuple(tuple(k for _, k in row) for row in t))
+    if plan is None:
         return False
+    signs = [[s for s, _ in row] for row in t]
+    return all(
+        signs[a][b] * signs[c][d] + (signs[a][d] * signs[c][b] if paired else 0) == want
+        for a, b, c, d, paired, want in plan
+    )
+
+
+@lru_cache(maxsize=None)
+def _label_plan(labels):
+    """What the norm identity reads off the labels of a product table,
+    memoized per label table, which all 128 line orientations share: None if
+    some row is no permutation, else for each (a, c, b) the d with
+    e_c e_d = +-e_a e_b, whether e_a e_d and e_c e_b share a label too, and
+    the value the identity wants at (a, b, c, d)."""
+    if any(sorted(row) != list(range(8)) for row in labels):
+        return None
     # where[c][k]: the d with e_c e_d = +-e_k
-    where = [{k: d for d, (_, k) in enumerate(row)} for row in t]
+    where = [{k: d for d, k in enumerate(row)} for row in labels]
+    plan = []
     for a, c in product(range(8), repeat=2):
-        ra, rc = t[a], t[c]
-        for b, (s, k) in enumerate(ra):
+        for b, k in enumerate(labels[a]):
             d = where[c][k]
-            sd, kd = ra[d]
-            partner = sd * rc[b][0] if kd == rc[b][1] else 0
-            if s * rc[d][0] + partner != (2 if a == c and b == d else 0):
-                return False
-    return True
+            plan.append((a, b, c, d, labels[a][d] == labels[c][b], 2 if a == c and b == d else 0))
+    return tuple(plan)
 
 
 def norm_identity_matches_rules():

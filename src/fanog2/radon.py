@@ -68,17 +68,20 @@ def image():
     return tuple(sorted({radon(f) for f in ALL_FUNCTIONS}))
 
 
+# PENCILS[P - 1]: the indicator of the pencil of lines through P, a mask on
+# the line side
+PENCILS = tuple(
+    from_values(p in fano.LINE_POINTS[d] for d in fano.LINES) for p in fano.POINTS
+)
+_IMAGE_MEMBERS = frozenset({ZERO, ONE, *PENCILS, *(ONE ^ m for m in PENCILS)})
+
+
 def image_membership(h):
     """The image is exactly {T_P} u {T_P + 1} u {0, 1} on the line side.
 
     T_P here means the indicator of the pencil of lines through P.
     """
-    pencil = {
-        from_values(1 if p in fano.LINE_POINTS[d] else 0 for d in fano.LINES)
-        for p in fano.POINTS
-    }
-    members = {0, 127} | pencil | {m ^ 127 for m in pencil}
-    return h in members
+    return h in _IMAGE_MEMBERS
 
 
 def image_is_pencil_set():
@@ -98,11 +101,13 @@ def preimages_have_eight():
     return all(len(preimages(h)) == 8 for h in image())
 
 
+@lru_cache(maxsize=None)
 def radon_mult(f):
     """Multiplicative transform: f*(D) = product of f(P) over P in D.
 
     Defined for functions with values in {+1,-1}, stored as sign tuples
-    indexed by label-1.
+    indexed by label-1; memoized, since R, its kernel and the deltas of the
+    covering group transform the same 64 functions.
     """
     return tuple(prod(f[p - 1] for p in fano.LINE_POINTS[d]) for d in fano.LINES)
 

@@ -301,6 +301,13 @@ class PrimeField:
         self.p = p
         self.name = "fp:%d" % p
 
+    def __eq__(self, other):
+        """Two PrimeField objects are the same field when their p agree."""
+        return isinstance(other, PrimeField) and other.p == self.p
+
+    def __hash__(self):
+        return hash(self.name)
+
     def of(self, n):
         if isinstance(n, PrimeFieldElement):
             if n.p != self.p:

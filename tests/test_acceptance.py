@@ -21,7 +21,7 @@ import re
 
 import pytest
 
-from fanog2 import cli, compfactor, forms, g2, lifting, octonion
+from fanog2 import cli, compfactor, forms, g2, lifting, octonion, radon
 
 # Acceptance criterion number -> the verify suite that holds its claims.
 CRITERION_SUITE = {
@@ -86,6 +86,10 @@ MEMOS = {
     g2.chevalley_gate: 4,  # Q(i), F_5, Q and F_3; --field q reads Q again
     g2.delta_hat_claims: 1,  # the 1344 deltas behind the AC10 claims
     lifting.order_profiles: 1,
+    g2.generator_brackets: 1,  # the 441 brackets [X_a, X_b]
+    g2._delta_hat_word: 168,  # the sign word of each collineation
+    radon.radon_mult: 64,  # R, and the 64 distinct deltas
+    octonion._label_plan: 1,  # the 128 line orientations share their labels
 }
 
 

@@ -130,6 +130,27 @@ def test_field_claim_names_the_parsed_field(tmp_path):
     assert check["expected"] == check["observed"] == ["fp:5", True]
 
 
+def test_field_claim_reuses_the_memoized_gate(monkeypatch, tmp_path):
+    # AC11.chevalley runs Q(i), F_5, Q and F_3; --field fp:5 parses to a new
+    # PrimeField(5), which is the same field, so its gate is read, not rerun
+    calls = []
+    report = g2.chevalley_report
+
+    def counted(field):
+        calls.append(field.name)
+        return report(field)
+
+    monkeypatch.setattr(g2, "chevalley_report", counted)
+    g2.chevalley_gate.cache_clear()
+    try:
+        out = tmp_path / "g2.json"
+        assert _run(["verify", "g2", "--json", "--field", "fp:5", "--out", str(out)]) == 0
+    finally:
+        g2.chevalley_gate.cache_clear()
+    assert calls == ["qi", "fp:5", "q", "fp:3"]
+    assert PrimeField(5) == PrimeField(5) != PrimeField(13)
+
+
 def test_tables(tmp_path):
     out = tmp_path / "oct.txt"
     assert _run(["table", "octonion", "--out", str(out)]) == 0
@@ -247,12 +268,10 @@ def test_action_claim_fails_instead_of_raising(monkeypatch):
 
 @pytest.fixture
 def fresh_delta_hat():
-    """Clear the memos of delta_hat_fn and of the AC10 sweep over it before
-    and after a test that patches the sign words they read."""
-    g2.delta_hat_fn.cache_clear()
+    """Clear the memo of the AC10 sweep over delta_hat_fn before and after a
+    test that patches the sign words it reads."""
     g2.delta_hat_claims.cache_clear()
     yield
-    g2.delta_hat_fn.cache_clear()
     g2.delta_hat_claims.cache_clear()
 
 

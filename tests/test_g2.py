@@ -98,7 +98,28 @@ def test_bracket_matches_the_pairwise_reference():
                 _same_element(g2.bracket(x, y), _reference_bracket(x, y))
 
 
-def test_jacobi_check_catches_a_broken_bracket(monkeypatch):
+def test_generator_brackets_match_bracket():
+    # the table holds bracket on all 441 ordered pairs of generators
+    table = g2.generator_brackets()
+    assert len(table) == 441
+    for a in g2.INCIDENT_PAIRS:
+        for b in g2.INCIDENT_PAIRS:
+            _same_element(table[a, b], g2.bracket(g2.X(*a), g2.X(*b)))
+    for pd in g2.INCIDENT_PAIRS:
+        assert g2.x_vector(*pd) == tuple(g2.to_vector(g2.X(*pd)))
+
+
+@pytest.fixture
+def fresh_brackets():
+    """Clear the generator bracket table before and after a test that
+    patches g2.bracket, so that the claims read a table built by the patch
+    and no entry built under it outlives the test."""
+    g2.generator_brackets.cache_clear()
+    yield
+    g2.generator_brackets.cache_clear()
+
+
+def test_jacobi_check_catches_a_broken_bracket(monkeypatch, fresh_brackets):
     assert g2.jacobi_check()
     bracket = g2.bracket
     a, b, c = (g2.X(*pd) for pd in g2.g2_basis()[:3])
@@ -115,7 +136,28 @@ def test_jacobi_check_catches_a_broken_bracket(monkeypatch):
     assert g2.add_elt(skewed(a, b), skewed(b, a)) == {} != skewed(a, b)
     for bad in (one_sided, skewed):
         monkeypatch.setattr(g2, "bracket", bad)
+        g2.generator_brackets.cache_clear()
         assert not g2.jacobi_check()
+
+
+def test_a_bracket_wrong_on_one_generator_pair_fails_its_readers(monkeypatch, fresh_brackets):
+    # [X(1, 1), X(1, 5)] gains a term: the two commute in h_P1, so the table
+    # entry breaks the bracket law, h_P1 is no longer abelian, and the two
+    # basis elements no longer bracket antisymmetrically
+    bracket = g2.bracket
+    a, b, c = g2.X(1, 1), g2.X(1, 5), g2.X(2, 1)
+    assert bracket(a, b) == {}
+
+    def bad(x, y):
+        return g2.add_elt(bracket(x, y), c) if (x, y) == (a, b) else bracket(x, y)
+
+    monkeypatch.setattr(g2, "bracket", bad)
+    assert g2.generator_brackets()[(1, 1), (1, 5)] == c
+    assert not g2.check_bracket_law()
+    assert not g2.cartan_is_abelian(1)
+    assert not g2.cartans_hold()
+    assert not g2.jacobi_check()
+    assert all(g2.cartan_is_abelian(p) for p in fano.POINTS if p != 1)
 
 
 def test_spinor_representation_faithful_bracket():
@@ -276,6 +318,62 @@ def test_delta_hat_matches_the_entry_by_entry_reference():
     assert len(accepted) == 2688
     assert group <= accepted
     assert {(g, tuple(-v for v in s)) for g, s in group} == accepted - group
+
+
+def _reference_delta_hat_forms(g):
+    """The affine form of each bit of the sign word of (g, s), as a list:
+    bits 0..6 of a form are its coefficients of s_1..s_7, bit 7 its
+    constant.  Bits 0..6 of the word are the first form of each point, then
+    per (P, D) each further form against the first and a constant bit set
+    unless every entry lands on +-v, then per P the other two lines' first
+    forms against the first line's."""
+    point_bit = (0,) + tuple(1 << (q - 1) for q in fano.POINTS)
+    img = (0,) + g
+    lines = fano.line_perm(g)
+    signs, checks = [], []
+    for p in fano.POINTS:
+        leads = []
+        for d in fano.lines_through(p):
+            source = g2.x_matrix2(p, d)
+            target = g2.x_matrix2(g[p - 1], lines[d - 1])
+            forms, lands = [], len(source) == len(target)
+            for (a, b), v in source.items():
+                t = target.get((img[a], img[b]))
+                lands = lands and (t == v or t == -v)
+                forms.append((t == -v) << 7 | point_bit[a] ^ point_bit[b])
+            leads.append(forms[0])
+            checks += [f ^ forms[0] for f in forms[1:]]
+            checks.append(0 if lands else 1 << 7)
+        signs.append(leads[0])
+        checks += [lead ^ leads[0] for lead in leads[1:]]
+    return signs + checks
+
+
+def _reference_delta_hat_word(aug):
+    """The sign word of (g, s), each form evaluated at s."""
+    g, s = aug
+    minus = sum(1 << (q - 1) for q in fano.POINTS if s[q - 1] < 0)
+    return sum(
+        ((f >> 7) ^ bin(f & minus).count("1")) % 2 << k
+        for k, f in enumerate(_reference_delta_hat_forms(g))
+    )
+
+
+def test_delta_hat_words_match_the_forms_reference():
+    # the one-pass words of (g, +1) on all 168 collineations, and the words
+    # of all 1344 signed automorphisms through the layout, against the
+    # words folded from the lists of forms
+    flips, signs, errors = g2._delta_hat_layout()
+    assert len(flips) == len(signs) == 128
+    for g in fano.all_collineations():
+        assert g2._delta_hat_word(g) == _reference_delta_hat_word((g, (1,) * 7)), g
+    for aug in lifting.enumerate_aug_group():
+        word = _reference_delta_hat_word(aug)
+        assert g2._delta_hat_word(aug[0]) ^ flips[aug[1]] == word, aug
+        assert word < 128
+        assert g2.delta_hat_fn(aug) == tuple(-1 if word >> i & 1 else 1 for i in range(7))
+    # one error message per check bit
+    assert len(errors) == len(_reference_delta_hat_forms(fano.IDENTITY)) - 7
 
 
 def test_delta_hat_rejects_a_non_automorphism():

@@ -118,6 +118,24 @@ def test_delta_star_global_identities(monkeypatch, fresh_memos):
     assert lifting.delta_star_properties() is False
 
 
+def test_line_words_are_the_delta_star_masks(monkeypatch, fresh_memos):
+    # on all 168 collineations the line word has bit D - 1 set exactly where
+    # delta_star_fn, read off the first pair of D, is -1
+    for g in fano.all_collineations():
+        fn = lifting.delta_star_fn(g)
+        assert lifting._line_word(g) == radon.from_values(v < 0 for v in fn), g
+    # a first-pair path that flips the sign of D1 for the shift no longer
+    # agrees with the line words, which AC5.identities must see
+    delta_star = lifting.delta_star
+
+    def flipped(g, d):
+        return -delta_star(g, d) if (g, d) == (fano.TAU, 1) else delta_star(g, d)
+
+    monkeypatch.setattr(lifting, "delta_star", flipped)
+    _clear_memos()
+    assert lifting.delta_star_properties() is False
+
+
 def test_memos_filled_under_a_patch_are_cleared(monkeypatch, fresh_memos):
     clean = {g: lifting.delta_star_fn(g) for g in fano.all_collineations()}
     _clear_memos()
