@@ -626,11 +626,12 @@ def cmd_diagram(opts):
     else:
         # the 64 point-sign colorings over the augmented group; a delta that
         # fails its checks is reported as a failed check
-        from . import fano, g2, lifting
+        from . import fano, g2, lifting, radon
 
         group = lifting.enumerate_aug_group()
         try:
-            fns = sorted({g2.delta_hat_fn(aug) for aug in group})
+            # in the order of the sign tuples
+            fns = sorted({g2.delta_hat_fn(aug) for aug in group}, key=lifting.SIGNS.__getitem__)
         except AssertionError as exc:
             sys.stderr.write("error: %s\n" % exc)
             return 1
@@ -639,10 +640,10 @@ def cmd_diagram(opts):
             for idx, fn in enumerate(fns):
                 lines = ["graph delta_%d {" % idx]
                 for p in fano.POINTS:
-                    color = "green" if fn[p - 1] == 1 else "red"
+                    minus = radon.evaluate(fn, p)
                     lines.append(
                         '  P%d [color=%s, sign="%s"];'
-                        % (p, color, "+1" if fn[p - 1] == 1 else "-1")
+                        % (p, "red" if minus else "green", "-1" if minus else "+1")
                     )
                 for d in fano.LINES:
                     lines.append('  D%d [shape=box];' % d)
@@ -656,7 +657,7 @@ def cmd_diagram(opts):
             for fn in fns:
                 rows.append(
                     " ".join(
-                        "P%d:%s" % (p, "+" if fn[p - 1] == 1 else "-")
+                        "P%d:%s" % (p, "-" if radon.evaluate(fn, p) else "+")
                         for p in fano.POINTS
                     )
                 )

@@ -80,10 +80,6 @@ def canonical_epsilon(tau=fano.TAU):
 EPS_TAU = canonical_epsilon()
 
 
-def negate(eps):
-    return _freeze([[-v for v in row] for row in eps])
-
-
 @lru_cache(maxsize=None)
 def line_orientations():
     """The 2^7 = 128 antisymmetric tables that orient each line cyclically,
@@ -211,23 +207,6 @@ def exponentials_summary():
     exponentiate to, their sides, and whether EPS_TAU is one of them."""
     exps = {exponentiate(alpha) for alpha in enumerate_oriented_maps()}
     return len(exps), {side(e) for e in exps}, EPS_TAU in exps
-
-
-def twist(eps, v):
-    """Sign-twist of a factor by a Fano-cube element v (label 1..7 or 0).
-
-    The pair (P,Q) picks up -1 iff v does not lie on the line through P,Q.
-    This is the affine action of the 8-element kernel group on each side.
-    """
-    if v == 0:
-        return eps
-    table = [[0] * 7 for _ in range(7)]
-    for p in fano.POINTS:
-        for q in fano.POINTS:
-            if p != q:
-                s = 1 if v in fano.LINE_POINTS[fano.wedge(p, q)] else -1
-                table[p - 1][q - 1] = eps_get(eps, p, q) * s
-    return _freeze(table)
 
 
 def serialize(eps):

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 import json
-import math
 
 from . import compfactor, fano, linalg, octonion
 from .scalars import QI, QQ, PrimeField
@@ -729,15 +728,14 @@ def _delta_hat_word(g):
 def _delta_hat_layout():
     """What the sign words share for every g, laid out as in _delta_hat_word:
     for each sign vector s, the word XORed into that of (g, +1) to give the
-    word of (g, s); the sign tuples, indexed by word; and the error message
-    of each check bit.
+    word of (g, s); and the error message of each check bit.
 
     The coefficients of the forms come from the entries (a, b) of the
     source matrices alone: s_a s_b, the bits of a and b.  Bit k of the word
     for s_Q = -1 is the coefficient of s_Q in bit k, and the word of any s
     is the XOR of those of its -1 points.
     """
-    from . import radon
+    from . import lifting
 
     coeffs, errors = [0] * 7, []
     for p in fano.POINTS:
@@ -759,13 +757,13 @@ def _delta_hat_layout():
     for m in range(1, 128):
         low = m & -m
         words.append(words[m ^ low] ^ cols[low.bit_length() - 1])
-    signs = radon.all_sign_functions()
-    return dict(zip(signs, words)), signs, tuple(errors)
+    return dict(zip(lifting.SIGNS, words)), tuple(errors)
 
 
 def delta_hat_fn(aug):
     """The signs delta(P), P = P1..P7, with ghat X_{P,D} ghat^-1 =
-    delta(P) X_{gP,gD} for every line D through P.
+    delta(P) X_{gP,gD} for every line D through P, as the mask of the
+    points where delta is -1: the low seven bits of the word.
 
     The word of (g, s) is that of (g, +1) XOR the word of s, so every entry
     and agreement of all 21 generators is evaluated at once.  The first set
@@ -773,12 +771,12 @@ def delta_hat_fn(aug):
     is no signed X, or the first P whose sign depends on the line.
     """
     g, s = aug
-    flips, signs, errors = _delta_hat_layout()
+    flips, errors = _delta_hat_layout()
     word = _delta_hat_word(g) ^ flips[s]
     failed = word >> 7
     if failed:
         raise AssertionError(errors[(failed & -failed).bit_length() - 1])
-    return signs[word]
+    return word
 
 
 @lru_cache(maxsize=None)
@@ -800,12 +798,16 @@ def delta_hat_claims():
     return {
         "welldefined": len(fns) == len(group),
         "count": (len(counts), set(counts.values())),
-        "in-R": all(math.prod(fn) == 1 for fn in counts),
+        # R: an even number of -1 points
+        "in-R": all(not fn.bit_count() % 2 for fn in counts),
         # the transform of each delta against the line signs of the base
         "radon": all(
-            radon.radon_mult(fn) == lifting.delta_star_fn(aug[0]) for aug, fn in fns.items()
+            radon.radon(fn) == lifting.delta_star_fn(aug[0]) for aug, fn in fns.items()
         ),
-        "ahat": {p for p, v in zip(fano.POINTS, fns.get(lifting.AHAT, ())) if v == 1},
+        # the +1 points of the delta of ahat; none when ahat has no delta
+        "ahat": {
+            p for p in fano.POINTS if not radon.evaluate(fns.get(lifting.AHAT, radon.ONE), p)
+        },
     }
 
 
@@ -1029,20 +1031,23 @@ def o3_example_report():
     g1 = X(1, 1)
     g2_ = X(7, 7)
     basis_elts = lie_closure([g1, g2_])
-    rows = [to_vector(x) for x in basis_elts]
     center_elt = scale_elt(Fraction(-1, 2), Y(1, 7))
     report = {"dimension": len(basis_elts)}
-    report["center_elt_in_algebra"] = linalg.in_span(rows, to_vector(center_elt), QQ)
+    report["center_elt_in_algebra"] = to_vector(center_elt) in linalg.Echelon(
+        QQ, map(to_vector, basis_elts)
+    )
     report["center_elt_central"] = all(
         bracket(center_elt, x) == {} for x in basis_elts
     )
-    derived = []
-    for x in basis_elts:
-        for y in basis_elts:
-            derived.append(to_vector(bracket(x, y)))
+    derived = linalg.Echelon(
+        QQ, [to_vector(bracket(x, y)) for x in basis_elts for y in basis_elts]
+    )
     expected = [x_vector(q, 7) for q in sorted(fano.LINE_POINTS[7])]
-    report["derived_ideal_matches"] = linalg.span_equal(derived, expected, QQ)
-    report["derived_dimension"] = linalg.rank(derived, QQ)
+    # the spans are equal: the same dimension, and expected inside derived
+    report["derived_ideal_matches"] = len(derived) == linalg.rank(expected, QQ) and all(
+        v in derived for v in expected
+    )
+    report["derived_dimension"] = len(derived)
     return report
 
 

@@ -9,6 +9,10 @@ pair (g, signs) with signs: points -> {+1,-1} acting by e_P -> signs(P) *
 e_{gP}; it is an algebra automorphism of the 8-dimensional algebra exactly
 when the product of the three signs on every line equals delta_star(g, D).
 There are 8 lifts per collineation, 1344 in all.
+
+Sign functions on points and lines are radon masks: bit P - 1 (or D - 1) is
+set where the sign is -1.  Only the s of an augmented automorphism is a sign
+tuple, and SIGNS and MASK_OF convert between the two forms.
 """
 
 from functools import lru_cache
@@ -28,9 +32,9 @@ def delta_star(g, d):
 
 @lru_cache(maxsize=None)
 def delta_star_fn(g):
-    """The sign function D -> delta_star(g, D) as a 7-tuple; memoized per
+    """The sign function D -> delta_star(g, D) as a mask; memoized per
     collineation."""
-    return tuple(delta_star(g, d) for d in fano.LINES)
+    return sum(1 << (d - 1) for d in fano.LINES if delta_star(g, d) < 0)
 
 
 def delta_star_properties():
@@ -50,8 +54,7 @@ def delta_star_properties():
     """
     group = fano.all_collineations()
     masks = {g: _line_word(g) for g in group}
-    signs = radon.all_sign_functions()
-    if any(m is None or delta_star_fn(g) != signs[m] for g, m in masks.items()):
+    if any(m is None or delta_star_fn(g) != m for g, m in masks.items()):
         return False
     # det g reads all seven lines, a pencil product the three through a point
     if any(
@@ -92,22 +95,18 @@ def class_sizes():
 def constant_class_is_isotropy():
     """AC5.constant-class: the class of the constant +1 is the isotropy of
     compfactor.EPS_TAU."""
-    return frozenset(classify_delta_star()[(1,) * 7]) == compfactor.isotropy()
+    return frozenset(classify_delta_star()[radon.ZERO]) == compfactor.isotropy()
 
 
 def distinguished_point(fn):
     """The point attached to a member of R*: the unique P whose three lines
     carry +1, for a non-constant member; 0 for the constant function 1.
     """
-    if all(v == 1 for v in fn):
+    if fn == radon.ZERO:
         return 0
-    plus = [d for d in fano.LINES if fn[d - 1] == 1]
-    if len(plus) != 3:
+    if radon.ONE ^ fn not in radon.PENCILS:
         raise ValueError("not a member of R*: %r" % (fn,))
-    common = set.intersection(*(set(fano.LINE_POINTS[d]) for d in plus))
-    if len(common) != 1:
-        raise ValueError("not a member of R*: %r" % (fn,))
-    return common.pop()
+    return radon.PENCILS.index(radon.ONE ^ fn) + 1
 
 
 def generator_points():
@@ -120,6 +119,11 @@ def generator_points():
 
 # ---------------------------------------------------------------------------
 # augmented automorphisms: (base permutation, sign 7-tuple)
+
+# SIGNS[m]: the sign tuple with -1 at the set bits of the mask m; MASK_OF
+# inverts it
+SIGNS = tuple(tuple(-1 if m >> i & 1 else 1 for i in range(7)) for m in radon.ALL_FUNCTIONS)
+MASK_OF = {s: m for m, s in enumerate(SIGNS)}
 
 
 def aug_apply(aug, coeffs):
@@ -188,7 +192,8 @@ def _line_word(g):
     s over the line D through P and Q, the same for all six ordered pairs of
     D.  So s lifts g iff the six pairs of each line D agree and the product
     of s over D is that common sign: bit D - 1 of the word is set where it
-    is -1.  None means g is not additive, or some line's pairs disagree.
+    is -1, and s lifts g iff the Radon transform of its mask is the word.
+    None means g is not additive, or some line's pairs disagree.
     """
     if not fano.is_additive(g):
         return None
@@ -203,22 +208,6 @@ def _line_word(g):
     return sum(1 << d for d, v in enumerate(signs) if v < 0)
 
 
-@lru_cache(maxsize=None)
-def _sign_words():
-    """Each of the 128 sign vectors, in the order of
-    radon.all_sign_functions(), mapped to its line word: bit D - 1 set where
-    the product of its signs over the points of D is -1."""
-    words = {}
-    for s in radon.all_sign_functions():
-        word = 0
-        for d in fano.LINES:
-            p, q, r = fano.LINE_POINTS[d]
-            if s[p - 1] * s[q - 1] * s[r - 1] < 0:
-                word |= 1 << (d - 1)
-        words[s] = word
-    return words
-
-
 def is_algebra_automorphism(aug):
     """Multiplicativity of (g, s) on all imaginary basis pairs, as one
     comparison of line words (see _line_word): g is a collineation whose
@@ -227,36 +216,30 @@ def is_algebra_automorphism(aug):
     """
     g, s = aug
     word = _line_word(g)
-    return word is not None and _sign_words().get(s) == word
+    return word is not None and s in MASK_OF and radon.radon(MASK_OF[s]) == word
 
 
 def t_map(d):
     """The kernel element t_D: identity base, +1 on D and -1 off D."""
-    return (
-        fano.IDENTITY,
-        tuple(1 if p in fano.LINE_POINTS[d] else -1 for p in fano.POINTS),
-    )
+    return (fano.IDENTITY, SIGNS[radon.t_line(d)])
 
 
 @lru_cache(maxsize=None)
 def lifts(g):
-    """The sign functions lifting g, memoized per collineation: all 128 sign
-    vectors are compared with the line word of g, in the order of
-    radon.all_sign_functions().
+    """The lifts (g, s) of g, memoized per collineation, in mask order: by
+    the lifting theorem, s lifts g iff the Radon transform of the mask of s
+    is the line word of g, which is delta_star(g, .) as a mask.
 
-    The word of g is delta_star(g, .) as a mask, and the line word of s is
-    its multiplicative Radon transform, both read without radon.  The
-    sweep covers every sign vector, so AC6.fibers certifies both halves of
-    the lifting theorem: s lifts g iff radon_mult(s) = delta_star(g, .),
-    and eight do for every g.
+    radon.preimages tests all 128 masks against the word, so AC6.fibers
+    certifies both halves of the theorem on every collineation: the lifts
+    are exactly the preimages, and there are eight of them.
     """
-    word = _line_word(g)
-    return tuple((g, s) for s, w in _sign_words().items() if w == word)
+    return tuple((g, SIGNS[m]) for m in radon.preimages(_line_word(g)))
 
 
 def aug_serialize(aug):
     g, s = aug
-    return [fano.serialize(g), radon.from_values(v == -1 for v in s)]
+    return [fano.serialize(g), MASK_OF[s]]
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +331,7 @@ def delta_star_diagram_text():
         rows = [head]
         rows.append(
             "  " + "  ".join(
-                "%s:%s" % (fano.line_name(d), "+" if fn[d - 1] == 1 else "-")
+                "%s:%s" % (fano.line_name(d), "-" if radon.evaluate(fn, d) else "+")
                 for d in fano.LINES
             )
         )
@@ -373,10 +356,10 @@ def delta_star_diagram_dot():
             shape = "doublecircle" if p == p0 else "circle"
             lines.append('  P%d [shape=%s];' % (p, shape))
         for d in fano.LINES:
-            color = "green" if fn[d - 1] == 1 else "red"
+            minus = radon.evaluate(fn, d)
             lines.append(
                 '  D%d [shape=box, color=%s, sign="%s"];'
-                % (d, color, "+1" if fn[d - 1] == 1 else "-1")
+                % (d, "red" if minus else "green", "-1" if minus else "+1")
             )
             for p in sorted(fano.LINE_POINTS[d]):
                 lines.append("  P%d -- D%d;" % (p, d))

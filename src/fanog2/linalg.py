@@ -182,12 +182,3 @@ def nullspace(rows, field):
             basis.append(vec)
     return basis
 
-
-def in_span(rows, vec, field):
-    """Whether vec lies in the row span of rows."""
-    return vec in Echelon(field, rows)
-
-
-def span_equal(rows_a, rows_b, field):
-    basis = Echelon(field, rows_a)
-    return len(basis) == rank(rows_b, field) and all(v in basis for v in rows_b)

@@ -12,17 +12,16 @@ product and every certificate read it.  The certificates are integer
 identities on the table over all basis tuples, which by linearity hold for
 all elements.
 
-mul and bilinear evaluate over Q, Q(i) and F_p on integer coordinates: both
-are bilinear, so each factor is scaled to integers once (by the lcm of its
-denominators, or to its residues mod p), one integer loop does the
-arithmetic, and each output coordinate becomes a field element once.  Over
-Q(i) the scalar i is central, so the real and imaginary parts go through the
-same loop.
+mul and norm evaluate over Q, Q(i) and F_p on integer coordinates: each
+factor is scaled to integers once (by the lcm of its denominators, or to its
+residues mod p), one integer loop does the arithmetic, and each output
+coordinate becomes a field element once.  Over Q(i) the scalar i is central,
+so the real and imaginary parts go through the same loop.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 import json
 import operator
 
@@ -37,41 +36,25 @@ from .scalars import (
 )
 
 
-def unit():
-    return (QQ.one,) + (QQ.zero,) * 7
-
-
-def basis(i):
-    """Basis element: index 0 is the unit, 1..7 are the imaginary units."""
-    return tuple(QQ.one if j == i else QQ.zero for j in range(8))
-
-
-def from_ints(coeffs):
-    return tuple(QQ.of(c) for c in coeffs)
-
-
-def add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def scale(c, x):
-    return tuple(c * a for a in x)
+# _LABELS[a][b]: the label c of e_a e_b = +-e_c, the same for every eps
+_LABELS = tuple(tuple(fano.add(a, b) if a and b else a or b for b in range(8)) for a in range(8))
 
 
 @lru_cache(maxsize=None)
 def products(eps):
     """The basis products: products(eps)[a][b] = (s, c) with e_a e_b = s e_c
-    for basis labels a, b, c in 0..7 (0 is the unit); memoized."""
+    for basis labels a, b, c in 0..7 (0 is the unit); memoized.  The labels
+    are those of _LABELS; eps gives the signs off the unit and the diagonal."""
     rows = []
-    for a in range(8):
+    for a, labels in enumerate(_LABELS):
         row = []
-        for b in range(8):
+        for b, c in enumerate(labels):
             if not a or not b:
-                row.append((1, a or b))
+                row.append((1, c))
             elif a == b:
-                row.append((-1, 0))
+                row.append((-1, c))
             else:
-                row.append((eps[a - 1][b - 1], fano.add(a, b)))
+                row.append((eps[a - 1][b - 1], c))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -122,48 +105,35 @@ def mul(x, y, eps=compfactor.EPS_TAU, field=QQ):
     return tuple(map(field.of, _integer_mul(t, xs, ys)))
 
 
-def conjugate(x):
-    return (x[0],) + tuple(-a for a in x[1:])
-
-
-def norm(x):
-    """The quadratic form B(x,x): sum of squares of the 8 coefficients."""
-    return bilinear(x, x)
-
-
 def _dot(x, y):
     return sum(map(operator.mul, x, y))
 
 
-def bilinear(x, y):
-    """B(x, y) = x_0 y_0 + ... + x_7 y_7, of the type that sum has when
-    taken term by term: an int when every coordinate is an int, a Fraction
-    over Q, a GaussianRational over Q(i), a PrimeFieldElement over F_p.  Over
-    Q and Q(i) it is one integer dot product per part over the common
-    denominator; over F_p it is one dot product of residues, reduced once.
+def norm(x):
+    """The quadratic form B(x, x) = x_0^2 + ... + x_7^2, of the type that sum
+    has when taken term by term: an int when every coordinate is an int, a
+    Fraction over Q, a GaussianRational over Q(i), a PrimeFieldElement over
+    F_p.  Over Q and Q(i) it is one integer sum per part over the squared
+    common denominator, (xr + i xi)^2 having imaginary part 2 xr xi; over
+    F_p it is one sum of squared residues, reduced once.
     """
-    kinds = set(map(type, x)) | set(map(type, y))
+    kinds = set(map(type, x))
     if kinds <= {int, Fraction}:
-        xs, dx = clear_denominators(x)
-        ys, dy = clear_denominators(y)
-        z = _dot(xs, ys)
-        return z if kinds == {int} else Fraction(z, dx * dy)
+        xs, d = clear_denominators(x)
+        z = _dot(xs, xs)
+        return z if kinds == {int} else Fraction(z, d * d)
     if kinds <= {int, Fraction, GaussianRational}:
-        (xr, xi), dx = _gaussian_integers(x)
-        (yr, yi), dy = _gaussian_integers(y)
-        d = dx * dy
+        (xr, xi), d = _gaussian_integers(x)
         return GaussianRational(
-            Fraction(_dot(xr, yr) - _dot(xi, yi), d),
-            Fraction(_dot(xr, yi) + _dot(xi, yr), d),
+            Fraction(_dot(xr, xr) - _dot(xi, xi), d * d), Fraction(2 * _dot(xr, xi), d * d)
         )
     if not kinds <= {int, Fraction, PrimeFieldElement}:
         raise TypeError("coordinates of no one supported field: %s" % kinds)
     # F_p: every coordinate is read as a residue of the first field
     # element's prime, which raises ValueError on an element of another
-    e = next(a for a in chain(x, y) if type(a) is PrimeFieldElement)
+    e = next(a for a in x if type(a) is PrimeFieldElement)
     xs = [e._coerce(a).v for a in x]
-    ys = [e._coerce(b).v for b in y]
-    return PrimeFieldElement(_dot(xs, ys), e.p)
+    return PrimeFieldElement(_dot(xs, xs), e.p)
 
 
 # The certificates below work on signed labels (s, c), meaning s e_c.

@@ -3,11 +3,14 @@
 A function f: points -> Z_2 is stored as a 7-bit mask whose bit (p-1) is
 f(P_p); likewise a function on lines has bit (d-1) equal to the value on
 D_d.  The transform sums f over the three points of each line.
+
+A sign function, with values +1 and -1, is the mask of its -1 points (or
+lines).  The product of the signs over a line is -1 iff the line holds an
+odd number of -1 points, so the multiplicative transform is radon too.
 """
 
 from functools import lru_cache
 from itertools import combinations
-from math import prod
 
 from . import fano
 
@@ -92,7 +95,11 @@ def image_is_pencil_set():
     )
 
 
+@lru_cache(maxsize=None)
 def preimages(h):
+    """The functions whose transform is h, in mask order; memoized, since
+    the claims and the lifts of the collineations read the same members of
+    the image."""
     return tuple(f for f in ALL_FUNCTIONS if radon(f) == h)
 
 
@@ -102,50 +109,27 @@ def preimages_have_eight():
 
 
 @lru_cache(maxsize=None)
-def radon_mult(f):
-    """Multiplicative transform: f*(D) = product of f(P) over P in D.
-
-    Defined for functions with values in {+1,-1}, stored as sign tuples
-    indexed by label-1; memoized, since R, its kernel and the deltas of the
-    covering group transform the same 64 functions.
-    """
-    return tuple(prod(f[p - 1] for p in fano.LINE_POINTS[d]) for d in fano.LINES)
-
-
-@lru_cache(maxsize=None)
-def all_sign_functions():
-    """The 128 sign tuples, the i-th with -1 at the set bits of i; memoized."""
-    out = []
-    for m in range(128):
-        out.append(tuple(-1 if (m >> i) & 1 else 1 for i in range(7)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def mult_domain():
-    """R: the 64 sign functions on points whose total product is +1."""
-    return tuple(f for f in all_sign_functions() if prod(f) == 1)
+    """R: the 64 sign functions on points whose total product is +1, the
+    masks of even weight."""
+    return tuple(f for f in ALL_FUNCTIONS if not f.bit_count() % 2)
 
 
 @lru_cache(maxsize=None)
 def mult_image():
-    """R*: the multiplicative transform of the domain R, as a sorted tuple.
+    """R*: the transform of the domain R, as a sorted tuple.
 
     The claims compare it with the line sign functions whose product is +1
     on every pencil (see pencil_sign_functions).
     """
-    return tuple(sorted({radon_mult(f) for f in mult_domain()}))
+    return tuple(sorted({radon(f) for f in mult_domain()}))
 
 
 def pencil_sign_functions():
-    """The line sign functions with product +1 on every pencil."""
+    """The line sign functions with product +1 on every pencil: an even
+    number of -1 lines in each."""
     return tuple(
-        h
-        for h in all_sign_functions()
-        if all(
-            prod(h[d - 1] for d in fano.lines_through(p)) == 1
-            for p in fano.POINTS
-        )
+        h for h in ALL_FUNCTIONS if not any((h & m).bit_count() % 2 for m in PENCILS)
     )
 
 
@@ -158,9 +142,9 @@ def mult_image_agreement():
 
 
 def mult_kernel():
-    """The 8-element kernel of the multiplicative transform on R."""
-    triv = tuple(1 for _ in fano.POINTS)
-    return tuple(f for f in mult_domain() if radon_mult(f) == radon_mult(triv))
+    """The 8-element kernel of the multiplicative transform on R: the
+    members whose transform is the constant +1."""
+    return tuple(f for f in mult_domain() if radon(f) == ZERO)
 
 
 @lru_cache(maxsize=None)

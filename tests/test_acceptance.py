@@ -88,7 +88,8 @@ MEMOS = {
     lifting.order_profiles: 1,
     g2.generator_brackets: 1,  # the 441 brackets [X_a, X_b]
     g2._delta_hat_word: 168,  # the sign word of each collineation
-    radon.radon_mult: 64,  # R, and the 64 distinct deltas
+    radon.radon: 128,  # every mask, read by the kernel and image sweeps
+    radon.preimages: 16,  # the image members, whose preimages the lifts read too
     octonion._label_plan: 1,  # the 128 line orientations share their labels
 }
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import fanog2
-from fanog2 import cli, compfactor, fano, g2, lifting, radon
+from fanog2 import cli, fano, g2, lifting, radon
 from fanog2.scalars import PrimeField
 
 
@@ -223,20 +223,24 @@ def test_radon_claim_fails_instead_of_raising(monkeypatch):
     assert checks["AC4.kernel"]["pass"] is True
     assert {radon.t_line(d) for d in fano.LINES}.isdisjoint(radon.kernel())
     monkeypatch.undo()
-    # the multiplicative transform broken to the identity: its image of R is
-    # no longer the pencil-product set, which must come out as a FAIL record
-    # naming the first sign function in one set but not the other
-    monkeypatch.setattr(radon, "radon_mult", lambda f: f)
-    radon.mult_domain.cache_clear()
-    radon.mult_image.cache_clear()
+    # the transform broken to the identity: its image of R is no longer the
+    # pencil-product set, which must come out as a FAIL record naming the
+    # first sign mask in one set but not the other
+    memos = (radon.kernel, radon.image, radon.preimages, radon.mult_image)
+    monkeypatch.setattr(radon, "radon", lambda f: f)
+    for memo in memos:
+        memo.cache_clear()
     try:
         checks = {c["claim"]: c for c in cli.suite_radon()}
     finally:
-        radon.mult_domain.cache_clear()
-        radon.mult_image.cache_clear()
+        monkeypatch.undo()
+        for memo in memos:
+            memo.cache_clear()
     assert checks["AC4.mult-domain"]["pass"] is True
     assert checks["AC4.mult-image"]["pass"] is False
-    assert checks["AC4.mult-image"]["observed"] == (-1, -1, -1, -1, -1, -1, 1)
+    # -1 at P1 and P2: in R, but negative on the pencil through P1
+    assert checks["AC4.mult-image"]["observed"] == 0b11
+    assert checks["AC4.kernel"]["pass"] is False
 
 
 def test_concurrency_claim_counts_the_triples(monkeypatch):
@@ -259,7 +263,7 @@ def test_action_claim_fails_instead_of_raising(monkeypatch):
     # of the incidence formula: AC8.action must come out as a FAIL record
     eps_star = g2.eps_star
     sign, point = g2.action_on_basis(1, 1, 3)
-    monkeypatch.setattr(g2, "eps_star", lambda: compfactor.negate(eps_star()))
+    monkeypatch.setattr(g2, "eps_star", lambda: tuple(tuple(-v for v in row) for row in eps_star()))
     assert g2.action_on_basis(1, 1, 3) == (-sign, point)
     checks = {c["claim"]: c for c in cli.suite_g2(PrimeField(13))}
     assert checks["AC8.action"]["pass"] is False

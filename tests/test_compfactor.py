@@ -32,12 +32,26 @@ def test_antisymmetry():
 def test_sides_and_negation():
     eps = compfactor.EPS_TAU
     assert compfactor.side(eps) == "O+"
-    assert compfactor.side(compfactor.negate(eps)) == "O-"
+    assert compfactor.side(tuple(tuple(-v for v in row) for row in eps)) == "O-"
+
+
+def _twist(eps, v):
+    """eps with the pair (P, Q) negated iff v, a label 1..7 or 0, is off the
+    line through P and Q; v = 0 leaves eps as it is."""
+    if v == 0:
+        return eps
+    def sign(p, q):
+        return 1 if v in fano.LINE_POINTS[fano.wedge(p, q)] else -1
+
+    return tuple(
+        tuple(0 if p == q else eps[p - 1][q - 1] * sign(p, q) for q in fano.POINTS)
+        for p in fano.POINTS
+    )
 
 
 def test_twist_transitive_on_side():
     eps = compfactor.EPS_TAU
-    twists = {compfactor.twist(eps, v) for v in range(8)}
+    twists = {_twist(eps, v) for v in range(8)}
     assert len(twists) == 8
     assert all(compfactor.side(t) == "O+" for t in twists)
     assert twists == {

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -81,9 +82,9 @@ def _compare_with_the_pairwise_reference():
     lifted = 0
     for g in fano.all_collineations():
         expected = tuple(
-            (g, s) for s in radon.all_sign_functions() if _reference_is_automorphism((g, s))
+            (g, s) for s in lifting.SIGNS if _reference_is_automorphism((g, s))
         )
-        for s in radon.all_sign_functions():
+        for s in lifting.SIGNS:
             assert lifting.is_algebra_automorphism((g, s)) == ((g, s) in expected), (g, s)
         assert lifting.lifts(g) == expected, g
         lifted += len(expected)
@@ -120,10 +121,12 @@ def test_delta_star_global_identities(monkeypatch, fresh_memos):
 
 def test_line_words_are_the_delta_star_masks(monkeypatch, fresh_memos):
     # on all 168 collineations the line word has bit D - 1 set exactly where
-    # delta_star_fn, read off the first pair of D, is -1
+    # delta_star, read off the first pair of D, is -1
     for g in fano.all_collineations():
-        fn = lifting.delta_star_fn(g)
-        assert lifting._line_word(g) == radon.from_values(v < 0 for v in fn), g
+        fn = tuple(lifting.delta_star(g, d) for d in fano.LINES)
+        assert lifting._line_word(g) == lifting.delta_star_fn(g) == radon.from_values(
+            v < 0 for v in fn
+        ), g
     # a first-pair path that flips the sign of D1 for the shift no longer
     # agrees with the line words, which AC5.identities must see
     delta_star = lifting.delta_star
@@ -154,7 +157,18 @@ def test_distinguished_points():
     a, b = fano.standard_generators()
     assert lifting.distinguished_point(lifting.delta_star_fn(a)) == 4
     assert lifting.distinguished_point(lifting.delta_star_fn(b)) == 3
-    assert lifting.distinguished_point((1,) * 7) == 0
+    assert lifting.distinguished_point(radon.ZERO) == 0
+    # -1 on the pencil through P1 and +1 off it, and -1 on one line alone,
+    # are no members of R*
+    for fn in (radon.PENCILS[0], 1):
+        with pytest.raises(ValueError, match="not a member of R"):
+            lifting.distinguished_point(fn)
+
+
+def test_sign_table_is_the_mask_bijection():
+    assert len(set(lifting.SIGNS)) == 128
+    for m, s in enumerate(lifting.SIGNS):
+        assert lifting.MASK_OF[s] == m == radon.from_values(v == -1 for v in s)
 
 
 def test_aug_group_axioms():
@@ -170,8 +184,8 @@ def test_aug_group_axioms():
         assert power != lifting.AUG_IDENTITY, k
         power = lifting.aug_compose(ahat, power)
     assert power == lifting.AUG_IDENTITY
-    x = octonion.from_ints((1, 2, 0, -1, 3, 0, 1, 2))
-    y = octonion.from_ints((0, 1, 1, 1, 0, -2, 0, 1))
+    x = tuple(map(Fraction, (1, 2, 0, -1, 3, 0, 1, 2)))
+    y = tuple(map(Fraction, (0, 1, 1, 1, 0, -2, 0, 1)))
     lhs = lifting.aug_apply(ahat, octonion.mul(x, y))
     rhs = octonion.mul(lifting.aug_apply(ahat, x), lifting.aug_apply(ahat, y))
     assert lhs == rhs
@@ -184,7 +198,10 @@ def test_automorphism_check_requires_a_collineation():
     g = (1, 2, 3, 6, 7, 5, 4)
     bad = (g, (-1, -1, -1, 1, 1, 1, 1))
     assert not fano.is_additive(g)
-    e = octonion.basis
+
+    def e(i):
+        return tuple(Fraction(int(j == i)) for j in range(8))
+
     assert lifting.aug_apply(bad, octonion.mul(e(1), e(2))) != octonion.mul(
         lifting.aug_apply(bad, e(1)), lifting.aug_apply(bad, e(2))
     )

@@ -40,23 +40,34 @@ def _draw(data, field, n):
     return (eps,) + tuple(data.draw(element) for _ in range(n))
 
 
+def _rational(coeffs):
+    return tuple(map(Fraction, coeffs))
+
+
+def _basis(i):
+    """e_i over Q: index 0 is the unit, 1..7 are the imaginary units."""
+    return _rational(int(j == i) for j in range(8))
+
+
+def _scale(c, x):
+    return tuple(c * a for a in x)
+
+
 def test_unit_and_basis():
-    one = octonion.unit()
-    x = octonion.from_ints((3, -1, 0, 2, 0, 0, 5, -4))
+    one = _basis(0)
+    x = _rational((3, -1, 0, 2, 0, 0, 5, -4))
     assert octonion.mul(one, x) == x
     assert octonion.mul(x, one) == x
     for p in fano.POINTS:
-        e = octonion.basis(p)
-        assert octonion.mul(e, e) == octonion.scale(-1, one)
+        e = _basis(p)
+        assert octonion.mul(e, e) == _scale(-1, one)
 
 
 def test_collinear_products():
     # e1 e2 = e4, e5 e2 = e3, e7 e3 = -e1
-    assert octonion.mul(octonion.basis(1), octonion.basis(2)) == octonion.basis(4)
-    assert octonion.mul(octonion.basis(5), octonion.basis(2)) == octonion.basis(3)
-    assert octonion.mul(octonion.basis(7), octonion.basis(3)) == octonion.scale(
-        -1, octonion.basis(1)
-    )
+    assert octonion.mul(_basis(1), _basis(2)) == _basis(4)
+    assert octonion.mul(_basis(5), _basis(2)) == _basis(3)
+    assert octonion.mul(_basis(7), _basis(3)) == _scale(-1, _basis(1))
 
 
 def test_anticommutation():
@@ -64,45 +75,44 @@ def test_anticommutation():
         for q in fano.POINTS:
             if p == q:
                 continue
-            xy = octonion.mul(octonion.basis(p), octonion.basis(q))
-            yx = octonion.mul(octonion.basis(q), octonion.basis(p))
-            assert xy == octonion.scale(-1, yx)
+            xy = octonion.mul(_basis(p), _basis(q))
+            yx = octonion.mul(_basis(q), _basis(p))
+            assert xy == _scale(-1, yx)
 
 
 def test_norm_and_bilinear():
-    x = octonion.from_ints((1, 2, 3, 4, 5, 6, 7, 8))
-    y = octonion.from_ints((8, 7, 6, 5, 4, 3, 2, 1))
+    x = _rational((1, 2, 3, 4, 5, 6, 7, 8))
+    y = _rational((8, 7, 6, 5, 4, 3, 2, 1))
     assert octonion.norm(x) == sum(v * v for v in (1, 2, 3, 4, 5, 6, 7, 8))
-    assert octonion.bilinear(x, x) == octonion.norm(x)
-    assert (
-        octonion.norm(octonion.add(x, y))
-        == octonion.norm(x) + 2 * octonion.bilinear(x, y) + octonion.norm(y)
-    )
+    # the polarization of the norm is the dot product
+    x_plus_y = tuple(a + b for a, b in zip(x, y))
+    dot = sum(a * b for a, b in zip(x, y))
+    assert octonion.norm(x_plus_y) == octonion.norm(x) + 2 * dot + octonion.norm(y)
     assert octonion.norm(octonion.mul(x, y)) == octonion.norm(x) * octonion.norm(y)
 
 
 def test_conjugation():
     assert octonion.conjugation_is_antiautomorphism()
-    x = octonion.from_ints((2, 1, -1, 0, 3, 0, 0, 1))
+    x = _rational((2, 1, -1, 0, 3, 0, 0, 1))
     n = octonion.norm(x)
-    prod = octonion.mul(x, octonion.conjugate(x))
-    assert prod == octonion.scale(n, octonion.unit())
+    prod = octonion.mul(x, (x[0],) + _scale(-1, x[1:]))
+    assert prod == _scale(n, _basis(0))
 
 
 def test_alternative_not_associative():
     assert octonion.is_alternative()
-    e1, e2, e3 = (octonion.basis(p) for p in (1, 2, 3))
+    e1, e2, e3 = (_basis(p) for p in (1, 2, 3))
     m = octonion.mul
     assert m(m(e1, e2), e3) != m(e1, m(e2, e3))
 
 
 def test_clifford_property():
     assert octonion.clifford_identity()
-    x = octonion.from_ints((0, 1, 1, 0, -2, 0, 3, 0))
+    x = _rational((0, 1, 1, 0, -2, 0, 3, 0))
     n = octonion.norm(x)
     for b in range(8):
-        e = octonion.basis(b)
-        assert octonion.mul(x, octonion.mul(x, e)) == octonion.scale(-n, e)
+        e = _basis(b)
+        assert octonion.mul(x, octonion.mul(x, e)) == _scale(-n, e)
 
 
 def test_certificates_reject_a_flipped_pair(monkeypatch):
@@ -259,8 +269,8 @@ def test_mul_and_bilinear_match_the_term_by_term_sums(field):
         for x, y in _reference_cases(field):
             xy = octonion.mul(x, y, eps, field)
             _same(xy, _reference_mul(x, y, eps, field))
-            for u, v in ((x, y), (x, x), (y, y), (xy, xy), (x, xy)):
-                _same((octonion.bilinear(u, v),), (_reference_bilinear(u, v),))
+            for u in (x, y, xy):
+                _same((octonion.norm(u),), (_reference_bilinear(u, u),))
     ints = _reference_cases(field)[0][0]
     assert type(octonion.norm(ints)) is int
 
@@ -273,10 +283,10 @@ def test_mixed_prime_fields_raise():
         with pytest.raises(ValueError):
             octonion.mul(x, y, compfactor.EPS_TAU, field)
     with pytest.raises(ValueError):
-        octonion.bilinear(x, y)
+        octonion.norm(x[:4] + y[4:])
     # coordinates of no supported field
     with pytest.raises(TypeError):
-        octonion.bilinear(x, (0.5,) * 8)
+        octonion.norm(x[:4] + (0.5,) * 4)
 
 
 def test_table_formats():

@@ -1,3 +1,5 @@
+from math import prod
+
 from fanog2 import fano, radon
 
 
@@ -34,25 +36,46 @@ def test_point_and_line_indicators():
         assert radon.t_line(d) == radon.ONE ^ ind
 
 
+def _signs(mask):
+    """The sign tuple with -1 at the set bits of mask."""
+    return tuple(-1 if mask >> i & 1 else 1 for i in range(7))
+
+
+def test_masks_carry_the_multiplicative_transform():
+    # a sign function is the mask of its -1 points: on all 128, the product
+    # of the signs over each line is -1 exactly where the transform is 1,
+    # R is the masks whose signs multiply to +1, and the pencil condition
+    # is the product over the three lines through each point
+    dom = set(radon.mult_domain())
+    pencil = set(radon.pencil_sign_functions())
+    for m in range(128):
+        s = _signs(m)
+        lines = tuple(prod(s[p - 1] for p in fano.LINE_POINTS[d]) for d in fano.LINES)
+        assert _signs(radon.radon(m)) == lines, m
+        assert (m in dom) == (prod(s) == 1), m
+        pencils = (prod(s[d - 1] for d in fano.lines_through(p)) for p in fano.POINTS)
+        assert (m in pencil) == all(v == 1 for v in pencils), m
+
+
 def test_mult_transform():
     dom = radon.mult_domain()
     assert len(dom) == 64
     img = radon.mult_image()
     assert len(img) == 8
-    assert {radon.radon_mult(f) for f in dom} == set(img)
+    assert {radon.radon(f) for f in dom} == set(img) == set(radon.pencil_sign_functions())
     ker = radon.mult_kernel()
     assert len(ker) == 8
-    one = (1,) * 7
     for f in ker:
-        assert radon.radon_mult(f) == one
+        assert radon.radon(f) == radon.ZERO
 
 
 def test_mult_kernel_is_group():
+    # a product of sign functions is the XOR of their masks
     ker = set(radon.mult_kernel())
+    assert radon.ZERO in ker
     for f in ker:
         for g in ker:
-            prod = tuple(a * b for a, b in zip(f, g))
-            assert prod in ker
+            assert f ^ g in ker
 
 
 def test_concurrency_identity():
