@@ -618,11 +618,16 @@ def cmd_diagram(opts):
     if opts.target == "delta-star":
         from . import lifting
 
-        text = (
-            lifting.delta_star_diagram_dot()
-            if opts.format == "dot"
-            else lifting.delta_star_diagram_text()
-        )
+        try:
+            text = (
+                lifting.delta_star_diagram_dot()
+                if opts.format == "dot"
+                else lifting.delta_star_diagram_text()
+            )
+        except ValueError as exc:
+            # a line sign outside R* has no distinguished point
+            sys.stderr.write("error: %s\n" % exc)
+            return 1
     else:
         # the 64 point-sign colorings over the augmented group; a delta that
         # fails its checks is reported as a failed check

@@ -8,6 +8,7 @@ labels (the image of each point); additivity over (Z_2)^3 is the validation
 predicate.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -152,11 +153,7 @@ def order(g):
 
 
 def order_histogram():
-    hist = {}
-    for g in all_collineations():
-        n = order(g)
-        hist[n] = hist.get(n, 0) + 1
-    return hist
+    return dict(Counter(order(g) for g in all_collineations()))
 
 
 def line_image(g, d):

@@ -98,23 +98,25 @@ def constant_class_is_isotropy():
     return frozenset(classify_delta_star()[radon.ZERO]) == compfactor.isotropy()
 
 
+# the point attached to each member of R*: the unique P whose three lines
+# carry +1, for a non-constant member; 0 for the constant function 1
+_POINT_OF = {radon.ONE ^ lines: p for p, lines in enumerate(radon.PENCILS, 1)}
+_POINT_OF[radon.ZERO] = 0
+
+
 def distinguished_point(fn):
-    """The point attached to a member of R*: the unique P whose three lines
-    carry +1, for a non-constant member; 0 for the constant function 1.
-    """
-    if fn == radon.ZERO:
-        return 0
-    if radon.ONE ^ fn not in radon.PENCILS:
+    """The point attached to the member fn of R*; ValueError for a sign
+    function outside R*."""
+    if fn not in _POINT_OF:
         raise ValueError("not a member of R*: %r" % (fn,))
-    return radon.PENCILS.index(radon.ONE ^ fn) + 1
+    return _POINT_OF[fn]
 
 
 def generator_points():
     """AC5.generator-a and AC5.generator-b: the distinguished points of the
-    delta_star functions of the standard generators a and b."""
-    return tuple(
-        distinguished_point(delta_star_fn(g)) for g in fano.standard_generators()
-    )
+    delta_star functions of the standard generators a and b; None for one
+    outside R*, so the claim fails rather than raises."""
+    return tuple(_POINT_OF.get(delta_star_fn(g)) for g in fano.standard_generators())
 
 
 # ---------------------------------------------------------------------------

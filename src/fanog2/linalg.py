@@ -49,11 +49,8 @@ class Echelon:
             self.add(v)
 
     def _dense(self, v):
-        """v in the form the rows are kept in, as a new list.  Over Q a
-        vector of ints is kept as it is: its denominators are all 1."""
+        """v in the form the rows are kept in, as a new list."""
         if self.field is QQ:
-            if all(type(x) is int for x in v):
-                return list(v)
             return clear_denominators(v)[0]
         if self.field is QI:
             return clear_denominators(gaussian_parts(v))[0]

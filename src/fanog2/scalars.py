@@ -95,13 +95,15 @@ class GaussianRational:
 
 def clear_denominators(v):
     """(d v, d) for a vector v of ints and Fractions: d is the lcm of the
-    denominators, and d v is a list of ints."""
-    den = 1
+    denominators, and d v is a new list of ints.  A vector of ints is copied
+    as it is."""
+    den, ints = 1, True
     for x in v:
         if type(x) is not int:
+            ints = False
             den = lcm(den, x.denominator)
-    if den == 1:
-        return [x.numerator for x in v], 1
+    if ints:
+        return list(v), 1
     return [x.numerator * (den // x.denominator) for x in v], den
 
 

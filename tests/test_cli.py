@@ -313,6 +313,46 @@ def test_broken_delta_hat_diagram_exits_with_a_message(
     assert not out.exists()
 
 
+# EPS_TAU with the pair P1-P2 flipped, set before any other module reads it:
+# a line orientation but no composition factor
+FLIPPED_PAIR = (
+    "import sys\n"
+    "from fanog2 import compfactor\n"
+    "t = [list(row) for row in compfactor.EPS_TAU]\n"
+    "t[0][1], t[1][0] = t[1][0], t[0][1]\n"
+    "compfactor.EPS_TAU = tuple(map(tuple, t))\n"
+    "from fanog2 import cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def _run_flipped(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fanog2.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", FLIPPED_PAIR] + argv, capture_output=True, text=True, env=env
+    )
+
+
+def test_a_broken_sign_table_fails_the_claims_instead_of_raising(tmp_path):
+    # the line signs of b fall outside R*, no line has a cyclic order with
+    # three eps of +1, and the terms of Omega depend on the point ordering
+    out = tmp_path / "all.json"
+    proc = _run_flipped(["verify", "all", "--json", "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    checks = {c["claim"]: c for s in json.loads(_read(out))["suites"] for c in s["checks"]}
+    assert len(checks) == 73
+    failed = {k for k, c in checks.items() if not c["pass"]}
+    assert {"AC5.generator-b", "AC11.lines", "AC13.terms", "AC13.derivations"} <= failed
+    assert {"AC13.bilinear", "AC13.volume", "AC13.norms"} <= failed
+    assert checks["AC5.generator-b"]["observed"] is None
+    assert checks["AC13.terms"]["observed"] == [7, 5]
+    for fmt in ("text", "dot"):
+        proc = _run_flipped(["diagram", "delta-star", "--format", fmt])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: not a member of R*: 111\n"
+
+
 # the fanog2 modules that a fresh interpreter holds after each command: every
 # command imports only the layers it runs (g2 brings linalg), and scalars only
 # where a layer computes over a field or verify reads --field

@@ -5,7 +5,8 @@ defaulted parameter is passed by some call, and no required parameter gets
 the same constant from every call.  A guard also keeps `random` out of the
 package: a certificate is exhaustive or an exact identity, never a sample.
 Another keeps loops out of the cli suites, so that each claim's sweep is
-defined in the module the claim is about.
+defined in the module the claim is about.  A last one keeps every sum of
+sparse terms in g2.combine.
 
 Stdlib only (ast), so it runs wherever the tests run.
 """
@@ -256,3 +257,67 @@ def test_suites_hold_no_loops():
         if isinstance(node, (ast.For, ast.While, ast.Try))
     ]
     assert not found, "statements in suites: %s" % ", ".join(found)
+
+
+# The one place each that sums sparse terms: g2.combine for the package, and
+# the two kernels the kernels benchmark calls (add_elt draws its inputs,
+# bracket is timed).
+ACCUMULATORS = {("g2", "combine"), ("g2", "add_elt"), ("g2", "bracket")}
+
+
+def _reads_get_zero(node, d):
+    """Whether node is a call d.get(k, 0)."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == d
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == 0
+    )
+
+
+def _accumulates(fn):
+    """Whether fn stores into some d[...] a sum that reads d.get(k, 0),
+    directly or through a name the function assigns."""
+    assigned = {}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name):
+                    assigned.setdefault(t.id, []).append(node.value)
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        nodes = list(ast.walk(node.value))
+        for n in list(nodes):
+            if isinstance(n, ast.Name):
+                nodes += [m for v in assigned.get(n.id, ()) for m in ast.walk(v)]
+        is_sum = any(
+            isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Add, ast.Sub)) for n in nodes
+        )
+        for t in node.targets:
+            if (
+                is_sum
+                and isinstance(t, ast.Subscript)
+                and isinstance(t.value, ast.Name)
+                and any(_reads_get_zero(n, t.value.id) for n in nodes)
+            ):
+                return True
+    return False
+
+
+def test_sparse_terms_are_summed_by_combine():
+    """A loop that adds terms into a dict by d[k] = d.get(k, 0) + c is
+    g2.combine written out again."""
+    found = [
+        "%s.%s" % (path.stem, fn.name)
+        for path, tree in _trees(PACKAGE).items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and (path.stem, fn.name) not in ACCUMULATORS
+        and _accumulates(fn)
+    ]
+    assert not found, "sums written out instead of g2.combine: %s" % ", ".join(found)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 from fanog2 import compfactor, fano, forms, g2
 
 
@@ -20,7 +22,7 @@ def test_wedge_graded_commutativity():
 
 def test_contraction_antiderivation():
     om = forms.omega()
-    v = forms.basis_vector(1)
+    v = {1: 1}
     iv = forms.contract(v, om)
     assert all(len(k) == 2 for k in iv)
     assert forms.contract(v, iv) == {}
@@ -55,6 +57,26 @@ def test_derivation_leibniz():
         forms.wedge(a, forms.so7_derivation(x, b)),
     )
     assert lhs == rhs
+
+
+def _reference_derivation(x, a):
+    """The derivation action of x as the sum over its terms v e_ij of
+    v (e^j ^ i_{e_i}(a) - e^i ^ i_{e_j}(a))."""
+    out = {}
+    for (i, j), v in x.items():
+        out = g2.add_elt(out, g2.scale_elt(v, forms.wedge({(j,): 1}, forms.contract({i: 1}, a))))
+        out = g2.add_elt(out, g2.scale_elt(-v, forms.wedge({(i,): 1}, forms.contract({j: 1}, a))))
+    return out
+
+
+def test_derivation_matches_the_wedge_contract_reference():
+    # every X(P, D) on every basis k-form, k = 1..4, and on omega and Omega
+    forms_ = [{key: 1} for k in range(1, 5) for key in combinations(fano.POINTS, k)]
+    forms_ += [forms.omega(), forms.big_omega()]
+    for p, d in g2.INCIDENT_PAIRS:
+        x = g2.X(p, d)
+        for a in forms_:
+            assert forms.so7_derivation(x, a) == _reference_derivation(x, a), (p, d, a)
 
 
 def test_invariant_space_dimension():

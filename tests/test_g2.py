@@ -23,6 +23,46 @@ def test_so7_bracket_antisymmetric():
             assert g2.bracket(x, y) == g2.scale_elt(-1, g2.bracket(y, x))
 
 
+def test_combine_sums_each_key_and_drops_zero_totals():
+    # over Q, Q(i) and F_5: (one, half, minus) with half + half and one +
+    # minus the field's own values, one + minus zero
+    f5 = PrimeField(5)
+    i = GaussianRational(0, 1)
+    for one, half, minus in (
+        (1, Fraction(1, 2), -1),
+        (i, GaussianRational(Fraction(1, 2), 1), -i),
+        (f5.of(1), f5.of(3), f5.of(4)),
+    ):
+        terms = [("a", half), ("b", one), ("a", half), ("c", one), ("b", minus)]
+        out = g2.combine(terms)
+        assert out == {"a": half + half, "c": one} and list(out) == ["a", "c"]
+        assert type(out["a"]) is type(half + half)
+        assert g2.combine([("b", one), ("b", minus)]) == {} == g2.combine([])
+        # a new dict, even when no two terms share a key
+        d = {"a": half, "c": one}
+        out = g2.combine(d.items())
+        assert out == d and out is not d
+
+
+def _reference_X(p, d):
+    """X(p, d) written out per slot of the cycle of lines through P = P_i."""
+    la, i = fano._lab, p
+    if d == i:
+        return g2.elt((1, la(i + 2), la(i - 1)), (-1, la(i - 3), la(i - 2)))
+    if d == la(i - 1):
+        return g2.elt((1, la(i - 3), la(i - 2)), (-1, la(i + 1), la(i + 3)))
+    assert d == la(i - 3)
+    return g2.elt((1, la(i + 1), la(i + 3)), (-1, la(i + 2), la(i - 1)))
+
+
+def test_generators_follow_the_line_cycle():
+    for p in fano.POINTS:
+        assert sorted(g2.LINE_CYCLE[p]) == sorted(fano.lines_through(p))
+    for p, d in g2.INCIDENT_PAIRS:
+        x = g2.X(p, d)
+        assert x == _reference_X(p, d) and list(x) == list(_reference_X(p, d))
+
+
 def _reference_bracket(x, y):
     """[x, y] term by term: [e_ij, e_kl] = d_ik e_jl - d_jk e_il + d_il e_kj
     - d_jl e_ki on every pair of terms."""
