@@ -294,7 +294,7 @@ def suite_lifting():
             "AC6.ahat",
             "the explicit signed lift of the order-2 generator",
             True,
-            lifting.is_algebra_automorphism(lifting.AHAT),
+            lifting.AHAT in lifting.lifts(lifting.AHAT[0]),
         ),
         _check(
             "AC6.orientation-powers",
@@ -615,9 +615,14 @@ def cmd_table(opts):
 
 
 def cmd_diagram(opts):
-    if opts.target == "delta-star":
-        from . import lifting
+    from . import compfactor, lifting, radon
 
+    # on a sign table that is no composition factor the line signs fall
+    # outside R* and the group is not the 1344 lifts: neither coloring exists
+    if not compfactor.is_composition_factor(compfactor.EPS_TAU):
+        sys.stderr.write("error: the sign table EPS_TAU is not a composition factor\n")
+        return 1
+    if opts.target == "delta-star":
         try:
             text = (
                 lifting.delta_star_diagram_dot()
@@ -631,7 +636,7 @@ def cmd_diagram(opts):
     else:
         # the 64 point-sign colorings over the augmented group; a delta that
         # fails its checks is reported as a failed check
-        from . import fano, g2, lifting, radon
+        from . import g2
 
         group = lifting.enumerate_aug_group()
         try:
@@ -641,32 +646,12 @@ def cmd_diagram(opts):
             sys.stderr.write("error: %s\n" % exc)
             return 1
         if opts.format == "dot":
-            out = []
-            for idx, fn in enumerate(fns):
-                lines = ["graph delta_%d {" % idx]
-                for p in fano.POINTS:
-                    minus = radon.evaluate(fn, p)
-                    lines.append(
-                        '  P%d [color=%s, sign="%s"];'
-                        % (p, "red" if minus else "green", "-1" if minus else "+1")
-                    )
-                for d in fano.LINES:
-                    lines.append('  D%d [shape=box];' % d)
-                    for p in sorted(fano.LINE_POINTS[d]):
-                        lines.append("  P%d -- D%d;" % (p, d))
-                lines.append("}")
-                out.append("\n".join(lines))
-            text = "\n".join(out)
+            text = "\n".join(
+                radon.incidence_dot("delta_%d" % idx, [], radon.sign_attrs(fn), ["shape=box"] * 7)
+                for idx, fn in enumerate(fns)
+            )
         else:
-            rows = []
-            for fn in fns:
-                rows.append(
-                    " ".join(
-                        "P%d:%s" % (p, "-" if radon.evaluate(fn, p) else "+")
-                        for p in fano.POINTS
-                    )
-                )
-            text = "\n".join(rows)
+            text = "\n".join(" ".join(radon.sign_labels(fn, "P")) for fn in fns)
     _emit(text, opts)
     return 0
 

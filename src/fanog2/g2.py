@@ -242,8 +242,9 @@ def point_relations_hold():
     )
 
 
+@lru_cache(maxsize=None)
 def span_dimension():
-    """Rank of the 21 X's in the pair basis; equals dim g2 = 14."""
+    """Rank of the 21 X's in the pair basis, memoized; equals dim g2 = 14."""
     rows = [x_vector(p, d) for p, d in INCIDENT_PAIRS]
     return linalg.rank(rows, QQ)
 

@@ -10,6 +10,9 @@ e_{gP}; it is an algebra automorphism of the 8-dimensional algebra exactly
 when the product of the three signs on every line equals delta_star(g, D).
 There are 8 lifts per collineation, 1344 in all.
 
+delta_star_fn(g) is this sign as a mask, read off all six pairs of each
+line; the lifts, AC5, AC10.radon and the delta-star diagram all read it.
+
 Sign functions on points and lines are radon masks: bit P - 1 (or D - 1) is
 set where the sign is -1.  Only the s of an augmented automorphism is a sign
 tuple, and SIGNS and MASK_OF convert between the two forms.
@@ -20,31 +23,49 @@ from operator import itemgetter
 
 from . import compfactor, fano, radon
 
-
-def delta_star(g, d):
-    """The line sign eps_PQ * eps_{gP,gQ} of D, read from the first pair
-    P < Q of D; delta_star_properties certifies that the other pairs agree.
-    """
-    eps = compfactor.EPS_TAU
-    p, q = sorted(fano.LINE_POINTS[d])[:2]
-    return eps[p - 1][q - 1] * eps[g[p - 1] - 1][g[q - 1] - 1]
+# (P, Q, D) as 0-based indices, for the 42 ordered pairs of distinct points
+# and the line D through them
+_PRODUCTS = tuple(
+    (p - 1, q - 1, fano.wedge(p, q) - 1)
+    for p in fano.POINTS
+    for q in fano.POINTS
+    if p != q
+)
 
 
 @lru_cache(maxsize=None)
 def delta_star_fn(g):
-    """The sign function D -> delta_star(g, D) as a mask; memoized per
-    collineation."""
-    return sum(1 << (d - 1) for d in fano.LINES if delta_star(g, d) < 0)
+    """delta_star(g, .) as a mask, the 7-bit word of the line condition for
+    a collineation g, memoized; None when no sign vector lifts g.
+
+    (g, s) is multiplicative on e_P e_Q = eps(P,Q) e_{P+Q} iff g is additive
+    and eps(P,Q) s(P+Q) = s(P) s(Q) eps(gP,gQ) for every P != Q, that is
+    s(P) s(Q) s(P+Q) = eps(P,Q) eps(gP,gQ).  The left side is the product of
+    s over the line D through P and Q, the same for all six ordered pairs of
+    D.  So s lifts g iff the six pairs of each line D agree and the product
+    of s over D is that common sign: bit D - 1 of the word is set where it
+    is -1, and s lifts g iff the Radon transform of its mask is the word.
+    None means g is not additive, or some line's pairs disagree.
+    """
+    if not fano.is_additive(g):
+        return None
+    eps = compfactor.EPS_TAU
+    signs = [0] * 7
+    for p, q, d in _PRODUCTS:
+        v = eps[p][q] * eps[g[p] - 1][g[q] - 1]
+        if signs[d] != v:
+            if signs[d]:
+                return None
+            signs[d] = v
+    return sum(1 << d for d, v in enumerate(signs) if v < 0)
 
 
 def delta_star_properties():
     """Check the global identities of delta_star over the whole group, on
-    the line words of _line_word as the delta_star masks: bit D - 1 set
-    where the sign of D is -1.
+    the masks of delta_star_fn: bit D - 1 set where the sign of D is -1.
 
     - well defined: all six ordered pairs of every line D give the same
-      sign, for all 168 collineations g, read off their line words; and
-      delta_star_fn, which reads the first pair, gives that sign;
+      sign, for all 168 collineations g: no word is None;
     - det g = +1 for all 168 collineations: an even number of lines of
       sign -1;
     - pencil products: the three lines through any point multiply to +1,
@@ -53,8 +74,8 @@ def delta_star_properties():
       for all 168^2 pairs (g1, g2) and all seven lines D.
     """
     group = fano.all_collineations()
-    masks = {g: _line_word(g) for g in group}
-    if any(m is None or delta_star_fn(g) != m for g, m in masks.items()):
+    masks = {g: delta_star_fn(g) for g in group}
+    if None in masks.values():
         return False
     # det g reads all seven lines, a pencil product the three through a point
     if any(
@@ -173,54 +194,6 @@ def aug_order(aug):
     return n
 
 
-# (P, Q, D) as 0-based indices, for the 42 ordered pairs of distinct points
-# and the line D through them
-_PRODUCTS = tuple(
-    (p - 1, q - 1, fano.wedge(p, q) - 1)
-    for p in fano.POINTS
-    for q in fano.POINTS
-    if p != q
-)
-
-
-@lru_cache(maxsize=None)
-def _line_word(g):
-    """The 7-bit word of the line condition for a collineation g, memoized;
-    None when no sign vector lifts g.
-
-    (g, s) is multiplicative on e_P e_Q = eps(P,Q) e_{P+Q} iff g is additive
-    and eps(P,Q) s(P+Q) = s(P) s(Q) eps(gP,gQ) for every P != Q, that is
-    s(P) s(Q) s(P+Q) = eps(P,Q) eps(gP,gQ).  The left side is the product of
-    s over the line D through P and Q, the same for all six ordered pairs of
-    D.  So s lifts g iff the six pairs of each line D agree and the product
-    of s over D is that common sign: bit D - 1 of the word is set where it
-    is -1, and s lifts g iff the Radon transform of its mask is the word.
-    None means g is not additive, or some line's pairs disagree.
-    """
-    if not fano.is_additive(g):
-        return None
-    eps = compfactor.EPS_TAU
-    signs = [0] * 7
-    for p, q, d in _PRODUCTS:
-        v = eps[p][q] * eps[g[p] - 1][g[q] - 1]
-        if signs[d] != v:
-            if signs[d]:
-                return None
-            signs[d] = v
-    return sum(1 << d for d, v in enumerate(signs) if v < 0)
-
-
-def is_algebra_automorphism(aug):
-    """Multiplicativity of (g, s) on all imaginary basis pairs, as one
-    comparison of line words (see _line_word): g is a collineation whose
-    ordered pairs agree on each line, and s has the product those pairs
-    give on every line.
-    """
-    g, s = aug
-    word = _line_word(g)
-    return word is not None and s in MASK_OF and radon.radon(MASK_OF[s]) == word
-
-
 def t_map(d):
     """The kernel element t_D: identity base, +1 on D and -1 off D."""
     return (fano.IDENTITY, SIGNS[radon.t_line(d)])
@@ -230,13 +203,13 @@ def t_map(d):
 def lifts(g):
     """The lifts (g, s) of g, memoized per collineation, in mask order: by
     the lifting theorem, s lifts g iff the Radon transform of the mask of s
-    is the line word of g, which is delta_star(g, .) as a mask.
+    is delta_star_fn(g), the line word of g.
 
     radon.preimages tests all 128 masks against the word, so AC6.fibers
     certifies both halves of the theorem on every collineation: the lifts
     are exactly the preimages, and there are eight of them.
     """
-    return tuple((g, SIGNS[m]) for m in radon.preimages(_line_word(g)))
+    return tuple((g, SIGNS[m]) for m in radon.preimages(delta_star_fn(g)))
 
 
 def aug_serialize(aug):
@@ -314,31 +287,24 @@ def orientation_power_count():
 
 
 # ---------------------------------------------------------------------------
-# diagram emitters for the eight delta_star colorings
+# diagrams of the eight delta_star colorings, drawn by radon.incidence_dot
+
+
+def _colorings():
+    """(distinguished point, delta_star function, class size) per coloring."""
+    classes = classify_delta_star()
+    return sorted((distinguished_point(fn), fn, len(gs)) for fn, gs in classes.items())
 
 
 def delta_star_diagram_text():
     """Text grid: one section per R* member, lines tagged +/-, with the
-    distinguished point (or '-' for the constant function).
+    distinguished point (or none for the constant function).
     """
-    classes = classify_delta_star()
     sections = []
-    for fn in sorted(classes, key=lambda f: (distinguished_point(f), f)):
-        p = distinguished_point(fn)
-        head = (
-            "distinguished point: none (constant +1)"
-            if p == 0
-            else "distinguished point: P%d" % p
-        )
-        rows = [head]
-        rows.append(
-            "  " + "  ".join(
-                "%s:%s" % (fano.line_name(d), "-" if radon.evaluate(fn, d) else "+")
-                for d in fano.LINES
-            )
-        )
-        rows.append("  class size: %d" % len(classes[fn]))
-        sections.append("\n".join(rows))
+    for p, fn, size in _colorings():
+        head = "none (constant +1)" if p == 0 else "P%d" % p
+        signs = "  ".join(radon.sign_labels(fn, "D"))
+        sections.append("distinguished point: %s\n  %s\n  class size: %d" % (head, signs, size))
     return "\n\n".join(sections)
 
 
@@ -346,25 +312,12 @@ def delta_star_diagram_dot():
     """DOT graphs: incidence graph of the plane, one graph per coloring,
     line nodes colored by the sign.
     """
-    classes = classify_delta_star()
-    out = []
-    for idx, fn in enumerate(
-        sorted(classes, key=lambda f: (distinguished_point(f), f))
-    ):
-        p0 = distinguished_point(fn)
-        lines = ["graph deltastar_%d {" % idx]
-        lines.append('  label="distinguished point %s";' % ("none" if p0 == 0 else "P%d" % p0))
-        for p in fano.POINTS:
-            shape = "doublecircle" if p == p0 else "circle"
-            lines.append('  P%d [shape=%s];' % (p, shape))
-        for d in fano.LINES:
-            minus = radon.evaluate(fn, d)
-            lines.append(
-                '  D%d [shape=box, color=%s, sign="%s"];'
-                % (d, "red" if minus else "green", "-1" if minus else "+1")
-            )
-            for p in sorted(fano.LINE_POINTS[d]):
-                lines.append("  P%d -- D%d;" % (p, d))
-        lines.append("}")
-        out.append("\n".join(lines))
-    return "\n".join(out)
+    return "\n".join(
+        radon.incidence_dot(
+            "deltastar_%d" % idx,
+            ['label="distinguished point %s"' % ("none" if p0 == 0 else "P%d" % p0)],
+            ["shape=doublecircle" if p == p0 else "shape=circle" for p in fano.POINTS],
+            ["shape=box, " + attrs for attrs in radon.sign_attrs(fn)],
+        )
+        for idx, (p0, fn, _) in enumerate(_colorings())
+    )

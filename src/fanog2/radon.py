@@ -7,6 +7,8 @@ D_d.  The transform sums f over the three points of each line.
 A sign function, with values +1 and -1, is the mask of its -1 points (or
 lines).  The product of the signs over a line is -1 iff the line holds an
 odd number of -1 points, so the multiplicative transform is radon too.
+Both sign-function diagrams draw through sign_labels, sign_attrs and
+incidence_dot, the one DOT writer of the incidence graph.
 """
 
 from functools import lru_cache
@@ -177,3 +179,28 @@ def concurrency_holds():
         all(v == rhs for v in lhs)
         for lhs, rhs in map(concurrency_identity, ALL_FUNCTIONS)
     )
+
+
+def sign_labels(mask, kind):
+    """The text tags "P1:+" ... of a sign function on points (kind "P") or
+    "D1:+" ... on lines (kind "D"): "-" where it is -1, "+" where +1."""
+    return ["%s%d:%s" % (kind, x, "-" if evaluate(mask, x) else "+") for x in fano.POINTS]
+
+
+def sign_attrs(mask):
+    """The DOT attributes of the seven nodes a sign function colors, red at -1."""
+    return [
+        'color=red, sign="-1"' if evaluate(mask, x) else 'color=green, sign="+1"'
+        for x in fano.POINTS
+    ]
+
+
+def incidence_dot(name, head, point_attrs, line_attrs):
+    """The incidence graph of the plane as one DOT graph: the statements in
+    head, then a node per point and per line with the given attributes."""
+    rows = ["graph %s {" % name] + ["  %s;" % s for s in head]
+    rows += ["  P%d [%s];" % pa for pa in zip(fano.POINTS, point_attrs)]
+    for d, attrs in zip(fano.LINES, line_attrs):
+        rows.append("  D%d [%s];" % (d, attrs))
+        rows += ["  P%d -- D%d;" % (p, d) for p in sorted(fano.LINE_POINTS[d])]
+    return "\n".join(rows + ["}"])

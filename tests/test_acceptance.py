@@ -78,6 +78,7 @@ MEMOS = {
     compfactor.is_composition_factor: 128,  # per line orientation
     forms._sort_with_sign: 1120,  # the index tuples the forms sort
     g2.cartan_dimension: 7,  # the rank of each h_P
+    g2.span_dimension: 1,  # the rank of the 21 X's
     g2.point_subalgebra_dimension: 7,  # the rank of each s_P
     forms._form: 2,  # omega and Omega
     octonion._norm_identity_holds: 128,  # EPS_TAU is a line orientation

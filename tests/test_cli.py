@@ -347,10 +347,12 @@ def test_a_broken_sign_table_fails_the_claims_instead_of_raising(tmp_path):
     assert {"AC13.bilinear", "AC13.volume", "AC13.norms"} <= failed
     assert checks["AC5.generator-b"]["observed"] is None
     assert checks["AC13.terms"]["observed"] == [7, 5]
-    for fmt in ("text", "dot"):
-        proc = _run_flipped(["diagram", "delta-star", "--format", fmt])
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "error: not a member of R*: 111\n"
+    # neither coloring exists on such a table, so both diagrams refuse it
+    for target in ("delta-star", "delta"):
+        for fmt in ("text", "dot"):
+            proc = _run_flipped(["diagram", target, "--format", fmt])
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert proc.stderr == "error: the sign table EPS_TAU is not a composition factor\n"
 
 
 # the fanog2 modules that a fresh interpreter holds after each command: every

@@ -5,8 +5,9 @@ defaulted parameter is passed by some call, and no required parameter gets
 the same constant from every call.  A guard also keeps `random` out of the
 package: a certificate is exhaustive or an exact identity, never a sample.
 Another keeps loops out of the cli suites, so that each claim's sweep is
-defined in the module the claim is about.  A last one keeps every sum of
-sparse terms in g2.combine.
+defined in the module the claim is about.  Another keeps every sum of
+sparse terms in g2.combine, and a last one keeps the DOT incidence graph
+in radon.incidence_dot.
 
 Stdlib only (ast), so it runs wherever the tests run.
 """
@@ -321,3 +322,14 @@ def test_sparse_terms_are_summed_by_combine():
         and _accumulates(fn)
     ]
     assert not found, "sums written out instead of g2.combine: %s" % ", ".join(found)
+
+
+def test_only_radon_writes_dot_edges():
+    """Both diagrams draw through radon.incidence_dot: another module that
+    holds the DOT edge literal "-- D" writes the incidence graph again."""
+    found = sorted(
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "radon" and "-- D" in path.read_text()
+    )
+    assert not found, "modules writing DOT edges besides radon: %s" % ", ".join(found)

@@ -6,6 +6,14 @@ import pytest
 from fanog2 import compfactor, fano, lifting, octonion, radon
 
 
+def _first_pair_delta_star(g, d):
+    """The line sign eps_PQ * eps_{gP,gQ} of D, read off the first pair
+    P < Q of D alone."""
+    eps = compfactor.EPS_TAU
+    p, q = sorted(fano.LINE_POINTS[d])[:2]
+    return eps[p - 1][q - 1] * eps[g[p - 1] - 1][g[q - 1] - 1]
+
+
 def test_delta_star_pair_independent():
     a, b = fano.standard_generators()
     for g in (a, b, fano.TAU):
@@ -25,12 +33,11 @@ def test_delta_star_pair_independent():
                             )
                         )
             assert len(vals) == 1
-            assert vals.pop() == lifting.delta_star(g, d)
+            assert vals.pop() == (-1 if radon.evaluate(lifting.delta_star_fn(g), d) else 1)
 
 
 # memoized per collineation, and read compfactor.EPS_TAU when filled
 COLLINEATION_MEMOS = (
-    lifting._line_word,
     lifting.delta_star_fn,
     lifting.lifts,
     lifting.enumerate_aug_group,
@@ -76,23 +83,21 @@ def _reference_is_automorphism(aug):
 
 
 def _compare_with_the_pairwise_reference():
-    """is_algebra_automorphism and lifts against the reference on all
-    168 x 128 signed collineations, and on the 5040 permutations with all
-    signs +1; the number of automorphisms found in each sweep."""
+    """lifts against the reference on all 168 x 128 signed collineations,
+    and membership in the lifts on the 5040 permutations with all signs +1;
+    the number of automorphisms found in each sweep."""
     lifted = 0
     for g in fano.all_collineations():
         expected = tuple(
             (g, s) for s in lifting.SIGNS if _reference_is_automorphism((g, s))
         )
-        for s in lifting.SIGNS:
-            assert lifting.is_algebra_automorphism((g, s)) == ((g, s) in expected), (g, s)
         assert lifting.lifts(g) == expected, g
         lifted += len(expected)
     unsigned = 0
     for g in itertools.permutations(fano.POINTS):
         aug = (g, (1,) * 7)
         expected = _reference_is_automorphism(aug)
-        assert lifting.is_algebra_automorphism(aug) == expected, g
+        assert (aug in lifting.lifts(g)) == expected, g
         unsigned += expected
     return lifted, unsigned
 
@@ -105,7 +110,7 @@ def test_line_words_match_the_pairwise_reference(monkeypatch, fresh_memos):
     # vector lifts
     monkeypatch.setattr(compfactor, "EPS_TAU", _flipped_pair())
     _clear_memos()
-    assert any(lifting._line_word(g) is None for g in fano.all_collineations())
+    assert any(lifting.delta_star_fn(g) is None for g in fano.all_collineations())
     lifted, _ = _compare_with_the_pairwise_reference()
     assert 0 < lifted < 1344
 
@@ -120,22 +125,20 @@ def test_delta_star_global_identities(monkeypatch, fresh_memos):
 
 
 def test_line_words_are_the_delta_star_masks(monkeypatch, fresh_memos):
-    # on all 168 collineations the line word has bit D - 1 set exactly where
-    # delta_star, read off the first pair of D, is -1
+    # on all 168 collineations the line word, read off all six pairs of each
+    # line, has bit D - 1 set exactly where the first pair of D gives -1
     for g in fano.all_collineations():
-        fn = tuple(lifting.delta_star(g, d) for d in fano.LINES)
-        assert lifting._line_word(g) == lifting.delta_star_fn(g) == radon.from_values(
-            v < 0 for v in fn
-        ), g
-    # a first-pair path that flips the sign of D1 for the shift no longer
-    # agrees with the line words, which AC5.identities must see
-    delta_star = lifting.delta_star
+        word = lifting.delta_star_fn(g)
+        for d in fano.LINES:
+            assert (-1 if radon.evaluate(word, d) else 1) == _first_pair_delta_star(g, d), (g, d)
+    # a word with the sign of D1 flipped for the shift breaks det g = +1,
+    # which AC5.identities must see
+    delta_star_fn = lifting.delta_star_fn
 
-    def flipped(g, d):
-        return -delta_star(g, d) if (g, d) == (fano.TAU, 1) else delta_star(g, d)
+    def flipped(g):
+        return delta_star_fn(g) ^ (g == fano.TAU)
 
-    monkeypatch.setattr(lifting, "delta_star", flipped)
-    _clear_memos()
+    monkeypatch.setattr(lifting, "delta_star_fn", flipped)
     assert lifting.delta_star_properties() is False
 
 
@@ -175,7 +178,7 @@ def test_aug_group_axioms():
     a, _ = fano.standard_generators()
     ahat = (a, (1, 1, 1, 1, -1, 1, -1))
     assert ahat == lifting.AHAT
-    assert lifting.is_algebra_automorphism(ahat)
+    assert ahat in lifting.lifts(a)
     # the closed-form order: the first power of ahat that is the identity
     n = lifting.aug_order(ahat)
     assert n in (2, 4)
@@ -205,10 +208,11 @@ def test_automorphism_check_requires_a_collineation():
     assert lifting.aug_apply(bad, octonion.mul(e(1), e(2))) != octonion.mul(
         lifting.aug_apply(bad, e(1)), lifting.aug_apply(bad, e(2))
     )
-    assert not lifting.is_algebra_automorphism(bad)
+    assert lifting.delta_star_fn(g) is None
+    assert bad not in lifting.lifts(g)
     group = lifting.enumerate_aug_group()
     assert len(group) == 1344
-    assert all(lifting.is_algebra_automorphism(aug) for aug in group)
+    assert all(_reference_is_automorphism(aug) for aug in group)
 
 
 def test_kernel_is_translation_signs():
@@ -216,7 +220,7 @@ def test_kernel_is_translation_signs():
     assert len(ker) == 8
     for aug in ker:
         assert aug[0] == fano.IDENTITY
-        assert lifting.is_algebra_automorphism(aug)
+        assert aug in lifting.lifts(fano.IDENTITY)
 
 
 def test_lifts_count_and_validation():
