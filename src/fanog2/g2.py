@@ -9,7 +9,8 @@ _product is the one matrix product; commutators, J^2 and J^T J go through
 it.  g2 is
 the annihilator of the unit octonion; its generators X_{P,D} are indexed by
 the 21 incident point-line pairs.  The generators, and so every sign below,
-are those of the canonical composition factor compfactor.EPS_TAU.
+are those of the canonical composition factor compfactor.EPS_TAU.  Elements
+have coefficients in Z, or in Z[i] in the Chevalley presentation.
 
 Sums of sparse terms go through combine: elt, _product, matrix2 and the
 wedge, contract and so7_derivation of forms.  add_elt and bracket keep their
@@ -18,13 +19,12 @@ bracket.
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 import json
 
 from . import compfactor, fano, linalg, octonion
-from .scalars import QI, QQ, PrimeField
+from .scalars import QI, QQ, GaussianRational, PrimeField
 
 PAIRS = tuple((i, j) for i in range(1, 8) for j in range(i + 1, 8))
 PAIR_INDEX = {p: n for n, p in enumerate(PAIRS)}
@@ -857,70 +857,62 @@ def point_subalgebras_hold():
     )
 
 
-def chevalley_report(field):
-    """The rank-2 presentation of s_P1 over a field containing sqrt(-1).
+@lru_cache(maxsize=None)
+def chevalley_report():
+    """The rank-2 presentation of s_P1, computed once over Z[i].
 
     Checks every displayed relation: the h-eigenvalues, [e+,e-] = -4h,
     cross terms zero, [e+-_{D1}, e+-_{D7}] = -2 e+-_{D5} and the D5 ladder.
     The eigenvalues h1_ep1, h1_ep7, h2_ep1 and h2_ep7 are the four entries
     of the Cartan matrix ((2,-1),(-1,2)).
+
+    The X's are integral and h, e+- are Z[i]-combinations of them, so every
+    coefficient here lies in Z[i], and each relation is an identity of
+    Z[i]-coefficients.  A field F that contains a square root r of -1 gets
+    the ring map Z[i] -> F, i -> r, which preserves the brackets and the
+    integer constants, so the relations hold over F when they hold here.
     """
-    if not field.has_sqrt_minus_one():
-        raise ValueError("the Chevalley presentation needs sqrt(-1) in the field")
-    i_ = field.sqrt_minus_one()
-
-    def F(x):
-        return {k: field.of(v) for k, v in x.items()}
-
-    h1 = scale_elt(-i_, F(X(1, 1)))
-    h2 = scale_elt(-i_, F(X(1, 7)))
-    ep1 = add_elt(F(X(2, 1)), scale_elt(-i_, F(X(4, 1))))
-    em1 = add_elt(F(X(2, 1)), scale_elt(i_, F(X(4, 1))))
-    ep7 = add_elt(F(X(3, 7)), scale_elt(-i_, F(X(7, 7))))
-    em7 = add_elt(F(X(3, 7)), scale_elt(i_, F(X(7, 7))))
+    i_ = GaussianRational(0, 1)
+    h1 = scale_elt(-i_, X(1, 1))
+    h2 = scale_elt(-i_, X(1, 7))
+    ep1 = add_elt(X(2, 1), scale_elt(-i_, X(4, 1)))
+    em1 = add_elt(X(2, 1), scale_elt(i_, X(4, 1)))
+    ep7 = add_elt(X(3, 7), scale_elt(-i_, X(7, 7)))
+    em7 = add_elt(X(3, 7), scale_elt(i_, X(7, 7)))
     # the D5 ladder pair: e+- = X_{P5,D5} +- i X_{P6,D5}, pinned by requiring
     # [e+-_{D1}, e+-_{D7}] = -2 e+-_{D5} below
-    ep5 = add_elt(F(X(5, 5)), scale_elt(i_, F(X(6, 5))))
-    em5 = add_elt(F(X(5, 5)), scale_elt(-i_, F(X(6, 5))))
+    ep5 = add_elt(X(5, 5), scale_elt(i_, X(6, 5)))
+    em5 = add_elt(X(5, 5), scale_elt(-i_, X(6, 5)))
 
-    two = field.of(2)
-    four = field.of(4)
-    checks = {
-        "h1_ep1": bracket(h1, ep1) == scale_elt(two, ep1),
-        "h1_em1": bracket(h1, em1) == scale_elt(-two, em1),
-        "h1_ep7": bracket(h1, ep7) == scale_elt(field.of(-1), ep7),
-        "h1_em7": bracket(h1, em7) == scale_elt(field.one, em7),
-        "h2_ep1": bracket(h2, ep1) == scale_elt(field.of(-1), ep1),
-        "h2_em1": bracket(h2, em1) == scale_elt(field.one, em1),
-        "h2_ep7": bracket(h2, ep7) == scale_elt(two, ep7),
-        "h2_em7": bracket(h2, em7) == scale_elt(-two, em7),
-        "ep1_em1": bracket(ep1, em1) == scale_elt(-four, h1),
-        "ep7_em7": bracket(ep7, em7) == scale_elt(-four, h2),
+    return {
+        "h1_ep1": bracket(h1, ep1) == scale_elt(2, ep1),
+        "h1_em1": bracket(h1, em1) == scale_elt(-2, em1),
+        "h1_ep7": bracket(h1, ep7) == scale_elt(-1, ep7),
+        "h1_em7": bracket(h1, em7) == em7,
+        "h2_ep1": bracket(h2, ep1) == scale_elt(-1, ep1),
+        "h2_em1": bracket(h2, em1) == em1,
+        "h2_ep7": bracket(h2, ep7) == scale_elt(2, ep7),
+        "h2_em7": bracket(h2, em7) == scale_elt(-2, em7),
+        "ep1_em1": bracket(ep1, em1) == scale_elt(-4, h1),
+        "ep7_em7": bracket(ep7, em7) == scale_elt(-4, h2),
         "ep1_em7": bracket(ep1, em7) == {},
         "ep7_em1": bracket(ep7, em1) == {},
-        "ep1_ep7": bracket(ep1, ep7) == scale_elt(-two, ep5),
-        "em1_em7": bracket(em1, em7) == scale_elt(-two, em5),
+        "ep1_ep7": bracket(ep1, ep7) == scale_elt(-2, ep5),
+        "em1_em7": bracket(em1, em7) == scale_elt(-2, em5),
         "h1_ep5": bracket(h1, ep5) == ep5,
         "h2_ep5": bracket(h2, ep5) == ep5,
-        "h1_em5": bracket(h1, em5) == scale_elt(field.of(-1), em5),
-        "h2_em5": bracket(h2, em5) == scale_elt(field.of(-1), em5),
-        "ep5_em5": bracket(ep5, em5) == scale_elt(-four, add_elt(h1, h2)),
+        "h1_em5": bracket(h1, em5) == scale_elt(-1, em5),
+        "h2_em5": bracket(h2, em5) == scale_elt(-1, em5),
+        "ep5_em5": bracket(ep5, em5) == scale_elt(-4, add_elt(h1, h2)),
     }
-    return checks
 
 
-@lru_cache(maxsize=None)
 def chevalley_gate(field):
-    """Whether every relation holds when -1 is a square in field, and
-    chevalley_report raises ValueError otherwise; memoized per field, and
-    PrimeField objects of one p are one field."""
-    if not field.has_sqrt_minus_one():
-        try:
-            chevalley_report(field)
-        except ValueError:
-            return True
-        return False
-    return all(v is True for v in chevalley_report(field).values())
+    """Whether every relation holds over field: vacuously when -1 is not a
+    square in it, else by the one computation over Z[i]."""
+    return not field.has_sqrt_minus_one() or all(
+        v is True for v in chevalley_report().values()
+    )
 
 
 def chevalley_gates():
@@ -1017,12 +1009,13 @@ def triangle_closure_dimension():
 def o3_example_report():
     """Structure of the algebra generated by the O3 pair (X_{P1,D1}, X_{P7,D7}):
     dimension 4, -1/2 Y_{P1,D7} central, derived ideal spanned by the three
-    X_{.,D7}.
+    X_{.,D7}.  Lying in the span and being central do not change under a
+    nonzero scalar, so Y_{P1,D7} itself is tested, over Z.
     """
     g1 = X(1, 1)
     g2_ = X(7, 7)
     basis_elts = lie_closure([g1, g2_])
-    center_elt = scale_elt(Fraction(-1, 2), Y(1, 7))
+    center_elt = Y(1, 7)
     report = {"dimension": len(basis_elts)}
     report["center_elt_in_algebra"] = to_vector(center_elt) in linalg.Echelon(
         QQ, map(to_vector, basis_elts)

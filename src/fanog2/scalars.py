@@ -2,8 +2,9 @@
 
 Three coefficient fields are supported: the rationals Q (backed by
 fractions.Fraction), the Gaussian rationals Q(i), and prime fields F_p for
-odd primes p.  The code that takes a field object (linalg, octonion.mul,
-g2.chevalley_report) runs over any of them with no rounding anywhere.
+odd primes p.  The code that takes a field object (linalg, octonion.mul)
+runs over any of them with no rounding anywhere; g2.chevalley_gate asks
+a field only has_sqrt_minus_one.
 Over Q and Q(i) the kernels work on integers: clear_denominators scales a
 rational vector to integers once, and gaussian_parts splits a vector over
 Q(i) into rational real and imaginary parts for it.
@@ -255,9 +256,6 @@ class RationalField:
     def has_sqrt_minus_one(self):
         return False
 
-    def sqrt_minus_one(self):
-        raise ValueError("-1 is not a square in Q")
-
     def __repr__(self):
         return "Q"
 
@@ -283,9 +281,6 @@ class GaussianRationalField:
     def has_sqrt_minus_one(self):
         return True
 
-    def sqrt_minus_one(self):
-        return GaussianRational(0, 1)
-
     def __repr__(self):
         return "Q(i)"
 
@@ -302,13 +297,6 @@ class PrimeField:
             raise ValueError("%d is not prime" % p)
         self.p = p
         self.name = "fp:%d" % p
-
-    def __eq__(self, other):
-        """Two PrimeField objects are the same field when their p agree."""
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(self.name)
 
     def of(self, n):
         if isinstance(n, PrimeFieldElement):
@@ -332,18 +320,6 @@ class PrimeField:
     def has_sqrt_minus_one(self):
         # -1 is a square mod an odd prime p iff p = 1 (mod 4).
         return self.p % 4 == 1
-
-    def sqrt_minus_one(self):
-        """The smaller of the two square roots of -1."""
-        p = self.p
-        if not self.has_sqrt_minus_one():
-            raise ValueError("-1 is not a square in F_%d" % p)
-        # c^((p-1)/4) squares to c^((p-1)/2) = -1 for a non-residue c
-        c = 2
-        while pow(c, (p - 1) // 2, p) != p - 1:
-            c += 1
-        r = pow(c, (p - 1) // 4, p)
-        return PrimeFieldElement(min(r, p - r), p)
 
     def __repr__(self):
         return "F_%d" % self.p

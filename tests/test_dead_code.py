@@ -1,8 +1,8 @@
-"""Guard against dead code: every top-level function in the package is used
-somewhere in src/ or is one of the entry points named in ENTRY_POINTS,
-every parameter is read by its function, every
-defaulted parameter is passed by some call, and no required parameter gets
-the same constant from every call.  A guard also keeps `random` out of the
+"""Guard against dead code: every top-level function in the package, and
+every method of a package class that is not a dunder, is used somewhere in
+src/ or is one of the entry points named in ENTRY_POINTS; every parameter
+is read by its function, every defaulted parameter is passed by some call,
+and no required parameter gets the same constant from every call.  A guard also keeps `random` out of the
 package: a certificate is exhaustive or an exact identity, never a sample.
 Another keeps loops out of the cli suites, so that each claim's sweep is
 defined in the module the claim is about.  Another keeps every sum of
@@ -48,9 +48,9 @@ def _references(path, tree):
     return refs
 
 
-# Functions called from outside the package alone: the kernels benchmark
-# (bench/kernels.py) times these, and Python calls the package __getattr__
-# on `fanog2.<module>`.
+# Functions, and methods named as "Class.method", called from outside the
+# package alone: the kernels benchmark (bench/kernels.py) times these, and
+# Python calls the package __getattr__ on `fanog2.<module>`.
 ENTRY_POINTS = {
     ("octonion", "mul"),
     ("octonion", "norm"),
@@ -74,6 +74,29 @@ def test_every_function_is_referenced():
         if isinstance(node, ast.FunctionDef) and (path.stem, node.name) not in refs
     ]
     assert not unused, "unreferenced functions: %s" % ", ".join(unused)
+
+
+def test_every_method_is_referenced():
+    """A method is used through an attribute of its name, as `field.of` or
+    `self._coerce`; one that no attribute in src/ names is called only by
+    tests, if at all.  Dunders are called by Python itself."""
+    trees = _trees(ROOT / "src")
+    attrs = {
+        n.attr for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Attribute)
+    }
+    unused = [
+        "%s.%s.%s" % (path.stem, cls.name, fn.name)
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in attrs
+        and (path.stem, "%s.%s" % (cls.name, fn.name)) not in ENTRY_POINTS
+    ]
+    assert not unused, "unreferenced methods: %s" % ", ".join(unused)
 
 
 def test_every_parameter_is_read():

@@ -429,13 +429,116 @@ def test_point_subalgebras():
         assert g2.point_subalgebra_closed(p)
 
 
+def _sqrt_minus_one(field):
+    """i in Q(i); in F_p the smaller root of -1, as c^((p-1)/4) for the
+    least non-residue c."""
+    if field is QI:
+        return GaussianRational(0, 1)
+    p, c = field.p, 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    r = pow(c, (p - 1) // 4, p)
+    return field.of(min(r, p - r))
+
+
+def _chevalley_elements(i, F):
+    """h1, h2 and e+-_{D1,D7,D5} of s_P1, with the coefficients of the X's
+    sent through F and i a square root of -1."""
+
+    def x(p, d):
+        return {k: F(v) for k, v in g2.X(p, d).items()}
+
+    def e(a, b, s):
+        return g2.add_elt(x(*a), g2.scale_elt(s * i, x(*b)))
+
+    return {
+        "h1": g2.scale_elt(-i, x(1, 1)),
+        "h2": g2.scale_elt(-i, x(1, 7)),
+        "ep1": e((2, 1), (4, 1), -1),
+        "em1": e((2, 1), (4, 1), 1),
+        "ep7": e((3, 7), (7, 7), -1),
+        "em7": e((3, 7), (7, 7), 1),
+        "ep5": e((5, 5), (6, 5), 1),
+        "em5": e((5, 5), (6, 5), -1),
+    }
+
+
+# name: (a, b, c, terms), for the relation [a, b] = c * (sum of terms)
+CHEVALLEY_RELATIONS = {
+    "h1_ep1": ("h1", "ep1", 2, ("ep1",)),
+    "h1_em1": ("h1", "em1", -2, ("em1",)),
+    "h1_ep7": ("h1", "ep7", -1, ("ep7",)),
+    "h1_em7": ("h1", "em7", 1, ("em7",)),
+    "h2_ep1": ("h2", "ep1", -1, ("ep1",)),
+    "h2_em1": ("h2", "em1", 1, ("em1",)),
+    "h2_ep7": ("h2", "ep7", 2, ("ep7",)),
+    "h2_em7": ("h2", "em7", -2, ("em7",)),
+    "ep1_em1": ("ep1", "em1", -4, ("h1",)),
+    "ep7_em7": ("ep7", "em7", -4, ("h2",)),
+    "ep1_em7": ("ep1", "em7", 0, ()),
+    "ep7_em1": ("ep7", "em1", 0, ()),
+    "ep1_ep7": ("ep1", "ep7", -2, ("ep5",)),
+    "em1_em7": ("em1", "em7", -2, ("em5",)),
+    "h1_ep5": ("h1", "ep5", 1, ("ep5",)),
+    "h2_ep5": ("h2", "ep5", 1, ("ep5",)),
+    "h1_em5": ("h1", "em5", -1, ("em5",)),
+    "h2_em5": ("h2", "em5", -1, ("em5",)),
+    "ep5_em5": ("ep5", "em5", -4, ("h1", "h2")),
+}
+
+
+def _chevalley_brackets(elts):
+    return {
+        n: g2.bracket(elts[a], elts[b]) for n, (a, b, _, _) in CHEVALLEY_RELATIONS.items()
+    }
+
+
+def _reference_report(field):
+    """The presentation evaluated over field itself, relation by relation."""
+    elts = _chevalley_elements(_sqrt_minus_one(field), field.of)
+    brackets = _chevalley_brackets(elts)
+    return {
+        name: brackets[name]
+        == g2.scale_elt(c, g2.combine(t for n in terms for t in elts[n].items()))
+        for name, (_, _, c, terms) in CHEVALLEY_RELATIONS.items()
+    }
+
+
 def test_chevalley_fields():
-    for field in (QI, PrimeField(5), PrimeField(13)):
-        rep = g2.chevalley_report(field)
-        assert all(v is True for v in rep.values())
-    for field in (QQ, PrimeField(3), PrimeField(7)):
-        with pytest.raises(ValueError):
-            g2.chevalley_report(field)
+    # a reference for the one computation over Z[i]
+    for field in (QI, PrimeField(5), PrimeField(13), PrimeField(1000000009)):
+        rep = _reference_report(field)
+        assert list(rep) == list(g2.chevalley_report())
+        assert all(v is True for v in rep.values()), field
+    assert all(v is True for v in g2.chevalley_report().values())
+    # over Z[i], every coefficient of the eight elements and of the 19
+    # brackets is integral, so the ring map i -> sqrt(-1) reaches any field
+    # that contains a square root of -1
+    elts = _chevalley_elements(GaussianRational(0, 1), lambda v: v)
+    values = [
+        v if type(v) is GaussianRational else GaussianRational(v)
+        for z in [*elts.values(), *_chevalley_brackets(elts).values()]
+        for v in z.values()
+    ]
+    assert values and all(z.re.denominator == z.im.denominator == 1 for z in values)
+
+
+def test_chevalley_gate_sees_a_negated_generator(monkeypatch):
+    # e+-_{D5} swap when X_{P6,D5} changes sign, and the D5 ladder breaks
+    x = g2.X
+    monkeypatch.setattr(
+        g2, "X", lambda p, d: g2.scale_elt(-1, x(p, d)) if (p, d) == (6, 5) else x(p, d)
+    )
+    g2.chevalley_report.cache_clear()
+    try:
+        rep = g2.chevalley_report()
+        assert not all(rep.values())
+        assert rep == _reference_report(QI) == _reference_report(PrimeField(13))
+        assert g2.chevalley_gate(QI) is False
+        assert g2.chevalley_gate(PrimeField(13)) is False
+        assert g2.chevalley_gate(QQ) is True
+    finally:
+        g2.chevalley_report.cache_clear()
 
 
 def test_almost_complex():

@@ -15,12 +15,13 @@ FIELDS = {
     "F_7": PrimeField(7),
     "F_p near 2^63": PrimeField(2**63 - 25),
 }
+I = GaussianRational(0, 1)
 
 
 def _entry(rng, field):
     v = field.of(rng.randint(-5, 5))
     if field is QI:
-        v = v + field.of(rng.randint(-5, 5)) * field.sqrt_minus_one()
+        v = v + field.of(rng.randint(-5, 5)) * I
     return v
 
 
@@ -184,7 +185,7 @@ def test_nullspace_is_the_reduced_kernel_basis(name):
         entries.append(_rational)
     if field is QI:
         # Fraction parts, and rows sharing a Gaussian factor no integer clears
-        factor = (QI.one + QI.sqrt_minus_one()) * (QI.of(2) + QI.sqrt_minus_one())
+        factor = (QI.one + I) * (QI.of(2) + I)
         entries += [_gaussian, lambda rng: factor * _entry(rng, field)]
     if field not in (QQ, QI):
         entries.append(lambda rng: _residue(rng, field))

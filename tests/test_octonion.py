@@ -19,6 +19,7 @@ PROPERTY = settings(
     phases=(Phase.explicit, Phase.generate),
 )
 FIELDS = (QQ, QI, PrimeField(7), PrimeField(1000000007))
+I = GaussianRational(0, 1)
 
 
 def _scalars(field):
@@ -29,7 +30,7 @@ def _scalars(field):
     if field is QQ:
         return st.one_of(ints, fractions)
     if field is QI:
-        return st.builds(lambda a, b: QI.of(a) + QI.sqrt_minus_one() * b, fractions, fractions)
+        return st.builds(lambda a, b: QI.of(a) + I * b, fractions, fractions)
     return st.one_of(ints, ints.map(field.of))
 
 
@@ -206,8 +207,7 @@ def test_other_fields():
     assert octonion.norm(
         octonion.mul(x, y, compfactor.EPS_TAU, f5)
     ) == octonion.norm(x) * octonion.norm(y)
-    i = QI.sqrt_minus_one()
-    z = tuple(QI.of(0) for _ in range(7)) + (i,)
+    z = tuple(QI.of(0) for _ in range(7)) + (I,)
     assert octonion.norm(octonion.mul(z, z, compfactor.EPS_TAU, QI)) == QI.of(1)
 
 
