@@ -552,8 +552,6 @@ def cmd_verify(opts):
 def _jsonable(v):
     if isinstance(v, (set, frozenset)):
         return sorted(v, key=repr)
-    if isinstance(v, dict):
-        return {str(k): v[k] for k in v}
     return repr(v)
 
 
@@ -580,7 +578,7 @@ def cmd_enumerate(opts):
         from . import compfactor
 
         orbit_of = {}
-        for n, o in enumerate(sorted(compfactor.orbit_decomposition(), key=min)):
+        for n, o in enumerate(compfactor.orbit_decomposition()):
             for f in o:
                 orbit_of[f] = n
         records = [

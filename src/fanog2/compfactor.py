@@ -68,7 +68,7 @@ def canonical_epsilon(tau=fano.TAU):
     p = 1
     for k in range(7):
         exponent[p] = k
-        p = fano.apply(tau, p)
+        p = tau[p - 1]
     table = [[0] * 7 for _ in range(7)]
     for p in fano.POINTS:
         for q in fano.POINTS:

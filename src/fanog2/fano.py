@@ -1,4 +1,4 @@
-"""The Fano plane, its cube, its dual, its collineation group and orientations.
+"""The Fano plane, its cube, its dual, its collineations and oriented lines.
 
 Points are labelled 1..7 and identified with the nonzero vectors of (Z_2)^3
 through a fixed coordinate model: P1 -> 001, P2 -> 010, P3 -> 100 and then
@@ -90,10 +90,6 @@ def lines_through(p):
     return tuple(i for i in LINES if p in LINE_POINTS[i])
 
 
-def apply(g, p):
-    return g[p - 1]
-
-
 def compose(g, h):
     """g after h."""
     return tuple(g[h[i] - 1] for i in range(7))
@@ -152,6 +148,15 @@ def order(g):
     return n
 
 
+def oriented_lines(g):
+    """The seven cyclic triples (P, gP, g^3 P), each rotated to start at its
+    least point.  For the shift TAU they are the lines D_i, one cyclic order
+    each, so an order-7 g has TAU's set iff it orders each line as TAU does."""
+    g3 = compose(g, compose(g, g))
+    triples = ((p, g[p - 1], g3[p - 1]) for p in POINTS)
+    return frozenset(min(t, t[1:] + t[:1], t[2:] + t[:2]) for t in triples)
+
+
 def order_histogram():
     return dict(Counter(order(g) for g in all_collineations()))
 
@@ -192,19 +197,6 @@ def legendre7(n):
         raise ValueError("legendre7 undefined for multiples of 7")
     r = pow(n, 3, 7)
     return 1 if r == 1 else -1
-
-
-def orientation_type(tau):
-    """(0,1,3) if {P, tau P, tau^3 P} is a line for every P, else (0,2,3)."""
-    if order(tau) != 7:
-        raise ValueError("an orientation must have order 7")
-    t3 = compose(tau, compose(tau, tau))
-    if all(is_line({p, apply(tau, p), apply(t3, p)}) for p in POINTS):
-        return (0, 1, 3)
-    t2 = compose(tau, tau)
-    if all(is_line({p, apply(t2, p), apply(t3, p)}) for p in POINTS):
-        return (0, 2, 3)
-    raise AssertionError("order-7 element of neither orientation type")
 
 
 # the canonical shift i -> i+1; equal to a*b for the standard generators
@@ -255,24 +247,6 @@ def all_triangles():
     return [frozenset(t) for t in combinations(POINTS, 3) if not is_line(t)]
 
 
-def induced_line_orientation(tau, d):
-    """The cyclic order (P, tau P, tau^3 P) induced on line d by a type-(0,1,3) tau."""
-    if orientation_type(tau) != (0, 1, 3):
-        raise ValueError("induced orientation requires a type (0,1,3) orientation")
-    t3 = compose(tau, compose(tau, tau))
-    for p in LINE_POINTS[d]:
-        cyc = (p, apply(tau, p), apply(t3, p))
-        if frozenset(cyc) == LINE_POINTS[d]:
-            return cyc
-    raise AssertionError("line D%d is not of the form {P, tau P, tau^3 P}" % d)
-
-
-def cyclic_equal(c1, c2):
-    """Whether two 3-cycles describe the same cyclic order."""
-    a, b, c = c1
-    return c2 in ((a, b, c), (b, c, a), (c, a, b))
-
-
 def conjugacy_class(g):
     """The conjugacy class of a collineation, by exhaustive conjugation."""
     out = set()
@@ -293,9 +267,9 @@ def order7_class_split():
             classes.append(conjugacy_class(g))
     if len(classes) != 2 or any(len(c) != 24 for c in classes):
         return False
-    for c in classes:
-        if len({order7_minimal_polynomial(g) for g in c}) != 1:
-            return False
+    tags = [{order7_minimal_polynomial(g) for g in c} for c in classes]
+    if any(len(t) != 1 for t in tags) or tags[0] == tags[1]:
+        return False
     powers = {1: TAU}
     for n in range(2, 7):
         powers[n] = compose(TAU, powers[n - 1])

@@ -13,6 +13,9 @@ There are 8 lifts per collineation, 1344 in all.
 delta_star_fn(g) is this sign as a mask, read off all six pairs of each
 line; the lifts, AC5, AC10.radon and the delta-star diagram all read it.
 
+AC6.orientation-powers compares fano.oriented_lines of each order-7
+collineation with that of the shift.
+
 Sign functions on points and lines are radon masks: bit P - 1 (or D - 1) is
 set where the sign is -1.  Only the s of an augmented automorphism is a sign
 tuple, and SIGNS and MASK_OF convert between the two forms.
@@ -155,7 +158,7 @@ def aug_apply(aug, coeffs):
     out = [coeffs[0]] + [None] * 7
     for p in fano.POINTS:
         v = coeffs[p]
-        out[fano.apply(g, p)] = v if s[p - 1] == 1 else -v
+        out[g[p - 1]] = v if s[p - 1] == 1 else -v
     return tuple(out)
 
 
@@ -257,32 +260,15 @@ def order_profiles():
     return {n: fiber_order_profile(g) for n, g in bases.items()}
 
 
-def order7_same_orientation(tau_prime):
-    """Whether an order-7 collineation induces the cyclic order of the shift
-    fano.TAU on each line.
-
-    True exactly for tau, tau^2 and tau^4.
-    """
-    if fano.order(tau_prime) != 7:
-        raise ValueError("an orientation must have order 7")
-    if fano.orientation_type(tau_prime) != fano.orientation_type(fano.TAU):
-        return False
-    for d in fano.LINES:
-        if not fano.cyclic_equal(
-            fano.induced_line_orientation(fano.TAU, d),
-            fano.induced_line_orientation(tau_prime, d),
-        ):
-            return False
-    return True
-
-
 def orientation_power_count():
     """AC6.orientation-powers: the number of order-7 collineations that
-    induce the line orientations of the shift."""
+    induce the line orientations of the shift: those whose oriented line
+    triples are the shift's, that is tau, tau^2 and tau^4."""
+    shift = fano.oriented_lines(fano.TAU)
     return sum(
         1
         for g in fano.all_collineations()
-        if fano.order(g) == 7 and order7_same_orientation(g)
+        if fano.order(g) == 7 and fano.oriented_lines(g) == shift
     )
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from fanog2 import fano
+from fanog2 import cli, fano
 
 
 def test_masks_and_lines():
@@ -42,7 +42,7 @@ def test_collineations_are_additive():
     for g in list(group)[:20]:
         assert fano.is_additive(g)
         for d in fano.LINES:
-            img = {fano.apply(g, p) for p in fano.LINE_POINTS[d]}
+            img = {g[p - 1] for p in fano.LINE_POINTS[d]}
             assert img == set(fano.LINE_POINTS[fano.line_image(g, d)])
 
 
@@ -58,10 +58,26 @@ def test_compose_inverse_order():
 
 
 def test_orientation_types():
-    types = {fano.orientation_type(g)
-             for g in fano.all_collineations() if fano.order(g) == 7}
-    assert types == {(0, 1, 3), (0, 2, 3)}
-    assert fano.orientation_type(fano.TAU) == (0, 1, 3)
+    # type (0,1,3): every oriented line triple {P, gP, g^3 P} is a line;
+    # type (0,2,3): every {P, g^2 P, g^3 P} is.  {0,2,3} = 3 - {0,1,3}, so g
+    # is of type (0,2,3) iff g^-1 is of type (0,1,3); 24 elements of each
+    def on_lines(g):
+        return all(fano.is_line(t) for t in fano.oriented_lines(g))
+
+    sevens = [g for g in fano.all_collineations() if fano.order(g) == 7]
+    first = {g for g in sevens if on_lines(g)}
+    second = {g for g in sevens if on_lines(fano.inverse(g))}
+    assert len(first) == len(second) == 24
+    assert first | second == set(sevens)
+    for g in second:
+        g2 = fano.compose(g, g)
+        g3 = fano.compose(g, g2)
+        assert all(fano.is_line({p, g2[p - 1], g3[p - 1]}) for p in fano.POINTS)
+    # for the shift the triples are the seven lines, each from its least point
+    assert fano.TAU in first
+    assert fano.oriented_lines(fano.TAU) == {
+        tuple(sorted(fano.LINE_POINTS[d])) for d in fano.LINES
+    }
 
 
 def test_legendre7():
@@ -79,6 +95,18 @@ def test_minimal_polynomial_tags():
     # tags cannot be swapped unnoticed
     assert fano.order7_minimal_polynomial(fano.TAU) == "x^3+x+1"
     assert fano.order7_minimal_polynomial(fano.inverse(fano.TAU)) == "x^3+x^2+1"
+
+
+def test_order7_split_needs_two_tags(monkeypatch):
+    # AC2.order7-split claims the classes are split by minimal polynomial:
+    # one tag on every element makes it fail
+    def ac2():
+        (check,) = [c for c in cli.suite_fano() if c["claim"] == "AC2.order7-split"]
+        return check["pass"]
+
+    assert ac2()
+    monkeypatch.setattr(fano, "order7_minimal_polynomial", lambda g: "x^3+x+1")
+    assert not ac2()
 
 
 def test_triangles():

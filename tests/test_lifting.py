@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanog2 import compfactor, fano, lifting, octonion, radon
+from fanog2 import cli, compfactor, fano, lifting, octonion, radon
 
 
 def _first_pair_delta_star(g, d):
@@ -26,11 +26,7 @@ def test_delta_star_pair_independent():
                         p, q = pts[i], pts[j]
                         vals.add(
                             compfactor.eps_get(compfactor.EPS_TAU, p, q)
-                            * compfactor.eps_get(
-                                compfactor.EPS_TAU,
-                                fano.apply(g, p),
-                                fano.apply(g, q),
-                            )
+                            * compfactor.eps_get(compfactor.EPS_TAU, g[p - 1], g[q - 1])
                         )
             assert len(vals) == 1
             assert vals.pop() == (-1 if radon.evaluate(lifting.delta_star_fn(g), d) else 1)
@@ -142,6 +138,21 @@ def test_line_words_are_the_delta_star_masks(monkeypatch, fresh_memos):
     assert lifting.delta_star_properties() is False
 
 
+def test_delta_star_diagram_draws_every_composition_factor(monkeypatch, fresh_memos, tmp_path):
+    # on each of the 16 composition factors every delta* lies in R*, so the
+    # ValueError handler of `diagram delta-star`, behind the gate that
+    # refuses any other sign table, has nothing left to catch
+    image = set(radon.mult_image())
+    out = tmp_path / "diagram"
+    for eps in compfactor.enumerate_composition_factors():
+        monkeypatch.setattr(compfactor, "EPS_TAU", eps)
+        _clear_memos()
+        assert all(lifting.delta_star_fn(g) in image for g in fano.all_collineations()), eps
+        for fmt, section in (("text", "distinguished point:"), ("dot", "graph ")):
+            assert cli.main(["diagram", "delta-star", "--format", fmt, "--out", str(out)]) == 0
+            assert out.read_text().count(section) == 8, (eps, fmt)
+
+
 def test_memos_filled_under_a_patch_are_cleared(monkeypatch, fresh_memos):
     clean = {g: lifting.delta_star_fn(g) for g in fano.all_collineations()}
     _clear_memos()
@@ -233,17 +244,73 @@ def test_lifts_count_and_validation():
     assert lifting.aug_serialize((a, (1, 1, 1, 1, -1, 1, -1))) == ["1274653", 0b1010000]
 
 
+# a reference for fano.oriented_lines: the orientation type of an order-7
+# element and the cyclic order it induces on each line, compared line by line
+
+
+def orientation_type(tau):
+    """(0,1,3) if {P, tau P, tau^3 P} is a line for every P, else (0,2,3)."""
+    if fano.order(tau) != 7:
+        raise ValueError("an orientation must have order 7")
+    t3 = fano.compose(tau, fano.compose(tau, tau))
+    if all(fano.is_line({p, tau[p - 1], t3[p - 1]}) for p in fano.POINTS):
+        return (0, 1, 3)
+    t2 = fano.compose(tau, tau)
+    if all(fano.is_line({p, t2[p - 1], t3[p - 1]}) for p in fano.POINTS):
+        return (0, 2, 3)
+    raise AssertionError("order-7 element of neither orientation type")
+
+
+def induced_line_orientation(tau, d):
+    """The cyclic order (P, tau P, tau^3 P) induced on line d by a type-(0,1,3) tau."""
+    if orientation_type(tau) != (0, 1, 3):
+        raise ValueError("induced orientation requires a type (0,1,3) orientation")
+    t3 = fano.compose(tau, fano.compose(tau, tau))
+    for p in fano.LINE_POINTS[d]:
+        cyc = (p, tau[p - 1], t3[p - 1])
+        if frozenset(cyc) == fano.LINE_POINTS[d]:
+            return cyc
+    raise AssertionError("line D%d is not of the form {P, tau P, tau^3 P}" % d)
+
+
+def cyclic_equal(c1, c2):
+    """Whether two 3-cycles describe the same cyclic order."""
+    a, b, c = c1
+    return c2 in ((a, b, c), (b, c, a), (c, a, b))
+
+
+def same_orientation(g):
+    """Whether an order-7 collineation induces the cyclic order of the shift
+    on each line, by the orientation type and the line-by-line orders."""
+    if orientation_type(g) != orientation_type(fano.TAU):
+        return False
+    return all(
+        cyclic_equal(induced_line_orientation(fano.TAU, d), induced_line_orientation(g, d))
+        for d in fano.LINES
+    )
+
+
 def test_order7_orientation_powers():
-    sevens = [
-        g
-        for g in fano.all_collineations()
-        if fano.order(g) == 7 and lifting.order7_same_orientation(g)
-    ]
-    assert len(sevens) == 3
-    assert fano.TAU in sevens
+    # oriented_lines against the reference on all 168 collineations: the
+    # reference is defined on order 7 alone, where the two agree element by
+    # element, and no other element has the oriented lines of the shift
+    shift = fano.oriented_lines(fano.TAU)
+    sevens = [g for g in fano.all_collineations() if fano.order(g) == 7]
+    assert len(sevens) == 48
+    for g in fano.all_collineations():
+        if g not in sevens:
+            with pytest.raises(ValueError):
+                orientation_type(g)
+            assert fano.oriented_lines(g) != shift, g
+            continue
+        on_lines = all(fano.is_line(t) for t in fano.oriented_lines(g))
+        assert on_lines == (orientation_type(g) == (0, 1, 3)), g
+        assert (fano.oriented_lines(g) == shift) == same_orientation(g), g
     tau2 = fano.compose(fano.TAU, fano.TAU)
-    tau4 = fano.compose(tau2, tau2)
-    assert set(sevens) == {fano.TAU, tau2, tau4}
+    powers = {fano.TAU, tau2, fano.compose(tau2, tau2)}
+    assert {g for g in sevens if fano.oriented_lines(g) == shift} == powers
+    assert {g for g in sevens if same_orientation(g)} == powers
+    assert lifting.orientation_power_count() == 3
 
 
 def test_diagram_emitters():
