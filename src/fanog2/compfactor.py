@@ -9,7 +9,8 @@ and exactly 16 of them exist, in two sides of eight.
 """
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import compress, permutations, product, repeat
+from operator import eq, itemgetter
 
 from . import fano
 
@@ -18,34 +19,52 @@ def eps_get(eps, p, q):
     return eps[p - 1][q - 1]
 
 
-def _freeze(table):
-    return tuple(tuple(row) for row in table)
-
-
 def _cone(eps, p, sign):
     """The future of p (sign 1) or its past (sign -1): the q with eps_pq = sign."""
     return frozenset(q for q in fano.POINTS if q != p and eps_get(eps, p, q) == sign)
 
 
+def sign_words(rows):
+    """A family of sign rows as bit columns: words[k] has bit i set where
+    rows[i][k] is -1, and valid has bit i set where every entry of rows[i]
+    is +1 or -1.  A product of such signs is -1 exactly at the set bits of
+    the XOR of their words."""
+    bits = [1 << i for i in range(len(rows))]
+    words, valid = [], (1 << len(rows)) - 1
+    for col in zip(*rows):
+        words.append(sum(compress(bits, map(eq, col, repeat(-1)))))
+        valid &= words[-1] | sum(compress(bits, map(eq, col, repeat(1))))
+    return words, valid
+
+
+# the 42 entries (P, Q) off the diagonal, read off a flattened table
+_OFF_DIAGONAL = tuple((p, q) for p in fano.POINTS for q in fano.POINTS if p != q)
+_PICK = itemgetter(*(7 * p + q - 8 for p, q in _OFF_DIAGONAL))
+
+
 @lru_cache(maxsize=None)
-def is_composition_factor(eps):
-    """The line and quadrilateral rules for the trivial norm, memoized per
-    table.
+def rules_hold(family):
+    """The line and quadrilateral rules for the trivial norm on a family of
+    sign tables, memoized: bit i is set where family[i] obeys both.
 
     (i)  eps_PQ eps_QR = 1 for any line {P,Q,R};
     (ii) eps_PQ eps_QR eps_RS eps_SP = -1 for any quadrilateral {P,Q,R,S}.
-    Both rules are checked over all orderings.
-    """
+    Both are checked over all orderings, 42 + 168 instances, each one XOR of
+    sign_words for the whole family; an entry off the diagonal that is not
+    +-1 breaks rule (i)."""
+    words, ok = sign_words([_PICK(sum(eps, ())) for eps in family])
+    w = dict(zip(_OFF_DIAGONAL, words))
     for d in fano.LINES:
         for p, q, r in permutations(sorted(fano.LINE_POINTS[d])):
-            if eps[p - 1][q - 1] * eps[q - 1][r - 1] != 1:
-                return False
-    for d in fano.LINES:
+            ok &= ~(w[p, q] ^ w[q, r])
         for p, q, r, s in permutations(sorted(fano.QUADRILATERALS[d])):
-            v = eps[p - 1][q - 1] * eps[q - 1][r - 1]
-            if v * eps[r - 1][s - 1] * eps[s - 1][p - 1] != -1:
-                return False
-    return True
+            ok &= w[p, q] ^ w[q, r] ^ w[r, s] ^ w[s, p]
+    return ok
+
+
+def is_composition_factor(eps):
+    """The rules of rules_hold on one sign table."""
+    return rules_hold((eps,)) == 1
 
 
 def side(eps):
@@ -69,12 +88,10 @@ def canonical_epsilon(tau=fano.TAU):
     for k in range(7):
         exponent[p] = k
         p = tau[p - 1]
-    table = [[0] * 7 for _ in range(7)]
-    for p in fano.POINTS:
-        for q in fano.POINTS:
-            if p != q:
-                table[p - 1][q - 1] = fano.legendre7(exponent[q] - exponent[p])
-    return _freeze(table)
+    return tuple(
+        tuple(fano.legendre7(exponent[q] - exponent[p]) if p != q else 0 for q in fano.POINTS)
+        for p in fano.POINTS
+    )
 
 
 EPS_TAU = canonical_epsilon()
@@ -87,14 +104,11 @@ def line_orientations():
     found = []
     for choice in product((0, 1), repeat=7):
         table = [[0] * 7 for _ in range(7)]
-        for d in fano.LINES:
+        for d, flip in zip(fano.LINES, choice):
             a, b, c = sorted(fano.LINE_POINTS[d])
-            if choice[d - 1]:
-                b, c = c, b
-            for x, y in ((a, b), (b, c), (c, a)):
-                table[x - 1][y - 1] = 1
-                table[y - 1][x - 1] = -1
-        found.append(_freeze(table))
+            for x, y in ((a, c), (c, b), (b, a)) if flip else ((a, b), (b, c), (c, a)):
+                table[x - 1][y - 1], table[y - 1][x - 1] = 1, -1
+        found.append(tuple(map(tuple, table)))
     return tuple(found)
 
 
@@ -106,13 +120,16 @@ def enumerate_composition_factors():
     are exactly the 128 line orientations; the quadrilateral rule then cuts
     them down to 16.
     """
-    return tuple(eps for eps in line_orientations() if is_composition_factor(eps))
+    found = line_orientations()
+    mask = rules_hold(found)
+    return tuple(eps for i, eps in enumerate(found) if mask >> i & 1)
 
 
 def act(g, eps):
-    """Left action: (g.eps)_{PQ} = eps_{g^-1 P, g^-1 Q}."""
-    idx = [p - 1 for p in fano.inverse(g)]
-    return tuple(tuple(eps[i][j] for j in idx) for i in idx)
+    """Left action: (g.eps)_{PQ} = eps_{g^-1 P, g^-1 Q}, one itemgetter
+    reordering the rows and then each row."""
+    pick = itemgetter(*(p - 1 for p in fano.inverse(g)))
+    return tuple(map(pick, pick(eps)))
 
 
 def orbit(eps):
@@ -150,8 +167,9 @@ def isotropy_is_shift_normalizer():
     powers = fano.generated_subgroup((fano.TAU,))
     normalizer = set()
     for g in fano.all_collineations():
-        ginv = fano.inverse(g)
-        if all(fano.compose(g, fano.compose(t, ginv)) in powers for t in powers):
+        # g t g^-1 reads t at g^-1 P and sends the value by g
+        pick, image = itemgetter(*(p - 1 for p in fano.inverse(g))), (0,) + g
+        if all(tuple(map(image.__getitem__, pick(t))) in powers for t in powers):
             normalizer.add(g)
     return isotropy() == normalizer
 
@@ -191,12 +209,10 @@ def exponentiate(alpha):
     Raises if the resulting table is not a composition factor; callers rely
     on this being validated loudly rather than patched.
     """
-    table = [[0] * 7 for _ in range(7)]
-    for p in fano.POINTS:
-        for q in fano.POINTS:
-            if p != q:
-                table[p - 1][q - 1] = -1 if fano.pairing(alpha[p - 1], q) else 1
-    eps = _freeze(table)
+    eps = tuple(
+        tuple((-1 if fano.pairing(alpha[p - 1], q) else 1) if p != q else 0 for q in fano.POINTS)
+        for p in fano.POINTS
+    )
     if not is_composition_factor(eps):
         raise AssertionError("exponentiation candidate failed the composition rules")
     return eps

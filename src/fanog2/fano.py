@@ -11,6 +11,7 @@ predicate.
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import or_
 
 # label -> 3-bit mask, generated by the recurrence P_{i+3} = P_i + P_{i+1}
 MASK = {1: 0b001, 2: 0b010, 3: 0b100, 4: 0b011, 5: 0b110, 6: 0b111, 7: 0b101}
@@ -116,25 +117,13 @@ def is_additive(g):
 
 @lru_cache(maxsize=None)
 def all_collineations():
-    """The 168 additive bijections, built from images of the basis P1,P2,P3."""
-    basis_masks = (1, 2, 4)
+    """The 168 additive bijections, built from the masks a, b, c of the
+    images of the basis P1, P2, P3, which are independent iff c != a ^ b."""
     result = []
-    for images in permutations(range(1, 8), 3):
-        # images are masks for the basis; require linear independence
-        a, b, c = images
-        if a ^ b == 0 or a ^ c == 0 or b ^ c == 0 or a ^ b ^ c == 0:
-            continue
-        perm = [0] * 7
-        for m in range(1, 8):
-            im = 0
-            if m & 1:
-                im ^= a
-            if m & 2:
-                im ^= b
-            if m & 4:
-                im ^= c
-            perm[LABEL[m] - 1] = LABEL[im]
-        result.append(tuple(perm))
+    for a, b, c in permutations(range(1, 8), 3):
+        if c != a ^ b:
+            image = {m: (m & 1 and a) ^ (m & 2 and b) ^ (m & 4 and c) for m in range(1, 8)}
+            result.append(tuple(LABEL[image[MASK[p]]] for p in POINTS))
     return tuple(sorted(result))
 
 
@@ -161,17 +150,34 @@ def order_histogram():
     return dict(Counter(order(g) for g in all_collineations()))
 
 
-def line_image(g, d):
-    """The image line of D_d under a collineation."""
-    pts = LINE_POINTS[d]
-    imgs = {g[p - 1] for p in pts}
-    return wedge(*sorted(imgs)[:2])
+# two points of each line D_1..D_7, as 0-based indices
+_LINE_PAIRS = tuple((d - 1, d % 7) for d in LINES)
 
 
 @lru_cache(maxsize=None)
 def line_perm(g):
-    """The induced permutation on line labels, memoized."""
-    return tuple(line_image(g, d) for d in LINES)
+    """The induced permutation on line labels, memoized: g D is the line
+    through the images of two points of D."""
+    return tuple(_LINE_OF_PAIR[g[p], g[q]] for p, q in _LINE_PAIRS)
+
+
+@lru_cache(maxsize=None)
+def _product_columns():
+    """Per slot k = 0, 1, 2 and point P, the column MASK[hP] << 3k over all h
+    in all_collineations() order; and the index in that order of each 9-bit
+    code, the masks of the images of P1, P2, P3 at bits 0, 3, 6, which fix a
+    collineation; memoized."""
+    group = all_collineations()
+    cols = tuple({p: tuple(MASK[h[p - 1]] << 3 * k for h in group) for p in POINTS} for k in range(3))
+    codes = map(or_, map(or_, cols[0][1], cols[1][2]), cols[2][3])
+    return cols, {c: i for i, c in enumerate(codes)}
+
+
+def right_products(g):
+    """The indices in all_collineations() of h g for each h, in that order:
+    h g sends P_k to h(g P_k), so its code ORs the columns of g P1, g P2, g P3."""
+    cols, index = _product_columns()
+    return map(index.__getitem__, map(or_, map(or_, cols[0][g[0]], cols[1][g[1]]), cols[2][g[2]]))
 
 
 def order7_minimal_polynomial(g):

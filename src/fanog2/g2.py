@@ -672,7 +672,7 @@ _POINT_BIT = (0,) + tuple(1 << (q - 1) for q in fano.POINTS)
 @lru_cache(maxsize=None)
 def _delta_hat_word(g):
     """The sign word of (g, +1), memoized per collineation, in one pass over
-    the entries of the 21 matrices 2 rho_hat(X_{P,D}).
+    the 84 entries of the matrices 2 rho_hat(X_{P,D}) in _delta_hat_plan.
 
     ghat = (g, s) fixes e_0 and sends e_Q to s_Q e_{gQ}, so conjugating a
     spinor matrix moves its entry (a, b) to (ga, gb) times s_a s_b (with
@@ -690,16 +690,16 @@ def _delta_hat_word(g):
     first.  This word holds the constants of those forms; the parts that
     depend on s are in _delta_hat_layout.
     """
+    matrices, plan = _delta_hat_plan()
     img = (0,) + g
     lines = fano.line_perm(g)
     word, k = 0, 7
-    for p in fano.POINTS:
+    for p, flags in plan:
         leads = []
-        for d in fano.lines_through(p):
-            source = x_matrix2(p, d)
-            target = x_matrix2(g[p - 1], lines[d - 1])
+        for d, source in flags:
+            target = matrices[g[p - 1], lines[d - 1]]
             first, lands = None, len(source) == len(target)
-            for (a, b), v in source.items():
+            for (a, b), v in source:
                 t = target.get((img[a], img[b]))
                 flip = t == -v
                 lands = lands and (flip or t == v)
@@ -719,6 +719,15 @@ def _delta_hat_word(g):
 
 
 @lru_cache(maxsize=None)
+def _delta_hat_plan():
+    """The 21 matrices 2 rho_hat(X_{P,D}) by flag, and per point P and line D
+    through it the entries of its matrix, 84 in all; memoized."""
+    m = {pd: x_matrix2(*pd) for pd in INCIDENT_PAIRS}
+    plan = [(p, [(d, tuple(m[p, d].items())) for d in fano.lines_through(p)]) for p in fano.POINTS]
+    return m, plan
+
+
+@lru_cache(maxsize=None)
 def _delta_hat_layout():
     """What the sign words share for every g, laid out as in _delta_hat_word:
     for each sign vector s, the word XORed into that of (g, +1) to give the
@@ -732,10 +741,10 @@ def _delta_hat_layout():
     from . import lifting
 
     coeffs, errors = [0] * 7, []
-    for p in fano.POINTS:
+    for p, flags in _delta_hat_plan()[1]:
         leads = []
-        for d in fano.lines_through(p):
-            forms = [_POINT_BIT[a] ^ _POINT_BIT[b] for a, b in x_matrix2(p, d)]
+        for d, source in flags:
+            forms = [_POINT_BIT[a] ^ _POINT_BIT[b] for (a, b), _ in source]
             leads.append(forms[0])
             coeffs += [f ^ forms[0] for f in forms[1:]] + [0]
             errors += [

@@ -77,26 +77,21 @@ def delta_star_properties():
       for all 168^2 pairs (g1, g2) and all seven lines D.
     """
     group = fano.all_collineations()
-    masks = {g: delta_star_fn(g) for g in group}
-    if None in masks.values():
+    listed = list(map(delta_star_fn, group))
+    if None in listed:
         return False
+    values = set(listed)
     # det g reads all seven lines, a pencil product the three through a point
     if any(
-        (m & lines).bit_count() % 2
-        for m in masks.values()
-        for lines in (radon.ONE,) + radon.PENCILS
+        (m & lines).bit_count() % 2 for m in values for lines in (radon.ONE,) + radon.PENCILS
     ):
         return False
-    listed = [masks[g] for g in group]
-    values = set(listed)
-    for g1 in group:
-        after_g1 = itemgetter(*(p - 1 for p in g1))  # g2 -> g2 g1
+    for g1, m1 in zip(group, listed):
         # m(g1 D) at bit D - 1, times delta*(g1, D), for each mask m that occurs
-        m1 = masks[g1]
-        bits = tuple(enumerate(e - 1 for e in fano.line_perm(g1)))
-        moved = {m: sum((m >> e & 1) << d for d, e in bits) ^ m1 for m in values}
-        # the masks of g2 g1 against the moved masks of g2, for all g2 at once
-        if list(map(masks.__getitem__, map(after_g1, group))) != list(
+        at_images = itemgetter(*(e - 1 for e in fano.line_perm(g1)))
+        moved = {m: MASK_OF[at_images(SIGNS[m])] ^ m1 for m in values}
+        # the masks of g2 g1, by index, against the moved masks of g2, for all g2
+        if list(map(listed.__getitem__, fano.right_products(g1))) != list(
             map(moved.__getitem__, listed)
         ):
             return False

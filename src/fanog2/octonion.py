@@ -45,17 +45,11 @@ def products(eps):
     """The basis products: products(eps)[a][b] = (s, c) with e_a e_b = s e_c
     for basis labels a, b, c in 0..7 (0 is the unit); memoized.  The labels
     are those of _LABELS; eps gives the signs off the unit and the diagonal."""
-    rows = []
-    for a, labels in enumerate(_LABELS):
-        row = []
-        for b, c in enumerate(labels):
-            if not a or not b:
-                row.append((1, c))
-            elif a == b:
-                row.append((-1, c))
-            else:
-                row.append((eps[a - 1][b - 1], c))
-        rows.append(tuple(row))
+    rows = [tuple((1, c) for c in _LABELS[0])]
+    for a, labels in enumerate(_LABELS[1:], 1):
+        signs = [1, *eps[a - 1]]
+        signs[a] = -1
+        rows.append(tuple(zip(signs, labels)))
     return tuple(rows)
 
 
@@ -142,62 +136,64 @@ def norm(x):
 def polarized_norm_identity(eps):
     """<e_a e_b, e_c e_d> + <e_a e_d, e_c e_b> = 2 d_ac d_bd on all 8^4
     quadruples: N(xy) = N(x)N(y) polarized in x and in y, so it holds on the
-    basis iff the norm is multiplicative (characteristic != 2).
+    basis iff the norm is multiplicative (characteristic != 2).  It is
+    norm_identity_holds on a family of one."""
+    return norm_identity_holds([products(eps)]) == 1
+
+
+def norm_identity_holds(tables):
+    """polarized_norm_identity on a family of product tables, as a mask with
+    bit i set where it holds on tables[i].
 
     For fixed (a, c) the left side is M + M^T at (b, d), with M[b][d] =
-    <e_a e_b, e_c e_d>.  When the labels of rows a and c of the table are
-    permutations, M is a signed permutation matrix: its one nonzero entry
-    in row b sits at the d with e_c e_d on the label of e_a e_b.  So M + M^T
-    can be nonzero only at those (b, d) and their transposes, where it is
-    checked; when a = c every such d is b, so the 2 on the diagonal is
-    checked there too.  That certifies all 64 entries from 8 per (a, c).
-    If the labels of a row a are no permutation, e_a e_b and e_a e_d share
-    a label for some b != d, the identity fails at (a, b, a, d), and the
-    answer is False.  The answer is memoized per table.
+    <e_a e_b, e_c e_d>.  When the labels of rows a and c are permutations,
+    M is a signed permutation matrix, nonzero only at the (b, d) with e_c e_d
+    on the label of e_a e_b, so M + M^T is checked there and is 0 elsewhere.
+    Where a = c that d is b and the identity reads 2 s_ab^2 = 2, so every
+    sign is +-1: the valid mask of sign_words.  Each check of _label_plan is
+    then one XOR of sign_words for the whole family.  The plan is per label
+    table, so a family whose labels differ is read member by member.
     """
-    return _norm_identity_holds(products(eps))
-
-
-@lru_cache(maxsize=None)
-def _norm_identity_holds(t):
-    """polarized_norm_identity on the table t of products(eps): the 512
-    sign checks of _label_plan on the signs of t."""
-    plan = _label_plan(tuple(tuple(k for _, k in row) for row in t))
+    signs, labels = zip(*(zip(*sum(t, ())) for t in tables))
+    if len(set(labels)) > 1:
+        return sum(norm_identity_holds([t]) << i for i, t in enumerate(tables))
+    plan = _label_plan(labels[0])
     if plan is None:
-        return False
-    signs = [[s for s, _ in row] for row in t]
-    return all(
-        signs[a][b] * signs[c][d] + (signs[a][d] * signs[c][b] if paired else 0) == want
-        for a, b, c, d, paired, want in plan
-    )
+        return 0
+    w, ok = compfactor.sign_words(signs)
+    for ab, cd, ad, cb in plan:
+        ok &= w[ab] ^ w[cd] ^ w[ad] ^ w[cb]
+    return ok
 
 
 @lru_cache(maxsize=None)
 def _label_plan(labels):
-    """What the norm identity reads off the labels of a product table,
-    memoized per label table, which all 128 line orientations share: None if
-    some row is no permutation, else for each (a, c, b) the d with
-    e_c e_d = +-e_a e_b, whether e_a e_d and e_c e_b share a label too, and
-    the value the identity wants at (a, b, c, d)."""
-    if any(sorted(row) != list(range(8)) for row in labels):
+    """What the norm identity reads off the 64 labels of a product table,
+    memoized per label table (the 128 line orientations share one): for each
+    (a, c, b) with a != c and the d with e_c e_d = +-e_a e_b, the positions
+    ab, cd, ad and cb of four signs that must multiply to -1.  None where
+    the identity fails whatever the signs: some row is no permutation (it
+    fails at some (a, b, a, d)), or some e_a e_d and e_c e_b differ in label."""
+    rows = [labels[8 * a : 8 * a + 8] for a in range(8)]
+    if any(sorted(row) != list(range(8)) for row in rows):
         return None
     # where[c][k]: the d with e_c e_d = +-e_k
-    where = [{k: d for d, k in enumerate(row)} for row in labels]
+    where = [{k: d for d, k in enumerate(row)} for row in rows]
     plan = []
     for a, c in product(range(8), repeat=2):
-        for b, k in enumerate(labels[a]):
+        for b, k in enumerate(rows[a] if a != c else ()):
             d = where[c][k]
-            plan.append((a, b, c, d, labels[a][d] == labels[c][b], 2 if a == c and b == d else 0))
+            if rows[a][d] != rows[c][b]:
+                return None
+            plan.append((8 * a + b, 8 * c + d, 8 * a + d, 8 * c + b))
     return tuple(plan)
 
 
 def norm_identity_matches_rules():
     """AC14.norm-structural: on each of the 128 line orientations, the
     polarized norm identity holds iff the line and quadrilateral rules do."""
-    return all(
-        polarized_norm_identity(eps) == compfactor.is_composition_factor(eps)
-        for eps in compfactor.line_orientations()
-    )
+    found = compfactor.line_orientations()
+    return norm_identity_holds(list(map(products, found))) == compfactor.rules_hold(found)
 
 
 def _mul(t, u, v):

@@ -21,7 +21,7 @@ import re
 
 import pytest
 
-from fanog2 import cli, compfactor, forms, g2, lifting, octonion, radon
+from fanog2 import cli, compfactor, fano, forms, g2, lifting, octonion, radon
 
 # Acceptance criterion number -> the verify suite that holds its claims.
 CRITERION_SUITE = {
@@ -75,13 +75,12 @@ def test_verify_all_is_unchanged_on_warm_memos(tmp_path):
 # a value that several claims read is built once per process
 MEMOS = {
     g2._generator: 21,  # the generators X(P, D)
-    compfactor.is_composition_factor: 128,  # per line orientation
+    compfactor.rules_hold: 9,  # the 128 line orientations at once, then 8 exponentials
     forms._sort_with_sign: 1120,  # the index tuples the forms sort
     g2.cartan_dimension: 7,  # the rank of each h_P
     g2.span_dimension: 1,  # the rank of the 21 X's
     g2.point_subalgebra_dimension: 7,  # the rank of each s_P
     forms._form: 2,  # omega and Omega
-    octonion._norm_identity_holds: 128,  # EPS_TAU is a line orientation
     compfactor.isotropy: 1,
     compfactor.orbit_decomposition: 1,
     g2.chevalley_report: 1,  # over Z[i], for every field containing sqrt(-1)
@@ -89,6 +88,8 @@ MEMOS = {
     lifting.order_profiles: 1,
     g2.generator_brackets: 1,  # the 441 brackets [X_a, X_b]
     g2._delta_hat_word: 168,  # the sign word of each collineation
+    g2._delta_hat_plan: 1,  # the entries and matrices every sign word reads
+    fano._product_columns: 1,  # the columns of the 28 224 products g2 g1
     radon.radon: 128,  # every mask, read by the kernel and image sweeps
     radon.preimages: 16,  # the image members, whose preimages the lifts read too
     octonion._label_plan: 1,  # the 128 line orientations share their labels

@@ -385,6 +385,38 @@ def test_each_command_imports_only_its_layers(tmp_path, argv, expected):
     assert set(proc.stdout.split()) == expected
 
 
+# the group and the tables the sweeps read, each built on first use: a memo
+# filled at import would cost every command, verify-cold set-up included
+IMPORT_FREE_MEMOS = (
+    "fano.all_collineations",
+    "fano.line_perm",
+    "fano._product_columns",
+    "compfactor.line_orientations",
+    "compfactor.rules_hold",
+    "octonion.products",
+    "octonion._label_plan",
+    "g2.x_matrix2",
+    "g2._delta_hat_plan",
+    "g2._delta_hat_word",
+)
+
+
+def test_importing_every_module_fills_no_table():
+    code = (
+        "import importlib, fanog2\n"
+        "mods = {m: importlib.import_module('fanog2.' + m) for m in fanog2._MODULES}\n"
+        "for name in %r:\n"
+        "    module, memo = name.split('.')\n"
+        "    print(name, getattr(mods[module], memo).cache_info().misses)\n" % (IMPORT_FREE_MEMOS,)
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fanog2.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.splitlines() == ["%s 0" % name for name in IMPORT_FREE_MEMOS]
+
+
 def test_package_attributes_load_each_layer_on_first_use():
     code = (
         "import sys, fanog2, fanog2.cli\n"

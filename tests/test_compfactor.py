@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -119,3 +119,62 @@ def test_serialize_shape():
 def test_quadrilateral_rule_filters():
     # exactly 16 of the 128 line-consistent candidates survive
     assert len(compfactor.enumerate_composition_factors()) == 16
+
+
+def _reference_rules(eps):
+    """The line and quadrilateral rules, ordering by ordering."""
+    for d in fano.LINES:
+        for p, q, r in permutations(sorted(fano.LINE_POINTS[d])):
+            if eps[p - 1][q - 1] * eps[q - 1][r - 1] != 1:
+                return False
+    for d in fano.LINES:
+        for p, q, r, s in permutations(sorted(fano.QUADRILATERALS[d])):
+            v = eps[p - 1][q - 1] * eps[q - 1][r - 1]
+            if v * eps[r - 1][s - 1] * eps[s - 1][p - 1] != -1:
+                return False
+    return True
+
+
+def _flip(eps, p, q):
+    """eps with the antisymmetric pair (P, Q) flipped."""
+    table = [list(row) for row in eps]
+    table[p - 1][q - 1], table[q - 1][p - 1] = table[q - 1][p - 1], table[p - 1][q - 1]
+    return tuple(map(tuple, table))
+
+
+# a sign table, not antisymmetric, that obeys every quadrilateral instance
+# but not the line rule (a solution of the 168 quadrilateral equations over
+# Z_2), so neither rule alone decides a table
+QUADRILATERALS_ONLY = (
+    (0, 1, 1, 1, 1, 1, 1),
+    (1, 0, 1, 1, 1, -1, -1),
+    (1, -1, 0, 1, -1, 1, 1),
+    (1, -1, -1, 0, 1, 1, -1),
+    (-1, 1, -1, 1, 0, 1, -1),
+    (-1, -1, 1, 1, -1, 0, -1),
+    (1, 1, -1, 1, -1, -1, 0),
+)
+
+
+def test_rules_on_a_family_match_the_reference():
+    family = compfactor.line_orientations() + (compfactor.EPS_TAU, QUADRILATERALS_ONLY)
+    mask = compfactor.rules_hold(family)
+    assert [mask >> i & 1 for i in range(len(family))] == [
+        _reference_rules(eps) for eps in family
+    ]
+    assert bin(mask).count("1") == 17
+    for eps in family[:3] + (compfactor.EPS_TAU,):
+        assert compfactor.is_composition_factor(eps) is _reference_rules(eps)
+    # one pair flipped in one member changes that member's bit alone
+    for i, eps in enumerate(family):
+        if mask >> i & 1:
+            moved = family[:i] + (_flip(eps, 1, 2),) + family[i + 1 :]
+            assert compfactor.rules_hold(moved) == mask ^ 1 << i, i
+
+
+def test_rules_reject_an_entry_that_is_no_sign():
+    table = [list(row) for row in compfactor.EPS_TAU]
+    table[0][1] = 2
+    bad = tuple(map(tuple, table))
+    assert _reference_rules(bad) is False
+    assert compfactor.rules_hold((compfactor.EPS_TAU, bad)) == 1

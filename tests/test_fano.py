@@ -41,9 +41,6 @@ def test_collineations_are_additive():
     assert len(group) == 168
     for g in list(group)[:20]:
         assert fano.is_additive(g)
-        for d in fano.LINES:
-            img = {g[p - 1] for p in fano.LINE_POINTS[d]}
-            assert img == set(fano.LINE_POINTS[fano.line_image(g, d)])
 
 
 def test_compose_inverse_order():
@@ -55,6 +52,24 @@ def test_compose_inverse_order():
     assert fano.order(fano.TAU) == 7
     c = fano.compose(a, fano.compose(b, fano.compose(fano.inverse(a), fano.inverse(b))))
     assert fano.order(c) == 4
+
+
+def test_right_products_are_the_compositions():
+    # the indexed products h g, read off three columns, against compose on
+    # all 168^2 = 28 224 pairs
+    group = fano.all_collineations()
+    pairs = 0
+    for g in group:
+        products = [group[i] for i in fano.right_products(g)]
+        assert products == [fano.compose(h, g) for h in group], g
+        pairs += len(products)
+    assert pairs == 28224
+
+
+def test_line_perm_moves_each_line_onto_its_image():
+    for g in fano.all_collineations():
+        for d, e in zip(fano.LINES, fano.line_perm(g)):
+            assert {g[p - 1] for p in fano.LINE_POINTS[d]} == fano.LINE_POINTS[e]
 
 
 def test_orientation_types():

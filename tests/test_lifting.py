@@ -153,6 +153,45 @@ def test_delta_star_diagram_draws_every_composition_factor(monkeypatch, fresh_me
             assert out.read_text().count(section) == 8, (eps, fmt)
 
 
+def test_a_corrupted_product_index_fails_the_identities(monkeypatch):
+    # the code of the identity sent to a collineation whose delta* differs:
+    # g^-1 g then reads the wrong mask, and AC5.identities fails
+    group = fano.all_collineations()
+    _, index = fano._product_columns()
+    code = next(c for c, i in index.items() if group[i] == fano.IDENTITY)
+    other = next(i for i, g in enumerate(group) if lifting.delta_star_fn(g) != radon.ZERO)
+    monkeypatch.setitem(index, code, other)
+    assert lifting.delta_star_properties() is False
+    checks = {c["claim"]: c["pass"] for c in cli.suite_lifting()}
+    assert checks["AC5.identities"] is False
+    monkeypatch.undo()
+    assert lifting.delta_star_properties()
+
+
+# `diagram delta` on each composition factor as EPS_TAU, by its index in
+# enumerate_composition_factors(): the two whose line cycles the X(P, D)
+# follow draw their 64 colourings; the others name the first generator whose
+# conjugate is no signed X (ROADMAP item 8)
+DELTA_DIAGRAM_ERRORS = {
+    i: "error: conjugate of X_{P1,D%d} is not proportional to an X\n"
+    % (1 if i in (3, 4, 11, 12) else 5)
+    for i in range(1, 15)
+}
+
+
+def test_delta_diagram_on_every_composition_factor(monkeypatch, fresh_memos, capsys):
+    for i, eps in enumerate(compfactor.enumerate_composition_factors()):
+        monkeypatch.setattr(compfactor, "EPS_TAU", eps)
+        _clear_memos()
+        rc = cli.main(["diagram", "delta"])
+        out, err = capsys.readouterr()
+        if i in DELTA_DIAGRAM_ERRORS:
+            assert (rc, out, err) == (1, "", DELTA_DIAGRAM_ERRORS[i]), i
+        else:
+            assert (rc, len(out.splitlines()), err) == (0, 64, ""), i
+    assert i == 15
+
+
 def test_memos_filled_under_a_patch_are_cleared(monkeypatch, fresh_memos):
     clean = {g: lifting.delta_star_fn(g) for g in fano.all_collineations()}
     _clear_memos()

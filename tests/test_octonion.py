@@ -147,9 +147,32 @@ def _failing_quadruples(t):
 
 
 def test_sparse_norm_identity_matches_the_quadruple_loop():
-    for eps in (compfactor.EPS_TAU,) + compfactor.line_orientations():
-        reference = not _failing_quadruples(octonion.products(eps))
+    family = compfactor.line_orientations() + (compfactor.EPS_TAU,)
+    tables = [octonion.products(eps) for eps in family]
+    mask = octonion.norm_identity_holds(tables)
+    for i, eps in enumerate(family):
+        reference = not _failing_quadruples(tables[i])
         assert octonion.polarized_norm_identity(eps) is reference, eps
+        assert mask >> i & 1 == reference, eps
+    assert bin(mask).count("1") == 17
+    # one pair flipped in one member changes that member's bit alone
+    for i, eps in enumerate(family):
+        if mask >> i & 1:
+            table = [list(row) for row in eps]
+            table[0][1], table[1][0] = table[1][0], table[0][1]
+            moved = tables[:i] + [octonion.products(tuple(map(tuple, table)))] + tables[i + 1 :]
+            assert octonion.norm_identity_holds(moved) == mask ^ 1 << i, i
+
+
+def test_norm_identity_reads_a_family_with_mixed_labels():
+    # a table whose row 1 is no permutation beside one that passes: the
+    # family is read member by member
+    t = octonion.products(compfactor.EPS_TAU)
+    rows = [list(row) for row in t]
+    rows[1][1] = (rows[1][1][0], rows[1][0][1])
+    bad = tuple(map(tuple, rows))
+    assert _failing_quadruples(bad)
+    assert octonion.norm_identity_holds([bad, t, bad]) == 0b010
 
 
 def _patched(monkeypatch, rows):
