@@ -588,12 +588,10 @@ def cmd_enumerate(opts):
     else:
         from . import compfactor
 
+        maps = compfactor.enumerate_oriented_maps()
         records = [
-            {
-                "dual_masks": list(alpha),
-                "factor": compfactor.serialize(compfactor.exponentiate(alpha)),
-            }
-            for alpha in compfactor.enumerate_oriented_maps()
+            {"dual_masks": list(alpha), "factor": compfactor.serialize(eps)}
+            for alpha, eps in zip(maps, compfactor.exponentiate(maps))
         ]
     _emit("\n".join(json.dumps(r, sort_keys=True) for r in records), opts)
     return 0

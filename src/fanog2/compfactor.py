@@ -203,25 +203,29 @@ def enumerate_oriented_maps():
     return tuple(out)
 
 
-def exponentiate(alpha):
-    """Candidate sign rule eps_PQ = (-1)^{alpha_P(Q)} for an oriented map.
+def exponentiate(maps):
+    """The candidate sign rules eps_PQ = (-1)^{alpha_P(Q)} of a family of
+    oriented maps, one table each.
 
-    Raises if the resulting table is not a composition factor; callers rely
-    on this being validated loudly rather than patched.
+    Raises if some table is not a composition factor (rules_hold checks the
+    whole family at once); callers rely on this being validated loudly.
     """
-    eps = tuple(
-        tuple((-1 if fano.pairing(alpha[p - 1], q) else 1) if p != q else 0 for q in fano.POINTS)
-        for p in fano.POINTS
+    tables = tuple(
+        tuple(
+            tuple((-1) ** fano.pairing(alpha[p - 1], q) if p != q else 0 for q in fano.POINTS)
+            for p in fano.POINTS
+        )
+        for alpha in maps
     )
-    if not is_composition_factor(eps):
+    if rules_hold(tables) != (1 << len(tables)) - 1:
         raise AssertionError("exponentiation candidate failed the composition rules")
-    return eps
+    return tables
 
 
 def exponentials_summary():
     """AC3.exponentiation: how many distinct factors the 8 oriented maps
     exponentiate to, their sides, and whether EPS_TAU is one of them."""
-    exps = {exponentiate(alpha) for alpha in enumerate_oriented_maps()}
+    exps = set(exponentiate(enumerate_oriented_maps()))
     return len(exps), {side(e) for e in exps}, EPS_TAU in exps
 
 

@@ -8,13 +8,14 @@ wedge products resolve signs by inversion parity.  The distinguished forms
 
 are each a sum of 7 terms with ordering-independent coefficients, and are
 killed by the derivation action of every generator X_{P,D}.  Forms are
-sparse dicts like the so(7) elements of g2: wedge, contract and
-so7_derivation sum their terms with g2.combine, and g2.pair_inner pairs them.
+sparse dicts like the so(7) elements of g2: wedge, contract and derive sum
+their terms with g2.combine, and g2.pair_inner pairs them.
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, starmap
 from math import prod
+from operator import gt
 
 from . import compfactor, fano, g2, linalg
 from .scalars import QQ
@@ -22,20 +23,12 @@ from .scalars import QQ
 VOL_KEY = (1, 2, 3, 4, 5, 6, 7)
 
 
-@lru_cache(maxsize=None)
 def _sort_with_sign(idx):
-    """Sort a tuple of labels, tracking the permutation parity; memoized per
-    tuple.  A repeated label gives (None, 0)."""
-    lst = list(idx)
-    sign = 1
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    if len(set(lst)) != len(lst):
+    """Sort a tuple of labels, with the parity of the permutation, read off
+    the number of pairs out of order.  A repeated label gives (None, 0)."""
+    if len(set(idx)) < len(idx):
         return None, 0
-    return tuple(lst), sign
+    return tuple(sorted(idx)), (-1) ** sum(starmap(gt, combinations(idx, 2)))
 
 
 def wedge(a, b):
@@ -104,70 +97,82 @@ def term_counts():
     return len(omega()), len(big_omega())
 
 
-def so7_derivation(x, a):
-    """Derivation action of a pair-basis so(7) element on a form on Im(O).
+@lru_cache(maxsize=None)
+def _derivation_table():
+    """How each pair e_ij moves the basis 3- and 4-forms, memoized:
+    table[i, j][K] is the one term (key, sign) of e_ij e^K, for each K that
+    holds exactly one of i and j (every other K goes to zero).
 
-    The vector action is e_{ij}: e_i -> e_j... concretely [e_{PiPj}, e_Pk] =
-    d_ik e_Pj - d_jk e_Pi; on a dual k-form the action is minus the
-    transpose, applied as a derivation slot by slot.
+    [e_ij, e_k] = d_ik e_j - d_jk e_i, and on a dual form the action is minus
+    the transpose, slot by slot: e^i becomes e^j and e^j becomes -e^i.
+    Moving the new label from position pos to its sorted place n takes
+    |pos - n| transpositions.
     """
-    # x e_i = v e_j + ... and x e_j = -v e_i + ..., so the slot e^p becomes
-    # -w e^q for each q whose image x e_q has e_p-coefficient w: image[p]
-    # holds those (q, -w)
-    image = {}
-    for (i, j), v in x.items():
-        image.setdefault(j, []).append((i, -v))
-        image.setdefault(i, []).append((j, v))
+    table = {pair: {} for pair in g2.PAIRS}
+    for key in chain(combinations(fano.POINTS, 3), combinations(fano.POINTS, 4)):
+        for pos, p in enumerate(key):
+            rest = key[:pos] + key[pos + 1 :]
+            n = 0  # the labels of rest below q
+            for q in fano.POINTS:
+                if q in key:
+                    n += q != p
+                else:
+                    out = rest[:n] + (q,) + rest[n:]
+                    table[min(p, q), max(p, q)][key] = (out, (-1) ** (pos + n + (p > q)))
+    return table
+
+
+def derive(x, a):
+    """The derivation action of an so(7) element x on a 3- or 4-form a, read
+    off _derivation_table."""
+    table = _derivation_table()
     return g2.combine(
-        (skey, s * w * c)
-        for key, c in a.items()
-        for pos, p in enumerate(key)
-        for q, w in image.get(p, ())
-        for skey, s in (_sort_with_sign(key[:pos] + (q,) + key[pos + 1 :]),)
-        if s
+        (out, c * s * w)
+        for pair, c in x.items()
+        for key, w in a.items()
+        if key in table[pair]
+        for out, s in (table[pair][key],)
     )
 
 
 def derivation_kills_forms():
-    om = omega()
-    Om = big_omega()
-    for p, d in g2.INCIDENT_PAIRS:
-        x = g2.X(p, d)
-        if so7_derivation(x, om) != {}:
-            return False
-        if so7_derivation(x, Om) != {}:
-            return False
-    return True
+    forms_ = (omega(), big_omega())
+    return not any(derive(g2.X(*pd), a) for pd in g2.INCIDENT_PAIRS for a in forms_)
 
 
 def invariant_three_form_dimension():
-    """Dimension of the space of 3-forms killed by all of g2."""
-    keys = list(combinations(range(1, 8), 3))
-    key_index = {k: n for n, k in enumerate(keys)}
-    rows = []
-    for p, d in g2.g2_basis():
-        x = g2.X(p, d)
-        # columns: coefficients of a generic 3-form; constraint rows per
-        # output key of the derivation
-        images = [so7_derivation(x, {k: 1}) for k in keys]
-        for out_key in keys:
-            rows.append([img.get(out_key, 0) for img in images])
+    """Dimension of the space of 3-forms killed by all of g2: 35 minus the
+    rank of the rows (X, K'), the coefficients of e^K' in X e^K over the 35
+    K, for the 14 basis X's; each distinct row that is not zero is read once."""
+    keys = list(combinations(fano.POINTS, 3))
+    table = _derivation_table()
+    rows = set()
+    for pd in g2.g2_basis():
+        image = g2.combine(
+            ((out, n), c * s)
+            for pair, c in g2.X(*pd).items()
+            for n, key in enumerate(keys)
+            if key in table[pair]
+            for out, s in (table[pair][key],)
+        )
+        stacked = {}
+        for (out, n), v in image.items():
+            stacked.setdefault(out, [0] * len(keys))[n] = v
+        rows.update(map(tuple, stacked.values()))
     return len(keys) - linalg.rank(rows, QQ)
 
 
 def bilinear_identity_check():
-    """i_v omega ^ i_w omega ^ omega = -6 B(v,w) vol on all basis pairs."""
+    """i_v omega ^ i_w omega ^ omega = -6 B(v,w) vol on all basis pairs; the
+    wedge is associative, so each i_w omega ^ omega is formed once."""
     om = omega()
-    for p in fano.POINTS:
-        for q in fano.POINTS:
-            lhs = wedge(
-                wedge(contract({p: 1}, om), contract({q: 1}, om)),
-                om,
-            )
-            want = -6 if p == q else 0
-            if lhs != ({VOL_KEY: want} if want else {}):
-                return False
-    return True
+    cs = {p: contract({p: 1}, om) for p in fano.POINTS}
+    tails = {q: wedge(c, om) for q, c in cs.items()}
+    return all(
+        wedge(cs[p], tails[q]) == ({VOL_KEY: -6} if p == q else {})
+        for p in fano.POINTS
+        for q in fano.POINTS
+    )
 
 
 def volume_identity_check(eps=compfactor.EPS_TAU):

@@ -13,18 +13,18 @@ are those of the canonical composition factor compfactor.EPS_TAU.  Elements
 have coefficients in Z, or in Z[i] in the Chevalley presentation.
 
 Sums of sparse terms go through combine: elt, _product, matrix2 and the
-wedge, contract and so7_derivation of forms.  add_elt and bracket keep their
+wedge, contract and derive of forms.  add_elt and bracket keep their
 own loops: the kernels benchmark draws its inputs with add_elt and times
 bracket.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 import json
 
 from . import compfactor, fano, linalg, octonion
-from .scalars import QI, QQ, GaussianRational, PrimeField
+from .scalars import QI, QQ, PrimeField
 
 PAIRS = tuple((i, j) for i in range(1, 8) for j in range(i + 1, 8))
 PAIR_INDEX = {p: n for n, p in enumerate(PAIRS)}
@@ -73,7 +73,10 @@ def scale_elt(c, x):
 
 
 def to_vector(x):
-    return [x.get(p, 0) for p in PAIRS]
+    v = [0] * len(PAIRS)
+    for k, c in x.items():
+        v[PAIR_INDEX[k]] = c
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -153,24 +156,32 @@ def rho():
     return {p: {(k, j): s for j, (s, k) in enumerate(t[p])} for p in fano.POINTS}
 
 
-def _product(a, b):
-    """ab for matrices given by their entries; zeros are dropped."""
+def _by_row(m):
+    """A matrix's entries grouped by row, {row: [(col, value)]}, for _product."""
     rows = {}
-    for (k, j), v in b.items():
+    for (k, j), v in m.items():
         rows.setdefault(k, []).append((j, v))
-    return combine(((i, j), u * v) for (i, k), u in a.items() for j, v in rows.get(k, ()))
+    return rows
 
 
-def _commutator(a, b):
-    return add_elt(_product(a, b), scale_elt(-1, _product(b, a)))
+def _product(a, b_rows):
+    """ab for matrices given by their entries, with b grouped by _by_row;
+    zeros are dropped."""
+    return combine(((i, j), u * v) for (i, k), u in a.items() for j, v in b_rows.get(k, ()))
+
+
+def _commutator(a, a_rows, b, b_rows):
+    """ab - ba, with each matrix also given grouped by _by_row."""
+    return add_elt(_product(a, b_rows), scale_elt(-1, _product(b, a_rows)))
 
 
 @lru_cache(maxsize=None)
 def pair_matrix2():
     """2 * rho_hat(e_{PiPj}) = (1/2)[rho_i, rho_j], integer entries."""
     r = rho()
+    rows = {p: _by_row(m) for p, m in r.items()}
     return {
-        (i, j): {k: v // 2 for k, v in _commutator(r[i], r[j]).items()}
+        (i, j): {k: v // 2 for k, v in _commutator(r[i], rows[i], r[j], rows[j]).items()}
         for i, j in PAIRS
     }
 
@@ -300,12 +311,16 @@ def action_on_basis(p, d, q):
 def action_formula_holds():
     """action_on_basis against the spinor matrices on all 147 cases (P, D, Q):
     the commutator of 2 rho_hat(X_{P,D}) with rho(e_Q) is 2 rho([X_{P,D}, e_Q]).
+    Each matrix is grouped by row once.
     """
     r = rho()
+    r_rows = {q: _by_row(m) for q, m in r.items()}
     for p, d in INCIDENT_PAIRS:
+        m = x_matrix2(p, d)
+        m_rows = _by_row(m)
         for q in fano.POINTS:
             s, k = action_on_basis(p, d, q)
-            if _commutator(x_matrix2(p, d), r[q]) != (scale_elt(2 * s, r[k]) if s else {}):
+            if _commutator(m, m_rows, r[q], r_rows[q]) != (scale_elt(2 * s, r[k]) if s else {}):
                 return False
     return True
 
@@ -381,23 +396,22 @@ def check_bracket_law():
     commutator.
 
     Once the bracket equals the law coeff * X_flag, matrix2 of it is
-    coeff * x_matrix2(flag), since matrix2 is linear.  Each matrix product
-    AB is formed once and read by both [A, B] and [B, A].
+    coeff * x_matrix2(flag), since matrix2 is linear.  Each matrix is grouped
+    by row once, and each matrix product AB is formed once and read by both
+    [A, B] and [B, A].
     """
     table = generator_brackets()
-    products = {
-        (a, b): _product(x_matrix2(*a), x_matrix2(*b))
-        for a in INCIDENT_PAIRS
-        for b in INCIDENT_PAIRS
-    }
+    mats = {pd: x_matrix2(*pd) for pd in INCIDENT_PAIRS}
+    rows = {pd: _by_row(m) for pd, m in mats.items()}
+    products = {(a, b): _product(mats[a], rows[b]) for a in mats for b in mats}
     for a in INCIDENT_PAIRS:
         for b in INCIDENT_PAIRS:
             _, coeff, flag = _bracket_case(a, b)
-            law = scale_elt(coeff, X(*flag)) if flag else {}
+            law = scale_elt(coeff, _generator(*flag)[0]) if flag else {}
             if table[a, b] != law:
                 return False
             # [2A, 2B] = 4[A,B] = 2 * (2[A,B])
-            want = scale_elt(2 * coeff, x_matrix2(*flag)) if flag else {}
+            want = scale_elt(2 * coeff, mats[flag]) if flag else {}
             if add_elt(products[a, b], scale_elt(-1, products[b, a])) != want:
                 return False
     return True
@@ -437,11 +451,12 @@ def jacobi_check():
     ordered triple it is +-J of the sorted one.  Second, J = 0 on the 364
     triples i < j < k.  The first step reads the 196 brackets off
     generator_brackets(), and the second reads its inner brackets off
-    those: the first step has checked [x_k, x_i] = -[x_i, x_k].
+    those: the first step has checked [x_k, x_i] = -[x_i, x_k].  The outer
+    brackets are linear in the inner one, so each basis element's bracket
+    with the 21 pairs is taken once and each J is one sum of its terms.
     """
     basis = g2_basis()
     table = generator_brackets()
-    xs = [X(*pd) for pd in basis]
     inner = {}
     for i, a in enumerate(basis):
         if table[a, a] != {}:
@@ -450,17 +465,17 @@ def jacobi_check():
             inner[i, j] = table[a, basis[j]]
             if add_elt(inner[i, j], table[basis[j], a]) != {}:
                 return False
-    for i, j, k in combinations(range(len(xs)), 3):
-        s = add_elt(
-            bracket(xs[i], inner[j, k]),
-            add_elt(
-                bracket(xs[j], scale_elt(-1, inner[i, k])),
-                bracket(xs[k], inner[i, j]),
-            ),
+    # ad[i][l]: the terms of [x_i, e_l]
+    ad = [{l: bracket(_generator(*a)[0], {l: 1}).items() for l in PAIRS} for a in basis]
+    return not any(
+        combine(
+            (m, s * v * w)
+            for n, s, y in ((i, 1, inner[j, k]), (j, -1, inner[i, k]), (k, 1, inner[i, j]))
+            for l, v in y.items()
+            for m, w in ad[n][l]
         )
-        if s != {}:
-            return False
-    return True
+        for i, j, k in combinations(range(len(basis)), 3)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +501,9 @@ def centralizer_dimension(pds):
     in the c_n over g2_basis()."""
     basis = g2_basis()
     table = generator_brackets()
-    rows = []
-    for h in pds:
-        cols = [table[h, b] for b in basis]
-        for pr in PAIRS:
-            rows.append([c.get(pr, 0) for c in cols])
+    # row (h, pair): the coefficients of the pair in [h, b] over the b; the
+    # rank reads each distinct row that is not zero once
+    rows = {r for h in pds for r in zip(*(to_vector(table[h, b]) for b in basis)) if any(r)}
     return len(basis) - linalg.rank(rows, QQ)
 
 
@@ -530,13 +543,12 @@ def decomposition_check():
                 continue
             hp = [(p, d) for d in fano.lines_through(p)]
             hq = [(q, d) for d in fano.lines_through(q)]
-            for a in hp:
-                for b in hq:
-                    if pair_inner(X(*a), X(*b)) != 0:
-                        return False
-            # the brackets span h_{P+Q}: as many dimensions, and each X in it
+            if any(pair_inner(_generator(*a)[0], _generator(*b)[0]) for a in hp for b in hq):
+                return False
+            # the brackets span h_{P+Q}: as many dimensions, and each X in it;
+            # the span reads each distinct bracket once
             r = fano.add(p, q)
-            span = linalg.Echelon(QQ, [to_vector(table[a, b]) for a in hp for b in hq])
+            span = linalg.Echelon(QQ, {tuple(to_vector(table[a, b])) for a in hp for b in hq})
             if len(span) != cartan_dimension(r) or not all(
                 x_vector(r, d) in span for d in fano.lines_through(r)
             ):
@@ -866,53 +878,60 @@ def point_subalgebras_hold():
     )
 
 
+# the displayed relations of s_P1: name x_y, and [x, y] = c z
+CHEVALLEY_RELATIONS = (
+    ("h1_ep1", 2, "ep1"), ("h1_em1", -2, "em1"), ("h1_ep7", -1, "ep7"), ("h1_em7", 1, "em7"),
+    ("h2_ep1", -1, "ep1"), ("h2_em1", 1, "em1"), ("h2_ep7", 2, "ep7"), ("h2_em7", -2, "em7"),
+    ("ep1_em1", -4, "h1"), ("ep7_em7", -4, "h2"), ("ep1_em7", 0, "h1"), ("ep7_em1", 0, "h1"),
+    ("ep1_ep7", -2, "ep5"), ("em1_em7", -2, "em5"), ("h1_ep5", 1, "ep5"), ("h2_ep5", 1, "ep5"),
+    ("h1_em5", -1, "em5"), ("h2_em5", -1, "em5"), ("ep5_em5", -4, "h"),
+)
+
+
+def _chevalley_elements():
+    """h1, h2, e+-_{D1,D7,D5} of s_P1 and h = h1 + h2, each as the pair
+    (real part, imaginary part) of integer so(7) elements."""
+    x11, x17 = scale_elt(-1, X(1, 1)), scale_elt(-1, X(1, 7))
+    elts = {"h1": ({}, x11), "h2": ({}, x17), "h": ({}, add_elt(x11, x17))}
+    # e+- = X_a -+ i X_b; the D5 ladder pair is X_{P5,D5} +- i X_{P6,D5},
+    # pinned by requiring [e+-_{D1}, e+-_{D7}] = -2 e+-_{D5}
+    for line, a, b, s in ((1, 2, 4, -1), (7, 3, 7, -1), (5, 5, 6, 1)):
+        im = scale_elt(s, X(b, line))
+        elts["ep%d" % line] = (X(a, line), im)
+        elts["em%d" % line] = (X(a, line), scale_elt(-1, im))
+    return elts
+
+
+def _gaussian_bracket(u, v):
+    """[a + ib, c + id] = [a, c] + [d, b] + i([a, d] + [b, c]), as its parts."""
+    (a, b), (c, d) = u, v
+    return (
+        combine(chain(bracket(a, c).items(), bracket(d, b).items())),
+        combine(chain(bracket(a, d).items(), bracket(b, c).items())),
+    )
+
+
 @lru_cache(maxsize=None)
 def chevalley_report():
     """The rank-2 presentation of s_P1, computed once over Z[i].
 
-    Checks every displayed relation: the h-eigenvalues, [e+,e-] = -4h,
-    cross terms zero, [e+-_{D1}, e+-_{D7}] = -2 e+-_{D5} and the D5 ladder.
-    The eigenvalues h1_ep1, h1_ep7, h2_ep1 and h2_ep7 are the four entries
-    of the Cartan matrix ((2,-1),(-1,2)).
+    Checks every displayed relation of CHEVALLEY_RELATIONS: the
+    h-eigenvalues, [e+,e-] = -4h, cross terms zero, [e+-_{D1}, e+-_{D7}] =
+    -2 e+-_{D5} and the D5 ladder.  The eigenvalues h1_ep1, h1_ep7, h2_ep1
+    and h2_ep7 are the four entries of the Cartan matrix ((2,-1),(-1,2)).
 
     The X's are integral and h, e+- are Z[i]-combinations of them, so every
-    coefficient here lies in Z[i], and each relation is an identity of
-    Z[i]-coefficients.  A field F that contains a square root r of -1 gets
+    coefficient here lies in Z[i]: each element is kept as its real and
+    imaginary parts, two integer elements, and each relation is an identity
+    of those parts.  A field F that contains a square root r of -1 gets
     the ring map Z[i] -> F, i -> r, which preserves the brackets and the
     integer constants, so the relations hold over F when they hold here.
     """
-    i_ = GaussianRational(0, 1)
-    h1 = scale_elt(-i_, X(1, 1))
-    h2 = scale_elt(-i_, X(1, 7))
-    ep1 = add_elt(X(2, 1), scale_elt(-i_, X(4, 1)))
-    em1 = add_elt(X(2, 1), scale_elt(i_, X(4, 1)))
-    ep7 = add_elt(X(3, 7), scale_elt(-i_, X(7, 7)))
-    em7 = add_elt(X(3, 7), scale_elt(i_, X(7, 7)))
-    # the D5 ladder pair: e+- = X_{P5,D5} +- i X_{P6,D5}, pinned by requiring
-    # [e+-_{D1}, e+-_{D7}] = -2 e+-_{D5} below
-    ep5 = add_elt(X(5, 5), scale_elt(i_, X(6, 5)))
-    em5 = add_elt(X(5, 5), scale_elt(-i_, X(6, 5)))
-
+    elts = _chevalley_elements()
     return {
-        "h1_ep1": bracket(h1, ep1) == scale_elt(2, ep1),
-        "h1_em1": bracket(h1, em1) == scale_elt(-2, em1),
-        "h1_ep7": bracket(h1, ep7) == scale_elt(-1, ep7),
-        "h1_em7": bracket(h1, em7) == em7,
-        "h2_ep1": bracket(h2, ep1) == scale_elt(-1, ep1),
-        "h2_em1": bracket(h2, em1) == em1,
-        "h2_ep7": bracket(h2, ep7) == scale_elt(2, ep7),
-        "h2_em7": bracket(h2, em7) == scale_elt(-2, em7),
-        "ep1_em1": bracket(ep1, em1) == scale_elt(-4, h1),
-        "ep7_em7": bracket(ep7, em7) == scale_elt(-4, h2),
-        "ep1_em7": bracket(ep1, em7) == {},
-        "ep7_em1": bracket(ep7, em1) == {},
-        "ep1_ep7": bracket(ep1, ep7) == scale_elt(-2, ep5),
-        "em1_em7": bracket(em1, em7) == scale_elt(-2, em5),
-        "h1_ep5": bracket(h1, ep5) == ep5,
-        "h2_ep5": bracket(h2, ep5) == ep5,
-        "h1_em5": bracket(h1, em5) == scale_elt(-1, em5),
-        "h2_em5": bracket(h2, em5) == scale_elt(-1, em5),
-        "ep5_em5": bracket(ep5, em5) == scale_elt(-4, add_elt(h1, h2)),
+        name: _gaussian_bracket(*(elts[e] for e in name.split("_")))
+        == tuple(scale_elt(c, part) for part in elts[z])
+        for name, c, z in CHEVALLEY_RELATIONS
     }
 
 
@@ -944,16 +963,17 @@ def almost_complex_report(p):
     # column Q of J is e_Q e_P, column P of rho(e_Q)
     J = {(k, q): s for q in v for (k, j), s in rho()[q].items() if j == p}
     ident = {(q, q): 1 for q in v}
-    report = {"j_squared_minus_id": _product(J, J) == scale_elt(-1, ident)}
+    j_rows = _by_row(J)
+    report = {"j_squared_minus_id": _product(J, j_rows) == scale_elt(-1, ident)}
     # isometry for the standard form: columns orthonormal
     jt = {(j, i): s for (i, j), s in J.items()}
-    report["isometry"] = _product(jt, J) == ident
+    report["isometry"] = _product(jt, j_rows) == ident
     # commutation with the restrictions to V of the spinor matrices of the
     # s_P generators
     report["commutes_with_s_p"] = True
     for q, d in point_subalgebra_generators(p):
         r = {(i, j): c for (i, j), c in x_matrix2(q, d).items() if i in v and j in v}
-        if _product(r, J) != _product(J, r):
+        if _product(r, j_rows) != _product(J, _by_row(r)):
             report["commutes_with_s_p"] = False
     report["s_p_dimension"] = point_subalgebra_dimension(p)
     return report

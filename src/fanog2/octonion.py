@@ -21,7 +21,7 @@ so the real and imaginary parts go through the same loop.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 import json
 import operator
 
@@ -170,22 +170,25 @@ def norm_identity_holds(tables):
 def _label_plan(labels):
     """What the norm identity reads off the 64 labels of a product table,
     memoized per label table (the 128 line orientations share one): for each
-    (a, c, b) with a != c and the d with e_c e_d = +-e_a e_b, the positions
-    ab, cd, ad and cb of four signs that must multiply to -1.  None where
-    the identity fails whatever the signs: some row is no permutation (it
-    fails at some (a, b, a, d)), or some e_a e_d and e_c e_b differ in label."""
+    (a, c, b) with a < c, b <= d and e_c e_d = +-e_a e_b, the positions ab,
+    cd, ad and cb of four signs that must multiply to -1; (c, a, d) and
+    (a, c, d) would read the same four.  At b = d they are two signs read
+    twice, whose product is never -1.  None where the identity fails
+    whatever the signs: some row is no permutation (it fails at some
+    (a, b, a, d)), or some e_a e_d and e_c e_b differ in label."""
     rows = [labels[8 * a : 8 * a + 8] for a in range(8)]
     if any(sorted(row) != list(range(8)) for row in rows):
         return None
     # where[c][k]: the d with e_c e_d = +-e_k
     where = [{k: d for d, k in enumerate(row)} for row in rows]
     plan = []
-    for a, c in product(range(8), repeat=2):
-        for b, k in enumerate(rows[a] if a != c else ()):
+    for a, c in combinations(range(8), 2):
+        for b, k in enumerate(rows[a]):
             d = where[c][k]
             if rows[a][d] != rows[c][b]:
                 return None
-            plan.append((8 * a + b, 8 * c + d, 8 * a + d, 8 * c + b))
+            if b <= d:
+                plan.append((8 * a + b, 8 * c + d, 8 * a + d, 8 * c + b))
     return tuple(plan)
 
 

@@ -75,8 +75,8 @@ def test_verify_all_is_unchanged_on_warm_memos(tmp_path):
 # a value that several claims read is built once per process
 MEMOS = {
     g2._generator: 21,  # the generators X(P, D)
-    compfactor.rules_hold: 9,  # the 128 line orientations at once, then 8 exponentials
-    forms._sort_with_sign: 1120,  # the index tuples the forms sort
+    compfactor.rules_hold: 2,  # the 128 line orientations, and the 8 exponentials
+    forms._derivation_table: 1,  # how each pair moves the basis 3- and 4-forms
     g2.cartan_dimension: 7,  # the rank of each h_P
     g2.span_dimension: 1,  # the rank of the 21 X's
     g2.point_subalgebra_dimension: 7,  # the rank of each s_P

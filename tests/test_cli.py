@@ -398,6 +398,7 @@ IMPORT_FREE_MEMOS = (
     "g2.x_matrix2",
     "g2._delta_hat_plan",
     "g2._delta_hat_word",
+    "forms._derivation_table",
 )
 
 

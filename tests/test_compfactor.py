@@ -81,8 +81,9 @@ def test_isotropy_is_subgroup():
 def test_oriented_maps_and_exponentiation():
     maps = compfactor.enumerate_oriented_maps()
     assert len(maps) == 8
-    exps = {compfactor.exponentiate(al) for al in maps}
-    assert len(exps) == 8
+    tables = compfactor.exponentiate(maps)
+    assert len(tables) == len(set(tables)) == 8
+    exps = set(tables)
     assert compfactor.EPS_TAU in exps
     assert {compfactor.side(e) for e in exps} == {"O+"}
 
@@ -106,7 +107,12 @@ def test_oriented_maps_match_brute_force():
 def test_exponentiate_rejects_bad_input():
     bad = tuple(0 for _ in range(7))
     with pytest.raises((AssertionError, KeyError)):
-        compfactor.exponentiate(bad)
+        compfactor.exponentiate((bad,))
+    # a bad map beside the eight good ones fails the whole family
+    maps = compfactor.enumerate_oriented_maps()
+    for family in (maps[:3] + (bad,) + maps[3:], (maps[0][:6] + (maps[1][6],),) + maps):
+        with pytest.raises(AssertionError):
+            compfactor.exponentiate(family)
 
 
 def test_serialize_shape():

@@ -47,16 +47,38 @@ def test_forms_are_invariant():
     assert forms.derivation_kills_forms()
 
 
+def _so7_derivation(x, a):
+    """The derivation action of x on a form of any degree, slot by slot: the
+    loop that the table of forms._derivation_table replaces.  x e_i = v e_j
+    + ... and x e_j = -v e_i + ..., so the slot e^p becomes -w e^q for each
+    q whose image x e_q has e_p-coefficient w: image[p] holds those (q, -w).
+    """
+    image = {}
+    for (i, j), v in x.items():
+        image.setdefault(j, []).append((i, -v))
+        image.setdefault(i, []).append((j, v))
+    return g2.combine(
+        (skey, s * w * c)
+        for key, c in a.items()
+        for pos, p in enumerate(key)
+        for q, w in image.get(p, ())
+        for skey, s in (forms._sort_with_sign(key[:pos] + (q,) + key[pos + 1 :]),)
+        if s
+    )
+
+
 def test_derivation_leibniz():
     x = g2.X(1, 1)
     a = {(2, 3): 1}
     b = {(5, 6): 1}
-    lhs = forms.so7_derivation(x, forms.wedge(a, b))
+    lhs = _so7_derivation(x, forms.wedge(a, b))
     rhs = g2.add_elt(
-        forms.wedge(forms.so7_derivation(x, a), b),
-        forms.wedge(a, forms.so7_derivation(x, b)),
+        forms.wedge(_so7_derivation(x, a), b),
+        forms.wedge(a, _so7_derivation(x, b)),
     )
     assert lhs == rhs
+    c = forms.wedge(a, {(7,): 1})
+    assert forms.derive(x, c) == _so7_derivation(x, c)
 
 
 def _reference_derivation(x, a):
@@ -70,13 +92,50 @@ def _reference_derivation(x, a):
 
 
 def test_derivation_matches_the_wedge_contract_reference():
-    # every X(P, D) on every basis k-form, k = 1..4, and on omega and Omega
+    # every X(P, D) on every basis k-form, k = 1..4, and on omega and Omega:
+    # the slot-by-slot loop, and on 3- and 4-forms the table, against the
+    # wedge and contraction
     forms_ = [{key: 1} for k in range(1, 5) for key in combinations(fano.POINTS, k)]
     forms_ += [forms.omega(), forms.big_omega()]
     for p, d in g2.INCIDENT_PAIRS:
         x = g2.X(p, d)
         for a in forms_:
-            assert forms.so7_derivation(x, a) == _reference_derivation(x, a), (p, d, a)
+            want = _reference_derivation(x, a)
+            assert _so7_derivation(x, a) == want, (p, d, a)
+            if len(next(iter(a))) in (3, 4):
+                assert forms.derive(x, a) == want, (p, d, a)
+
+
+def test_derivation_table_matches_the_loop():
+    # all 21 pairs on all 35 basis 3-forms and 35 basis 4-forms: one term
+    # where the form holds exactly one label of the pair, and none otherwise
+    table = forms._derivation_table()
+    assert set(table) == set(g2.PAIRS)
+    keys = [key for k in (3, 4) for key in combinations(fano.POINTS, k)]
+    for pair in g2.PAIRS:
+        assert set(table[pair]) <= set(keys)
+        for key in keys:
+            want = _so7_derivation({pair: 1}, {key: 1})
+            got = dict([table[pair][key]]) if key in table[pair] else {}
+            assert got == want, (pair, key)
+            assert len(want) == ((pair[0] in key) != (pair[1] in key))
+
+
+def test_a_negated_table_entry_fails_the_invariant_claims(monkeypatch):
+    # a pair of the first basis X moves a term of omega with the wrong sign:
+    # omega is no longer killed, and no other 3-form is, so AC13.uniqueness
+    # sees 0
+    table = forms._derivation_table()
+    pair = next(iter(g2.X(*g2.g2_basis()[0])))
+    key = next(k for k in forms.omega() if k in table[pair])
+    bad = {p: dict(row) for p, row in table.items()}
+    out, sign = bad[pair][key]
+    bad[pair][key] = (out, -sign)
+    monkeypatch.setattr(forms, "_derivation_table", lambda: bad)
+    assert forms.invariant_three_form_dimension() == 0
+    assert not forms.derivation_kills_forms()
+    monkeypatch.undo()
+    assert forms.invariant_three_form_dimension() == 1
 
 
 def test_invariant_space_dimension():

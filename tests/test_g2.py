@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanog2 import fano, g2, lifting, linalg, radon
+from fanog2 import cli, fano, g2, lifting, linalg, radon
 from fanog2.scalars import QI, QQ, GaussianRational, PrimeField
 
 
@@ -206,7 +206,8 @@ def test_spinor_representation_faithful_bracket():
         for pair2 in g2.PAIRS[:6]:
             x = g2.elt((1, *pair1))
             y = g2.elt((1, *pair2))
-            lhs = g2._commutator(g2.matrix2(x), g2.matrix2(y))
+            mx, my = g2.matrix2(x), g2.matrix2(y)
+            lhs = g2._commutator(mx, g2._by_row(mx), my, g2._by_row(my))
             rhs = g2.matrix2(g2.scale_elt(2, g2.bracket(x, y)))
             assert lhs == rhs
 
@@ -220,10 +221,12 @@ def test_clifford_relation():
     minus_two = {(i, i): -2 for i in range(8)}
     for p in fano.POINTS:
         for q in fano.POINTS:
-            anti = g2.add_elt(g2._product(rho[p], rho[q]), g2._product(rho[q], rho[p]))
+            anti = g2.add_elt(
+                g2._product(rho[p], g2._by_row(rho[q])), g2._product(rho[q], g2._by_row(rho[p]))
+            )
             assert anti == (minus_two if p == q else {}), (p, q)
             s = g2.add_elt(rho[p], rho[q])
-            assert g2._product(s, s) == {(i, i): -2 - 2 * (p == q) for i in range(8)}
+            assert g2._product(s, g2._by_row(s)) == {(i, i): -2 - 2 * (p == q) for i in range(8)}
 
 
 def test_generators_annihilate_unit():
@@ -521,6 +524,52 @@ def test_chevalley_fields():
         for v in z.values()
     ]
     assert values and all(z.re.denominator == z.im.denominator == 1 for z in values)
+
+
+def _gaussian(parts):
+    """The element re + i im over Q(i) of a pair (re, im) of integer ones."""
+    re, im = parts
+    return g2.combine(
+        [*re.items(), *((k, GaussianRational(0, v)) for k, v in im.items())]
+    )
+
+
+def test_integer_parts_match_the_gaussian_reference():
+    # the package keeps each element as two integer elements and brackets
+    # them with four integer brackets; over Q(i) itself, with the relation
+    # table of this module, the same elements and brackets come out
+    elts = g2._chevalley_elements()
+    ref = _chevalley_elements(GaussianRational(0, 1), lambda v: v)
+    assert {n: _gaussian(elts[n]) for n in ref} == ref
+    assert _gaussian(elts["h"]) == g2.add_elt(ref["h1"], ref["h2"])
+    brackets = _chevalley_brackets(ref)
+    relations = {name: (c, z) for name, c, z in g2.CHEVALLEY_RELATIONS}
+    assert list(relations) == list(CHEVALLEY_RELATIONS)
+    for name, (a, b, c, terms) in CHEVALLEY_RELATIONS.items():
+        got = g2._gaussian_bracket(elts[a], elts[b])
+        assert all(type(v) is int for part in got for v in part.values())
+        assert _gaussian(got) == brackets[name], name
+        # the package's right side is the reference's: c times the terms
+        want = g2.scale_elt(c, g2.combine(t for n in terms for t in ref[n].items()))
+        pc, z = relations[name]
+        assert g2.scale_elt(pc, _gaussian(elts[z])) == want, name
+    assert g2.chevalley_report() == _reference_report(QI)
+
+
+def test_a_changed_relation_coefficient_fails_the_chevalley_claim(monkeypatch):
+    # [h1, e+_{D1}] = 2 e+_{D1} read as 3 e+_{D1}: that relation fails, and
+    # with it AC11.chevalley over Q(i) and F_5 (Q and F_3 pass vacuously)
+    relations = [(n, 3 if n == "h1_ep1" else c, z) for n, c, z in g2.CHEVALLEY_RELATIONS]
+    monkeypatch.setattr(g2, "CHEVALLEY_RELATIONS", tuple(relations))
+    g2.chevalley_report.cache_clear()
+    try:
+        rep = g2.chevalley_report()
+        assert [n for n, v in rep.items() if not v] == ["h1_ep1"]
+        assert g2.chevalley_gates() == (False, False, True)
+        record = next(c for c in cli.suite_g2(QQ) if c["claim"] == "AC11.chevalley")
+        assert record["pass"] is False
+    finally:
+        g2.chevalley_report.cache_clear()
 
 
 def test_chevalley_gate_sees_a_negated_generator(monkeypatch):

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -162,6 +162,41 @@ def test_sparse_norm_identity_matches_the_quadruple_loop():
             table[0][1], table[1][0] = table[1][0], table[0][1]
             moved = tables[:i] + [octonion.products(tuple(map(tuple, table)))] + tables[i + 1 :]
             assert octonion.norm_identity_holds(moved) == mask ^ 1 << i, i
+
+
+def test_label_plan_reads_each_sign_quadruple_once():
+    # 28 pairs a < c, 4 entries each, and no two entries read the same four
+    # positions: the (c, a, d) and (a, c, d) entries that would repeat the
+    # (a, c, b) one are not listed
+    labels = tuple(label for row in octonion.products(compfactor.EPS_TAU) for _, label in row)
+    plan = octonion._label_plan(labels)
+    assert len(plan) == 112
+    positions = [frozenset(entry) for entry in plan]
+    assert all(len(p) == 4 for p in positions)
+    assert len(set(positions)) == len(positions)
+    assert all(ab // 8 < cd // 8 and ab % 8 < cd % 8 for ab, cd, _, _ in plan)
+    # the 448 entries of the full sweep over a != c read only these sets
+    rows = [labels[8 * a : 8 * a + 8] for a in range(8)]
+    full = {
+        frozenset((8 * a + b, 8 * c + d, 8 * a + d, 8 * c + b))
+        for a, c in permutations(range(8), 2)
+        for b in range(8)
+        for d in (rows[c].index(rows[a][b]),)
+    }
+    assert full == set(positions)
+
+
+def test_label_plan_keeps_a_label_repeated_down_a_column():
+    # every row the same permutation: e_a e_b and e_c e_b share a label, so
+    # the check at (a, c, b) has d = b and reads two signs twice; the
+    # quadruple loop fails there, and so must the plan
+    t = tuple(tuple((1, b) for b in range(8)) for _ in range(8))
+    assert _failing_quadruples(t)
+    labels = tuple(label for row in t for _, label in row)
+    plan = octonion._label_plan(labels)
+    assert len(plan) == 28 * 8
+    assert all(ab == ad and cd == cb for ab, cd, ad, cb in plan)
+    assert octonion.norm_identity_holds([t, octonion.products(compfactor.EPS_TAU)]) == 0b10
 
 
 def test_norm_identity_reads_a_family_with_mixed_labels():
