@@ -43,6 +43,14 @@ _PICK = itemgetter(*(7 * p + q - 8 for p, q in _OFF_DIAGONAL))
 
 
 @lru_cache(maxsize=None)
+def off_diagonal_words(family):
+    """sign_words of the 42 entries off the diagonal of a family of sign
+    tables, memoized, with the words by (P, Q)."""
+    words, ok = sign_words([_PICK(sum(eps, ())) for eps in family])
+    return dict(zip(_OFF_DIAGONAL, words)), ok
+
+
+@lru_cache(maxsize=None)
 def rules_hold(family):
     """The line and quadrilateral rules for the trivial norm on a family of
     sign tables, memoized: bit i is set where family[i] obeys both.
@@ -50,10 +58,8 @@ def rules_hold(family):
     (i)  eps_PQ eps_QR = 1 for any line {P,Q,R};
     (ii) eps_PQ eps_QR eps_RS eps_SP = -1 for any quadrilateral {P,Q,R,S}.
     Both are checked over all orderings, 42 + 168 instances, each one XOR of
-    sign_words for the whole family; an entry off the diagonal that is not
-    +-1 breaks rule (i)."""
-    words, ok = sign_words([_PICK(sum(eps, ())) for eps in family])
-    w = dict(zip(_OFF_DIAGONAL, words))
+    off_diagonal_words for the family; an entry that is not +-1 breaks (i)."""
+    w, ok = off_diagonal_words(family)
     for d in fano.LINES:
         for p, q, r in permutations(sorted(fano.LINE_POINTS[d])):
             ok &= ~(w[p, q] ^ w[q, r])

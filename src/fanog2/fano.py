@@ -11,7 +11,7 @@ predicate.
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
-from operator import or_
+from struct import calcsize, pack, unpack
 
 # label -> 3-bit mask, generated by the recurrence P_{i+3} = P_i + P_{i+1}
 MASK = {1: 0b001, 2: 0b010, 3: 0b100, 4: 0b011, 5: 0b110, 6: 0b111, 7: 0b101}
@@ -162,22 +162,25 @@ def line_perm(g):
 
 
 @lru_cache(maxsize=None)
-def _product_columns():
-    """Per slot k = 0, 1, 2 and point P, the column MASK[hP] << 3k over all h
-    in all_collineations() order; and the index in that order of each 9-bit
-    code, the masks of the images of P1, P2, P3 at bits 0, 3, 6, which fix a
-    collineation; memoized."""
+def _group_columns():
+    """all_collineations() transposed, memoized: over all h in that order,
+    the images h P of each label P = 0..7 (h fixes the unit 0) and h D of each
+    line D, as bytes; MASK[hP] per point P, in the 16-bit fields of fmt."""
     group = all_collineations()
-    cols = tuple({p: tuple(MASK[h[p - 1]] << 3 * k for h in group) for p in POINTS} for k in range(3))
-    codes = map(or_, map(or_, cols[0][1], cols[1][2]), cols[2][3])
-    return cols, {c: i for i, c in enumerate(codes)}
+    points = (bytes(len(group)),) + tuple(map(bytes, zip(*group)))
+    lines = dict(zip(LINES, map(bytes, zip(*map(line_perm, group)))))
+    fmt = "<%dH" % len(group)
+    masks = {p: int.from_bytes(pack(fmt, *map(MASK.get, points[p])), "little") for p in POINTS}
+    return points, lines, masks, fmt
 
 
 def right_products(g):
-    """The indices in all_collineations() of h g for each h, in that order:
-    h g sends P_k to h(g P_k), so its code ORs the columns of g P1, g P2, g P3."""
-    cols, index = _product_columns()
-    return map(index.__getitem__, map(or_, map(or_, cols[0][g[0]], cols[1][g[1]]), cols[2][g[2]]))
+    """The code of h g for each h in all_collineations() order: the masks of
+    the images of P1, P2, P3 at bits 0, 3, 6, which fix a collineation, read
+    off the mask columns of g P1, g P2, g P3 (h g sends P_k to h(g P_k))."""
+    m, fmt = _group_columns()[2:]
+    code = m[g[0]] | m[g[1]] << 3 | m[g[2]] << 6
+    return unpack(fmt, code.to_bytes(calcsize(fmt), "little"))
 
 
 def order7_minimal_polynomial(g):

@@ -19,9 +19,10 @@ bracket.
 """
 
 from collections import Counter
-from functools import lru_cache
-from itertools import chain, combinations
+from functools import lru_cache, reduce
+from itertools import chain, combinations, repeat
 import json
+from operator import or_
 
 from . import compfactor, fano, linalg, octonion
 from .scalars import QI, QQ, PrimeField
@@ -272,11 +273,9 @@ def annihilator_dimension():
 
 @lru_cache(maxsize=None)
 def g2_basis():
-    """A 14-element subset of the X's forming a basis of g2 over Q."""
+    """The X's independent of those before them: a basis of their span over Q."""
     echelon = linalg.Echelon(QQ)
-    basis = [pd for pd in INCIDENT_PAIRS if echelon.add(x_vector(*pd))]
-    assert len(basis) == 14
-    return tuple(basis)
+    return tuple(pd for pd in INCIDENT_PAIRS if echelon.add(x_vector(*pd)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +439,7 @@ def orbit_tags_preserved():
 
 def jacobi_check():
     """Jacobi identity on the 14-element basis, certified for all 14^3
-    ordered triples from 196 + 364 checks.
+    ordered triples from 196 + 364 checks; False on a basis of another size.
 
     First [x, y] + [y, x] = 0 on all 196 ordered basis pairs.  The bracket is
     bilinear, so it is then antisymmetric on all of g2, and the Jacobi sum
@@ -467,7 +466,7 @@ def jacobi_check():
                 return False
     # ad[i][l]: the terms of [x_i, e_l]
     ad = [{l: bracket(_generator(*a)[0], {l: 1}).items() for l in PAIRS} for a in basis]
-    return not any(
+    return len(basis) == 14 and not any(
         combine(
             (m, s * v * w)
             for n, s, y in ((i, 1, inner[j, k]), (j, -1, inner[i, k]), (k, 1, inner[i, j]))
@@ -515,8 +514,9 @@ def cartan_self_centralizing(p):
 
 
 def cartans_hold():
-    """AC11.cartan: each h_P is 2-dimensional and self-centralizing."""
-    return all(cartan_dimension(p) == 2 and cartan_self_centralizing(p) for p in fano.POINTS)
+    """AC11.cartan: each h_P is 2-dimensional and self-centralizing in g2."""
+    cartans = (cartan_dimension(p) == 2 and cartan_self_centralizing(p) for p in fano.POINTS)
+    return len(g2_basis()) == 14 and all(cartans)
 
 
 def pair_inner(x, y):
@@ -681,10 +681,16 @@ def root_systems_hold():
 _POINT_BIT = (0,) + tuple(1 << (q - 1) for q in fano.POINTS)
 
 
-@lru_cache(maxsize=None)
 def _delta_hat_word(g):
-    """The sign word of (g, +1), memoized per collineation, in one pass over
-    the 84 entries of the matrices 2 rho_hat(X_{P,D}) in _delta_hat_plan.
+    """The sign word of (g, +1), read off _delta_hat_words()."""
+    return _delta_hat_words()[g]
+
+
+@lru_cache(maxsize=None)
+def _delta_hat_words():
+    """The sign word of (g, +1) for each collineation g, by collineation,
+    memoized; each entry of the matrices 2 rho_hat(X_{P,D}) in
+    _delta_hat_plan is read once for the whole group.
 
     ghat = (g, s) fixes e_0 and sends e_Q to s_Q e_{gQ}, so conjugating a
     spinor matrix moves its entry (a, b) to (ga, gb) times s_a s_b (with
@@ -701,33 +707,40 @@ def _delta_hat_word(g):
     entries.  Per P, after its lines: the other two lines agree with the
     first.  This word holds the constants of those forms; the parts that
     depend on s are in _delta_hat_layout.
+
+    Per entry, the key gP << 9 | gD << 6 | ga << 3 | gb of each g looks up
+    t = v (0), -v (1) or neither (2), a byte per g of an integer; XORs and
+    ORs of those give the bits, packed 8 to a byte and transposed.  If all
+    21 matrices are antisymmetric, (b, a) lands as (a, b): a < b is read.
     """
     matrices, plan = _delta_hat_plan()
-    img = (0,) + g
-    lines = fano.line_perm(g)
-    word, k = 0, 7
+    points, lines = fano._group_columns()[:2]
+    group = fano.all_collineations()
+    ones = int.from_bytes(b"\1" * len(group), "little")
+    half = all(m.get((b, a)) == -v for m in matrices.values() for (a, b), v in m.items())
+    by_flag = {p << 9 | d << 6: m for (p, d), m in matrices.items()}
+    at = {k | a << 3 | b: t for k, m in by_flag.items() for (a, b), t in m.items()}
+    lookup = {v: {k: t != v for k, t in at.items() if t in (v, -v)}.get for v in set(at.values())}
+    high = [tuple(x << 3 for x in col) for col in points]
+    entries = set(chain.from_iterable(matrices.values()))
+    pairs = {(a, b): tuple(map(or_, high[a], points[b])) for a, b in entries if a < b or not half}
+    bits = [0] * 7
     for p, flags in plan:
         leads = []
         for d, source in flags:
-            target = matrices[g[p - 1], lines[d - 1]]
-            first, lands = None, len(source) == len(target)
-            for (a, b), v in source:
-                t = target.get((img[a], img[b]))
-                flip = t == -v
-                lands = lands and (flip or t == v)
-                if first is None:
-                    first = flip
-                else:
-                    word |= (flip ^ first) << k
-                    k += 1
-            word |= (not lands) << k
-            k += 1
-            leads.append(first)
-        word |= leads[0] << (p - 1)
-        for lead in leads[1:]:
-            word |= (lead ^ leads[0]) << k
-            k += 1
-    return word
+            keys = tuple(x << 9 | y << 6 for x, y in zip(points[p], lines[d]))
+            got = {ab: map(or_, keys, pairs[ab]) for ab, _ in source if ab in pairs}
+            got = {ab: bytes(map(lookup[v], got[ab], repeat(2))) for ab, v in source if ab in got}
+            cols = [int.from_bytes(got.get(ab) or got[ab[::-1]], "little") for ab, _ in source]
+            differ = bytes(map(len(source).__ne__, map(len, map(by_flag.__getitem__, keys))))
+            bits += [(c ^ cols[0]) & ones for c in cols[1:]]
+            bits.append((reduce(or_, cols) >> 1 | int.from_bytes(differ, "little")) & ones)
+            leads.append(cols[0] & ones)
+        bits[p - 1] = leads[0]
+        bits += [lead ^ leads[0] for lead in leads[1:]]
+    packed = (sum(c << j for j, c in enumerate(bits[k : k + 8])) for k in range(0, len(bits), 8))
+    rows = zip(*(x.to_bytes(len(group), "little") for x in packed))
+    return {g: int.from_bytes(bytes(row), "little") for g, row in zip(group, rows)}
 
 
 @lru_cache(maxsize=None)
@@ -993,7 +1006,7 @@ def almost_complex_structures_hold():
 
 def lie_closure(gens):
     """A basis of the Lie algebra generated by the given elements, by a
-    worklist.
+    worklist of at most dim so(7) + 1 elements, so a wrong rank cannot hang.
 
     Each kept element is bracketed once with every element kept before it,
     and a bracket outside the span so far is kept too.  When the list ends,
@@ -1006,7 +1019,7 @@ def lie_closure(gens):
     for i, x in enumerate(basis_elts):
         for y in basis_elts[:i]:
             z = bracket(y, x)
-            if z and echelon.add(to_vector(z)):
+            if z and len(basis_elts) <= len(PAIRS) and echelon.add(to_vector(z)):
                 basis_elts.append(z)
     return basis_elts
 

@@ -10,8 +10,8 @@ e_{gP}; it is an algebra automorphism of the 8-dimensional algebra exactly
 when the product of the three signs on every line equals delta_star(g, D).
 There are 8 lifts per collineation, 1344 in all.
 
-delta_star_fn(g) is this sign as a mask, read off all six pairs of each
-line; the lifts, AC5, AC10.radon and the delta-star diagram all read it.
+delta_star_fn(g) is this sign as a mask, read off all six pairs of each line
+for all of the group at once; the lifts, AC5, AC10.radon and diagrams read it.
 
 AC6.orientation-powers compares fano.oriented_lines of each order-7
 collineation with that of the shift.
@@ -22,24 +22,14 @@ tuple, and SIGNS and MASK_OF convert between the two forms.
 """
 
 from functools import lru_cache
-from operator import itemgetter
+from itertools import chain, permutations
+from operator import itemgetter, or_
 
 from . import compfactor, fano, radon
 
-# (P, Q, D) as 0-based indices, for the 42 ordered pairs of distinct points
-# and the line D through them
-_PRODUCTS = tuple(
-    (p - 1, q - 1, fano.wedge(p, q) - 1)
-    for p in fano.POINTS
-    for q in fano.POINTS
-    if p != q
-)
-
-
-@lru_cache(maxsize=None)
 def delta_star_fn(g):
     """delta_star(g, .) as a mask, the 7-bit word of the line condition for
-    a collineation g, memoized; None when no sign vector lifts g.
+    a collineation g, from _delta_star_words; None when no sign vector lifts g.
 
     (g, s) is multiplicative on e_P e_Q = eps(P,Q) e_{P+Q} iff g is additive
     and eps(P,Q) s(P+Q) = s(P) s(Q) eps(gP,gQ) for every P != Q, that is
@@ -48,19 +38,32 @@ def delta_star_fn(g):
     D.  So s lifts g iff the six pairs of each line D agree and the product
     of s over D is that common sign: bit D - 1 of the word is set where it
     is -1, and s lifts g iff the Radon transform of its mask is the word.
-    None means g is not additive, or some line's pairs disagree.
+    None means g is no collineation, or some line's pairs disagree.
     """
-    if not fano.is_additive(g):
-        return None
+    return _delta_star_words().get(g)
+
+
+@lru_cache(maxsize=None)
+def _delta_star_words():
+    """The word of delta_star_fn for each collineation, memoized: per pair
+    P != Q, the -1 flags of eps(gP, gQ) eps(P, Q) for all g, as an integer
+    with bit D - 1 of a byte per g; their OR, or None where a pair of a line
+    differs from the first."""
+    group = fano.all_collineations()
+    points = fano._group_columns()[0]
     eps = compfactor.EPS_TAU
-    signs = [0] * 7
-    for p, q, d in _PRODUCTS:
-        v = eps[p][q] * eps[g[p] - 1][g[q] - 1]
-        if signs[d] != v:
-            if signs[d]:
-                return None
-            signs[d] = v
-    return sum(1 << d for d, v in enumerate(signs) if v < 0)
+    flags = bytes(a and b and a < 8 and eps[a - 1][b - 1] < 0 for a in range(32) for b in range(8))
+    high = [bytes(8 * x for x in col) for col in points]
+    ones = int.from_bytes(b"\1" * len(group), "little")
+    word, bad, first = 0, 0, {}
+    for p, q in permutations(fano.POINTS, 2):
+        d = fano.wedge(p, q)
+        col = bytes(map(or_, high[p], points[q])).translate(flags)
+        col = (int.from_bytes(col, "little") ^ ones * (eps[p - 1][q - 1] < 0)) << d - 1
+        bad |= first.setdefault(d, col) ^ col
+        word |= col
+    rows = zip(group, word.to_bytes(len(group), "little"), bad.to_bytes(len(group), "little"))
+    return {g: None if b else w for g, w, b in rows}
 
 
 def delta_star_properties():
@@ -86,14 +89,17 @@ def delta_star_properties():
         (m & lines).bit_count() % 2 for m in values for lines in (radon.ONE,) + radon.PENCILS
     ):
         return False
+    # the masks by code (h 1 = h); 255 at a code that no listed element has
+    by_code = bytearray(b"\xff" * 512)
+    for code, m in zip(fano.right_products(fano.IDENTITY), listed):
+        by_code[code] = m
+    column, masks = bytes(listed), bytes(values)
     for g1, m1 in zip(group, listed):
         # m(g1 D) at bit D - 1, times delta*(g1, D), for each mask m that occurs
         at_images = itemgetter(*(e - 1 for e in fano.line_perm(g1)))
-        moved = {m: MASK_OF[at_images(SIGNS[m])] ^ m1 for m in values}
-        # the masks of g2 g1, by index, against the moved masks of g2, for all g2
-        if list(map(listed.__getitem__, fano.right_products(g1))) != list(
-            map(moved.__getitem__, listed)
-        ):
+        moved = bytes.maketrans(masks, bytes(MASK_OF[at_images(SIGNS[m])] ^ m1 for m in masks))
+        # the masks of g2 g1, by code, against the moved masks of g2, for all g2
+        if bytes(itemgetter(*fano.right_products(g1))(by_code)) != column.translate(moved):
             return False
     return True
 
@@ -218,10 +224,7 @@ def aug_serialize(aug):
 @lru_cache(maxsize=None)
 def enumerate_aug_group():
     """All 1344 augmented automorphisms: the lifts of the 168 collineations."""
-    out = []
-    for g in fano.all_collineations():
-        out.extend(lifts(g))
-    return tuple(out)
+    return tuple(chain.from_iterable(map(lifts, fano.all_collineations())))
 
 
 def kernel_elements():
@@ -239,10 +242,6 @@ def fibers_have_eight():
     return all(len(lifts(g)) == 8 for g in fano.all_collineations())
 
 
-def fiber_order_profile(g):
-    return tuple(sorted(aug_order(a) for a in lifts(g)))
-
-
 @lru_cache(maxsize=None)
 def order_profiles():
     """AC6.profile-n: the lift order profile over a base of each order n =
@@ -252,7 +251,7 @@ def order_profiles():
     a, b = fano.standard_generators()
     c = fano.compose(a, fano.compose(b, fano.compose(fano.inverse(a), fano.inverse(b))))
     bases = {2: a, 3: b, 7: fano.TAU, 4: c}
-    return {n: fiber_order_profile(g) for n, g in bases.items()}
+    return {n: tuple(sorted(map(aug_order, lifts(g)))) for n, g in bases.items()}
 
 
 def orientation_power_count():
@@ -260,11 +259,8 @@ def orientation_power_count():
     induce the line orientations of the shift: those whose oriented line
     triples are the shift's, that is tau, tau^2 and tau^4."""
     shift = fano.oriented_lines(fano.TAU)
-    return sum(
-        1
-        for g in fano.all_collineations()
-        if fano.order(g) == 7 and fano.oriented_lines(g) == shift
-    )
+    order7 = (g for g in fano.all_collineations() if fano.order(g) == 7)
+    return sum(fano.oriented_lines(g) == shift for g in order7)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ field.  Every basis product is a signed basis element,
 
 with 1 central: a twisted group algebra on the Fano cube (Z_2)^3, whose
 signs come from a factor eps.  For the canonical factor this is the octonion
-product.  The rule is worked out once, in the table products(eps); the
-product and every certificate read it.  The certificates are integer
-identities on the table over all basis tuples, which by linearity hold for
-all elements.
+product.  The rule is worked out once, in the table products(eps), which
+the product and the certificates read (the 128-table one through its sign
+words).  The certificates are integer identities on the table over all
+basis tuples, which by linearity hold for all elements.
 
 mul and norm evaluate over Q, Q(i) and F_p on integer coordinates: each
 factor is scaled to integers once (by the lcm of its denominators, or to its
@@ -157,10 +157,13 @@ def norm_identity_holds(tables):
     signs, labels = zip(*(zip(*sum(t, ())) for t in tables))
     if len(set(labels)) > 1:
         return sum(norm_identity_holds([t]) << i for i, t in enumerate(tables))
-    plan = _label_plan(labels[0])
+    return _plan_holds(_label_plan(labels[0]), *compfactor.sign_words(signs))
+
+
+def _plan_holds(plan, w, ok):
+    """The checks of a label plan on sign words w with valid mask ok."""
     if plan is None:
         return 0
-    w, ok = compfactor.sign_words(signs)
     for ab, cd, ad, cb in plan:
         ok &= w[ab] ^ w[cd] ^ w[ad] ^ w[cb]
     return ok
@@ -192,11 +195,20 @@ def _label_plan(labels):
     return tuple(plan)
 
 
+def norm_identity_of_signs(family):
+    """norm_identity_holds on products(eps) for a family of sign tables eps,
+    whose sign words are compfactor.off_diagonal_words, 0 at the unit (+1)
+    and -1, every bit set, on the diagonal (-1)."""
+    w, ok = compfactor.off_diagonal_words(family)
+    words = [w.get((a, b), -(a == b > 0)) for a in range(8) for b in range(8)]
+    return _plan_holds(_label_plan(sum(_LABELS, ())), words, ok)
+
+
 def norm_identity_matches_rules():
     """AC14.norm-structural: on each of the 128 line orientations, the
     polarized norm identity holds iff the line and quadrilateral rules do."""
     found = compfactor.line_orientations()
-    return norm_identity_holds(list(map(products, found))) == compfactor.rules_hold(found)
+    return norm_identity_of_signs(found) == compfactor.rules_hold(found)
 
 
 def _mul(t, u, v):

@@ -87,9 +87,11 @@ MEMOS = {
     g2.delta_hat_claims: 1,  # the 1344 deltas behind the AC10 claims
     lifting.order_profiles: 1,
     g2.generator_brackets: 1,  # the 441 brackets [X_a, X_b]
-    g2._delta_hat_word: 168,  # the sign word of each collineation
+    g2._delta_hat_words: 1,  # the sign words of all 168 collineations
     g2._delta_hat_plan: 1,  # the entries and matrices every sign word reads
-    fano._product_columns: 1,  # the columns of the 28 224 products g2 g1
+    lifting._delta_star_words: 1,  # the line words of all 168 collineations
+    fano._group_columns: 1,  # the group as columns, read by every sweep
+    compfactor.off_diagonal_words: 2,  # as compfactor.rules_hold
     radon.radon: 128,  # every mask, read by the kernel and image sweeps
     radon.preimages: 16,  # the image members, whose preimages the lifts read too
     octonion._label_plan: 1,  # the 128 line orientations share their labels

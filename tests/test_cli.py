@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import fanog2
-from fanog2 import cli, fano, g2, lifting, radon
+from fanog2 import cli, fano, g2, lifting, linalg, radon
 from fanog2.scalars import PrimeField
 
 
@@ -300,6 +300,61 @@ def test_broken_delta_hat_diagram_exits_with_a_message(
     assert not out.exists()
 
 
+@pytest.fixture
+def fresh_g2():
+    """Clear every memo of g2 before and after a test that patches the
+    generators they read."""
+    memos = [memo for memo in vars(g2).values() if hasattr(memo, "cache_clear")]
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_a_basis_of_the_wrong_size_fails_instead_of_raising(monkeypatch, tmp_path, fresh_g2):
+    # one entry of X(1, 1) doubled: the 21 X's span 15 dimensions, and the
+    # claims that read the 14-element basis must come out as FAIL records
+    generator = g2._generator
+
+    def doubled(p, d):
+        x, v = generator(p, d)
+        if (p, d) == (1, 1):
+            k = next(iter(x))
+            x = {**x, k: 2 * x[k]}
+            v = tuple(g2.to_vector(x))
+        return x, v
+
+    monkeypatch.setattr(g2, "_generator", doubled)
+    assert len(g2.g2_basis()) == 15
+    out = tmp_path / "g2.json"
+    assert _run(["verify", "g2", "--json", "--out", str(out)]) == 1
+    (suite,) = json.loads(_read(out))["suites"]
+    failed = {c["claim"] for c in suite["checks"] if not c["pass"]}
+    assert {"AC7.dimension", "AC8.jacobi", "AC11.cartan"} <= failed
+
+
+def test_an_echelon_that_drops_a_row_fails_instead_of_hanging(monkeypatch, tmp_path, fresh_g2):
+    # every Echelon forgets its third stored row but still reports it kept:
+    # the ranks come out wrong, a Lie closure would grow without end, and
+    # the claims must come out as FAIL records
+    store = linalg.Echelon._store
+
+    def forgetful(self, v):
+        n = len(self._rows)
+        kept = store(self, v)
+        if kept and n == 2:
+            self._rows.pop()
+        return kept
+
+    monkeypatch.setattr(linalg.Echelon, "_store", forgetful)
+    out = tmp_path / "g2.json"
+    assert _run(["verify", "g2", "--json", "--out", str(out)]) == 1
+    (suite,) = json.loads(_read(out))["suites"]
+    failed = {c["claim"] for c in suite["checks"] if not c["pass"]}
+    assert {"AC7.dimension", "AC8.jacobi", "AC11.o3-example"} <= failed
+
+
 # EPS_TAU with the pair P1-P2 flipped, set before any other module reads it:
 # a line orientation but no composition factor
 FLIPPED_PAIR = (
@@ -390,14 +445,16 @@ def test_each_command_imports_only_its_layers(tmp_path, argv, expected):
 IMPORT_FREE_MEMOS = (
     "fano.all_collineations",
     "fano.line_perm",
-    "fano._product_columns",
+    "fano._group_columns",
     "compfactor.line_orientations",
+    "compfactor.off_diagonal_words",
     "compfactor.rules_hold",
     "octonion.products",
     "octonion._label_plan",
+    "lifting._delta_star_words",
     "g2.x_matrix2",
     "g2._delta_hat_plan",
-    "g2._delta_hat_word",
+    "g2._delta_hat_words",
     "forms._derivation_table",
 )
 

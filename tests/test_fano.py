@@ -55,12 +55,15 @@ def test_compose_inverse_order():
 
 
 def test_right_products_are_the_compositions():
-    # the indexed products h g, read off three columns, against compose on
-    # all 168^2 = 28 224 pairs
+    # the codes of the products h g, read off three columns, against
+    # compose on all 168^2 = 28 224 pairs; the codes of h 1 = h are 168
+    # distinct codes
     group = fano.all_collineations()
+    by_code = dict(zip(fano.right_products(fano.IDENTITY), group))
+    assert len(by_code) == 168
     pairs = 0
     for g in group:
-        products = [group[i] for i in fano.right_products(g)]
+        products = [by_code[c] for c in fano.right_products(g)]
         assert products == [fano.compose(h, g) for h in group], g
         pairs += len(products)
     assert pairs == 28224

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanog2 import cli, fano, g2, lifting, linalg, radon
+from fanog2 import cli, compfactor, fano, g2, lifting, linalg, radon
 from fanog2.scalars import QI, QQ, GaussianRational, PrimeField
 
 
@@ -416,6 +416,99 @@ def test_delta_hat_words_match_the_forms_reference():
         assert g2.delta_hat_fn(aug) == word
     # one error message per check bit
     assert len(errors) == len(_reference_delta_hat_forms(fano.IDENTITY)) - 7
+
+
+@pytest.fixture
+def fresh_g2_memos():
+    """Clear every memo of g2 before and after a test that patches what the
+    memos read."""
+    _clear_g2_memos()
+    yield
+    _clear_g2_memos()
+
+
+def _clear_g2_memos():
+    for memo in vars(g2).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+
+
+def _reference_delta_hat_loop(g):
+    """The sign word of (g, +1) by one loop per collineation over the
+    entries of _delta_hat_plan, entry by entry, in the layout of
+    _delta_hat_words."""
+    matrices, plan = g2._delta_hat_plan()
+    img = (0,) + g
+    lines = fano.line_perm(g)
+    word, k = 0, 7
+    for p, flags in plan:
+        leads = []
+        for d, source in flags:
+            target = matrices[g[p - 1], lines[d - 1]]
+            first, lands = None, len(source) == len(target)
+            for (a, b), v in source:
+                t = target.get((img[a], img[b]))
+                flip = t == -v
+                lands = lands and (flip or t == v)
+                if first is None:
+                    first = flip
+                else:
+                    word |= (flip ^ first) << k
+                    k += 1
+            word |= (not lands) << k
+            k += 1
+            leads.append(first)
+        word |= leads[0] << (p - 1)
+        for lead in leads[1:]:
+            word |= (lead ^ leads[0]) << k
+            k += 1
+    return word
+
+
+def test_sign_words_match_the_per_element_loop(monkeypatch, fresh_g2_memos):
+    # the words of the whole-group sweep, which reads only the entries
+    # a < b of antisymmetric matrices, against the loop over all 84 entries
+    # of each collineation, on EPS_TAU and on EPS_TAU with the pair P1-P2
+    # flipped
+    group = fano.all_collineations()
+    flipped = [list(row) for row in compfactor.EPS_TAU]
+    flipped[0][1], flipped[1][0] = flipped[1][0], flipped[0][1]
+    for table in (compfactor.EPS_TAU, tuple(map(tuple, flipped))):
+        monkeypatch.setattr(compfactor, "EPS_TAU", table)
+        _clear_g2_memos()
+        words = list(map(g2._delta_hat_word, group))
+        assert words == list(map(_reference_delta_hat_loop, group)), table
+    assert any(w >> 7 for w in words)
+
+
+def test_a_negated_matrix_entry_fails_welldefined(monkeypatch, capsys, fresh_g2_memos):
+    # one entry of 2 rho_hat(X_{P3,D7}) negated: the matrix is no longer
+    # antisymmetric, so every entry is read; the words still match the
+    # loop, AC10.welldefined fails, and `diagram delta` names the first
+    # failed check of the loop over the 1344 elements
+    x_matrix2 = g2.x_matrix2
+
+    def negated(p, d):
+        m = x_matrix2(p, d)
+        if (p, d) == (3, 7):
+            k = next(iter(m))
+            m = {**m, k: -m[k]}
+        return m
+
+    monkeypatch.setattr(g2, "x_matrix2", negated)
+    group = fano.all_collineations()
+    assert list(map(g2._delta_hat_word, group)) == list(map(_reference_delta_hat_loop, group))
+    assert g2.delta_hat_claims()["welldefined"] is False
+    flips, errors = g2._delta_hat_layout()
+    failed = next(
+        w >> 7
+        for w in (_reference_delta_hat_loop(g) ^ flips[s] for g, s in lifting.enumerate_aug_group())
+        if w >> 7
+    )
+    message = errors[(failed & -failed).bit_length() - 1]
+    assert cli.main(["diagram", "delta"]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert message == "conjugate of X_{P3,D7} is not proportional to an X"
 
 
 def test_delta_hat_rejects_a_non_automorphism():

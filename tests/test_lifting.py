@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -32,9 +33,10 @@ def test_delta_star_pair_independent():
             assert vals.pop() == (-1 if radon.evaluate(lifting.delta_star_fn(g), d) else 1)
 
 
-# memoized per collineation, and read compfactor.EPS_TAU when filled
+# memoized per collineation or for the whole group, and read
+# compfactor.EPS_TAU when filled
 COLLINEATION_MEMOS = (
-    lifting.delta_star_fn,
+    lifting._delta_star_words,
     lifting.lifts,
     lifting.enumerate_aug_group,
 )
@@ -154,18 +156,82 @@ def test_delta_star_diagram_draws_every_composition_factor(monkeypatch, fresh_me
 
 
 def test_a_corrupted_product_index_fails_the_identities(monkeypatch):
-    # the code of the identity sent to a collineation whose delta* differs:
-    # g^-1 g then reads the wrong mask, and AC5.identities fails
+    # the code of TAU^-1 TAU = 1 replaced by that of a collineation whose
+    # delta* differs: that product then reads the wrong mask, and
+    # AC5.identities fails
     group = fano.all_collineations()
-    _, index = fano._product_columns()
-    code = next(c for c, i in index.items() if group[i] == fano.IDENTITY)
-    other = next(i for i, g in enumerate(group) if lifting.delta_star_fn(g) != radon.ZERO)
-    monkeypatch.setitem(index, code, other)
+    codes = list(fano.right_products(fano.IDENTITY))
+    other = codes[next(i for i, g in enumerate(group) if lifting.delta_star_fn(g) != radon.ZERO)]
+    at = group.index(fano.inverse(fano.TAU))
+    right_products = fano.right_products
+
+    def corrupted(g):
+        out = list(right_products(g))
+        if g == fano.TAU:
+            assert out[at] == codes[group.index(fano.IDENTITY)]
+            out[at] = other
+        return out
+
+    monkeypatch.setattr(fano, "right_products", corrupted)
     assert lifting.delta_star_properties() is False
     checks = {c["claim"]: c["pass"] for c in cli.suite_lifting()}
     assert checks["AC5.identities"] is False
     monkeypatch.undo()
     assert lifting.delta_star_properties()
+
+
+# the memos that read the group, besides the collineation memos
+GROUP_MEMOS = (fano._group_columns, compfactor.isotropy, lifting.order_profiles)
+
+
+@pytest.fixture
+def fresh_group_memos():
+    """Clear every memo that reads fano.all_collineations() before and after
+    a test that patches it."""
+    for memo in GROUP_MEMOS + COLLINEATION_MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in GROUP_MEMOS + COLLINEATION_MEMOS:
+        memo.cache_clear()
+
+
+def test_a_group_missing_an_element_fails_the_identities(monkeypatch, capsys, fresh_group_memos):
+    # without its last element the group is no longer closed: some products
+    # g2 g1 have no mask, and AC5.identities must fail, not raise
+    group = fano.all_collineations()
+    monkeypatch.setattr(fano, "all_collineations", lambda: group[:-1])
+    assert cli.main(["verify", "lifting", "--json"]) == 1
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    checks = {c["claim"]: c["pass"] for c in suite["checks"]}
+    assert checks["AC5.identities"] is False
+    assert checks["AC5.classes"] is False
+
+
+def _reference_delta_star_word(g):
+    """The line word of one collineation, one loop over the 42 ordered
+    pairs: the sign of each line, or None where two pairs of it disagree."""
+    eps = compfactor.EPS_TAU
+    signs = [0] * 7
+    for p, q in itertools.permutations(fano.POINTS, 2):
+        d = fano.wedge(p, q) - 1
+        v = eps[p - 1][q - 1] * eps[g[p - 1] - 1][g[q - 1] - 1]
+        if signs[d] != v:
+            if signs[d]:
+                return None
+            signs[d] = v
+    return sum(1 << d for d, v in enumerate(signs) if v < 0)
+
+
+def test_line_words_match_the_per_element_loop(monkeypatch, fresh_memos):
+    # the words of the whole-group sweep against one loop per collineation,
+    # on EPS_TAU and on EPS_TAU with a pair flipped, where some are None
+    group = fano.all_collineations()
+    for table in (compfactor.EPS_TAU, _flipped_pair()):
+        monkeypatch.setattr(compfactor, "EPS_TAU", table)
+        _clear_memos()
+        words = list(map(lifting.delta_star_fn, group))
+        assert words == list(map(_reference_delta_star_word, group)), table
+    assert None in words and set(words) != {None}
 
 
 # `diagram delta` on each composition factor as EPS_TAU, by its index in

@@ -164,6 +164,20 @@ def test_sparse_norm_identity_matches_the_quadruple_loop():
             assert octonion.norm_identity_holds(moved) == mask ^ 1 << i, i
 
 
+def test_norm_identity_of_signs_matches_the_product_tables():
+    # the AC14.norm-structural mask, read off the sign words that the rules
+    # read, against the evaluator on product tables: on the 128 line
+    # orientations, and on EPS_TAU with one sign flipped, which then fails
+    found = compfactor.line_orientations()
+    table = [list(row) for row in compfactor.EPS_TAU]
+    table[0][1] = -table[0][1]
+    family = found + (tuple(map(tuple, table)),)
+    mask = octonion.norm_identity_holds(list(map(octonion.products, family)))
+    assert octonion.norm_identity_of_signs(family) == mask
+    assert mask == compfactor.rules_hold(found)
+    assert bin(mask).count("1") == 16
+
+
 def test_label_plan_reads_each_sign_quadruple_once():
     # 28 pairs a < c, 4 entries each, and no two entries read the same four
     # positions: the (c, a, d) and (a, c, d) entries that would repeat the
