@@ -11,6 +11,7 @@ predicate.
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 from struct import calcsize, pack, unpack
 
 # label -> 3-bit mask, generated by the recurrence P_{i+3} = P_i + P_{i+1}
@@ -129,11 +130,15 @@ def all_collineations():
 
 @lru_cache(maxsize=None)
 def order(g):
-    n = 1
-    h = g
-    while h != IDENTITY:
-        h = compose(g, h)
-        n += 1
+    """The order of a permutation of the points, memoized: the lcm of the
+    lengths of its cycles, so no power of g is formed."""
+    n, seen = 1, set()
+    for p in POINTS:
+        k = 0
+        while p not in seen:
+            seen.add(p)
+            p, k = g[p - 1], k + 1
+        n = lcm(n, k or 1)
     return n
 
 
@@ -172,6 +177,25 @@ def _group_columns():
     fmt = "<%dH" % len(group)
     masks = {p: int.from_bytes(pack(fmt, *map(MASK.get, points[p])), "little") for p in POINTS}
     return points, lines, masks, fmt
+
+
+@lru_cache(maxsize=None)
+def _product_table():
+    """The group's product table, memoized: the row of the element at each
+    position of all_collineations() is its right_products, the codes of h g
+    over h; and the position of each code."""
+    at = {c: n for n, c in enumerate(right_products(IDENTITY))}
+    return tuple(map(right_products, all_collineations())), at
+
+
+def _position(g):
+    """The position of a collineation in all_collineations(), by its code;
+    ValueError for anything else."""
+    code = MASK.get(g[0], 0) | MASK.get(g[1], 0) << 3 | MASK.get(g[2], 0) << 6
+    n = _product_table()[1].get(code)
+    if n is None or all_collineations()[n] != g:
+        raise ValueError("not a collineation: %r" % (g,))
+    return n
 
 
 def right_products(g):
@@ -235,20 +259,25 @@ def standard_generators_check():
 
 
 def generated_subgroup(gens):
-    """Closure of a set of collineations under composition."""
-    seen = set(gens)
-    seen.add(IDENTITY)
+    """Closure of a set of collineations under composition, by a
+    breadth-first search over positions: each product g h is read off the
+    row of h in the product table.  A product outside all_collineations(),
+    which is then no group, is left out."""
+    table, at = _product_table()
+    rows = [table[_position(h)] for h in gens]
+    seen = {_position(IDENTITY), *map(_position, gens)}
     frontier = list(seen)
     while frontier:
         new = []
-        for g in frontier:
-            for h in gens:
-                gh = compose(g, h)
-                if gh not in seen:
-                    seen.add(gh)
-                    new.append(gh)
+        for i in frontier:
+            for row in rows:
+                k = at.get(row[i])
+                if k is not None and k not in seen:
+                    seen.add(k)
+                    new.append(k)
         frontier = new
-    return seen
+    group = all_collineations()
+    return {group[i] for i in seen}
 
 
 def all_triangles():
@@ -257,11 +286,15 @@ def all_triangles():
 
 
 def conjugacy_class(g):
-    """The conjugacy class of a collineation, by exhaustive conjugation."""
-    out = set()
-    for h in all_collineations():
-        out.add(compose(h, compose(g, inverse(h))))
-    return frozenset(out)
+    """The conjugacy class of a collineation, by exhaustive conjugation: for
+    each h, h g h^-1 is the c with c h = h g, read off the product table as
+    the position in the row of h of the code of h g.  Empty when some
+    conjugate lies outside all_collineations(), which is then no group."""
+    table, j, group = _product_table()[0], _position(g), all_collineations()
+    try:
+        return frozenset(group[row.index(table[j][i])] for i, row in enumerate(table))
+    except ValueError:
+        return frozenset()
 
 
 def order7_class_split():

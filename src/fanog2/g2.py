@@ -1,28 +1,31 @@
-"""The Lie algebra g2 inside so(7), built from the incidence geometry.
+"""The Lie algebra g2, read off the incidence law, and inside so(7).
 
-Elements of so(7) are sparse dicts {(i,j): coefficient} over the 21-element
-pair basis e_{PiPj} (i < j), with e_{PjPi} = -e_{PiPj}.  Two independent
-evaluation paths are maintained throughout: structure constants on the pair
-basis, and 8x8 spinor matrices acting on the octonion coordinates.  A
-spinor matrix is kept as its nonzero entries {(row, col): value}, and
-_product is the one matrix product; commutators, J^2 and J^T J go through
-it.  g2 is
-the annihilator of the unit octonion; its generators X_{P,D} are indexed by
-the 21 incident point-line pairs.  The generators, and so every sign below,
-are those of the canonical composition factor compfactor.EPS_TAU.  Elements
-have coefficients in Z, or in Z[i] in the Chevalley presentation.
+g2 is the annihilator of the unit octonion; its generators X_{P,D} are
+indexed by the 21 incident point-line pairs, the flags.  The incidence law
+gives every [X_a, X_b] as c X_f; law() holds it as integer tables, with
+the X's over 14 basis flags, and the claims about g2 alone (Jacobi, the
+Cartan, decomposition, line and point subalgebra claims, Lie closures)
+read it.  AC8.bracket-law bridges three paths on all 441 pairs: the law,
+so(7) structure constants on the pair basis e_{PiPj} (i < j, sparse dicts
+{(i,j): coefficient} with e_{PjPi} = -e_{PiPj}), and 8x8 spinor matrices,
+kept as their nonzero entries {(row, col): value}; _product is the one
+matrix product.  so(7) and the matrices serve the claims about the
+embedding.  The generators, and so every sign, are those of the canonical
+composition factor compfactor.EPS_TAU; coefficients are in Z, or in Z[i]
+in the Chevalley presentation.
 
-Sums of sparse terms go through combine: elt, _product, matrix2 and the
-wedge, contract and derive of forms.  add_elt and bracket keep their
-own loops: the kernels benchmark draws its inputs with add_elt and times
-bracket.
+Sums of sparse terms go through combine: elt, law elements, _product,
+matrix2 and the wedge, contract and derive of forms.  add_elt and bracket
+keep their own loops: the kernels benchmark draws its inputs with add_elt
+and times bracket.
 """
 
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, combinations_with_replacement, repeat
 import json
 from operator import or_
+from types import SimpleNamespace
 
 from . import compfactor, fano, linalg, octonion
 from .scalars import QI, QQ, PrimeField
@@ -165,15 +168,20 @@ def _by_row(m):
     return rows
 
 
+def _product_terms(a, b_rows, s):
+    """The terms ((i, j), s a_ik b_kj) of s ab, with b grouped by _by_row."""
+    return (((i, j), s * u * v) for (i, k), u in a.items() for j, v in b_rows.get(k, ()))
+
+
 def _product(a, b_rows):
     """ab for matrices given by their entries, with b grouped by _by_row;
     zeros are dropped."""
-    return combine(((i, j), u * v) for (i, k), u in a.items() for j, v in b_rows.get(k, ()))
+    return combine(_product_terms(a, b_rows, 1))
 
 
 def _commutator(a, a_rows, b, b_rows):
-    """ab - ba, with each matrix also given grouped by _by_row."""
-    return add_elt(_product(a, b_rows), scale_elt(-1, _product(b, a_rows)))
+    """ab - ba, with each matrix also given grouped by _by_row, as one sum."""
+    return combine(chain(_product_terms(a, b_rows, 1), _product_terms(b, a_rows, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -240,10 +248,16 @@ def _generator(p, d):
 def Y(p, d):
     """Y_{P,D} = X_{P,next} - X_{P,prev}, where next and prev follow D in
     LINE_CYCLE[P]."""
+    (_, nxt), (_, prev) = y_terms(p, d)
+    return add_elt(X(*nxt), scale_elt(-1, X(*prev)))
+
+
+def y_terms(p, d):
+    """Y_{P,D} as the terms (1, (P, next)) and (-1, (P, prev)) of law_element."""
     _check_incident(p, d)
     cycle = LINE_CYCLE[p]
     k = cycle.index(d)
-    return add_elt(X(p, cycle[(k + 1) % 3]), scale_elt(-1, X(p, cycle[k - 1])))
+    return (1, (p, cycle[(k + 1) % 3])), (-1, (p, cycle[k - 1]))
 
 
 def point_relations_hold():
@@ -254,11 +268,10 @@ def point_relations_hold():
     )
 
 
-@lru_cache(maxsize=None)
 def span_dimension():
-    """Rank of the 21 X's in the pair basis, memoized; equals dim g2 = 14."""
-    rows = [x_vector(p, d) for p, d in INCIDENT_PAIRS]
-    return linalg.rank(rows, QQ)
+    """Rank of the 21 X's in the pair basis, the size of g2_basis(); equals
+    dim g2 = 14."""
+    return len(g2_basis())
 
 
 def annihilator_dimension():
@@ -380,39 +393,65 @@ def _bracket_case(pd1, pd2):
 
 
 @lru_cache(maxsize=None)
-def generator_brackets():
-    """The table {(a, b): [X_a, X_b]} over all 441 ordered pairs of incident
-    pairs, computed by bracket; memoized.  AC8.bracket-law checks every entry,
-    and every claim that brackets two generators reads it.  The entries are
-    shared, so a reader never edits one."""
-    xs = [(pd, _generator(*pd)[0]) for pd in INCIDENT_PAIRS]
-    return {(a, b): bracket(x, y) for a, x in xs for b, y in xs}
+def law():
+    """The incidence law as integer tables, memoized: table[a, b] = (coeff,
+    flag) of [X_a, X_b] = coeff X_flag over the 441 ordered pairs of flags,
+    read off _bracket_case (flag None for 0).  The law algebra has the 14
+    basis flags: at each point P the first two lines of LINE_CYCLE[P], whose
+    third X is minus their sum (AC7.point-relations).  An element is
+    {basis index: coefficient}: coords[f] is flag f (empty for None),
+    vectors[f] its 14 coordinates, and tensor[i][j], of at most two terms,
+    is [b_i, b_j].
+    """
+    coords, basis = {}, []
+    for n, p in enumerate(fano.POINTS):
+        a, b, c = ((p, d) for d in LINE_CYCLE[p])
+        basis += a, b
+        coords[a], coords[b], coords[c] = {2 * n: 1}, {2 * n + 1: 1}, {2 * n: -1, 2 * n + 1: -1}
+    coords[None] = {}
+    vectors = {f: tuple(x.get(n, 0) for n in range(len(basis))) for f, x in coords.items()}
+    table = {(a, b): _bracket_case(a, b)[1:] for a in INCIDENT_PAIRS for b in INCIDENT_PAIRS}
+    tensor = [[scale_elt(c, coords[f]) for c, f in (table[a, b] for b in basis)] for a in basis]
+    return SimpleNamespace(table=table, coords=coords, vectors=vectors, basis=basis, tensor=tensor)
+
+
+def law_element(terms):
+    """The law-algebra element sum c X_f of (c, f) terms."""
+    coords = law().coords
+    return combine((m, c * v) for c, f in terms for m, v in coords[f].items())
+
+
+def law_bracket(x, y):
+    """[x, y] of sums of X's, as (c, f) terms, read off the law table."""
+    table = law().table
+    return law_element((a * b * c, f) for a, g in x for b, h in y for c, f in [table[g, h]])
 
 
 def check_bracket_law():
-    """Three-way agreement over all 441 ordered pairs: the structure-constant
-    bracket in generator_brackets() == closed-form law, and == spinor-matrix
-    commutator.
-
-    Once the bracket equals the law coeff * X_flag, matrix2 of it is
-    coeff * x_matrix2(flag), since matrix2 is linear.  Each matrix is grouped
-    by row once, and each matrix product AB is formed once and read by both
-    [A, B] and [B, A].
+    """Three-way agreement over all 441 ordered pairs: the law table of law()
+    == the structure-constant bracket of the X's, and == the spinor-matrix
+    commutator.  Each unordered pair is bracketed once: [B, A] = -[A, B]
+    for AB - BA, and for the so(7) bracket once its constants are checked
+    antisymmetric; both orders then agree with the law iff it is
+    antisymmetric there, as the X's at distinct flags are independent.
+    matrix2 is linear, so matrix2(coeff X_flag) = coeff x_matrix2(flag).
     """
-    table = generator_brackets()
+    table, sc = law().table, structure_constants()
+    if any(sc[l].get(k) != (-s, m) for k, row in enumerate(sc) for l, (s, m) in row.items()):
+        return False
+    xs = {pd: _generator(*pd)[0] for pd in INCIDENT_PAIRS}
     mats = {pd: x_matrix2(*pd) for pd in INCIDENT_PAIRS}
     rows = {pd: _by_row(m) for pd, m in mats.items()}
-    products = {(a, b): _product(mats[a], rows[b]) for a in mats for b in mats}
-    for a in INCIDENT_PAIRS:
-        for b in INCIDENT_PAIRS:
-            _, coeff, flag = _bracket_case(a, b)
-            law = scale_elt(coeff, _generator(*flag)[0]) if flag else {}
-            if table[a, b] != law:
-                return False
-            # [2A, 2B] = 4[A,B] = 2 * (2[A,B])
-            want = scale_elt(2 * coeff, mats[flag]) if flag else {}
-            if add_elt(products[a, b], scale_elt(-1, products[b, a])) != want:
-                return False
+    for a, b in combinations_with_replacement(INCIDENT_PAIRS, 2):
+        coeff, flag = table[a, b]
+        # [2A, 2B] = 4[A,B] = 2 * (2[A,B])
+        if (
+            table[b, a] != (-coeff, flag)
+            or bracket(xs[a], xs[b]) != (scale_elt(coeff, xs[flag]) if flag else {})
+            or _commutator(mats[a], rows[a], mats[b], rows[b])
+            != (scale_elt(2 * coeff, mats[flag]) if flag else {})
+        ):
+            return False
     return True
 
 
@@ -438,42 +477,39 @@ def orbit_tags_preserved():
 
 
 def jacobi_check():
-    """Jacobi identity on the 14-element basis, certified for all 14^3
-    ordered triples from 196 + 364 checks; False on a basis of another size.
+    """Jacobi identity of the law on its 14 basis flags, certified for all
+    14^3 ordered triples from 196 + 364 checks; False when the 21 X's span
+    other than 14 dimensions, as the basis flags are then no basis of g2.
 
-    First [x, y] + [y, x] = 0 on all 196 ordered basis pairs.  The bracket is
-    bilinear, so it is then antisymmetric on all of g2, and the Jacobi sum
-    J(x, y, z) = [x, [y, z]] + [y, [z, x]] + [z, [x, y]], which is cyclic by
-    its form, changes sign when two arguments swap:
-    J(y, x, z) = -J(x, y, z).  So J is alternating: it vanishes when two
-    arguments are equal (2J = 0, characteristic 0), and on any other
-    ordered triple it is +-J of the sorted one.  Second, J = 0 on the 364
-    triples i < j < k.  The first step reads the 196 brackets off
-    generator_brackets(), and the second reads its inner brackets off
-    those: the first step has checked [x_k, x_i] = -[x_i, x_k].  The outer
-    brackets are linear in the inner one, so each basis element's bracket
-    with the 21 pairs is taken once and each J is one sum of its terms.
+    First [x, y] + [y, x] = 0 on all 196 ordered basis pairs, each unordered
+    pair read once.  The bracket is bilinear, so it is then antisymmetric on
+    all of g2, and the Jacobi sum J(x, y, z) = [x, [y, z]] + [y, [z, x]] +
+    [z, [x, y]], which is cyclic by its form, changes sign when two
+    arguments swap: J(y, x, z) = -J(x, y, z).  So J is alternating: it
+    vanishes when two arguments are equal (2J = 0, characteristic 0), and
+    on any other ordered triple it is +-J of the sorted one.  Second, J = 0
+    on the 364 triples i < j < k.  Both read the structure tensor: an inner
+    bracket has at most two terms, and each J sums at most six outer
+    brackets, each of them packed into one integer with a field of `width`
+    bits per coordinate.  Every coordinate of such a sum is below
+    2^(width - 1) in size, so the sum is 0 iff each coordinate is.
     """
-    basis = g2_basis()
-    table = generator_brackets()
-    inner = {}
-    for i, a in enumerate(basis):
-        if table[a, a] != {}:
-            return False
-        for j in range(i + 1, len(basis)):
-            inner[i, j] = table[a, basis[j]]
-            if add_elt(inner[i, j], table[basis[j], a]) != {}:
-                return False
-    # ad[i][l]: the terms of [x_i, e_l]
-    ad = [{l: bracket(_generator(*a)[0], {l: 1}).items() for l in PAIRS} for a in basis]
-    return len(basis) == 14 and not any(
-        combine(
-            (m, s * v * w)
-            for n, s, y in ((i, 1, inner[j, k]), (j, -1, inner[i, k]), (k, 1, inner[i, j]))
-            for l, v in y.items()
-            for m, w in ad[n][l]
+    tensor = law().tensor
+    n = range(len(tensor))
+    top = max((abs(c) for row in tensor for t in row for c in t.values()), default=0)
+    width = 2 + (12 * top**2).bit_length()
+    packed = [[sum(c << width * m for m, c in t.items()) for t in row] for row in tensor]
+    return (
+        len(g2_basis()) == 14
+        and all(packed[i][j] == -packed[j][i] for i in n for j in n[i:])
+        and not any(
+            sum(
+                c * packed[x][l]
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
+                for l, c in tensor[y][z].items()
+            )
+            for i, j, k in combinations(n, 3)
         )
-        for i, j, k in combinations(range(len(basis)), 3)
     )
 
 
@@ -490,20 +526,22 @@ def cartan_dimension(p):
 
 def cartan_is_abelian(p):
     hp = [(p, d) for d in fano.lines_through(p)]
-    table = generator_brackets()
-    return all(table[a, b] == {} for a in hp for b in hp)
+    table = law().table
+    return not any(table[a, b][0] for a in hp for b in hp)
 
 
 def centralizer_dimension(pds):
-    """Dimension of the centralizer inside g2 of the generators X(P, D) for
-    the given incident pairs: 14 minus the rank of [X(P, D), sum c_n x_n] = 0
-    in the c_n over g2_basis()."""
-    basis = g2_basis()
-    table = generator_brackets()
-    # row (h, pair): the coefficients of the pair in [h, b] over the b; the
-    # rank reads each distinct row that is not zero once
-    rows = {r for h in pds for r in zip(*(to_vector(table[h, b]) for b in basis)) if any(r)}
-    return len(basis) - linalg.rank(rows, QQ)
+    """Dimension of the centralizer inside the law algebra of the X's of the
+    given flags: 14 minus the rank of [X_h, sum c_n b_n] = 0 in the c_n over
+    the basis flags b_n."""
+    law_ = law()
+    # column b: the coordinates of [X_h, b] = c X_f over the h; the rank
+    # reads each distinct column that is not zero once
+    cols = {
+        tuple(c * v for h in pds for c, f in [law_.table[h, b]] for v in law_.vectors[f])
+        for b in law_.basis
+    }
+    return len(law_.basis) - linalg.rank([col for col in cols if any(col)], QQ)
 
 
 def cartan_self_centralizing(p):
@@ -535,24 +573,23 @@ def decomposition_check():
     # direct sum: each summand rank 2, and the 21 X's rank 14
     if any(cartan_dimension(p) != 2 for p in fano.POINTS) or span_dimension() != 14:
         return False
-    # orthogonality and bracket law between summands
-    table = generator_brackets()
-    for p in fano.POINTS:
-        for q in fano.POINTS:
-            if p == q:
-                continue
-            hp = [(p, d) for d in fano.lines_through(p)]
-            hq = [(q, d) for d in fano.lines_through(q)]
-            if any(pair_inner(_generator(*a)[0], _generator(*b)[0]) for a in hp for b in hq):
-                return False
-            # the brackets span h_{P+Q}: as many dimensions, and each X in it;
-            # the span reads each distinct bracket once
-            r = fano.add(p, q)
-            span = linalg.Echelon(QQ, {tuple(to_vector(table[a, b])) for a in hp for b in hq})
-            if len(span) != cartan_dimension(r) or not all(
-                x_vector(r, d) in span for d in fano.lines_through(r)
-            ):
-                return False
+    # orthogonality, symmetric, on each pair of summands once
+    h = {p: [(p, d) for d in fano.lines_through(p)] for p in fano.POINTS}
+    pairs = list(combinations(fano.POINTS, 2))
+    xs = {pd: _generator(*pd)[0] for pd in INCIDENT_PAIRS}
+    if any(pair_inner(xs[a], xs[b]) for p, q in pairs for a in h[p] for b in h[q]):
+        return False
+    # the brackets c X_f of h_P and h_Q span h_{P+Q}: as many dimensions,
+    # and each X in it; each set of flags f is spanned once
+    table, vectors = law().table, law().vectors
+    spans = {
+        (fano.add(p, q), frozenset(table[a, b][1] for a in h[p] for b in h[q]))
+        for p, q in pairs + [(q, p) for p, q in pairs]
+    }
+    for r, flags in spans:
+        span = linalg.Echelon(QQ, [vectors[f] for f in flags])
+        if len(span) != cartan_dimension(r) or not all(vectors[f] in span for f in h[r]):
+            return False
     return True
 
 
@@ -580,27 +617,20 @@ def eps_cyclic_order(d):
 def line_subalgebra_report(d):
     """Structure checks for g_D = h_P + h_Q + h_R, P,Q,R on D."""
     p, q, r = eps_cyclic_order(d)
-    xs = {s: X(s, d) for s in (p, q, r)}
     ys = {s: Y(s, d) for s in (p, q, r)}
     report = {}
     # dimension 6
-    rows = []
-    for s in (p, q, r):
-        for dd in fano.lines_through(s):
-            rows.append(x_vector(s, dd))
+    rows = [x_vector(s, dd) for s in (p, q, r) for dd in fano.lines_through(s)]
     report["dimension"] = linalg.rank(rows, QQ)
-    # cyclic bracket laws
+    # cyclic bracket laws, read off the law
     cyc = {(p, q): r, (q, r): p, (r, p): q}
-    table = generator_brackets()
-    report["x_cyclic"] = all(
-        table[(a, d), (b, d)] == scale_elt(2, xs[c]) for (a, b), c in cyc.items()
-    )
+    table, yt = law().table, {s: y_terms(s, d) for s in (p, q, r)}
+    report["x_cyclic"] = all(table[(a, d), (b, d)] == (2, (c, d)) for (a, b), c in cyc.items())
     report["y_cyclic"] = all(
-        bracket(ys[a], ys[b]) == scale_elt(-2, ys[c]) for (a, b), c in cyc.items()
+        law_bracket(yt[a], yt[b]) == scale_elt(-2, law_element(yt[c]))
+        for (a, b), c in cyc.items()
     )
-    report["xy_commute"] = all(
-        bracket(xs[a], ys[b]) == {} for a in (p, q, r) for b in (p, q, r)
-    )
+    report["xy_commute"] = not any(law_bracket([(1, (a, d))], yt[b]) for a in yt for b in yt)
     # ideals are 3-dimensional
     report["ix_dim"] = linalg.rank([x_vector(s, d) for s in (p, q, r)], QQ)
     report["iy_dim"] = linalg.rank([to_vector(ys[s]) for s in (p, q, r)], QQ)
@@ -847,11 +877,7 @@ def point_subalgebra_generators(p):
     """The nine X's annihilating e_P (eight independent): for each line D
     through P, the three X_{Q,D} with Q on D.
     """
-    gens = []
-    for d in fano.lines_through(p):
-        for q in sorted(fano.LINE_POINTS[d]):
-            gens.append((q, d))
-    return tuple(gens)
+    return tuple((q, d) for d in fano.lines_through(p) for q in sorted(fano.LINE_POINTS[d]))
 
 
 @lru_cache(maxsize=None)
@@ -871,13 +897,12 @@ def point_subalgebra_annihilates(p):
 
 
 def point_subalgebra_closed(p):
-    """The span of the nine generators contains all 81 of their brackets,
-    read off generator_brackets(); each distinct bracket is tested once."""
+    """The span of the nine generators contains all 81 of their brackets
+    c X_f, read off the law; each flag f is tested once."""
     gens = point_subalgebra_generators(p)
-    table = generator_brackets()
-    span = linalg.Echelon(QQ, [x_vector(*pd) for pd in gens])
-    brackets = {frozenset(table[a, b].items()): table[a, b] for a in gens for b in gens}
-    return all(to_vector(z) in span for z in brackets.values())
+    table, vectors = law().table, law().vectors
+    span = linalg.Echelon(QQ, [vectors[f] for f in gens])
+    return all(vectors[f] in span for f in {table[a, b][1] for a in gens for b in gens})
 
 
 def point_subalgebras_hold():
@@ -1004,71 +1029,66 @@ def almost_complex_structures_hold():
 # Lie closures generated by two X's
 
 
-def lie_closure(gens):
-    """A basis of the Lie algebra generated by the given elements, by a
-    worklist of at most dim so(7) + 1 elements, so a wrong rank cannot hang.
+def lie_closure(flags):
+    """A basis of the Lie algebra generated by the X's of the given flags, as
+    flags: the bracket of two flags is c X_flag, so the worklist keeps only
+    flags, and the same flag never twice, so a wrong rank cannot hang.
 
-    Each kept element is bracketed once with every element kept before it,
-    and a bracket outside the span so far is kept too.  When the list ends,
-    [b_j, b_i] lies in the span for all j < i, and so, by antisymmetry, for
-    all j and i (AC8.jacobi certifies it on g2).  The span is then closed
-    under the bracket, by bilinearity, and it is the smallest such.
+    Each kept flag is bracketed once with every flag kept before it, by one
+    lookup in the law table, and a result outside the span so far is kept
+    too.  When the list ends, [b_j, b_i] lies in the span for all j < i, and
+    so, by antisymmetry, for all j and i (the law is the so(7) bracket on
+    all 441 pairs, AC8.bracket-law).  The span is then closed under the
+    bracket, by bilinearity, and it is the smallest such.
     """
+    table, vectors = law().table, law().vectors
     echelon = linalg.Echelon(QQ)
-    basis_elts = [x for x in gens if echelon.add(to_vector(x))]
-    for i, x in enumerate(basis_elts):
-        for y in basis_elts[:i]:
-            z = bracket(y, x)
-            if z and len(basis_elts) <= len(PAIRS) and echelon.add(to_vector(z)):
-                basis_elts.append(z)
-    return basis_elts
+    kept = [f for f in flags if echelon.add(vectors[f])]
+    for i, x in enumerate(kept):
+        for y in kept[:i]:
+            c, f = table[y, x]
+            if c and f not in kept and echelon.add(vectors[f]):
+                kept.append(f)
+    return kept
 
 
 def pair_closure_dimensions():
     """AC11.pair-closures: the closure dimensions of the O4 and the O2
     pairs.  O4 closes on the bracket-law triple of dimension 3, forced by
     the verified law: the third generator cycles back onto the first two.
-    Both orders of a pair list the same two generators, so each is closed
-    once."""
+    Both orders of a pair, of the same tag, list the same two generators,
+    so each is closed once."""
     dims = {"O4": set(), "O2": set()}
-    closure_of = {}
-    for pd1 in INCIDENT_PAIRS:
-        for pd2 in INCIDENT_PAIRS:
-            found = dims.get(classify_pair(pd1, pd2))
-            if found is not None:
-                pair = frozenset((pd1, pd2))
-                if pair not in closure_of:
-                    closure_of[pair] = len(lie_closure([X(*pd1), X(*pd2)]))
-                found.add(closure_of[pair])
+    for pair in combinations(INCIDENT_PAIRS, 2):
+        found = dims.get(classify_pair(*pair))
+        if found is not None:
+            found.add(len(lie_closure(pair)))
     return dims["O4"], dims["O2"]
 
 
 def triangle_closure_dimension():
     """AC11.triangle-generation: the closure of h_P1 + h_P2 + h_P3."""
-    return len(lie_closure([X(p, d) for p in (1, 2, 3) for d in fano.lines_through(p)]))
+    return len(lie_closure([(p, d) for p in (1, 2, 3) for d in fano.lines_through(p)]))
 
 
 def o3_example_report():
     """Structure of the algebra generated by the O3 pair (X_{P1,D1}, X_{P7,D7}):
     dimension 4, -1/2 Y_{P1,D7} central, derived ideal spanned by the three
     X_{.,D7}.  Lying in the span and being central do not change under a
-    nonzero scalar, so Y_{P1,D7} itself is tested, over Z.
+    nonzero scalar, so Y_{P1,D7} itself is tested, over Z.  All of it is
+    read off the law.
     """
-    g1 = X(1, 1)
-    g2_ = X(7, 7)
-    basis_elts = lie_closure([g1, g2_])
-    center_elt = Y(1, 7)
-    report = {"dimension": len(basis_elts)}
-    report["center_elt_in_algebra"] = to_vector(center_elt) in linalg.Echelon(
-        QQ, map(to_vector, basis_elts)
-    )
-    report["center_elt_central"] = all(
-        bracket(center_elt, x) == {} for x in basis_elts
-    )
-    derived = linalg.Echelon(
-        QQ, [to_vector(bracket(x, y)) for x in basis_elts for y in basis_elts]
-    )
-    expected = [x_vector(q, 7) for q in sorted(fano.LINE_POINTS[7])]
+    law_ = law()
+    flags = lie_closure([(1, 1), (7, 7)])
+    (_, nxt), (_, prev) = center_elt = y_terms(1, 7)
+    report = {"dimension": len(flags)}
+    report["center_elt_in_algebra"] = [
+        a - b for a, b in zip(law_.vectors[nxt], law_.vectors[prev])
+    ] in linalg.Echelon(QQ, [law_.vectors[f] for f in flags])
+    report["center_elt_central"] = not any(law_bracket(center_elt, [(1, f)]) for f in flags)
+    brackets = {law_.table[x, y][1] for x in flags for y in flags}
+    derived = linalg.Echelon(QQ, [law_.vectors[f] for f in brackets])
+    expected = [law_.vectors[q, 7] for q in sorted(fano.LINE_POINTS[7])]
     # the spans are equal: the same dimension, and expected inside derived
     report["derived_ideal_matches"] = len(derived) == linalg.rank(expected, QQ) and all(
         v in derived for v in expected

@@ -94,12 +94,13 @@ def delta_star_properties():
     for code, m in zip(fano.right_products(fano.IDENTITY), listed):
         by_code[code] = m
     column, masks = bytes(listed), bytes(values)
-    for g1, m1 in zip(group, listed):
+    for g1, m1, products in zip(group, listed, fano._product_table()[0]):
         # m(g1 D) at bit D - 1, times delta*(g1, D), for each mask m that occurs
         at_images = itemgetter(*(e - 1 for e in fano.line_perm(g1)))
         moved = bytes.maketrans(masks, bytes(MASK_OF[at_images(SIGNS[m])] ^ m1 for m in masks))
-        # the masks of g2 g1, by code, against the moved masks of g2, for all g2
-        if bytes(itemgetter(*fano.right_products(g1))(by_code)) != column.translate(moved):
+        # the masks of g2 g1, by the codes in the row of g1 of the product
+        # table, against the moved masks of g2, for all g2
+        if bytes(itemgetter(*products)(by_code)) != column.translate(moved):
             return False
     return True
 

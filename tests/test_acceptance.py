@@ -78,7 +78,7 @@ MEMOS = {
     compfactor.rules_hold: 2,  # the 128 line orientations, and the 8 exponentials
     forms._derivation_table: 1,  # how each pair moves the basis 3- and 4-forms
     g2.cartan_dimension: 7,  # the rank of each h_P
-    g2.span_dimension: 1,  # the rank of the 21 X's
+    g2.g2_basis: 1,  # the independent X's, whose number is the rank of the 21
     g2.point_subalgebra_dimension: 7,  # the rank of each s_P
     forms._form: 2,  # omega and Omega
     compfactor.isotropy: 1,
@@ -86,7 +86,8 @@ MEMOS = {
     g2.chevalley_report: 1,  # over Z[i], for every field containing sqrt(-1)
     g2.delta_hat_claims: 1,  # the 1344 deltas behind the AC10 claims
     lifting.order_profiles: 1,
-    g2.generator_brackets: 1,  # the 441 brackets [X_a, X_b]
+    g2.law: 1,  # the law table of the 441 brackets and its 14 coordinates
+    fano._product_table: 1,  # the codes of all 168^2 products, read by AC1 and AC2
     g2._delta_hat_words: 1,  # the sign words of all 168 collineations
     g2._delta_hat_plan: 1,  # the entries and matrices every sign word reads
     lifting._delta_star_words: 1,  # the line words of all 168 collineations

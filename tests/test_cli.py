@@ -355,6 +355,28 @@ def test_an_echelon_that_drops_a_row_fails_instead_of_hanging(monkeypatch, tmp_p
     assert {"AC7.dimension", "AC8.jacobi", "AC11.o3-example"} <= failed
 
 
+@pytest.mark.parametrize("tags", [("O2",), ("O3", "O3'"), ("O4",)])
+def test_a_negated_law_coefficient_fails_jacobi_and_the_bracket_law(
+    monkeypatch, tmp_path, capsys, fresh_g2, tags
+):
+    # one coefficient of the incidence law negated: the law is no longer the
+    # so(7) bracket (AC8.bracket-law), nor a Lie algebra (AC8.jacobi); both
+    # come out as FAIL records, with exit 1 and nothing on stderr
+    case = g2._bracket_case
+
+    def negated(a, b):
+        tag, c, f = case(a, b)
+        return tag, -c if tag in tags else c, f
+
+    monkeypatch.setattr(g2, "_bracket_case", negated)
+    out = tmp_path / "g2.json"
+    assert _run(["verify", "g2", "--json", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    (suite,) = json.loads(_read(out))["suites"]
+    failed = {c["claim"] for c in suite["checks"] if not c["pass"]}
+    assert {"AC8.jacobi", "AC8.bracket-law"} <= failed
+
+
 # EPS_TAU with the pair P1-P2 flipped, set before any other module reads it:
 # a line orientation but no composition factor
 FLIPPED_PAIR = (
@@ -446,6 +468,7 @@ IMPORT_FREE_MEMOS = (
     "fano.all_collineations",
     "fano.line_perm",
     "fano._group_columns",
+    "fano._product_table",
     "compfactor.line_orientations",
     "compfactor.off_diagonal_words",
     "compfactor.rules_hold",
@@ -453,6 +476,7 @@ IMPORT_FREE_MEMOS = (
     "octonion._label_plan",
     "lifting._delta_star_words",
     "g2.x_matrix2",
+    "g2.law",
     "g2._delta_hat_plan",
     "g2._delta_hat_words",
     "forms._derivation_table",

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fanog2 import cli, fano
@@ -144,3 +146,57 @@ def test_conjugacy_class_sizes():
         seen |= c
         sizes.add((fano.order(g), len(c)))
     assert sizes == {(1, 1), (2, 21), (3, 56), (4, 42), (7, 24)}
+
+
+def _composed_order(g):
+    n, h = 1, g
+    while h != fano.IDENTITY:
+        h, n = fano.compose(g, h), n + 1
+    return n
+
+
+def test_orders_classes_and_closures_match_composition():
+    # the orders from cycle lengths, and the classes and the subgroups read
+    # off the product table, against tuples composed one at a time, on all
+    # 168 elements; anything but a collineation is refused
+    group = fano.all_collineations()
+    for g in group:
+        assert fano.order(g) == _composed_order(g), g
+        want = {fano.compose(h, fano.compose(g, fano.inverse(h))) for h in group}
+        assert fano.conjugacy_class(g) == want, g
+    a, b = fano.standard_generators()
+    assert fano.generated_subgroup((a, b)) == set(group)
+    powers = [fano.IDENTITY]
+    for _ in range(6):
+        powers.append(fano.compose(fano.TAU, powers[-1]))
+    assert fano.generated_subgroup((fano.TAU,)) == set(powers)
+    # a transposition of two points is no collineation, yet has order 2
+    swap = (2, 1, 3, 4, 5, 6, 7)
+    assert fano.order(swap) == 2
+    with pytest.raises(ValueError, match="not a collineation"):
+        fano.conjugacy_class(swap)
+
+
+@pytest.fixture
+def fresh_product_table():
+    """Clear the memos built from the group before and after a test that
+    patches it."""
+    for memo in (fano._group_columns, fano._product_table):
+        memo.cache_clear()
+    yield
+    for memo in (fano._group_columns, fano._product_table):
+        memo.cache_clear()
+
+
+def test_a_group_missing_an_element_fails_the_fano_claims(monkeypatch, capsys, fresh_product_table):
+    # some products and conjugates then lie outside the listed elements:
+    # the subgroup and the classes leave them out, and the claims fail
+    # rather than raise
+    group = fano.all_collineations()
+    monkeypatch.setattr(fano, "all_collineations", lambda: group[:-1])
+    assert cli.main(["verify", "fano", "--json"]) == 1
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    checks = {c["claim"]: c["observed"] for c in suite["checks"]}
+    assert checks["AC1.size"] == 167
+    assert checks["AC1.generators"] == [True, True, 167]
+    assert checks["AC2.order7-split"] is False

@@ -138,66 +138,104 @@ def test_bracket_matches_the_pairwise_reference():
                 _same_element(g2.bracket(x, y), _reference_bracket(x, y))
 
 
-def test_generator_brackets_match_bracket():
-    # the table holds bracket on all 441 ordered pairs of generators
-    table = g2.generator_brackets()
-    assert len(table) == 441
+def test_law_table_matches_the_so7_bracket():
+    # the law table holds [X_a, X_b] = c X_f on all 441 ordered pairs of
+    # flags; each flag's coordinates are those of its X over the 14 basis
+    # flags, and the tensor holds the brackets of the basis flags
+    law = g2.law()
+    assert len(law.table) == 441 and len(law.basis) == 14
     for a in g2.INCIDENT_PAIRS:
         for b in g2.INCIDENT_PAIRS:
-            _same_element(table[a, b], g2.bracket(g2.X(*a), g2.X(*b)))
+            c, f = law.table[a, b]
+            _same_element(g2.bracket(g2.X(*a), g2.X(*b)), g2.scale_elt(c, g2.X(*f)) if c else {})
     for pd in g2.INCIDENT_PAIRS:
         assert g2.x_vector(*pd) == tuple(g2.to_vector(g2.X(*pd)))
+        x = g2.combine(
+            (k, c * v) for n, c in law.coords[pd].items() for k, v in g2.X(*law.basis[n]).items()
+        )
+        assert x == g2.X(*pd)
+        assert law.vectors[pd] == tuple(law.coords[pd].get(n, 0) for n in range(14))
+    for i, a in enumerate(law.basis):
+        for j, b in enumerate(law.basis):
+            assert law.tensor[i][j] == g2.law_element([law.table[a, b]])
+            assert len(law.tensor[i][j]) <= 2
 
 
-@pytest.fixture
-def fresh_brackets():
-    """Clear the generator bracket table before and after a test that
-    patches g2.bracket, so that the claims read a table built by the patch
-    and no entry built under it outlives the test."""
-    g2.generator_brackets.cache_clear()
-    yield
-    g2.generator_brackets.cache_clear()
+_BRACKET_CASE = g2._bracket_case
 
 
-def test_jacobi_check_catches_a_broken_bracket(monkeypatch, fresh_brackets):
-    assert g2.jacobi_check()
-    bracket = g2.bracket
-    a, b, c = (g2.X(*pd) for pd in g2.g2_basis()[:3])
+def _negated_law(tags):
+    """_bracket_case with the coefficient of the given orbit tags negated."""
+
+    def negated(a, b):
+        tag, c, f = _BRACKET_CASE(a, b)
+        return tag, -c if tag in tags else c, f
+
+    return negated
+
+
+# the three coefficients of the law: O2, O3 (with O3'), and O4
+LAW_COEFFICIENTS = (("O2",), ("O3", "O3'"), ("O4",))
+
+
+def test_jacobi_check_catches_a_broken_bracket(monkeypatch, fresh_g2_memos):
+    # the law negated on one ordered pair of basis flags, at P1 and P2,
+    # breaks antisymmetry; with any one of its coefficients negated, it
+    # stays antisymmetric and the Jacobi sums fail; the so(7) reference,
+    # which never reads the law, passes throughout
+    assert g2.jacobi_check() and _so7_jacobi_check()
+    basis = g2.law().basis
+    a, b = basis[0], basis[2]
+    assert g2.law().table[a, b][0]
+    case = g2._bracket_case
 
     def one_sided(x, y):
-        # [a, b] gains a term that [b, a] lacks: antisymmetry fails
-        return g2.add_elt(bracket(x, y), c) if (x, y) == (a, b) else bracket(x, y)
+        tag, c, f = case(x, y)
+        return (tag, -c, f) if (x, y) == (a, b) else (tag, c, f)
 
-    def skewed(x, y):
-        # an alternating bilinear term, so only the Jacobi sums can fail
-        t = g2.pair_inner(x, a) * g2.pair_inner(y, b) - g2.pair_inner(y, a) * g2.pair_inner(x, b)
-        return g2.add_elt(bracket(x, y), g2.scale_elt(t, c))
-
-    assert g2.add_elt(skewed(a, b), skewed(b, a)) == {} != skewed(a, b)
-    for bad in (one_sided, skewed):
-        monkeypatch.setattr(g2, "bracket", bad)
-        g2.generator_brackets.cache_clear()
+    for bad in (one_sided, *map(_negated_law, LAW_COEFFICIENTS)):
+        monkeypatch.setattr(g2, "_bracket_case", bad)
+        _clear_g2_memos()
+        law = g2.law()
+        t, n = law.tensor, range(14)
+        antisymmetric = all(t[i][j] == g2.scale_elt(-1, t[j][i]) for i in n for j in n)
+        assert antisymmetric is (bad is not one_sided)
         assert not g2.jacobi_check()
+        assert not g2.check_bracket_law()
+        assert _so7_jacobi_check()
 
 
-def test_a_bracket_wrong_on_one_generator_pair_fails_its_readers(monkeypatch, fresh_brackets):
-    # [X(1, 1), X(1, 5)] gains a term: the two commute in h_P1, so the table
-    # entry breaks the bracket law, h_P1 is no longer abelian, and the two
-    # basis elements no longer bracket antisymmetrically
-    bracket = g2.bracket
-    a, b, c = g2.X(1, 1), g2.X(1, 5), g2.X(2, 1)
-    assert bracket(a, b) == {}
+def test_a_bracket_wrong_on_one_generator_pair_fails_its_readers(monkeypatch, fresh_g2_memos):
+    # [X(1, 1), X(1, 7)], two basis flags that commute in h_P1, read as
+    # X(2, 1) by the law: the law no longer matches so(7), h_P1 is no longer
+    # abelian, and the two basis flags no longer bracket antisymmetrically
+    case = g2._bracket_case
+    assert case((1, 1), (1, 7))[1] == 0
 
     def bad(x, y):
-        return g2.add_elt(bracket(x, y), c) if (x, y) == (a, b) else bracket(x, y)
+        return ("O1", 1, (2, 1)) if (x, y) == ((1, 1), (1, 7)) else case(x, y)
 
-    monkeypatch.setattr(g2, "bracket", bad)
-    assert g2.generator_brackets()[(1, 1), (1, 5)] == c
+    monkeypatch.setattr(g2, "_bracket_case", bad)
+    assert g2.law().table[(1, 1), (1, 7)] == (1, (2, 1))
     assert not g2.check_bracket_law()
     assert not g2.cartan_is_abelian(1)
     assert not g2.cartans_hold()
     assert not g2.jacobi_check()
     assert all(g2.cartan_is_abelian(p) for p in fano.POINTS if p != 1)
+
+
+def test_a_wrong_so7_bracket_fails_only_the_bridge(monkeypatch, fresh_g2_memos):
+    # the so(7) bracket of X(1, 1) and X(1, 5) gains a term: the claims that
+    # read the law pass, and AC8.bracket-law, the bridge, fails
+    bracket = g2.bracket
+    a, b, c = g2.X(1, 1), g2.X(1, 5), g2.X(2, 1)
+
+    def bad(x, y):
+        return g2.add_elt(bracket(x, y), c) if (x, y) == (a, b) else bracket(x, y)
+
+    monkeypatch.setattr(g2, "bracket", bad)
+    assert not g2.check_bracket_law()
+    assert g2.jacobi_check() and g2.cartans_hold() and g2.decomposition_check()
 
 
 def test_spinor_representation_faithful_bracket():
@@ -696,10 +734,120 @@ def test_almost_complex():
 def test_pair_closures():
     # aligned distinct pairs and skew pairs both close at dimension 3
     assert g2.classify_pair((1, 1), (2, 1)) == "O2"
-    assert len(g2.lie_closure([g2.X(1, 1), g2.X(2, 1)])) == 3
+    assert len(g2.lie_closure([(1, 1), (2, 1)])) == 3
     assert g2.classify_pair((1, 1), (3, 2)) == "O4"
-    assert len(g2.lie_closure([g2.X(1, 1), g2.X(3, 2)])) == 3
+    assert len(g2.lie_closure([(1, 1), (3, 2)])) == 3
     assert g2.pair_closure_dimensions() == ({3}, {3})
+
+
+# The so(7) versions of the claims that now read the law, as they were
+# before: each brackets the X's with g2.bracket and spans their 21 pair
+# coordinates.  The tests below compare them with the law versions on
+# every input the claims give them.
+
+
+def _so7_brackets():
+    flags = g2.INCIDENT_PAIRS
+    return {(a, b): g2.bracket(g2.X(*a), g2.X(*b)) for a in flags for b in flags}
+
+
+def _so7_jacobi_check():
+    """Antisymmetry on the 196 pairs and Jacobi on the 364 triples of the
+    so(7) basis g2_basis(), through g2.bracket."""
+    basis = g2.g2_basis()
+    table = _so7_brackets()
+    inner = {}
+    for i, a in enumerate(basis):
+        if table[a, a] != {}:
+            return False
+        for j in range(i + 1, len(basis)):
+            inner[i, j] = table[a, basis[j]]
+            if g2.add_elt(inner[i, j], table[basis[j], a]) != {}:
+                return False
+    ad = [{l: g2.bracket(g2.X(*a), {l: 1}).items() for l in g2.PAIRS} for a in basis]
+    return len(basis) == 14 and not any(
+        g2.combine(
+            (m, s * v * w)
+            for n, s, y in ((i, 1, inner[j, k]), (j, -1, inner[i, k]), (k, 1, inner[i, j]))
+            for l, v in y.items()
+            for m, w in ad[n][l]
+        )
+        for i, j, k in itertools.combinations(range(len(basis)), 3)
+    )
+
+
+def _so7_lie_closure(gens):
+    """A basis of the Lie algebra the so(7) elements gens generate."""
+    echelon = linalg.Echelon(QQ)
+    basis_elts = [x for x in gens if echelon.add(g2.to_vector(x))]
+    for i, x in enumerate(basis_elts):
+        for y in basis_elts[:i]:
+            z = g2.bracket(y, x)
+            if z and len(basis_elts) <= len(g2.PAIRS) and echelon.add(g2.to_vector(z)):
+                basis_elts.append(z)
+    return basis_elts
+
+
+def _so7_centralizer_dimension(pds):
+    basis = g2.g2_basis()
+    table = _so7_brackets()
+    rows = {r for h in pds for r in zip(*(g2.to_vector(table[h, b]) for b in basis)) if any(r)}
+    return len(basis) - linalg.rank(rows, QQ)
+
+
+def _so7_point_subalgebra_closed(p):
+    gens = g2.point_subalgebra_generators(p)
+    span = linalg.Echelon(QQ, [g2.x_vector(*pd) for pd in gens])
+    return all(
+        g2.to_vector(g2.bracket(g2.X(*a), g2.X(*b))) in span for a in gens for b in gens
+    )
+
+
+def _same_span(a, b):
+    """Whether two lists of so(7) elements span the same space."""
+    basis = linalg.Echelon(QQ, map(g2.to_vector, a))
+    rows = [g2.to_vector(x) for x in b]
+    return len(basis) == linalg.rank(rows, QQ) and all(v in basis for v in rows)
+
+
+def _closure_inputs():
+    """The flag lists the claims close: the 105 O2 and O4 pairs of
+    AC11.pair-closures, the triangle, and the O3 pair of AC11.o3-example;
+    then every other pair of flags, both orders."""
+    pairs = [
+        p
+        for p in itertools.combinations(g2.INCIDENT_PAIRS, 2)
+        if g2.classify_pair(*p) in ("O2", "O4")
+    ]
+    assert len(pairs) == 105
+    triangle = [(p, d) for p in (1, 2, 3) for d in fano.lines_through(p)]
+    rest = [
+        (a, b) for a in g2.INCIDENT_PAIRS for b in g2.INCIDENT_PAIRS if (a, b) not in pairs
+    ]
+    return pairs + [triangle, [(1, 1), (7, 7)]] + rest
+
+
+def test_law_claims_match_their_so7_references():
+    # Jacobi, the closures (as spans of X's), the centralizers of the seven
+    # h_P and of the three X's on each line, and the closure of each s_P
+    assert g2.jacobi_check() is _so7_jacobi_check() is True
+    dims = set()
+    for flags in _closure_inputs():
+        got = g2.lie_closure(flags)
+        want = _so7_lie_closure([g2.X(*pd) for pd in flags])
+        assert len(got) == len(want), flags
+        assert _same_span([g2.X(*pd) for pd in got], want), flags
+        dims.add(len(got))
+    # a repeated generator (D), two commuting ones (O1), closures of
+    # dimension 3 (O2, O4) and 4 (O3, O3'), and the triangle
+    assert dims == {1, 2, 3, 4, 14}
+    lines = [[(q, d) for q in sorted(fano.LINE_POINTS[d])] for d in fano.LINES]
+    points = [[(p, d) for d in fano.lines_through(p)] for p in fano.POINTS]
+    centralizers = [g2.centralizer_dimension(pds) for pds in points + lines]
+    assert centralizers == [_so7_centralizer_dimension(pds) for pds in points + lines]
+    assert centralizers[:7] == [2] * 7
+    closed = [g2.point_subalgebra_closed(p) for p in fano.POINTS]
+    assert closed == [_so7_point_subalgebra_closed(p) for p in fano.POINTS] == [True] * 7
 
 
 def _reference_closure(gens):
@@ -719,28 +867,21 @@ def _reference_closure(gens):
     return len(echelon), kept
 
 
-def _same_span(a, b):
-    basis = linalg.Echelon(QQ, map(g2.to_vector, a))
-    rows = [g2.to_vector(x) for x in b]
-    return len(basis) == linalg.rank(rows, QQ) and all(v in basis for v in rows)
-
-
 def test_closure_matches_the_fixpoint_reference():
     dims = set()
     for pd1 in g2.INCIDENT_PAIRS:
         for pd2 in g2.INCIDENT_PAIRS:
-            gens = [g2.X(*pd1), g2.X(*pd2)]
-            dim, _ = _reference_closure(gens)
-            assert len(g2.lie_closure(gens)) == dim, (pd1, pd2)
+            dim, _ = _reference_closure([g2.X(*pd1), g2.X(*pd2)])
+            assert len(g2.lie_closure([pd1, pd2])) == dim, (pd1, pd2)
             dims.add(dim)
     # a repeated generator (D), two commuting ones (O1), and closures of
     # dimension 3 (O2, O4) and 4 (O3, O3')
     assert dims == {1, 2, 3, 4}
-    triangle = [g2.X(p, d) for p in (1, 2, 3) for d in fano.lines_through(p)]
-    for gens, dim in ((triangle, 14), ([g2.X(1, 1), g2.X(7, 7)], 4)):
-        got, want = g2.lie_closure(gens), _reference_closure(gens)
+    triangle = [(p, d) for p in (1, 2, 3) for d in fano.lines_through(p)]
+    for flags, dim in ((triangle, 14), ([(1, 1), (7, 7)], 4)):
+        got, want = g2.lie_closure(flags), _reference_closure([g2.X(*pd) for pd in flags])
         assert len(got) == want[0] == dim
-        assert _same_span(got, want[1])
+        assert _same_span([g2.X(*pd) for pd in got], want[1])
 
 
 def test_o3_example():
@@ -753,8 +894,8 @@ def test_o3_example():
 
 
 def test_triangle_generates_everything():
-    gens = [g2.X(p, d) for p in (1, 2, 3) for d in fano.lines_through(p)]
-    assert len(g2.lie_closure(gens)) == 14
+    flags = [(p, d) for p in (1, 2, 3) for d in fano.lines_through(p)]
+    assert len(g2.lie_closure(flags)) == 14
     assert g2.triangle_closure_dimension() == 14
 
 

@@ -172,16 +172,25 @@ def test_a_corrupted_product_index_fails_the_identities(monkeypatch):
             out[at] = other
         return out
 
+    # the product table reads right_products: it is built again under the
+    # patch, and once more after it
     monkeypatch.setattr(fano, "right_products", corrupted)
+    fano._product_table.cache_clear()
     assert lifting.delta_star_properties() is False
     checks = {c["claim"]: c["pass"] for c in cli.suite_lifting()}
     assert checks["AC5.identities"] is False
     monkeypatch.undo()
+    fano._product_table.cache_clear()
     assert lifting.delta_star_properties()
 
 
 # the memos that read the group, besides the collineation memos
-GROUP_MEMOS = (fano._group_columns, compfactor.isotropy, lifting.order_profiles)
+GROUP_MEMOS = (
+    fano._group_columns,
+    fano._product_table,
+    compfactor.isotropy,
+    lifting.order_profiles,
+)
 
 
 @pytest.fixture
