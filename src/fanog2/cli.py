@@ -20,6 +20,8 @@ the layers it runs need it.
 """
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 
@@ -706,7 +708,37 @@ def build_parser():
     return parser
 
 
+# whether main has registered gc.freeze to run at exit in this process
+_freeze_at_exit = False
+
+
 def main(argv=None):
+    """Run the command that argv (default: sys.argv[1:]) names and return
+    its exit code: 0 success, 1 a failed check, 2 a usage error.  An
+    argument that argparse rejects raises SystemExit, as argparse does.
+
+    A command is a one-shot run: the tables the claims build live until the
+    process exits, and nothing they allocate needs the cycle collector to
+    free it.  So the collector is off while the command runs; whatever
+    state the caller had is restored on every way out, including an
+    exception.  The first call in a process also registers gc.freeze to run
+    at exit, so interpreter shutdown skips that heap instead of traversing
+    it.  Importing this module does neither.
+    """
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv):
     parser = build_parser()
     opts = parser.parse_args(argv)
     if opts.command is None:

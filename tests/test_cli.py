@@ -1,4 +1,7 @@
+import atexit
+import gc
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -259,8 +262,8 @@ def test_action_claim_fails_instead_of_raising(monkeypatch):
 
 @pytest.fixture
 def fresh_delta_hat():
-    """Clear the memo of the AC10 sweep over delta_hat_fn before and after a
-    test that patches the sign words it reads."""
+    """Clear the memo of the AC10 sweep before and after a test that
+    patches the sign words it reads."""
     g2.delta_hat_claims.cache_clear()
     yield
     g2.delta_hat_claims.cache_clear()
@@ -521,3 +524,148 @@ def test_package_attributes_load_each_layer_on_first_use():
     assert fanog2.__getattr__("radon") is radon
     with pytest.raises(AttributeError):
         fanog2.__getattr__("nope")
+
+
+# ---------------------------------------------------------------------------
+# main runs each command as a one-shot process: the cycle collector is off
+# while the command runs, and gc.freeze runs at exit
+
+
+@pytest.fixture
+def collector_state():
+    """Put the collector back as it was after a test that switches it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_suites_run_with_the_collector_off(monkeypatch, tmp_path, collector_state):
+    seen = []
+
+    def suite():
+        seen.append(gc.isenabled())
+        return []
+
+    monkeypatch.setitem(cli.SUITES, "fano", suite)
+    gc.enable()
+    assert _run(["verify", "fano", "--out", str(tmp_path / "out")]) == 0
+    assert seen == [False]
+
+
+def _negated_law(monkeypatch):
+    case = g2._bracket_case
+
+    def negated(a, b):
+        tag, c, f = case(a, b)
+        return tag, -c if tag == "O2" else c, f
+
+    monkeypatch.setattr(g2, "_bracket_case", negated)
+
+
+def _raising_suite(monkeypatch):
+    def suite():
+        raise RuntimeError("a suite raised")
+
+    monkeypatch.setitem(cli.SUITES, "fano", suite)
+
+
+# each way out of main: its argv, what the test patches first, and the exit
+# code it returns or the exception it raises
+EXITS = {
+    "exit-0": (["verify", "fano"], None, 0),
+    "exit-1": (["verify", "g2"], _negated_law, 1),
+    "exit-2": (["verify", "g2", "--field", "fp:4"], None, 2),
+    "argparse": (["verify", "bogus"], None, SystemExit),
+    "raise": (["verify", "fano"], _raising_suite, RuntimeError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("way", sorted(EXITS))
+def test_main_leaves_the_collector_as_it_found_it(
+    monkeypatch, tmp_path, fresh_g2, collector_state, way, enabled
+):
+    argv, patch, outcome = EXITS[way]
+    if patch:
+        patch(monkeypatch)
+    (gc.enable if enabled else gc.disable)()
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if isinstance(outcome, int):
+        assert _run(argv) == outcome
+    else:
+        with pytest.raises(outcome):
+            _run(argv)
+    assert gc.isenabled() is enabled
+
+
+def test_the_exit_hook_is_registered_once(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "_freeze_at_exit", False)
+    monkeypatch.setattr(atexit, "register", lambda *args: calls.append(args))
+    assert _run([]) == 2
+    assert _run(["verify", "fano", "--out", str(tmp_path / "out")]) == 0
+    assert _run(["verify", "g2", "--field", "fp:4"]) == 2
+    assert calls == [(gc.freeze,)]
+
+
+# importing fanog2.cli calls none of the names below; the hook registered
+# after the import and before main runs at exit after main's, and sees the
+# heap frozen
+EXIT_HOOK_SCRIPT = (
+    "import atexit, gc, sys\n"
+    "names = [(atexit, 'register'), (gc, 'disable'), (gc, 'enable'), (gc, 'freeze')]\n"
+    "saved = [getattr(m, n) for m, n in names]\n"
+    "calls = []\n"
+    "for m, n in names:\n"
+    "    setattr(m, n, lambda *args, n=n: calls.append(n))\n"
+    "import fanog2.cli\n"
+    "for (m, n), f in zip(names, saved):\n"
+    "    setattr(m, n, f)\n"
+    "atexit.register(lambda: print(calls, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "sys.exit(fanog2.cli.main(['verify', 'all', '--json']))\n"
+)
+
+
+def test_the_heap_is_frozen_at_exit_after_the_report_is_written():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fanog2.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_HOOK_SCRIPT], capture_output=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"[] True True\n")
+    # the pin of test_acceptance.py
+    assert len(proc.stdout) == 22178
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "2bd4861fd053d7df9480972b1a0fed11de631552e70c3dc881f37db1f6c8ee7c"
+    )
+
+
+# verify all and the nine artifact commands of the artifacts-warm benchmark
+ONE_SHOT_COMMANDS = (
+    ["verify", "all", "--json"],
+    ["enumerate", "aut"],
+    ["enumerate", "aug-aut"],
+    ["enumerate", "comp-factors"],
+    ["enumerate", "oriented-maps"],
+    ["table", "octonion"],
+    ["table", "brackets", "--json"],
+    ["diagram", "delta-star", "--format", "dot"],
+    ["diagram", "delta", "--format", "text"],
+    ["verify", "lifting"],
+)
+
+
+@pytest.mark.parametrize("argv", ONE_SHOT_COMMANDS, ids=" ".join)
+def test_no_command_relies_on_the_cycle_collector(tmp_path, collector_state, argv):
+    # main keeps the collector off, so what a command leaves in reference
+    # cycles stays allocated until the process exits; on a cold process
+    # (every memo cleared) that must stay a few hundred objects, not a
+    # growing share of the heap (203-278 when this guard was written)
+    for name in sorted(fanog2._MODULES):
+        for memo in vars(importlib.import_module("fanog2." + name)).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+    gc.collect()
+    gc.disable()
+    assert _run(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert gc.collect() < 1000

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -454,6 +455,45 @@ def test_delta_hat_words_match_the_forms_reference():
         assert g2.delta_hat_fn(aug) == word
     # one error message per check bit
     assert len(errors) == len(_reference_delta_hat_forms(fano.IDENTITY)) - 7
+
+
+def _reference_delta_hat_claims():
+    """The AC10 values from delta_hat_fn called on each of the 1344
+    elements, an element that raises left out."""
+    group = lifting.enumerate_aug_group()
+    fns = {}
+    for aug in group:
+        try:
+            fns[aug] = g2.delta_hat_fn(aug)
+        except AssertionError:
+            pass
+    counts = collections.Counter(fns.values())
+    return {
+        "welldefined": len(fns) == len(group),
+        "count": (len(counts), set(counts.values())),
+        "in-R": all(not fn.bit_count() % 2 for fn in counts),
+        "radon": all(radon.radon(fn) == lifting.delta_star_fn(g) for (g, _), fn in fns.items()),
+        "ahat": {
+            p for p in fano.POINTS if not radon.evaluate(fns.get(lifting.AHAT, radon.ONE), p)
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [(), (lifting.AHAT[0],), tuple(fano.all_collineations()[1:])],
+    ids=["none", "ahat", "all-but-identity"],
+)
+def test_delta_hat_claims_match_the_per_element_reference(
+    monkeypatch, fresh_g2_memos, broken
+):
+    # the one sweep over the 168 words against delta_hat_fn on every
+    # element, with a check bit set on the words of the broken collineations
+    word = g2._delta_hat_word
+    monkeypatch.setattr(g2, "_delta_hat_word", lambda g: word(g) | (g in broken) << 7)
+    expected = _reference_delta_hat_claims()
+    assert g2.delta_hat_claims() == expected
+    assert expected["welldefined"] is not bool(broken)
 
 
 @pytest.fixture
