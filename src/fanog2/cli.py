@@ -591,9 +591,13 @@ def cmd_enumerate(opts):
         from . import compfactor
 
         maps = compfactor.enumerate_oriented_maps()
+        tables = compfactor.exponentiate(maps)
+        if compfactor.rules_hold(tables) != (1 << len(tables)) - 1:
+            sys.stderr.write("error: exponentiation candidate failed the composition rules\n")
+            return 1
         records = [
             {"dual_masks": list(alpha), "factor": compfactor.serialize(eps)}
-            for alpha, eps in zip(maps, compfactor.exponentiate(maps))
+            for alpha, eps in zip(maps, tables)
         ]
     _emit("\n".join(json.dumps(r, sort_keys=True) for r in records), opts)
     return 0
@@ -636,13 +640,12 @@ def cmd_diagram(opts):
         # fails its checks is reported as a failed check
         from . import g2
 
-        group = lifting.enumerate_aug_group()
-        try:
-            # in the order of the sign tuples
-            fns = sorted({g2.delta_hat_fn(aug) for aug in group}, key=lifting.SIGNS.__getitem__)
-        except AssertionError as exc:
-            sys.stderr.write("error: %s\n" % exc)
+        fns, error = g2.delta_hats()
+        if error:
+            sys.stderr.write("error: %s\n" % error)
             return 1
+        # in the order of the sign tuples
+        fns = sorted(set(fns.values()), key=lifting.SIGNS.__getitem__)
         if opts.format == "dot":
             text = "\n".join(
                 radon.incidence_dot("delta_%d" % idx, [], radon.sign_attrs(fn), ["shape=box"] * 7)

@@ -108,11 +108,8 @@ def inverse(g):
 _SUMS = tuple((p - 1, q - 1, add(p, q) - 1) for p in POINTS for q in POINTS if p < q)
 
 
-@lru_cache(maxsize=None)
 def is_additive(g):
-    """g(P+Q) = gP + gQ for all P, Q (add is symmetric, so P < Q suffices);
-    memoized.
-    """
+    """g(P+Q) = gP + gQ for all P, Q (add is symmetric, so P < Q suffices)."""
     return all(add(g[p], g[q]) == g[r] for p, q, r in _SUMS)
 
 

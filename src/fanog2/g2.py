@@ -10,9 +10,11 @@ so(7) structure constants on the pair basis e_{PiPj} (i < j, sparse dicts
 {(i,j): coefficient} with e_{PjPi} = -e_{PiPj}), and 8x8 spinor matrices,
 kept as their nonzero entries {(row, col): value}; _product is the one
 matrix product.  so(7) and the matrices serve the claims about the
-embedding.  The generators, and so every sign, are those of the canonical
-composition factor compfactor.EPS_TAU; coefficients are in Z, or in Z[i]
-in the Chevalley presentation.
+embedding, and the point sign delta-hat of the 1344 signed automorphisms:
+_delta_hat_tables builds its sign words once, and one sweep, delta_hats,
+serves the AC10 claims and `diagram delta`.  The generators, and so every
+sign, are those of the canonical composition factor compfactor.EPS_TAU;
+coefficients are in Z, or in Z[i] in the Chevalley presentation.
 
 Sums of sparse terms go through combine: elt, law elements, _product,
 matrix2 and the wedge, contract and derive of forms.  add_elt and bracket
@@ -711,16 +713,12 @@ def root_systems_hold():
 _POINT_BIT = (0,) + tuple(1 << (q - 1) for q in fano.POINTS)
 
 
-def _delta_hat_word(g):
-    """The sign word of (g, +1), read off _delta_hat_words()."""
-    return _delta_hat_words()[g]
-
-
 @lru_cache(maxsize=None)
-def _delta_hat_words():
-    """The sign word of (g, +1) for each collineation g, by collineation,
-    memoized; each entry of the matrices 2 rho_hat(X_{P,D}) in
-    _delta_hat_plan is read once for the whole group.
+def _delta_hat_tables():
+    """The sign words of delta, memoized: the word of (g, +1) for each
+    collineation g, the word XORed into it to give that of (g, s) for each
+    sign vector s, and the error message of each check bit.  Each entry of
+    the 21 matrices 2 rho_hat(X_{P,D}) is read once for the whole group.
 
     ghat = (g, s) fixes e_0 and sends e_Q to s_Q e_{gQ}, so conjugating a
     spinor matrix moves its entry (a, b) to (ga, gb) times s_a s_b (with
@@ -728,22 +726,25 @@ def _delta_hat_words():
     sign times the entry t of 2 rho_hat(X_{gP,gD}) at (ga, gb) iff t = +-v
     and sign = (t/v) s_a s_b.  With -1 written as the bit 1, that sign is an
     affine form over Z_2 in the bits of s: its constant, the bit t = -v,
-    depends on g, and its coefficient of s_Q does not.
+    depends on g, and its coefficient of s_Q, the bits of a and b, does not.
+    Each bit of a word is such a form: the word of (g, +1) holds the
+    constants, the word of s the coefficients at its -1 points.
 
     Bits 0..6 of the word hold the sign at each point, read off its first
     entry.  Each higher bit is a check that passes iff it reads 0.  Per
     (P, D): each further entry agrees with the first; then a bit set if some
     entry lands on no +-v or the two matrices differ in their number of
     entries.  Per P, after its lines: the other two lines agree with the
-    first.  This word holds the constants of those forms; the parts that
-    depend on s are in _delta_hat_layout.
+    first.
 
     Per entry, the key gP << 9 | gD << 6 | ga << 3 | gb of each g looks up
     t = v (0), -v (1) or neither (2), a byte per g of an integer; XORs and
-    ORs of those give the bits, packed 8 to a byte and transposed.  If all
-    21 matrices are antisymmetric, (b, a) lands as (a, b): a < b is read.
+    ORs of those give the constants, packed 8 to a byte and transposed.  If
+    all 21 matrices are antisymmetric, (b, a) lands as (a, b): a < b is read.
     """
-    matrices, plan = _delta_hat_plan()
+    from . import lifting
+
+    matrices = {pd: x_matrix2(*pd) for pd in INCIDENT_PAIRS}
     points, lines = fano._group_columns()[:2]
     group = fano.all_collineations()
     ones = int.from_bytes(b"\1" * len(group), "little")
@@ -754,107 +755,69 @@ def _delta_hat_words():
     high = [tuple(x << 3 for x in col) for col in points]
     entries = set(chain.from_iterable(matrices.values()))
     pairs = {(a, b): tuple(map(or_, high[a], points[b])) for a, b in entries if a < b or not half}
-    bits = [0] * 7
-    for p, flags in plan:
+    # each bit as (constants by g, coefficients of s, message)
+    signs, checks = [], []
+    for p in fano.POINTS:
         leads = []
-        for d, source in flags:
+        for d in fano.lines_through(p):
+            source = tuple(matrices[p, d].items())
             keys = tuple(x << 9 | y << 6 for x, y in zip(points[p], lines[d]))
             got = {ab: map(or_, keys, pairs[ab]) for ab, _ in source if ab in pairs}
             got = {ab: bytes(map(lookup[v], got[ab], repeat(2))) for ab, v in source if ab in got}
             cols = [int.from_bytes(got.get(ab) or got[ab[::-1]], "little") for ab, _ in source]
+            forms = [_POINT_BIT[a] ^ _POINT_BIT[b] for (a, b), _ in source]
             differ = bytes(map(len(source).__ne__, map(len, map(by_flag.__getitem__, keys))))
-            bits += [(c ^ cols[0]) & ones for c in cols[1:]]
-            bits.append((reduce(or_, cols) >> 1 | int.from_bytes(differ, "little")) & ones)
-            leads.append(cols[0] & ones)
-        bits[p - 1] = leads[0]
-        bits += [lead ^ leads[0] for lead in leads[1:]]
+            stray = (reduce(or_, cols) >> 1 | int.from_bytes(differ, "little")) & ones
+            error = "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
+            checks += [
+                ((c ^ cols[0]) & ones, f ^ forms[0], error) for c, f in zip(cols[1:], forms[1:])
+            ]
+            checks.append((stray, 0, error))
+            leads.append((cols[0] & ones, forms[0]))
+        (col, form), error = leads[0], "delta depends on the line at P%d" % p
+        signs.append((col, form, None))
+        checks += [(c ^ col, f ^ form, error) for c, f in leads[1:]]
+    bits, forms, errors = zip(*signs, *checks)
     packed = (sum(c << j for j, c in enumerate(bits[k : k + 8])) for k in range(0, len(bits), 8))
     rows = zip(*(x.to_bytes(len(group), "little") for x in packed))
-    return {g: int.from_bytes(bytes(row), "little") for g, row in zip(group, rows)}
+    words = {g: int.from_bytes(bytes(row), "little") for g, row in zip(group, rows)}
+    # the word of the sign mask m is the XOR of the coefficients of its bits
+    flips = [0]
+    for q in range(7):
+        column = sum((f >> q & 1) << k for k, f in enumerate(forms))
+        flips += [w ^ column for w in flips]
+    return words, dict(zip(lifting.SIGNS, flips)), errors[7:]
 
 
-@lru_cache(maxsize=None)
-def _delta_hat_plan():
-    """The 21 matrices 2 rho_hat(X_{P,D}) by flag, and per point P and line D
-    through it the entries of its matrix, 84 in all; memoized."""
-    m = {pd: x_matrix2(*pd) for pd in INCIDENT_PAIRS}
-    plan = [(p, [(d, tuple(m[p, d].items())) for d in fano.lines_through(p)]) for p in fano.POINTS]
-    return m, plan
-
-
-@lru_cache(maxsize=None)
-def _delta_hat_layout():
-    """What the sign words share for every g, laid out as in _delta_hat_word:
-    for each sign vector s, the word XORed into that of (g, +1) to give the
-    word of (g, s); and the error message of each check bit.
-
-    The coefficients of the forms come from the entries (a, b) of the
-    source matrices alone: s_a s_b, the bits of a and b.  Bit k of the word
-    for s_Q = -1 is the coefficient of s_Q in bit k, and the word of any s
-    is the XOR of those of its -1 points.
-    """
+def delta_hats():
+    """delta for the 1344 signed automorphisms, in one sweep: the signs
+    delta(P), P = P1..P7, with ghat X_{P,D} ghat^-1 = delta(P) X_{gP,gD}
+    for every line D through P, as the mask of the points where delta is
+    -1, for each element whose check bits are clear; and the message of the
+    first check that fails, in group order (its lowest set check bit), or
+    None.  The word of (g, s) is that of (g, +1) XOR the word of s, so
+    every entry and agreement of all 21 generators is evaluated at once."""
     from . import lifting
 
-    coeffs, errors = [0] * 7, []
-    for p, flags in _delta_hat_plan()[1]:
-        leads = []
-        for d, source in flags:
-            forms = [_POINT_BIT[a] ^ _POINT_BIT[b] for (a, b), _ in source]
-            leads.append(forms[0])
-            coeffs += [f ^ forms[0] for f in forms[1:]] + [0]
-            errors += [
-                "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
-            ] * len(forms)
-        coeffs[p - 1] = leads[0]
-        coeffs += [lead ^ leads[0] for lead in leads[1:]]
-        errors += ["delta depends on the line at P%d" % p] * (len(leads) - 1)
-    cols = [sum((c >> q & 1) << k for k, c in enumerate(coeffs)) for q in range(7)]
-    # the word of the sign mask m: that of m without its lowest bit, XOR the
-    # column of that bit
-    words = [0]
-    for m in range(1, 128):
-        low = m & -m
-        words.append(words[m ^ low] ^ cols[low.bit_length() - 1])
-    return dict(zip(lifting.SIGNS, words)), tuple(errors)
-
-
-def delta_hat_fn(aug):
-    """The signs delta(P), P = P1..P7, with ghat X_{P,D} ghat^-1 =
-    delta(P) X_{gP,gD} for every line D through P, as the mask of the
-    points where delta is -1: the low seven bits of the word.
-
-    The word of (g, s) is that of (g, +1) XOR the word of s, so every entry
-    and agreement of all 21 generators is evaluated at once.  The first set
-    check bit raises AssertionError naming the first (P, D) whose conjugate
-    is no signed X, or the first P whose sign depends on the line.
-    """
-    g, s = aug
-    flips, errors = _delta_hat_layout()
-    word = _delta_hat_word(g) ^ flips[s]
-    failed = word >> 7
-    if failed:
-        raise AssertionError(errors[(failed & -failed).bit_length() - 1])
-    return word
+    words, flips, errors = _delta_hat_tables()
+    group = lifting.enumerate_aug_group()
+    sweep = [words[g] ^ flips[s] for g, s in group]
+    failed = next((w >> 7 for w in sweep if w >> 7), 0)
+    error = errors[(failed & -failed).bit_length() - 1] if failed else None
+    return {aug: w for aug, w in zip(group, sweep) if not w >> 7}, error
 
 
 @lru_cache(maxsize=None)
 def delta_hat_claims():
-    """The observed value of each AC10 claim by name, from one sweep over
-    the 1344 signed automorphisms; memoized.  As in delta_hat_fn, the word
-    of (g, s) is the word of g XOR that of s, and its low seven bits are
-    delta; the 168 words are read once each.  An element whose delta fails
-    its checks (a check bit is set) gets no value, so those claims fail
-    rather than raise."""
+    """The observed value of each AC10 claim by name, read off delta_hats;
+    memoized.  An element whose delta fails its checks gets no value, so
+    those claims fail rather than raise."""
     from . import lifting, radon
 
-    group = lifting.enumerate_aug_group()
-    flips = _delta_hat_layout()[0]
-    words = {g: _delta_hat_word(g) for g in fano.all_collineations()}
-    sweep = [words[g] ^ flips[s] for g, s in group]
-    fns = {aug: word for aug, word in zip(group, sweep) if not word >> 7}
+    fns, error = delta_hats()
     counts = Counter(fns.values())
     return {
-        "welldefined": len(fns) == len(group),
+        "welldefined": error is None,
         "count": (len(counts), set(counts.values())),
         # R: an even number of -1 points
         "in-R": all(not fn.bit_count() % 2 for fn in counts),

@@ -117,7 +117,6 @@ def mult_domain():
     return tuple(f for f in ALL_FUNCTIONS if not f.bit_count() % 2)
 
 
-@lru_cache(maxsize=None)
 def mult_image():
     """R*: the transform of the domain R, as a sorted tuple.
 

@@ -88,8 +88,7 @@ MEMOS = {
     lifting.order_profiles: 1,
     g2.law: 1,  # the law table of the 441 brackets and its 14 coordinates
     fano._product_table: 1,  # the codes of all 168^2 products, read by AC1 and AC2
-    g2._delta_hat_words: 1,  # the sign words of all 168 collineations
-    g2._delta_hat_plan: 1,  # the entries and matrices every sign word reads
+    g2._delta_hat_tables: 1,  # the sign words of all 168 collineations and 128 sign vectors
     lifting._delta_star_words: 1,  # the line words of all 168 collineations
     fano._group_columns: 1,  # the group as columns, read by every sweep
     compfactor.off_diagonal_words: 2,  # as compfactor.rules_hold

@@ -1,7 +1,6 @@
 import atexit
 import gc
 import hashlib
-import importlib
 import json
 import os
 import subprocess
@@ -203,29 +202,21 @@ def test_out_to_missing_directory(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_radon_claim_fails_instead_of_raising(monkeypatch):
+def test_radon_claim_fails_instead_of_raising(monkeypatch, fresh_memos):
     # T_D broken to the line indicator: the kernel no longer has the shape
     # that AC4.kernel-shape claims, which must come out as a FAIL record
     monkeypatch.setattr(radon, "t_line", radon.line_indicator)
-    radon.kernel.cache_clear()
     checks = {c["claim"]: c for c in cli.suite_radon()}
     assert checks["AC4.kernel-shape"]["pass"] is False
     assert checks["AC4.kernel"]["pass"] is True
     assert {radon.t_line(d) for d in fano.LINES}.isdisjoint(radon.kernel())
     monkeypatch.undo()
+    fresh_memos()
     # the transform broken to the identity: its image of R is no longer the
     # pencil-product set, which must come out as a FAIL record naming the
     # first sign mask in one set but not the other
-    memos = (radon.kernel, radon.image, radon.preimages, radon.mult_image)
     monkeypatch.setattr(radon, "radon", lambda f: f)
-    for memo in memos:
-        memo.cache_clear()
-    try:
-        checks = {c["claim"]: c for c in cli.suite_radon()}
-    finally:
-        monkeypatch.undo()
-        for memo in memos:
-            memo.cache_clear()
+    checks = {c["claim"]: c for c in cli.suite_radon()}
     assert checks["AC4.mult-domain"]["pass"] is True
     assert checks["AC4.mult-image"]["pass"] is False
     # -1 at P1 and P2: in R, but negative on the pencil through P1
@@ -233,17 +224,13 @@ def test_radon_claim_fails_instead_of_raising(monkeypatch):
     assert checks["AC4.kernel"]["pass"] is False
 
 
-def test_concurrency_claim_counts_the_triples(monkeypatch):
+def test_concurrency_claim_counts_the_triples(monkeypatch, fresh_memos):
     # line addition broken so that no three lines are concurrent: the
     # identity then holds on every triple found, vacuously, and only the
     # count of 7 triples can fail, as a FAIL record rather than a raise
     monkeypatch.setattr(fano, "line_add", lambda d1, d2: 0)
-    radon.concurrent_triples.cache_clear()
-    try:
-        checks = {c["claim"]: c for c in cli.suite_radon()}
-        assert radon.concurrent_triples() == ()
-    finally:
-        radon.concurrent_triples.cache_clear()
+    checks = {c["claim"]: c for c in cli.suite_radon()}
+    assert radon.concurrent_triples() == ()
     assert checks["AC4.concurrency"]["pass"] is False
     assert all(c["pass"] for k, c in checks.items() if k != "AC4.concurrency")
 
@@ -260,25 +247,25 @@ def test_action_claim_fails_instead_of_raising(monkeypatch):
     assert all(c["pass"] for k, c in checks.items() if k != "AC8.action")
 
 
-@pytest.fixture
-def fresh_delta_hat():
-    """Clear the memo of the AC10 sweep before and after a test that
-    patches the sign words it reads."""
-    g2.delta_hat_claims.cache_clear()
-    yield
-    g2.delta_hat_claims.cache_clear()
+def _break_words_off_the_identity(monkeypatch):
+    """Set check bit 7 on the sign word of every collineation but the
+    identity."""
+    tables = g2._delta_hat_tables
+
+    def broken():
+        words, flips, errors = tables()
+        return {g: w | (g != fano.IDENTITY) << 7 for g, w in words.items()}, flips, errors
+
+    monkeypatch.setattr(g2, "_delta_hat_tables", broken)
 
 
-def test_broken_delta_hat_fails_instead_of_raising(monkeypatch, tmp_path, fresh_delta_hat):
-    # check bit 7 set for every collineation but the identity: delta_hat_fn
-    # raises on the 1336 elements off the kernel, and the AC10 claims that
+def test_broken_delta_hat_fails_instead_of_raising(monkeypatch, tmp_path, fresh_memos):
+    # check bit 7 set for every collineation but the identity: the sweep
+    # leaves out the 1336 elements off the kernel, and the AC10 claims that
     # read their values must come out as FAIL records
-    word = g2._delta_hat_word
-    monkeypatch.setattr(
-        g2, "_delta_hat_word", lambda g: word(g) | (g != fano.IDENTITY) << 7
-    )
-    with pytest.raises(AssertionError, match="conjugate of X_"):
-        g2.delta_hat_fn(lifting.enumerate_aug_group()[-1])
+    _break_words_off_the_identity(monkeypatch)
+    fns, error = g2.delta_hats()
+    assert len(fns) == 8 and error.startswith("conjugate of X_")
     out = tmp_path / "g2.json"
     assert _run(["verify", "g2", "--json", "--out", str(out)]) == 1
     (suite,) = json.loads(_read(out))["suites"]
@@ -287,14 +274,11 @@ def test_broken_delta_hat_fails_instead_of_raising(monkeypatch, tmp_path, fresh_
 
 
 def test_broken_delta_hat_diagram_exits_with_a_message(
-    monkeypatch, capsys, tmp_path, fresh_delta_hat
+    monkeypatch, capsys, tmp_path, fresh_memos
 ):
-    # the same broken sign words: `diagram delta` reads delta_hat_fn on all
+    # the same broken sign words: `diagram delta` reads the sweep over all
     # 1344 elements, and must exit 1 with the first error, not a traceback
-    word = g2._delta_hat_word
-    monkeypatch.setattr(
-        g2, "_delta_hat_word", lambda g: word(g) | (g != fano.IDENTITY) << 7
-    )
+    _break_words_off_the_identity(monkeypatch)
     out = tmp_path / "delta.txt"
     assert _run(["diagram", "delta", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
@@ -303,19 +287,7 @@ def test_broken_delta_hat_diagram_exits_with_a_message(
     assert not out.exists()
 
 
-@pytest.fixture
-def fresh_g2():
-    """Clear every memo of g2 before and after a test that patches the
-    generators they read."""
-    memos = [memo for memo in vars(g2).values() if hasattr(memo, "cache_clear")]
-    for memo in memos:
-        memo.cache_clear()
-    yield
-    for memo in memos:
-        memo.cache_clear()
-
-
-def test_a_basis_of_the_wrong_size_fails_instead_of_raising(monkeypatch, tmp_path, fresh_g2):
+def test_a_basis_of_the_wrong_size_fails_instead_of_raising(monkeypatch, tmp_path, fresh_memos):
     # one entry of X(1, 1) doubled: the 21 X's span 15 dimensions, and the
     # claims that read the 14-element basis must come out as FAIL records
     generator = g2._generator
@@ -337,7 +309,7 @@ def test_a_basis_of_the_wrong_size_fails_instead_of_raising(monkeypatch, tmp_pat
     assert {"AC7.dimension", "AC8.jacobi", "AC11.cartan"} <= failed
 
 
-def test_an_echelon_that_drops_a_row_fails_instead_of_hanging(monkeypatch, tmp_path, fresh_g2):
+def test_an_echelon_that_drops_a_row_fails_instead_of_hanging(monkeypatch, tmp_path, fresh_memos):
     # every Echelon forgets its third stored row but still reports it kept:
     # the ranks come out wrong, a Lie closure would grow without end, and
     # the claims must come out as FAIL records
@@ -360,7 +332,7 @@ def test_an_echelon_that_drops_a_row_fails_instead_of_hanging(monkeypatch, tmp_p
 
 @pytest.mark.parametrize("tags", [("O2",), ("O3", "O3'"), ("O4",)])
 def test_a_negated_law_coefficient_fails_jacobi_and_the_bracket_law(
-    monkeypatch, tmp_path, capsys, fresh_g2, tags
+    monkeypatch, tmp_path, capsys, fresh_memos, tags
 ):
     # one coefficient of the incidence law negated: the law is no longer the
     # so(7) bracket (AC8.bracket-law), nor a Lie algebra (AC8.jacobi); both
@@ -465,41 +437,29 @@ def test_each_command_imports_only_its_layers(tmp_path, argv, expected):
     assert set(proc.stdout.split()) == expected
 
 
-# the group and the tables the sweeps read, each built on first use: a memo
-# filled at import would cost every command, verify-cold set-up included
-IMPORT_FREE_MEMOS = (
-    "fano.all_collineations",
-    "fano.line_perm",
-    "fano._group_columns",
-    "fano._product_table",
-    "compfactor.line_orientations",
-    "compfactor.off_diagonal_words",
-    "compfactor.rules_hold",
-    "octonion.products",
-    "octonion._label_plan",
-    "lifting._delta_star_words",
-    "g2.x_matrix2",
-    "g2.law",
-    "g2._delta_hat_plan",
-    "g2._delta_hat_words",
-    "forms._derivation_table",
-)
+# the group and the tables the sweeps read are each built on first use: a
+# memo filled at import would cost every command, verify-cold set-up
+# included.  Only these two, which module constants read, are filled.
+FILLED_AT_IMPORT = {"fano.lines_through", "fano.order"}
 
 
 def test_importing_every_module_fills_no_table():
     code = (
         "import importlib, fanog2\n"
-        "mods = {m: importlib.import_module('fanog2.' + m) for m in fanog2._MODULES}\n"
-        "for name in %r:\n"
-        "    module, memo = name.split('.')\n"
-        "    print(name, getattr(mods[module], memo).cache_info().misses)\n" % (IMPORT_FREE_MEMOS,)
+        "mods = {m: importlib.import_module('fanog2.' + m) for m in sorted(fanog2._MODULES)}\n"
+        "for m, module in mods.items():\n"
+        "    for name, memo in vars(module).items():\n"
+        "        if hasattr(memo, 'cache_info'):\n"
+        "            print('%s.%s' % (m, name), memo.cache_info().misses)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(fanog2.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.splitlines() == ["%s 0" % name for name in IMPORT_FREE_MEMOS]
+    misses = dict(line.split() for line in proc.stdout.splitlines())
+    assert {name for name, n in misses.items() if n != "0"} == FILLED_AT_IMPORT
+    assert misses["g2._delta_hat_tables"] == misses["fano.all_collineations"] == "0"
 
 
 def test_package_attributes_load_each_layer_on_first_use():
@@ -583,7 +543,7 @@ EXITS = {
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("way", sorted(EXITS))
 def test_main_leaves_the_collector_as_it_found_it(
-    monkeypatch, tmp_path, fresh_g2, collector_state, way, enabled
+    monkeypatch, tmp_path, fresh_memos, collector_state, way, enabled
 ):
     argv, patch, outcome = EXITS[way]
     if patch:
@@ -656,15 +616,11 @@ ONE_SHOT_COMMANDS = (
 
 
 @pytest.mark.parametrize("argv", ONE_SHOT_COMMANDS, ids=" ".join)
-def test_no_command_relies_on_the_cycle_collector(tmp_path, collector_state, argv):
+def test_no_command_relies_on_the_cycle_collector(tmp_path, collector_state, fresh_memos, argv):
     # main keeps the collector off, so what a command leaves in reference
     # cycles stays allocated until the process exits; on a cold process
     # (every memo cleared) that must stay a few hundred objects, not a
     # growing share of the heap (203-278 when this guard was written)
-    for name in sorted(fanog2._MODULES):
-        for memo in vars(importlib.import_module("fanog2." + name)).values():
-            if hasattr(memo, "cache_clear"):
-                memo.cache_clear()
     gc.collect()
     gc.disable()
     assert _run(argv + ["--out", str(tmp_path / "out")]) == 0

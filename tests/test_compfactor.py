@@ -1,8 +1,9 @@
+import json
 from itertools import combinations, permutations, product
 
 import pytest
 
-from fanog2 import compfactor, fano
+from fanog2 import cli, compfactor, fano
 
 
 def test_canonical_factor_values():
@@ -104,15 +105,48 @@ def test_oriented_maps_match_brute_force():
     assert compfactor.enumerate_oriented_maps() == brute
 
 
-def test_exponentiate_rejects_bad_input():
+def test_exponentials_of_bad_input_fail_the_rules():
+    # the zero map exponentiates to the table of all +1, no composition
+    # factor; beside the eight good maps only its own bit is clear
     bad = tuple(0 for _ in range(7))
-    with pytest.raises((AssertionError, KeyError)):
-        compfactor.exponentiate((bad,))
-    # a bad map beside the eight good ones fails the whole family
+    assert compfactor.rules_hold(compfactor.exponentiate((bad,))) == 0
     maps = compfactor.enumerate_oriented_maps()
-    for family in (maps[:3] + (bad,) + maps[3:], (maps[0][:6] + (maps[1][6],),) + maps):
-        with pytest.raises(AssertionError):
-            compfactor.exponentiate(family)
+    for at, family in ((3, maps[:3] + (bad,) + maps[3:]), (0, (maps[0][:6] + (maps[1][6],),) + maps)):
+        assert compfactor.rules_hold(compfactor.exponentiate(family)) == 0x1FF ^ 1 << at
+
+
+def _reject_the_first_exponential(monkeypatch):
+    """rules_hold with bit 0 cleared for a family of eight tables, the 8
+    exponentials."""
+    rules_hold = compfactor.rules_hold
+    monkeypatch.setattr(
+        compfactor,
+        "rules_hold",
+        lambda family: rules_hold(family) & ~(len(family) == 8),
+    )
+
+
+def test_a_rejected_exponential_fails_the_claim(monkeypatch, capsys, fresh_memos):
+    # the first of the 8 candidates, EPS_TAU, rejected by the rules: it is
+    # not counted, and AC3.exponentiation comes out as a FAIL record, not a
+    # traceback
+    _reject_the_first_exponential(monkeypatch)
+    assert compfactor.exponentiate(compfactor.enumerate_oriented_maps())[0] == compfactor.EPS_TAU
+    assert compfactor.exponentials_summary() == (7, {"O+"}, False)
+    assert cli.main(["verify", "compfactor", "--json"]) == 1
+    out, err = capsys.readouterr()
+    (suite,) = json.loads(out)["suites"]
+    failed = [c["claim"] for c in suite["checks"] if not c["pass"]]
+    assert (failed, err) == (["AC3.exponentiation"], "")
+
+
+def test_a_rejected_exponential_stops_the_enumeration(monkeypatch, capsys, fresh_memos):
+    _reject_the_first_exponential(monkeypatch)
+    assert cli.main(["enumerate", "oriented-maps"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: exponentiation candidate failed the composition rules\n",
+    )
 
 
 def test_serialize_shape():

@@ -5,7 +5,8 @@ is read by its function, every defaulted parameter is passed by some call,
 and no required parameter gets the same constant from every call.  A guard also keeps `random` out of the
 package: a certificate is exhaustive or an exact identity, never a sample.
 Another keeps loops out of the cli suites, so that each claim's sweep is
-defined in the module the claim is about.  Another keeps every sum of
+defined in the module the claim is about, and another keeps every
+`except AssertionError` out of the package.  Another keeps every sum of
 sparse terms in g2.combine, and a last one keeps the DOT incidence graph
 in radon.incidence_dot.
 
@@ -281,6 +282,24 @@ def test_suites_hold_no_loops():
         if isinstance(node, (ast.For, ast.While, ast.Try))
     ]
     assert not found, "statements in suites: %s" % ", ".join(found)
+
+
+def _catches_assertion_error(handler):
+    """Whether an except clause names AssertionError, alone or in a tuple."""
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(k, ast.Name) and k.id == "AssertionError" for k in kinds)
+
+
+def test_package_catches_no_assertion_error():
+    """An internal check reaches a command as a value (a FAIL record, an
+    error line), never as an AssertionError that some caller catches."""
+    found = [
+        "%s line %d" % (path.name, node.lineno)
+        for path, tree in _trees(PACKAGE).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type and _catches_assertion_error(node)
+    ]
+    assert not found, "except AssertionError in: %s" % ", ".join(found)
 
 
 # The one place each that sums sparse terms: g2.combine for the package, and

@@ -177,18 +177,7 @@ def test_orders_classes_and_closures_match_composition():
         fano.conjugacy_class(swap)
 
 
-@pytest.fixture
-def fresh_product_table():
-    """Clear the memos built from the group before and after a test that
-    patches it."""
-    for memo in (fano._group_columns, fano._product_table):
-        memo.cache_clear()
-    yield
-    for memo in (fano._group_columns, fano._product_table):
-        memo.cache_clear()
-
-
-def test_a_group_missing_an_element_fails_the_fano_claims(monkeypatch, capsys, fresh_product_table):
+def test_a_group_missing_an_element_fails_the_fano_claims(monkeypatch, capsys, fresh_memos):
     # some products and conjugates then lie outside the listed elements:
     # the subgroup and the classes leave them out, and the claims fail
     # rather than raise

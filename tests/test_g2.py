@@ -179,7 +179,7 @@ def _negated_law(tags):
 LAW_COEFFICIENTS = (("O2",), ("O3", "O3'"), ("O4",))
 
 
-def test_jacobi_check_catches_a_broken_bracket(monkeypatch, fresh_g2_memos):
+def test_jacobi_check_catches_a_broken_bracket(monkeypatch, fresh_memos):
     # the law negated on one ordered pair of basis flags, at P1 and P2,
     # breaks antisymmetry; with any one of its coefficients negated, it
     # stays antisymmetric and the Jacobi sums fail; the so(7) reference,
@@ -196,7 +196,7 @@ def test_jacobi_check_catches_a_broken_bracket(monkeypatch, fresh_g2_memos):
 
     for bad in (one_sided, *map(_negated_law, LAW_COEFFICIENTS)):
         monkeypatch.setattr(g2, "_bracket_case", bad)
-        _clear_g2_memos()
+        fresh_memos()
         law = g2.law()
         t, n = law.tensor, range(14)
         antisymmetric = all(t[i][j] == g2.scale_elt(-1, t[j][i]) for i in n for j in n)
@@ -206,7 +206,7 @@ def test_jacobi_check_catches_a_broken_bracket(monkeypatch, fresh_g2_memos):
         assert _so7_jacobi_check()
 
 
-def test_a_bracket_wrong_on_one_generator_pair_fails_its_readers(monkeypatch, fresh_g2_memos):
+def test_a_bracket_wrong_on_one_generator_pair_fails_its_readers(monkeypatch, fresh_memos):
     # [X(1, 1), X(1, 7)], two basis flags that commute in h_P1, read as
     # X(2, 1) by the law: the law no longer matches so(7), h_P1 is no longer
     # abelian, and the two basis flags no longer bracket antisymmetrically
@@ -225,7 +225,7 @@ def test_a_bracket_wrong_on_one_generator_pair_fails_its_readers(monkeypatch, fr
     assert all(g2.cartan_is_abelian(p) for p in fano.POINTS if p != 1)
 
 
-def test_a_wrong_so7_bracket_fails_only_the_bridge(monkeypatch, fresh_g2_memos):
+def test_a_wrong_so7_bracket_fails_only_the_bridge(monkeypatch, fresh_memos):
     # the so(7) bracket of X(1, 1) and X(1, 5) gains a term: the claims that
     # read the law pass, and AC8.bracket-law, the bridge, fails
     bracket = g2.bracket
@@ -335,7 +335,7 @@ def test_root_system():
 def test_delta_hat():
     a, _ = fano.standard_generators()
     ahat = (a, (1, 1, 1, 1, -1, 1, -1))
-    fn = g2.delta_hat_fn(ahat)
+    fn = g2.delta_hats()[0][ahat]
     assert {p for p in fano.POINTS if not radon.evaluate(fn, p)} == {1, 6, 7}
     assert radon.radon(fn) == lifting.delta_star_fn(a)
 
@@ -372,28 +372,40 @@ def _reference_delta_hat(aug, p):
     return signs.pop()
 
 
-def _outcome(fn, aug):
-    """fn(aug), or the message of the AssertionError it raises."""
+def _reference_outcome(aug):
+    """The mask of the reference signs of aug, or the message it raises."""
     try:
-        return fn(aug)
+        return radon.from_values(_reference_delta_hat(aug, p) < 0 for p in fano.POINTS)
     except AssertionError as exc:
         return str(exc)
 
 
-def test_delta_hat_matches_the_entry_by_entry_reference():
+def _sweep_of_one(monkeypatch):
+    """delta_hats on a group of one element, as a function of that element:
+    its mask, or the message of its first failed check."""
+    group = []
+    monkeypatch.setattr(lifting, "enumerate_aug_group", lambda: group)
+
+    def outcome(aug):
+        group[:] = [aug]
+        fns, error = g2.delta_hats()
+        return error or fns[aug]
+
+    return outcome
+
+
+def test_delta_hat_matches_the_entry_by_entry_reference(monkeypatch):
     # all 168 x 128 signed collineations: the same signs where the reference
     # has them, else the same message.  s and -s give the same s_a s_b, so
     # the automorphisms and their negatives have signs; the rest fail.
     group = set(lifting.enumerate_aug_group())
+    sweep = _sweep_of_one(monkeypatch)
     accepted = set()
     for g in fano.all_collineations():
         for s in itertools.product((1, -1), repeat=7):
             aug = (g, s)
-            expected = _outcome(
-                lambda x: radon.from_values(_reference_delta_hat(x, p) < 0 for p in fano.POINTS),
-                aug,
-            )
-            assert _outcome(g2.delta_hat_fn, aug) == expected, aug
+            expected = _reference_outcome(aug)
+            assert sweep(aug) == expected, aug
             if isinstance(expected, int):
                 accepted.add(aug)
     assert len(accepted) == 2688
@@ -442,31 +454,37 @@ def _reference_delta_hat_word(aug):
 
 def test_delta_hat_words_match_the_forms_reference():
     # the one-pass words of (g, +1) on all 168 collineations, and the words
-    # of all 1344 signed automorphisms through the layout, against the
-    # words folded from the lists of forms
-    flips, errors = g2._delta_hat_layout()
+    # of all 1344 signed automorphisms through the flips, against the words
+    # folded from the lists of forms; the sweep keeps each word whole
+    words, flips, errors = g2._delta_hat_tables()
     assert len(flips) == 128
     for g in fano.all_collineations():
-        assert g2._delta_hat_word(g) == _reference_delta_hat_word((g, (1,) * 7)), g
+        assert words[g] == _reference_delta_hat_word((g, (1,) * 7)), g
+    fns, error = g2.delta_hats()
+    assert error is None
     for aug in lifting.enumerate_aug_group():
         word = _reference_delta_hat_word(aug)
-        assert g2._delta_hat_word(aug[0]) ^ flips[aug[1]] == word, aug
+        assert words[aug[0]] ^ flips[aug[1]] == word, aug
         assert word < 128
-        assert g2.delta_hat_fn(aug) == word
+        assert fns[aug] == word
     # one error message per check bit
     assert len(errors) == len(_reference_delta_hat_forms(fano.IDENTITY)) - 7
 
 
-def _reference_delta_hat_claims():
-    """The AC10 values from delta_hat_fn called on each of the 1344
-    elements, an element that raises left out."""
+def _reference_delta_hat_sweep():
+    """The AC10 values, and the message of the first failed check, from one
+    loop over the 1344 elements, each word read off the tables on its own;
+    an element with a check bit set is left out."""
+    words, flips, errors = g2._delta_hat_tables()
     group = lifting.enumerate_aug_group()
-    fns = {}
-    for aug in group:
-        try:
-            fns[aug] = g2.delta_hat_fn(aug)
-        except AssertionError:
-            pass
+    fns, error = {}, None
+    for g, s in group:
+        word = words[g] ^ flips[s]
+        if not word >> 7:
+            fns[g, s] = word
+        elif error is None:
+            checks = word >> 7
+            error = errors[(checks & -checks).bit_length() - 1]
     counts = collections.Counter(fns.values())
     return {
         "welldefined": len(fns) == len(group),
@@ -476,7 +494,18 @@ def _reference_delta_hat_claims():
         "ahat": {
             p for p in fano.POINTS if not radon.evaluate(fns.get(lifting.AHAT, radon.ONE), p)
         },
-    }
+    }, error
+
+
+def _break_words(monkeypatch, broken):
+    """Set check bit 7 on the sign words of the broken collineations."""
+    tables = g2._delta_hat_tables
+
+    def patched():
+        words, flips, errors = tables()
+        return {g: w | (g in broken) << 7 for g, w in words.items()}, flips, errors
+
+    monkeypatch.setattr(g2, "_delta_hat_tables", patched)
 
 
 @pytest.mark.parametrize(
@@ -484,47 +513,30 @@ def _reference_delta_hat_claims():
     [(), (lifting.AHAT[0],), tuple(fano.all_collineations()[1:])],
     ids=["none", "ahat", "all-but-identity"],
 )
-def test_delta_hat_claims_match_the_per_element_reference(
-    monkeypatch, fresh_g2_memos, broken
-):
-    # the one sweep over the 168 words against delta_hat_fn on every
-    # element, with a check bit set on the words of the broken collineations
-    word = g2._delta_hat_word
-    monkeypatch.setattr(g2, "_delta_hat_word", lambda g: word(g) | (g in broken) << 7)
-    expected = _reference_delta_hat_claims()
+def test_delta_hat_claims_match_the_per_element_reference(monkeypatch, fresh_memos, broken):
+    # the one sweep against a loop over every element, with a check bit set
+    # on the words of the broken collineations
+    _break_words(monkeypatch, broken)
+    expected, error = _reference_delta_hat_sweep()
     assert g2.delta_hat_claims() == expected
-    assert expected["welldefined"] is not bool(broken)
-
-
-@pytest.fixture
-def fresh_g2_memos():
-    """Clear every memo of g2 before and after a test that patches what the
-    memos read."""
-    _clear_g2_memos()
-    yield
-    _clear_g2_memos()
-
-
-def _clear_g2_memos():
-    for memo in vars(g2).values():
-        if hasattr(memo, "cache_clear"):
-            memo.cache_clear()
+    assert g2.delta_hats()[1] == error
+    assert expected["welldefined"] is (error is None) is not bool(broken)
 
 
 def _reference_delta_hat_loop(g):
     """The sign word of (g, +1) by one loop per collineation over the
-    entries of _delta_hat_plan, entry by entry, in the layout of
-    _delta_hat_words."""
-    matrices, plan = g2._delta_hat_plan()
+    entries of the 21 matrices, entry by entry, in the layout of the
+    words of _delta_hat_tables."""
     img = (0,) + g
     lines = fano.line_perm(g)
     word, k = 0, 7
-    for p, flags in plan:
+    for p in fano.POINTS:
         leads = []
-        for d, source in flags:
-            target = matrices[g[p - 1], lines[d - 1]]
+        for d in fano.lines_through(p):
+            source = g2.x_matrix2(p, d)
+            target = g2.x_matrix2(g[p - 1], lines[d - 1])
             first, lands = None, len(source) == len(target)
-            for (a, b), v in source:
+            for (a, b), v in source.items():
                 t = target.get((img[a], img[b]))
                 flip = t == -v
                 lands = lands and (flip or t == v)
@@ -543,7 +555,7 @@ def _reference_delta_hat_loop(g):
     return word
 
 
-def test_sign_words_match_the_per_element_loop(monkeypatch, fresh_g2_memos):
+def test_sign_words_match_the_per_element_loop(monkeypatch, fresh_memos):
     # the words of the whole-group sweep, which reads only the entries
     # a < b of antisymmetric matrices, against the loop over all 84 entries
     # of each collineation, on EPS_TAU and on EPS_TAU with the pair P1-P2
@@ -553,13 +565,13 @@ def test_sign_words_match_the_per_element_loop(monkeypatch, fresh_g2_memos):
     flipped[0][1], flipped[1][0] = flipped[1][0], flipped[0][1]
     for table in (compfactor.EPS_TAU, tuple(map(tuple, flipped))):
         monkeypatch.setattr(compfactor, "EPS_TAU", table)
-        _clear_g2_memos()
-        words = list(map(g2._delta_hat_word, group))
+        fresh_memos()
+        words = list(map(g2._delta_hat_tables()[0].__getitem__, group))
         assert words == list(map(_reference_delta_hat_loop, group)), table
     assert any(w >> 7 for w in words)
 
 
-def test_a_negated_matrix_entry_fails_welldefined(monkeypatch, capsys, fresh_g2_memos):
+def test_a_negated_matrix_entry_fails_welldefined(monkeypatch, capsys, fresh_memos):
     # one entry of 2 rho_hat(X_{P3,D7}) negated: the matrix is no longer
     # antisymmetric, so every entry is read; the words still match the
     # loop, AC10.welldefined fails, and `diagram delta` names the first
@@ -575,9 +587,9 @@ def test_a_negated_matrix_entry_fails_welldefined(monkeypatch, capsys, fresh_g2_
 
     monkeypatch.setattr(g2, "x_matrix2", negated)
     group = fano.all_collineations()
-    assert list(map(g2._delta_hat_word, group)) == list(map(_reference_delta_hat_loop, group))
+    words, flips, errors = g2._delta_hat_tables()
+    assert list(map(words.__getitem__, group)) == list(map(_reference_delta_hat_loop, group))
     assert g2.delta_hat_claims()["welldefined"] is False
-    flips, errors = g2._delta_hat_layout()
     failed = next(
         w >> 7
         for w in (_reference_delta_hat_loop(g) ^ flips[s] for g, s in lifting.enumerate_aug_group())
@@ -589,11 +601,13 @@ def test_a_negated_matrix_entry_fails_welldefined(monkeypatch, capsys, fresh_g2_
     assert message == "conjugate of X_{P3,D7} is not proportional to an X"
 
 
-def test_delta_hat_rejects_a_non_automorphism():
+def test_delta_hat_rejects_a_non_automorphism(monkeypatch):
     # flipping the sign of e_1 alone breaks multiplicativity, so the
     # conjugate of a generator off the lines through P1 is no signed X
-    with pytest.raises(AssertionError, match=r"conjugate of X_\{P2,D2\} is not proportional"):
-        g2.delta_hat_fn((fano.IDENTITY, (-1, 1, 1, 1, 1, 1, 1)))
+    sweep = _sweep_of_one(monkeypatch)
+    assert sweep((fano.IDENTITY, (-1, 1, 1, 1, 1, 1, 1))) == (
+        "conjugate of X_{P2,D2} is not proportional to an X"
+    )
 
 
 def test_point_subalgebras():
@@ -727,38 +741,30 @@ def test_integer_parts_match_the_gaussian_reference():
     assert g2.chevalley_report() == _reference_report(QI)
 
 
-def test_a_changed_relation_coefficient_fails_the_chevalley_claim(monkeypatch):
+def test_a_changed_relation_coefficient_fails_the_chevalley_claim(monkeypatch, fresh_memos):
     # [h1, e+_{D1}] = 2 e+_{D1} read as 3 e+_{D1}: that relation fails, and
     # with it AC11.chevalley over Q(i) and F_5 (Q and F_3 pass vacuously)
     relations = [(n, 3 if n == "h1_ep1" else c, z) for n, c, z in g2.CHEVALLEY_RELATIONS]
     monkeypatch.setattr(g2, "CHEVALLEY_RELATIONS", tuple(relations))
-    g2.chevalley_report.cache_clear()
-    try:
-        rep = g2.chevalley_report()
-        assert [n for n, v in rep.items() if not v] == ["h1_ep1"]
-        assert g2.chevalley_gates() == (False, False, True)
-        record = next(c for c in cli.suite_g2(QQ) if c["claim"] == "AC11.chevalley")
-        assert record["pass"] is False
-    finally:
-        g2.chevalley_report.cache_clear()
+    rep = g2.chevalley_report()
+    assert [n for n, v in rep.items() if not v] == ["h1_ep1"]
+    assert g2.chevalley_gates() == (False, False, True)
+    record = next(c for c in cli.suite_g2(QQ) if c["claim"] == "AC11.chevalley")
+    assert record["pass"] is False
 
 
-def test_chevalley_gate_sees_a_negated_generator(monkeypatch):
+def test_chevalley_gate_sees_a_negated_generator(monkeypatch, fresh_memos):
     # e+-_{D5} swap when X_{P6,D5} changes sign, and the D5 ladder breaks
     x = g2.X
     monkeypatch.setattr(
         g2, "X", lambda p, d: g2.scale_elt(-1, x(p, d)) if (p, d) == (6, 5) else x(p, d)
     )
-    g2.chevalley_report.cache_clear()
-    try:
-        rep = g2.chevalley_report()
-        assert not all(rep.values())
-        assert rep == _reference_report(QI) == _reference_report(PrimeField(13))
-        assert g2.chevalley_gate(QI) is False
-        assert g2.chevalley_gate(PrimeField(13)) is False
-        assert g2.chevalley_gate(QQ) is True
-    finally:
-        g2.chevalley_report.cache_clear()
+    rep = g2.chevalley_report()
+    assert not all(rep.values())
+    assert rep == _reference_report(QI) == _reference_report(PrimeField(13))
+    assert g2.chevalley_gate(QI) is False
+    assert g2.chevalley_gate(PrimeField(13)) is False
+    assert g2.chevalley_gate(QQ) is True
 
 
 def test_almost_complex():

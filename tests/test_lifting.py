@@ -33,29 +33,6 @@ def test_delta_star_pair_independent():
             assert vals.pop() == (-1 if radon.evaluate(lifting.delta_star_fn(g), d) else 1)
 
 
-# memoized per collineation or for the whole group, and read
-# compfactor.EPS_TAU when filled
-COLLINEATION_MEMOS = (
-    lifting._delta_star_words,
-    lifting.lifts,
-    lifting.enumerate_aug_group,
-)
-
-
-def _clear_memos():
-    for memo in COLLINEATION_MEMOS:
-        memo.cache_clear()
-
-
-@pytest.fixture
-def fresh_memos():
-    """Clear the per-collineation memos before and after a test that patches
-    compfactor.EPS_TAU, so no value computed under the patch outlives it."""
-    _clear_memos()
-    yield
-    _clear_memos()
-
-
 def _flipped_pair():
     """EPS_TAU with one antisymmetric pair flipped."""
     table = [list(row) for row in compfactor.EPS_TAU]
@@ -107,7 +84,7 @@ def test_line_words_match_the_pairwise_reference(monkeypatch, fresh_memos):
     # through P1 and P2 then disagree for some collineations, which no sign
     # vector lifts
     monkeypatch.setattr(compfactor, "EPS_TAU", _flipped_pair())
-    _clear_memos()
+    fresh_memos()
     assert any(lifting.delta_star_fn(g) is None for g in fano.all_collineations())
     lifted, _ = _compare_with_the_pairwise_reference()
     assert 0 < lifted < 1344
@@ -118,7 +95,7 @@ def test_delta_star_global_identities(monkeypatch, fresh_memos):
     # one antisymmetric pair flipped: the sign of some line then depends on
     # the pair chosen in it, which the identities report rather than raise
     monkeypatch.setattr(compfactor, "EPS_TAU", _flipped_pair())
-    _clear_memos()
+    fresh_memos()
     assert lifting.delta_star_properties() is False
 
 
@@ -148,14 +125,14 @@ def test_delta_star_diagram_draws_every_composition_factor(monkeypatch, fresh_me
     out = tmp_path / "diagram"
     for eps in compfactor.enumerate_composition_factors():
         monkeypatch.setattr(compfactor, "EPS_TAU", eps)
-        _clear_memos()
+        fresh_memos()
         assert all(lifting.delta_star_fn(g) in image for g in fano.all_collineations()), eps
         for fmt, section in (("text", "distinguished point:"), ("dot", "graph ")):
             assert cli.main(["diagram", "delta-star", "--format", fmt, "--out", str(out)]) == 0
             assert out.read_text().count(section) == 8, (eps, fmt)
 
 
-def test_a_corrupted_product_index_fails_the_identities(monkeypatch):
+def test_a_corrupted_product_index_fails_the_identities(monkeypatch, fresh_memos):
     # the code of TAU^-1 TAU = 1 replaced by that of a collineation whose
     # delta* differs: that product then reads the wrong mask, and
     # AC5.identities fails
@@ -175,36 +152,16 @@ def test_a_corrupted_product_index_fails_the_identities(monkeypatch):
     # the product table reads right_products: it is built again under the
     # patch, and once more after it
     monkeypatch.setattr(fano, "right_products", corrupted)
-    fano._product_table.cache_clear()
+    fresh_memos()
     assert lifting.delta_star_properties() is False
     checks = {c["claim"]: c["pass"] for c in cli.suite_lifting()}
     assert checks["AC5.identities"] is False
     monkeypatch.undo()
-    fano._product_table.cache_clear()
+    fresh_memos()
     assert lifting.delta_star_properties()
 
 
-# the memos that read the group, besides the collineation memos
-GROUP_MEMOS = (
-    fano._group_columns,
-    fano._product_table,
-    compfactor.isotropy,
-    lifting.order_profiles,
-)
-
-
-@pytest.fixture
-def fresh_group_memos():
-    """Clear every memo that reads fano.all_collineations() before and after
-    a test that patches it."""
-    for memo in GROUP_MEMOS + COLLINEATION_MEMOS:
-        memo.cache_clear()
-    yield
-    for memo in GROUP_MEMOS + COLLINEATION_MEMOS:
-        memo.cache_clear()
-
-
-def test_a_group_missing_an_element_fails_the_identities(monkeypatch, capsys, fresh_group_memos):
+def test_a_group_missing_an_element_fails_the_identities(monkeypatch, capsys, fresh_memos):
     # without its last element the group is no longer closed: some products
     # g2 g1 have no mask, and AC5.identities must fail, not raise
     group = fano.all_collineations()
@@ -237,7 +194,7 @@ def test_line_words_match_the_per_element_loop(monkeypatch, fresh_memos):
     group = fano.all_collineations()
     for table in (compfactor.EPS_TAU, _flipped_pair()):
         monkeypatch.setattr(compfactor, "EPS_TAU", table)
-        _clear_memos()
+        fresh_memos()
         words = list(map(lifting.delta_star_fn, group))
         assert words == list(map(_reference_delta_star_word, group)), table
     assert None in words and set(words) != {None}
@@ -257,7 +214,7 @@ DELTA_DIAGRAM_ERRORS = {
 def test_delta_diagram_on_every_composition_factor(monkeypatch, fresh_memos, capsys):
     for i, eps in enumerate(compfactor.enumerate_composition_factors()):
         monkeypatch.setattr(compfactor, "EPS_TAU", eps)
-        _clear_memos()
+        fresh_memos()
         rc = cli.main(["diagram", "delta"])
         out, err = capsys.readouterr()
         if i in DELTA_DIAGRAM_ERRORS:
@@ -269,14 +226,14 @@ def test_delta_diagram_on_every_composition_factor(monkeypatch, fresh_memos, cap
 
 def test_memos_filled_under_a_patch_are_cleared(monkeypatch, fresh_memos):
     clean = {g: lifting.delta_star_fn(g) for g in fano.all_collineations()}
-    _clear_memos()
+    fresh_memos()
     monkeypatch.setattr(compfactor, "EPS_TAU", _flipped_pair())
     patched = {g: lifting.delta_star_fn(g) for g in fano.all_collineations()}
     short = [g for g in fano.all_collineations() if len(lifting.lifts(g)) != 8]
     # the patch changes what the memos hold, so a stale one would be seen
     assert patched != clean and short
     monkeypatch.undo()
-    _clear_memos()
+    fresh_memos()
     assert lifting.delta_star_properties()
     assert all(len(lifting.lifts(g)) == 8 for g in fano.all_collineations())
 
