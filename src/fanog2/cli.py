@@ -662,7 +662,7 @@ class UsageError(Exception):
 
 
 def _emit(text, opts):
-    if opts.out:
+    if opts.out is not None:
         try:
             with open(opts.out, "w") as fh:
                 fh.write(text + "\n")

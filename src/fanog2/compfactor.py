@@ -20,8 +20,9 @@ def eps_get(eps, p, q):
 
 
 def _cone(eps, p, sign):
-    """The future of p (sign 1) or its past (sign -1): the q with eps_pq = sign."""
-    return frozenset(q for q in fano.POINTS if q != p and eps_get(eps, p, q) == sign)
+    """The future of p (sign 1) or its past (sign -1): the q with eps_pq =
+    sign, which the zero on the diagonal never is."""
+    return frozenset(compress(fano.POINTS, map(sign.__eq__, eps[p - 1])))
 
 
 def sign_words(rows):
@@ -106,16 +107,30 @@ EPS_TAU = canonical_epsilon()
 @lru_cache(maxsize=None)
 def line_orientations():
     """The 2^7 = 128 antisymmetric tables that orient each line cyclically,
-    one choice of (P, Q, R) or (P, R, Q) per line D_1..D_7 (P < Q < R)."""
-    found = []
-    for choice in product((0, 1), repeat=7):
-        table = [[0] * 7 for _ in range(7)]
-        for d, flip in zip(fano.LINES, choice):
-            a, b, c = sorted(fano.LINE_POINTS[d])
-            for x, y in ((a, c), (c, b), (b, a)) if flip else ((a, b), (b, c), (c, a)):
-                table[x - 1][y - 1], table[y - 1][x - 1] = 1, -1
-        found.append(tuple(map(tuple, table)))
-    return tuple(found)
+    one choice of (P, Q, R) or (P, R, Q) per line D_1..D_7 (P < Q < R): the
+    table at position i takes (P, R, Q) on D_d where bit 7 - d of i is set.
+
+    Row P of a table reads the choices of the three lines through P alone,
+    so each of its 8 variants is built once; the tables are the columns of
+    those rows over the 128 positions."""
+    forward = {}
+    for d in fano.LINES:
+        a, b, c = sorted(fano.LINE_POINTS[d])
+        for x, y in ((a, b), (b, c), (c, a)):
+            forward[x, y], forward[y, x] = 1, -1
+    columns = []
+    for p in fano.POINTS:
+        lines = fano.lines_through(p)
+        through = [fano.wedge(p, q) if q != p else 0 for q in fano.POINTS]
+        rows = {}
+        for flips in product((0, 1), repeat=3):
+            sign = dict(zip(lines, (1 - 2 * f for f in flips)))
+            rows[flips] = tuple(
+                [sign[d] * forward[p, q] if d else 0 for q, d in enumerate(through, 1)]
+            )
+        s1, s2, s3 = (7 - d for d in lines)
+        columns.append([rows[i >> s1 & 1, i >> s2 & 1, i >> s3 & 1] for i in range(128)])
+    return tuple(zip(*columns))
 
 
 @lru_cache(maxsize=None)
@@ -131,15 +146,35 @@ def enumerate_composition_factors():
     return tuple(eps for i, eps in enumerate(found) if mask >> i & 1)
 
 
-def act(g, eps):
-    """Left action: (g.eps)_{PQ} = eps_{g^-1 P, g^-1 Q}, one itemgetter
-    reordering the rows and then each row."""
-    pick = itemgetter(*(p - 1 for p in fano.inverse(g)))
-    return tuple(map(pick, pick(eps)))
+def _moved_signs(eps):
+    """The signs of a sign table moved by each collineation h, in
+    all_collineations() order: the 42 entries eps(hP, hQ) at the pairs
+    (P, Q) of _OFF_DIAGONAL, as bytes with 1 where the entry is -1, one
+    translate of fano._pair_columns per pair.  They are the entries of the
+    left action h^-1 . eps, so they run over the orbit of eps, and the
+    isotropy is where they are those of eps."""
+    flags = bytearray(256)
+    for p, q in _OFF_DIAGONAL:
+        flags[8 * p + q] = eps[p - 1][q - 1] == -1
+    columns = fano._pair_columns()
+    return list(map(bytes, zip(*(columns[pq].translate(flags) for pq in _OFF_DIAGONAL))))
+
+
+# for each row P, the positions of its entries in a value of _moved_signs,
+# with 42 (one past the end) for the diagonal
+_ROW_PICKS = tuple(
+    itemgetter(*(6 * p + q - 7 - (q > p) if q != p else 42 for q in fano.POINTS))
+    for p in fano.POINTS
+)
 
 
 def orbit(eps):
-    return frozenset(act(g, eps) for g in fano.all_collineations())
+    """The orbit of a sign table under the collineations, as tables."""
+    out = set()
+    for signs in set(_moved_signs(eps)):
+        entries = [-1 if v else 1 for v in signs] + [0]
+        out.add(tuple([pick(entries) for pick in _ROW_PICKS]))
+    return frozenset(out)
 
 
 @lru_cache(maxsize=None)
@@ -162,51 +197,54 @@ def orbit_sides():
 
 @lru_cache(maxsize=None)
 def isotropy():
-    """The collineations fixing EPS_TAU; memoized."""
-    eps = EPS_TAU
-    return frozenset(g for g in fano.all_collineations() if act(g, eps) == eps)
+    """The collineations fixing EPS_TAU, those h whose moved signs are the
+    table's own; memoized."""
+    own = bytes(map((-1).__eq__, _PICK(sum(EPS_TAU, ()))))
+    return frozenset(compress(fano.all_collineations(), map(own.__eq__, _moved_signs(EPS_TAU))))
 
 
 def isotropy_is_shift_normalizer():
     """AC3.isotropy-normalizer: the isotropy equals the normalizer of the
-    subgroup generated by the shift fano.TAU."""
-    powers = fano.generated_subgroup((fano.TAU,))
-    normalizer = set()
-    for g in fano.all_collineations():
-        # g t g^-1 reads t at g^-1 P and sends the value by g
-        pick, image = itemgetter(*(p - 1 for p in fano.inverse(g))), (0,) + g
-        if all(tuple(map(image.__getitem__, pick(t))) in powers for t in powers):
-            normalizer.add(g)
-    return isotropy() == normalizer
+    subgroup T generated by the shift fano.TAU.  g normalizes T iff
+    g T = T g: in fano's product table the codes of g t, over all g, are
+    the row of t, and those of t g are the entries at t of the row of g."""
+    table = fano._product_table()[0]
+    powers = list(map(fano._position, fano.generated_subgroup((fano.TAU,))))
+    left = zip(*[table[i] for i in powers])
+    right = [[row[i] for i in powers] for row in table]
+    normal = map(eq, map(frozenset, left), map(frozenset, right))
+    return isotropy() == frozenset(compress(fano.all_collineations(), normal))
+
+
+# _VALUES[phi]: the values of the linear form with 3-bit dual mask phi, bit
+# Q - 1 set where fano.pairing(phi, Q) is 1
+_VALUES = tuple(sum(fano.pairing(phi, q) << q - 1 for q in fano.POINTS) for phi in range(8))
 
 
 def enumerate_oriented_maps():
     """All 8 maps alpha: F -> V_F* with alpha_P(P)=1, alpha_P(Q)+alpha_Q(P)=1.
 
-    alpha_P is stored as a 3-bit dual mask; alpha_P(Q) is the pairing parity.
-    The points are assigned in order P1..P7, each from its forms in
-    increasing order, and a partial assignment is dropped at the first pair
-    Q < P that breaks the rule; the maps come out in that order.
+    alpha_P is stored as a 3-bit dual mask; alpha_P(Q) is the pairing parity,
+    read off _VALUES.  The points are assigned in order P1..P7, each from
+    its forms in increasing order, and a partial assignment is dropped at
+    the first point P whose form breaks the rule with some Q < P; the maps
+    come out in that order.
     """
-    choices = [
-        [phi for phi in range(1, 8) if fano.pairing(phi, p) == 1] for p in fano.POINTS
-    ]
-    out = []
-
-    def extend(partial):
-        p = len(partial) + 1
-        if p > 7:
-            out.append(tuple(partial))
-            return
-        for phi in choices[p - 1]:
+    maps = [()]
+    for p in fano.POINTS:
+        forms = [phi for phi in range(1, 8) if _VALUES[phi] >> p - 1 & 1]
+        maps = [
+            alpha + (phi,)
+            for alpha in maps
+            for phi in forms
             if all(
-                fano.pairing(alpha_q, p) + fano.pairing(phi, q) == 1
-                for q, alpha_q in enumerate(partial, 1)
-            ):
-                extend(partial + [phi])
-
-    extend([])
-    return tuple(out)
+                [
+                    _VALUES[a] >> p - 1 & 1 != _VALUES[phi] >> q - 1 & 1
+                    for q, a in enumerate(alpha, 1)
+                ]
+            )
+        ]
+    return tuple(maps)
 
 
 def exponentiate(maps):
@@ -215,8 +253,8 @@ def exponentiate(maps):
     factors."""
     return tuple(
         tuple(
-            tuple((-1) ** fano.pairing(alpha[p - 1], q) if p != q else 0 for q in fano.POINTS)
-            for p in fano.POINTS
+            tuple([0 if p == q else 1 - 2 * (_VALUES[phi] >> q - 1 & 1) for q in fano.POINTS])
+            for p, phi in zip(fano.POINTS, alpha)
         )
         for alpha in maps
     )

@@ -12,6 +12,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import lcm
+from operator import or_
 from struct import calcsize, pack, unpack
 
 # label -> 3-bit mask, generated by the recurrence P_{i+3} = P_i + P_{i+1}
@@ -42,8 +43,9 @@ for _i, _pts in LINE_POINTS.items():
 QUADRILATERALS = {i: frozenset(POINTS) - LINE_POINTS[i] for i in LINES}
 
 def pairing(phi, p):
-    """Value at point p of the linear form with 3-bit dual mask phi."""
-    return bin(phi & MASK[p]).count("1") % 2
+    """Value at point p of the linear form with 3-bit dual mask phi: the
+    parity of phi & MASK[p]."""
+    return (phi & MASK[p]).bit_count() & 1
 
 
 # the linear form vanishing on a line, as a 3-bit mask
@@ -121,7 +123,7 @@ def all_collineations():
     for a, b, c in permutations(range(1, 8), 3):
         if c != a ^ b:
             image = {m: (m & 1 and a) ^ (m & 2 and b) ^ (m & 4 and c) for m in range(1, 8)}
-            result.append(tuple(LABEL[image[MASK[p]]] for p in POINTS))
+            result.append(tuple([LABEL[image[MASK[p]]] for p in POINTS]))
     return tuple(sorted(result))
 
 
@@ -160,7 +162,7 @@ _LINE_PAIRS = tuple((d - 1, d % 7) for d in LINES)
 def line_perm(g):
     """The induced permutation on line labels, memoized: g D is the line
     through the images of two points of D."""
-    return tuple(_LINE_OF_PAIR[g[p], g[q]] for p, q in _LINE_PAIRS)
+    return tuple([_LINE_OF_PAIR[g[p], g[q]] for p, q in _LINE_PAIRS])
 
 
 @lru_cache(maxsize=None)
@@ -174,6 +176,17 @@ def _group_columns():
     fmt = "<%dH" % len(group)
     masks = {p: int.from_bytes(pack(fmt, *map(MASK.get, points[p])), "little") for p in POINTS}
     return points, lines, masks, fmt
+
+
+@lru_cache(maxsize=None)
+def _pair_columns():
+    """For each pair (P, Q) of labels 0..7, the byte 8 hP + hQ for each h in
+    all_collineations() order (h fixes the unit 0), memoized: bytes.translate
+    with a table indexed by 8 a + b reads a value of each pair of labels
+    (a, b) off the whole group at once."""
+    points = _group_columns()[0]
+    high = [bytes(map((8).__mul__, col)) for col in points]
+    return {(p, q): bytes(map(or_, high[p], points[q])) for p in range(8) for q in range(8)}
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +302,7 @@ def conjugacy_class(g):
     conjugate lies outside all_collineations(), which is then no group."""
     table, j, group = _product_table()[0], _position(g), all_collineations()
     try:
-        return frozenset(group[row.index(table[j][i])] for i, row in enumerate(table))
+        return frozenset([group[row.index(c)] for row, c in zip(table, table[j])])
     except ValueError:
         return frozenset()
 

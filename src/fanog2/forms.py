@@ -15,7 +15,7 @@ their terms with g2.combine, and g2.pair_inner pairs them.
 from functools import lru_cache
 from itertools import chain, combinations, permutations, starmap
 from math import prod
-from operator import gt
+from operator import gt, neg
 
 from . import compfactor, fano, g2, linalg
 from .scalars import QQ
@@ -72,6 +72,10 @@ _BLOCKS = {
     "quadrilateral": (fano.QUADRILATERALS, ((0, 1), (2, 3))),
 }
 
+# the orderings of the n positions of a block, each with its sign: the sign
+# of e^P^... in the order of the ordering, against the sorted key
+_ORDERINGS = {n: tuple((o, _sort_with_sign(o)[1]) for o in permutations(range(n))) for n in (3, 4)}
+
 
 @lru_cache(maxsize=None)
 def _form(eps, block):
@@ -81,14 +85,13 @@ def _form(eps, block):
     blocks, pairs = _BLOCKS[block]
     out = {}
     for d in fano.LINES:
-        results = set()
-        for pts in permutations(sorted(blocks[d])):
-            c = prod(eps[pts[i] - 1][pts[j] - 1] for i, j in pairs)
-            key, s = _sort_with_sign(pts)
-            results.add((key, c * s))
-        if len(results) == 1:
-            key, c = results.pop()
-            out[key] = c
+        key = tuple(sorted(blocks[d]))
+        values = {
+            s * prod([eps[key[o[i]] - 1][key[o[j]] - 1] for i, j in pairs])
+            for o, s in _ORDERINGS[len(key)]
+        }
+        if len(values) == 1:
+            out[key] = values.pop()
     return out
 
 
@@ -118,7 +121,7 @@ def _derivation_table():
                     n += q != p
                 else:
                     out = rest[:n] + (q,) + rest[n:]
-                    table[min(p, q), max(p, q)][key] = (out, (-1) ** (pos + n + (p > q)))
+                    table[(p, q) if p < q else (q, p)][key] = (out, (-1) ** (pos + n + (p > q)))
     return table
 
 
@@ -143,7 +146,8 @@ def derivation_kills_forms():
 def invariant_three_form_dimension():
     """Dimension of the space of 3-forms killed by all of g2: 35 minus the
     rank of the rows (X, K'), the coefficients of e^K' in X e^K over the 35
-    K, for the 14 basis X's; each distinct row that is not zero is read once."""
+    K, for the 14 basis X's; each distinct row that is not zero is read once,
+    up to sign."""
     keys = list(combinations(fano.POINTS, 3))
     table = _derivation_table()
     rows = set()
@@ -158,7 +162,10 @@ def invariant_three_form_dimension():
         stacked = {}
         for (out, n), v in image.items():
             stacked.setdefault(out, [0] * len(keys))[n] = v
-        rows.update(map(tuple, stacked.values()))
+        # a row and its negative have one rank: each is read with its first
+        # nonzero entry positive
+        for row in stacked.values():
+            rows.add(tuple(row) if next(filter(None, row)) > 0 else tuple(map(neg, row)))
     return len(keys) - linalg.rank(rows, QQ)
 
 

@@ -24,9 +24,16 @@ and times bracket.
 
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import chain, combinations, combinations_with_replacement, repeat
+from itertools import (
+    chain,
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    repeat,
+    starmap,
+)
 import json
-from operator import or_
+from operator import itemgetter, or_
 from types import SimpleNamespace
 
 from . import compfactor, fano, linalg, octonion
@@ -350,22 +357,15 @@ def classify_pair(pd1, pd2):
     (p1, d1), (p2, d2) = pd1, pd2
     _check_incident(p1, d1)
     _check_incident(p2, d2)
-    if p1 == p2 and d1 == d2:
-        return "D"
     if p1 == p2:
-        return "O1"
+        return "D" if d1 == d2 else "O1"
     if d1 == d2:
         return "O2"
-    in31 = p1 in fano.LINE_POINTS[d2]
-    in32 = p2 in fano.LINE_POINTS[d1]
-    if in31 and not in32:
-        return "O3"
-    if in32 and not in31:
-        return "O3'"
-    if not in31 and not in32:
-        return "O4"
-    # both incidences would force d1 == d2 for incident pairs
-    raise AssertionError("impossible incidence configuration")
+    in31, in32 = p1 in fano.LINE_POINTS[d2], p2 in fano.LINE_POINTS[d1]
+    if in31 and in32:
+        # both incidences would force d1 == d2 for incident pairs
+        raise AssertionError("impossible incidence configuration")
+    return "O3" if in31 else "O3'" if in32 else "O4"
 
 
 def orbit_census():
@@ -386,12 +386,8 @@ def _bracket_case(pd1, pd2):
     (p1, d1), (p2, d2) = pd1, pd2
     if tag in ("D", "O1"):
         return tag, 0, None
-    e = compfactor.eps_get(compfactor.EPS_TAU, p1, p2)
-    if tag == "O2":
-        return tag, 2 * e, (fano.add(p1, p2), fano.wedge(p1, p2))
-    if tag in ("O3", "O3'"):
-        return tag, -e, (fano.add(p1, p2), fano.wedge(p1, p2))
-    return tag, -e, (fano.add(p1, p2), fano.line_add(d1, d2))
+    e = (2 if tag == "O2" else -1) * compfactor.eps_get(compfactor.EPS_TAU, p1, p2)
+    return tag, e, (fano.add(p1, p2), fano.line_add(d1, d2) if tag == "O4" else fano.wedge(p1, p2))
 
 
 @lru_cache(maxsize=None)
@@ -586,7 +582,7 @@ def decomposition_check():
     table, vectors = law().table, law().vectors
     spans = {
         (fano.add(p, q), frozenset(table[a, b][1] for a in h[p] for b in h[q]))
-        for p, q in pairs + [(q, p) for p, q in pairs]
+        for p, q in permutations(fano.POINTS, 2)
     }
     for r, flags in spans:
         span = linalg.Echelon(QQ, [vectors[f] for f in flags])
@@ -603,16 +599,10 @@ def eps_cyclic_order(d):
     """The cyclic order (P,Q,R) on a line with all three eps signs +1; None
     when neither order has them, so AC11.lines fails rather than raises."""
     eps = compfactor.EPS_TAU
-    pts = sorted(fano.LINE_POINTS[d])
-    for order in (pts, [pts[0], pts[2], pts[1]]):
-        p, q, r = order
-        if (
-            compfactor.eps_get(eps, p, q)
-            == compfactor.eps_get(eps, q, r)
-            == compfactor.eps_get(eps, r, p)
-            == 1
-        ):
-            return tuple(order)
+    a, b, c = sorted(fano.LINE_POINTS[d])
+    for p, q, r in ((a, b, c), (a, c, b)):
+        if eps[p - 1][q - 1] == eps[q - 1][r - 1] == eps[r - 1][p - 1] == 1:
+            return p, q, r
     return None
 
 
@@ -620,22 +610,8 @@ def line_subalgebra_report(d):
     """Structure checks for g_D = h_P + h_Q + h_R, P,Q,R on D."""
     p, q, r = eps_cyclic_order(d)
     ys = {s: Y(s, d) for s in (p, q, r)}
-    report = {}
-    # dimension 6
-    rows = [x_vector(s, dd) for s in (p, q, r) for dd in fano.lines_through(s)]
-    report["dimension"] = linalg.rank(rows, QQ)
-    # cyclic bracket laws, read off the law
     cyc = {(p, q): r, (q, r): p, (r, p): q}
     table, yt = law().table, {s: y_terms(s, d) for s in (p, q, r)}
-    report["x_cyclic"] = all(table[(a, d), (b, d)] == (2, (c, d)) for (a, b), c in cyc.items())
-    report["y_cyclic"] = all(
-        law_bracket(yt[a], yt[b]) == scale_elt(-2, law_element(yt[c]))
-        for (a, b), c in cyc.items()
-    )
-    report["xy_commute"] = not any(law_bracket([(1, (a, d))], yt[b]) for a in yt for b in yt)
-    # ideals are 3-dimensional
-    report["ix_dim"] = linalg.rank([x_vector(s, d) for s in (p, q, r)], QQ)
-    report["iy_dim"] = linalg.rank([to_vector(ys[s]) for s in (p, q, r)], QQ)
     # invariant subspaces of the octonion action: span(e_P: P in D) and its
     # complement in Im(O) are stable, so an entry in the column of a point
     # lies in the row of a point on the same side of D; I_X acts as zero on
@@ -643,15 +619,26 @@ def line_subalgebra_report(d):
     line = fano.LINE_POINTS[d]
     xm = [x_matrix2(s, d) for s in (p, q, r)]
     ym = [matrix2(ys[s]) for s in (p, q, r)]
-    report["invariant_subspaces"] = all(
-        col == 0 or (i != 0 and (i in line) == (col in line))
-        for m2 in xm + ym
-        for i, col in m2
-    )
-    report["ix_acts_trivially_on_line"] = all(
-        col not in line for m2 in xm for _, col in m2
-    )
-    return report
+    return {
+        # dimension 6
+        "dimension": linalg.rank(
+            [x_vector(s, e) for s in (p, q, r) for e in fano.lines_through(s)], QQ
+        ),
+        # cyclic bracket laws, read off the law
+        "x_cyclic": all(table[(a, d), (b, d)] == (2, (c, d)) for (a, b), c in cyc.items()),
+        "y_cyclic": all(
+            law_bracket(yt[a], yt[b]) == scale_elt(-2, law_element(yt[c]))
+            for (a, b), c in cyc.items()
+        ),
+        "xy_commute": not any(law_bracket([(1, (a, d))], yt[b]) for a in yt for b in yt),
+        # ideals are 3-dimensional
+        "ix_dim": linalg.rank([x_vector(s, d) for s in (p, q, r)], QQ),
+        "iy_dim": linalg.rank([to_vector(ys[s]) for s in (p, q, r)], QQ),
+        "invariant_subspaces": all(
+            col == 0 or (i != 0 and (i in line) == (col in line)) for m2 in xm + ym for i, col in m2
+        ),
+        "ix_acts_trivially_on_line": all(col not in line for m2 in xm for _, col in m2),
+    }
 
 
 def line_subalgebras_hold():
@@ -670,16 +657,7 @@ def root_system(p):
     ds = LINE_CYCLE[p]
     xs = [X(p, d) for d in ds]
     ys = [Y(p, d) for d in ds]
-    vectors = []
-    for v in xs + ys:
-        vectors.append(v)
-        vectors.append(scale_elt(-1, v))
-    keys = {tuple(sorted(v.items())) for v in vectors}
-    report = {"count": len(keys)}
-    report["x_lengths"] = sorted(pair_inner(v, v) for v in xs)
-    report["y_lengths"] = sorted(pair_inner(v, v) for v in ys)
-    alpha = X(p, ds[0])
-    beta = Y(p, ds[1])
+    alpha, beta = xs[0], ys[1]
     combos = [
         alpha,
         beta,
@@ -688,16 +666,14 @@ def root_system(p):
         add_elt(beta, scale_elt(3, alpha)),
         add_elt(scale_elt(2, beta), scale_elt(3, alpha)),
     ]
-    closure = set()
-    ok = True
-    for v in combos:
-        for w in (v, scale_elt(-1, v)):
-            k = tuple(sorted(w.items()))
-            if k not in keys:
-                ok = False
-            closure.add(k)
-    report["closure_matches"] = ok and closure == keys
-    return report
+    keys = {tuple(sorted(w.items())) for v in xs + ys for w in (v, scale_elt(-1, v))}
+    closure = {tuple(sorted(w.items())) for v in combos for w in (v, scale_elt(-1, v))}
+    return {
+        "count": len(keys),
+        "x_lengths": sorted(pair_inner(v, v) for v in xs),
+        "y_lengths": sorted(pair_inner(v, v) for v in ys),
+        "closure_matches": closure == keys,
+    }
 
 
 def root_systems_hold():
@@ -744,48 +720,60 @@ def _delta_hat_tables():
     """
     from . import lifting
 
-    matrices = {pd: x_matrix2(*pd) for pd in INCIDENT_PAIRS}
+    matrices = dict(zip(INCIDENT_PAIRS, starmap(x_matrix2, INCIDENT_PAIRS)))
     points, lines = fano._group_columns()[:2]
-    group = fano.all_collineations()
+    columns, group = fano._pair_columns(), fano.all_collineations()
     ones = int.from_bytes(b"\1" * len(group), "little")
-    half = all(m.get((b, a)) == -v for m in matrices.values() for (a, b), v in m.items())
-    by_flag = {p << 9 | d << 6: m for (p, d), m in matrices.items()}
-    at = {k | a << 3 | b: t for k, m in by_flag.items() for (a, b), t in m.items()}
-    lookup = {v: {k: t != v for k, t in at.items() if t in (v, -v)}.get for v in set(at.values())}
-    high = [tuple(x << 3 for x in col) for col in points]
-    entries = set(chain.from_iterable(matrices.values()))
-    pairs = {(a, b): tuple(map(or_, high[a], points[b])) for a, b in entries if a < b or not half}
+    # by_flag: the matrix at each key gP << 9 | gD << 6; lookup[v]: t = v (0)
+    # or -v (1) at each key of an entry t, with 2 (neither) the default
+    half, by_flag, lookup = True, {}, {}
+    for (p, d), m in matrices.items():
+        by_flag[p << 9 | d << 6] = m
+        for (a, b), t in m.items():
+            half = half and m.get((b, a)) == -t
+            key = p << 9 | d << 6 | a << 3 | b
+            lookup.setdefault(t, {})[key] = 0
+            lookup.setdefault(-t, {}).setdefault(key, 1)
     # each bit as (constants by g, coefficients of s, message)
     signs, checks = [], []
     for p in fano.POINTS:
         leads = []
         for d in fano.lines_through(p):
-            source = tuple(matrices[p, d].items())
-            keys = tuple(x << 9 | y << 6 for x, y in zip(points[p], lines[d]))
-            got = {ab: map(or_, keys, pairs[ab]) for ab, _ in source if ab in pairs}
-            got = {ab: bytes(map(lookup[v], got[ab], repeat(2))) for ab, v in source if ab in got}
-            cols = [int.from_bytes(got.get(ab) or got[ab[::-1]], "little") for ab, _ in source]
-            forms = [_POINT_BIT[a] ^ _POINT_BIT[b] for (a, b), _ in source]
-            differ = bytes(map(len(source).__ne__, map(len, map(by_flag.__getitem__, keys))))
+            keys = tuple(map(or_, map((512).__mul__, points[p]), map((64).__mul__, lines[d])))
+            got, cols, forms = {}, [], []
+            for (a, b), v in matrices[p, d].items():
+                if a < b or not half:
+                    got[a, b] = bytes(map(lookup[v].get, map(or_, keys, columns[a, b]), repeat(2)))
+            for a, b in matrices[p, d]:
+                cols.append(int.from_bytes(got.get((a, b)) or got[b, a], "little"))
+                forms.append(_POINT_BIT[a] ^ _POINT_BIT[b])
+            differ = bytes(map(len(forms).__ne__, map(len, map(by_flag.__getitem__, keys))))
             stray = (reduce(or_, cols) >> 1 | int.from_bytes(differ, "little")) & ones
             error = "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
-            checks += [
-                ((c ^ cols[0]) & ones, f ^ forms[0], error) for c, f in zip(cols[1:], forms[1:])
-            ]
+            for c, f in zip(cols[1:], forms[1:]):
+                checks.append(((c ^ cols[0]) & ones, f ^ forms[0], error))
             checks.append((stray, 0, error))
             leads.append((cols[0] & ones, forms[0]))
         (col, form), error = leads[0], "delta depends on the line at P%d" % p
         signs.append((col, form, None))
-        checks += [(c ^ col, f ^ form, error) for c, f in leads[1:]]
+        for c, f in leads[1:]:
+            checks.append((c ^ col, f ^ form, error))
     bits, forms, errors = zip(*signs, *checks)
-    packed = (sum(c << j for j, c in enumerate(bits[k : k + 8])) for k in range(0, len(bits), 8))
-    rows = zip(*(x.to_bytes(len(group), "little") for x in packed))
-    words = {g: int.from_bytes(bytes(row), "little") for g, row in zip(group, rows)}
+    # bit k of every word, a byte per g, packed 8 to a byte and transposed
+    packed = []
+    for k, c in enumerate(bits):
+        if not k % 8:
+            packed.append(0)
+        packed[-1] |= c << k % 8
+    rows = map(bytes, zip(*[x.to_bytes(len(group), "little") for x in packed]))
+    words = dict(zip(group, map(int.from_bytes, rows, repeat("little"))))
     # the word of the sign mask m is the XOR of the coefficients of its bits
     flips = [0]
     for q in range(7):
-        column = sum((f >> q & 1) << k for k, f in enumerate(forms))
-        flips += [w ^ column for w in flips]
+        column = 0
+        for k, f in enumerate(forms):
+            column |= (f >> q & 1) << k
+        flips += list(map(column.__xor__, flips))
     return words, dict(zip(lifting.SIGNS, flips)), errors[7:]
 
 
@@ -816,15 +804,18 @@ def delta_hat_claims():
 
     fns, error = delta_hats()
     counts = Counter(fns.values())
+    # each delta with the line word of its base, read once per collineation,
+    # once per distinct pair: the 8 deltas over each delta* class
+    group = fano.all_collineations()
+    words = dict(zip(group, map(lifting.delta_star_fn, group)))
+    pairs = set(zip(map(words.get, map(itemgetter(0), fns)), fns.values()))
     return {
         "welldefined": error is None,
         "count": (len(counts), set(counts.values())),
         # R: an even number of -1 points
         "in-R": all(not fn.bit_count() % 2 for fn in counts),
-        # the transform of each delta against the line signs of the base
-        "radon": all(
-            radon.radon(fn) == lifting.delta_star_fn(aug[0]) for aug, fn in fns.items()
-        ),
+        # the transform of each delta against the line word of its base
+        "radon": all(radon.radon(fn) == word for word, fn in pairs),
         # the +1 points of the delta of ahat; none when ahat has no delta
         "ahat": {
             p for p in fano.POINTS if not radon.evaluate(fns.get(lifting.AHAT, radon.ONE), p)
@@ -965,19 +956,18 @@ def almost_complex_report(p):
     J = {(k, q): s for q in v for (k, j), s in rho()[q].items() if j == p}
     ident = {(q, q): 1 for q in v}
     j_rows = _by_row(J)
-    report = {"j_squared_minus_id": _product(J, j_rows) == scale_elt(-1, ident)}
-    # isometry for the standard form: columns orthonormal
-    jt = {(j, i): s for (i, j), s in J.items()}
-    report["isometry"] = _product(jt, j_rows) == ident
-    # commutation with the restrictions to V of the spinor matrices of the
-    # s_P generators
-    report["commutes_with_s_p"] = True
-    for q, d in point_subalgebra_generators(p):
-        r = {(i, j): c for (i, j), c in x_matrix2(q, d).items() if i in v and j in v}
-        if _product(r, j_rows) != _product(J, _by_row(r)):
-            report["commutes_with_s_p"] = False
-    report["s_p_dimension"] = point_subalgebra_dimension(p)
-    return report
+    # the restrictions to V of the spinor matrices of the s_P generators
+    rs = [
+        {(i, j): c for (i, j), c in x_matrix2(*qd).items() if i in v and j in v}
+        for qd in point_subalgebra_generators(p)
+    ]
+    return {
+        "j_squared_minus_id": _product(J, j_rows) == scale_elt(-1, ident),
+        # isometry for the standard form: columns orthonormal
+        "isometry": _product({(j, i): s for (i, j), s in J.items()}, j_rows) == ident,
+        "commutes_with_s_p": all(_product(r, j_rows) == _product(J, _by_row(r)) for r in rs),
+        "s_p_dimension": point_subalgebra_dimension(p),
+    }
 
 
 def almost_complex_structures_hold():
@@ -1044,20 +1034,19 @@ def o3_example_report():
     law_ = law()
     flags = lie_closure([(1, 1), (7, 7)])
     (_, nxt), (_, prev) = center_elt = y_terms(1, 7)
-    report = {"dimension": len(flags)}
-    report["center_elt_in_algebra"] = [
-        a - b for a, b in zip(law_.vectors[nxt], law_.vectors[prev])
-    ] in linalg.Echelon(QQ, [law_.vectors[f] for f in flags])
-    report["center_elt_central"] = not any(law_bracket(center_elt, [(1, f)]) for f in flags)
+    center = [a - b for a, b in zip(law_.vectors[nxt], law_.vectors[prev])]
     brackets = {law_.table[x, y][1] for x in flags for y in flags}
     derived = linalg.Echelon(QQ, [law_.vectors[f] for f in brackets])
     expected = [law_.vectors[q, 7] for q in sorted(fano.LINE_POINTS[7])]
-    # the spans are equal: the same dimension, and expected inside derived
-    report["derived_ideal_matches"] = len(derived) == linalg.rank(expected, QQ) and all(
-        v in derived for v in expected
-    )
-    report["derived_dimension"] = len(derived)
-    return report
+    return {
+        "dimension": len(flags),
+        "center_elt_in_algebra": center in linalg.Echelon(QQ, [law_.vectors[f] for f in flags]),
+        "center_elt_central": not any(law_bracket(center_elt, [(1, f)]) for f in flags),
+        # the spans are equal: the same dimension, and expected inside derived
+        "derived_ideal_matches": len(derived) == linalg.rank(expected, QQ)
+        and all(v in derived for v in expected),
+        "derived_dimension": len(derived),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1068,15 +1057,13 @@ def bracket_table():
     """21x21 table over incident pairs: orbit tag, sign/coefficient and the
     resulting incident pair (or None for zero brackets).
     """
-    out = []
-    for a in INCIDENT_PAIRS:
-        row = []
-        for b in INCIDENT_PAIRS:
-            tag, coeff, flag = _bracket_case(a, b)
-            result = ["P%d" % flag[0], "D%d" % flag[1]] if flag else None
-            row.append({"orbit": tag, "coeff": coeff, "result": result})
-        out.append(row)
-    return out
+    return [
+        [
+            {"orbit": tag, "coeff": coeff, "result": flag and ["P%d" % flag[0], "D%d" % flag[1]]}
+            for tag, coeff, flag in (_bracket_case(a, b) for b in INCIDENT_PAIRS)
+        ]
+        for a in INCIDENT_PAIRS
+    ]
 
 
 def bracket_table_json():
@@ -1091,19 +1078,10 @@ def bracket_table_json():
 
 def bracket_table_text():
     names = ["X(P%d,D%d)" % pd for pd in INCIDENT_PAIRS]
-    width = max(len(n) for n in names) + 2
+    width = max(map(len, names)) + 2
     lines = [" " * width + "".join("%-12s" % n for n in names)]
-    tab = bracket_table()
-    for name, row in zip(names, tab):
-        cells = []
-        for cell in row:
-            if cell["coeff"] == 0:
-                cells.append("%-12s" % "0")
-            else:
-                c = cell["coeff"]
-                pref = {1: "", -1: "-", 2: "2", -2: "-2"}[c]
-                cells.append(
-                    "%-12s" % ("%sX(%s,%s)" % (pref, cell["result"][0], cell["result"][1]))
-                )
-        lines.append("%-*s" % (width, name) + "".join(cells))
+    prefix = {1: "", -1: "-", 2: "2", -2: "-2"}
+    for name, row in zip(names, bracket_table()):
+        cells = [c["coeff"] and "%sX(%s,%s)" % (prefix[c["coeff"]], *c["result"]) for c in row]
+        lines.append("%-*s" % (width, name) + "".join("%-12s" % (c or 0) for c in cells))
     return "\n".join(lines)

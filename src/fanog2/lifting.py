@@ -23,7 +23,7 @@ tuple, and SIGNS and MASK_OF convert between the two forms.
 
 from functools import lru_cache
 from itertools import chain, permutations
-from operator import itemgetter, or_
+from operator import itemgetter
 
 from . import compfactor, fano, radon
 
@@ -50,15 +50,14 @@ def _delta_star_words():
     with bit D - 1 of a byte per g; their OR, or None where a pair of a line
     differs from the first."""
     group = fano.all_collineations()
-    points = fano._group_columns()[0]
+    columns = fano._pair_columns()
     eps = compfactor.EPS_TAU
     flags = bytes(a and b and a < 8 and eps[a - 1][b - 1] < 0 for a in range(32) for b in range(8))
-    high = [bytes(8 * x for x in col) for col in points]
     ones = int.from_bytes(b"\1" * len(group), "little")
     word, bad, first = 0, 0, {}
     for p, q in permutations(fano.POINTS, 2):
         d = fano.wedge(p, q)
-        col = bytes(map(or_, high[p], points[q])).translate(flags)
+        col = columns[p, q].translate(flags)
         col = (int.from_bytes(col, "little") ^ ones * (eps[p - 1][q - 1] < 0)) << d - 1
         bad |= first.setdefault(d, col) ^ col
         word |= col
@@ -93,14 +92,15 @@ def delta_star_properties():
     by_code = bytearray(b"\xff" * 512)
     for code, m in zip(fano.right_products(fano.IDENTITY), listed):
         by_code[code] = m
-    column, masks = bytes(listed), bytes(values)
+    # bit k of the mask of each g2, a byte per g2 of an integer
+    planes = [int.from_bytes(bytes([m >> k & 1 for m in listed]), "little") for k in range(7)]
+    ones = int.from_bytes(b"\1" * len(group), "little")
     for g1, m1, products in zip(group, listed, fano._product_table()[0]):
-        # m(g1 D) at bit D - 1, times delta*(g1, D), for each mask m that occurs
-        at_images = itemgetter(*(e - 1 for e in fano.line_perm(g1)))
-        moved = bytes.maketrans(masks, bytes(MASK_OF[at_images(SIGNS[m])] ^ m1 for m in masks))
         # the masks of g2 g1, by the codes in the row of g1 of the product
-        # table, against the moved masks of g2, for all g2
-        if bytes(itemgetter(*products)(by_code)) != column.translate(moved):
+        # table, against m(g1 D) at bit D - 1 times delta*(g1, D), for the
+        # mask m of each g2
+        moved = sum([planes[e - 1] << d for d, e in enumerate(fano.line_perm(g1))])
+        if int.from_bytes(bytes(itemgetter(*products)(by_code)), "little") != moved ^ ones * m1:
             return False
     return True
 
@@ -214,7 +214,7 @@ def lifts(g):
     certifies both halves of the theorem on every collineation: the lifts
     are exactly the preimages, and there are eight of them.
     """
-    return tuple((g, SIGNS[m]) for m in radon.preimages(delta_star_fn(g)))
+    return tuple([(g, SIGNS[m]) for m in radon.preimages(delta_star_fn(g))])
 
 
 def aug_serialize(aug):

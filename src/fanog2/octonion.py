@@ -130,9 +130,6 @@ def norm(x):
     return PrimeFieldElement(_dot(xs, xs), e.p)
 
 
-# The certificates below work on signed labels (s, c), meaning s e_c.
-
-
 def polarized_norm_identity(eps):
     """<e_a e_b, e_c e_d> + <e_a e_d, e_c e_b> = 2 d_ac d_bd on all 8^4
     quadruples: N(xy) = N(x)N(y) polarized in x and in y, so it holds on the
@@ -211,71 +208,85 @@ def norm_identity_matches_rules():
     return norm_identity_of_signs(found) == compfactor.rules_hold(found)
 
 
-def _mul(t, u, v):
-    r, m = t[u[1]][v[1]]
-    return u[0] * v[0] * r, m
+def _associators():
+    """The basis associators of the algebra of EPS_TAU, by _associator_table."""
+    return _associator_table(products(compfactor.EPS_TAU))
 
 
-def _vanishes(*terms):
-    out = [0] * 8
-    for c, k in terms:
-        out[k] += c
-    return not any(out)
+@lru_cache(maxsize=None)
+def _associator_table(t):
+    """The 512 basis associators [e_a, e_b, e_c] = (e_a e_b) e_c - e_a (e_b e_c)
+    of a product table t, memoized per table, at 64 a + 8 b + c: its two
+    signed labels, s e_k written as the integer s 16^k.  A sum of at most
+    seven signed labels is then 0 iff it vanishes label by label, so a table
+    whose labels are wrong fails as one whose signs are."""
+    out = []
+    for a, b, c in product(range(8), repeat=3):
+        (r, k), (u, m) = t[a][b], t[b][c]
+        (s, n), (v, j) = t[k][c], t[a][m]
+        out.append((r * s << 4 * n, -u * v << 4 * j))
+    return tuple(out)
 
 
-def _associator(t, a, b, c):
-    """[e_a, e_b, e_c] = (e_a e_b) e_c - e_a (e_b e_c) as two signed labels."""
-    return _mul(t, t[a][b], (1, c)), _mul(t, (-1, a), t[b][c])
+def _sums():
+    """The associator of each basis triple, as the sum of its two labels."""
+    return list(map(sum, _associators()))
 
 
 def is_alternative():
     """[x,x,y] = [y,x,x] = 0 for all x, y.
 
     The associator is linear in each slot, so this holds iff its
-    linearizations [e_a,e_b,e_c] + [e_b,e_a,e_c] and [e_c,e_a,e_b] +
-    [e_c,e_b,e_a] vanish on all 8^3 basis triples (a = b included).
+    linearizations [e_a,e_b,e_c] + [e_b,e_a,e_c] and [e_a,e_b,e_c] +
+    [e_a,e_c,e_b] vanish on all 8^3 basis triples (a = b included).
     """
-    t = products(compfactor.EPS_TAU)
-    return all(
-        _vanishes(*_associator(t, a, b, c), *_associator(t, b, a, c))
-        and _vanishes(*_associator(t, c, a, b), *_associator(t, c, b, a))
-        for a, b, c in product(range(8), repeat=3)
+    assoc = _sums()
+    return not any(
+        [
+            assoc[i] + assoc[64 * b + 8 * a + c] or assoc[i] + assoc[64 * a + 8 * c + b]
+            for i, (a, b, c) in enumerate(product(range(8), repeat=3))
+        ]
     )
 
 
 def conjugation_is_antiautomorphism():
-    """conj(e_a e_b) = conj(e_b) conj(e_a) on all 8^2 basis pairs."""
-    t = products(compfactor.EPS_TAU)
-
-    def bar(u):
-        return (u[0] if u[1] == 0 else -u[0]), u[1]
-
+    """conj(e_a e_b) = conj(e_b) conj(e_a) on all 8^2 basis pairs: e_a e_b is
+    the first label of [e_a, e_b, 1], conj negates every label but the unit
+    (the integers +-1), and conj(e_b) conj(e_a) is e_b e_a, negated when just
+    one of a and b is the unit."""
+    first = [x for x, _ in _associators()]
     return all(
-        bar(t[a][b]) == _mul(t, bar((1, b)), bar((1, a)))
-        for a, b in product(range(8), repeat=2)
+        [
+            (v if abs(v) == 1 else -v) == (-1) ** ((a > 0) + (b > 0)) * first[64 * b + 8 * a]
+            for a, b in product(range(8), repeat=2)
+            for v in (first[64 * a + 8 * b],)
+        ]
     )
 
 
 def lines_are_associative():
     """Each quaternion line {1} u D is associative on all its basis triples."""
-    t = products(compfactor.EPS_TAU)
-    return all(
-        _vanishes(*_associator(t, a, b, c))
-        for d in fano.LINES
-        for a, b, c in product(quaternion_subalgebra(d), repeat=3)
+    assoc = _sums()
+    return not any(
+        [
+            assoc[64 * a + 8 * b + c]
+            for d in fano.LINES
+            for a, b, c in product(quaternion_subalgebra(d), repeat=3)
+        ]
     )
 
 
 def clifford_identity():
     """L_p L_q + L_q L_p = -2 d_pq Id for the imaginary units, on every
-    basis element e_b; by linearity L_x^2 = -B(x,x) Id for imaginary x."""
-    t = products(compfactor.EPS_TAU)
+    basis element e_b; by linearity L_x^2 = -B(x,x) Id for imaginary x.  The
+    second label of [e_p, e_q, e_b] is -e_p (e_q e_b)."""
+    second = [y for _, y in _associators()]
     return all(
-        _vanishes(
-            _mul(t, (1, p), t[q][b]), _mul(t, (1, q), t[p][b]), (2 if p == q else 0, b)
-        )
-        for p, q in product(fano.POINTS, repeat=2)
-        for b in range(8)
+        [
+            second[64 * p + 8 * q + b] + second[64 * q + 8 * p + b] == (2 << 4 * b if p == q else 0)
+            for p, q in product(fano.POINTS, repeat=2)
+            for b in range(8)
+        ]
     )
 
 

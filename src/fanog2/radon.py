@@ -44,16 +44,21 @@ def t_line(d):
     return ONE ^ line_indicator(d)
 
 
+def _parities(m, masks):
+    """The parity of m & x for each x in masks, as a list of bits."""
+    return list(map((1).__and__, map(int.bit_count, map(m.__and__, masks))))
+
+
+# LINE_MASKS[d - 1]: the indicator of D_d, a mask on the point side
+LINE_MASKS = tuple(map(line_indicator, fano.LINES))
+
+
 @lru_cache(maxsize=None)
 def radon(f):
-    """f*(D) = sum of f over the points of D, for each line; memoized over
-    the 128 masks, which every sweep of the transform reads many times."""
-    out = 0
-    for d in fano.LINES:
-        s = sum(evaluate(f, p) for p in fano.LINE_POINTS[d]) % 2
-        if s:
-            out |= 1 << (d - 1)
-    return out
+    """f*(D) = sum of f over the points of D, for each line: the parity of
+    f & LINE_MASKS[D - 1]; memoized over the 128 masks, which every sweep of
+    the transform reads many times."""
+    return from_values(_parities(f, LINE_MASKS))
 
 
 @lru_cache(maxsize=None)
@@ -157,27 +162,15 @@ def concurrent_triples():
     )
 
 
-def concurrency_identity(f):
-    """Sum over each concurrent line triple of f* equals the total sum of f.
-
-    Returns (lhs_values, rhs); the identity asserts all lhs equal rhs.
-    """
-    h = radon(f)
-    rhs = sum(evaluate(f, p) for p in fano.POINTS) % 2
-    lhs = tuple(
-        (evaluate(h, d1) + evaluate(h, d2) + evaluate(h, d3)) % 2
-        for d1, d2, d3 in concurrent_triples()
-    )
-    return lhs, rhs
-
-
 def concurrency_holds():
-    """AC4.concurrency: there are exactly 7 concurrent line triples, and
-    the identity holds on each of them for all 128 functions."""
-    return len(concurrent_triples()) == 7 and all(
-        all(v == rhs for v in lhs)
-        for lhs, rhs in map(concurrency_identity, ALL_FUNCTIONS)
-    )
+    """AC4.concurrency: there are exactly 7 concurrent line triples, and on
+    each of them the sum of f* equals the total sum of f, for all 128
+    functions f: per triple, the parities of the transforms masked by the
+    triple's lines against the parities of the functions."""
+    triples = [sum(1 << d - 1 for d in t) for t in concurrent_triples()]
+    images = list(map(radon, ALL_FUNCTIONS))
+    totals = _parities(ONE, ALL_FUNCTIONS)
+    return len(triples) == 7 and all(_parities(m, images) == totals for m in triples)
 
 
 def sign_labels(mask, kind):

@@ -211,6 +211,7 @@ class PrimeFieldElement:
 # Miller-Rabin with these bases is exact for every n below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_LIMIT = 2**64
+_PRIME_LIMIT_ERROR = "primes of 2^64 and above are not supported"
 
 
 def _is_prime(n):
@@ -292,7 +293,7 @@ class PrimeField:
         if p == 2:
             raise ValueError("characteristic 2 is not supported")
         if p >= _PRIME_LIMIT:
-            raise ValueError("primes of 2^64 and above are not supported")
+            raise ValueError(_PRIME_LIMIT_ERROR)
         if not _is_prime(p):
             raise ValueError("%d is not prime" % p)
         self.p = p
@@ -337,5 +338,9 @@ def field_from_descriptor(desc):
         return QI
     digits = desc[3:]
     if desc.startswith("fp:") and digits.isascii() and digits.isdigit():
+        # 2^64 has 20 digits: a longer number is refused before int reads it
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > 20:
+            raise ValueError(_PRIME_LIMIT_ERROR)
         return PrimeField(int(digits))
     raise ValueError("unsupported field descriptor: %r" % desc)

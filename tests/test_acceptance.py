@@ -9,18 +9,23 @@ checks of the suite holding its claims from that report and prints one
 bytes are pinned by their sha256; a change to a claim's text or value
 updates the digest in the same diff.
 
-Two more tests run `verify all` in process.  One runs it twice, the second
-time on warm memos, and pins both reports.  The other counts the values
-that `verify all` builds once per process (see MEMOS), so that a change
-that rebuilds them per call fails here.
+Three more tests run `verify all` in process.  One runs it twice, the
+second time on warm memos, and pins both reports.  Another counts the
+values that `verify all` builds once per process (see MEMOS), so that a
+change that rebuilds them per call fails here, and the last counts its
+calls into the package (see CALL_BUDGET), so that a sweep that goes back
+to a helper call per element fails too.
 """
 
 import hashlib
 import json
+import os
 import re
+import sys
 
 import pytest
 
+import fanog2
 from fanog2 import cli, compfactor, fano, forms, g2, lifting, octonion, radon
 
 # Acceptance criterion number -> the verify suite that holds its claims.
@@ -95,6 +100,8 @@ MEMOS = {
     radon.radon: 128,  # every mask, read by the kernel and image sweeps
     radon.preimages: 16,  # the image members, whose preimages the lifts read too
     octonion._label_plan: 1,  # the 128 line orientations share their labels
+    fano._pair_columns: 1,  # 8 hP + hQ over the group for each pair, read by the AC3 and AC5 sweeps
+    octonion._associator_table: 1,  # the 512 basis associators of the four AC14 identities
 }
 
 
@@ -104,6 +111,31 @@ def test_verify_all_builds_each_memoized_value_once(tmp_path):
     _verify_all(tmp_path / "all.json")
     assert {memo.__name__: memo.cache_info().misses for memo in MEMOS} == {
         memo.__name__: n for memo, n in MEMOS.items()}
+
+
+# the calls into code in src/fanog2 that one verify all --json makes on fresh
+# memos, as sys.setprofile counts them (a generator counts each time it
+# resumes): 101 978 while the sweeps called a helper per element, and this
+# many once they read the tables above
+CALL_BUDGET = 46351
+
+
+def test_verify_all_stays_within_its_call_budget(tmp_path, fresh_memos):
+    package = os.path.dirname(fanog2.__file__)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        _verify_all(tmp_path / "all.json")
+    finally:
+        sys.setprofile(None)
+    print("calls into fanog2:", calls)
+    assert calls <= CALL_BUDGET
 
 
 def _criterion(n):

@@ -194,12 +194,33 @@ def test_field_descriptor_gate(capsys):
                  "--out", "/dev/null"]) == 0
 
 
+def test_a_very_long_prime_is_refused_before_it_is_read(capsys):
+    # 5 000 digits is past the 4 300 that int() reads; the descriptor gets
+    # the message of any prime of 2^64 and above, and leading zeros are
+    # not digits of the prime
+    for desc in ("fp:" + "7" * 5000, "fp:%d" % 2**64, "fp:1" + "0" * 20):
+        capsys.readouterr()
+        assert _run(["verify", "fano", "--field", desc, "--out", "/dev/null"]) == 2
+        assert capsys.readouterr().err == "error: primes of 2^64 and above are not supported\n"
+    assert _run(["verify", "fano", "--field", "fp:" + "0" * 5000 + "7", "--out", "/dev/null"]) == 0
+    assert _run(["verify", "fano", "--field", "fp:05", "--out", "/dev/null"]) == 0
+
+
 def test_out_to_missing_directory(tmp_path, capsys):
     target = tmp_path / "missing" / "report.txt"
     assert _run(["verify", "fano", "--out", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write --out")
     assert err.count("\n") == 1
+
+
+def test_an_empty_out_path_is_unwritable(capsys):
+    # "" names no file: the command exits 2 like any path it cannot write,
+    # and nothing goes to stdout
+    assert _run(["verify", "fano", "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
 
 
 def test_radon_claim_fails_instead_of_raising(monkeypatch, fresh_memos):

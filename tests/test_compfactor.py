@@ -62,13 +62,92 @@ def test_twist_transitive_on_side():
     }
 
 
+def _act(g, eps):
+    """The left action one table at a time: (g.eps)_{PQ} = eps_{g^-1 P, g^-1 Q}."""
+    inv = fano.inverse(g)
+    return tuple(
+        tuple(eps[inv[p - 1] - 1][inv[q - 1] - 1] for q in fano.POINTS) for p in fano.POINTS
+    )
+
+
 def test_group_action():
     eps = compfactor.EPS_TAU
     factors = set(compfactor.enumerate_composition_factors())
     for g in list(fano.all_collineations())[:25]:
-        moved = compfactor.act(g, eps)
+        moved = _act(g, eps)
         assert moved in factors
-    assert compfactor.act(fano.IDENTITY, eps) == eps
+    assert _act(fano.IDENTITY, eps) == eps
+
+
+def _reference_normalizer():
+    """The g with g t g^-1 in <tau> for each power t of the shift, each
+    conjugate composed as tuples."""
+    powers = fano.generated_subgroup((fano.TAU,))
+    return {
+        g
+        for g in fano.all_collineations()
+        if all(fano.compose(g, fano.compose(t, fano.inverse(g))) in powers for t in powers)
+    }
+
+
+def test_moved_signs_match_the_action_table_by_table(monkeypatch, fresh_memos):
+    # the orbits and the isotropy read off the moved signs of the whole
+    # group, against the action on one table at a time: the 168 images of
+    # EPS_TAU, each of the 16 composition factors, and EPS_TAU with one pair
+    # flipped, whose isotropy is smaller; the normalizer off the product
+    # table against conjugates composed as tuples
+    group = fano.all_collineations()
+    assert compfactor._moved_signs(compfactor.EPS_TAU) == [
+        bytes(_act(fano.inverse(g), compfactor.EPS_TAU)[p - 1][q - 1] == -1
+              for p, q in compfactor._OFF_DIAGONAL)
+        for g in group
+    ]
+    orbits = compfactor.orbit_decomposition()
+    for eps in compfactor.enumerate_composition_factors():
+        assert compfactor.orbit(eps) == {_act(g, eps) for g in group}
+        assert eps in next(o for o in orbits if eps in o)
+    normalizer = _reference_normalizer()
+    for eps in compfactor.enumerate_composition_factors() + (_flip(compfactor.EPS_TAU, 1, 2),):
+        monkeypatch.setattr(compfactor, "EPS_TAU", eps)
+        fresh_memos()
+        iso = {g for g in group if _act(g, eps) == eps}
+        assert compfactor.isotropy() == iso, eps
+        assert compfactor.isotropy_is_shift_normalizer() is (iso == normalizer), eps
+    assert len(iso) < 21
+    assert compfactor.isotropy_is_shift_normalizer() is False
+
+
+def _reference_line_orientations():
+    """The 128 line orientations, one table at a time."""
+    found = []
+    for choice in product((0, 1), repeat=7):
+        table = [[0] * 7 for _ in range(7)]
+        for d, flip in zip(fano.LINES, choice):
+            a, b, c = sorted(fano.LINE_POINTS[d])
+            for x, y in ((a, c), (c, b), (b, a)) if flip else ((a, b), (b, c), (c, a)):
+                table[x - 1][y - 1], table[y - 1][x - 1] = 1, -1
+        found.append(tuple(map(tuple, table)))
+    return tuple(found)
+
+
+def _reference_exponentiate(maps):
+    return tuple(
+        tuple(
+            tuple((-1) ** fano.pairing(alpha[p - 1], q) if p != q else 0 for q in fano.POINTS)
+            for p in fano.POINTS
+        )
+        for alpha in maps
+    )
+
+
+def test_tables_match_the_entry_by_entry_references():
+    # the orientations built from shared rows, and the exponentials read off
+    # the value words of the forms, against one entry at a time
+    assert compfactor.line_orientations() == _reference_line_orientations()
+    maps = compfactor.enumerate_oriented_maps()
+    bad = (0,) * 7
+    for family in (maps, (bad,) + maps, maps[:1] + (maps[0][:6] + (maps[1][6],),)):
+        assert compfactor.exponentiate(family) == _reference_exponentiate(family)
 
 
 def test_isotropy_is_subgroup():

@@ -189,3 +189,18 @@ def test_a_group_missing_an_element_fails_the_fano_claims(monkeypatch, capsys, f
     assert checks["AC1.size"] == 167
     assert checks["AC1.generators"] == [True, True, 167]
     assert checks["AC2.order7-split"] is False
+
+
+def test_pairing_is_the_parity_of_the_masks():
+    # every form phi = 0..7 at every point, against the count of common bits
+    for phi in range(8):
+        for p in fano.POINTS:
+            assert fano.pairing(phi, p) == bin(phi & fano.MASK[p]).count("1") % 2
+
+
+def test_pair_columns_read_the_group_pair_by_pair():
+    group = fano.all_collineations()
+    columns = fano._pair_columns()
+    assert len(columns) == 64
+    for (p, q), col in columns.items():
+        assert list(col) == [8 * ((0,) + g)[p] + ((0,) + g)[q] for g in group]

@@ -1,6 +1,8 @@
-from itertools import combinations
+from itertools import combinations, permutations
+from math import prod
 
-from fanog2 import compfactor, fano, forms, g2
+from fanog2 import compfactor, fano, forms, g2, linalg
+from fanog2.scalars import QQ
 
 
 def test_sort_with_sign():
@@ -138,8 +140,62 @@ def test_a_negated_table_entry_fails_the_invariant_claims(monkeypatch):
     assert forms.invariant_three_form_dimension() == 1
 
 
-def test_invariant_space_dimension():
-    assert forms.invariant_three_form_dimension() == 1
+def _reference_three_form_dimension():
+    """35 minus the rank of every row (X, K') of every basis X, read as it
+    comes, a row and its negative both."""
+    keys = list(combinations(fano.POINTS, 3))
+    rows = []
+    for pd in g2.g2_basis():
+        x = g2.X(*pd)
+        for out in combinations(fano.POINTS, 3):
+            row = [forms.derive(x, {key: 1}).get(out, 0) for key in keys]
+            if any(row):
+                rows.append(row)
+    return len(keys) - linalg.rank(rows, QQ)
+
+
+def test_invariant_space_dimension(monkeypatch):
+    # the rows read once up to sign, against every row: on the table, and
+    # with one entry of the derivation table negated
+    assert forms.invariant_three_form_dimension() == _reference_three_form_dimension() == 1
+    table = forms._derivation_table()
+    pair = next(iter(g2.X(*g2.g2_basis()[0])))
+    key = next(k for k in forms.omega() if k in table[pair])
+    bad = {p: dict(row) for p, row in table.items()}
+    out, sign = bad[pair][key]
+    bad[pair][key] = (out, -sign)
+    monkeypatch.setattr(forms, "_derivation_table", lambda: bad)
+    assert forms.invariant_three_form_dimension() == _reference_three_form_dimension() == 0
+
+
+def _reference_form(eps, blocks, pairs):
+    """The form with one term per block, each ordering of the block sorted
+    with its sign on its own."""
+    out = {}
+    for d in fano.LINES:
+        results = set()
+        for pts in permutations(sorted(blocks[d])):
+            c = prod(eps[pts[i] - 1][pts[j] - 1] for i, j in pairs)
+            key, s = forms._sort_with_sign(pts)
+            results.add((key, c * s))
+        if len(results) == 1:
+            key, c = results.pop()
+            out[key] = c
+    return out
+
+
+def test_forms_match_the_ordering_by_ordering_reference():
+    # omega and Omega with the signs of the orderings read off one table,
+    # against sorting each ordering: on EPS_TAU, the 16 composition factors,
+    # every line orientation, and EPS_TAU with one pair flipped, where
+    # Omega loses terms
+    table = [list(row) for row in compfactor.EPS_TAU]
+    table[0][1], table[1][0] = table[1][0], table[0][1]
+    flipped = tuple(map(tuple, table))
+    for eps in (compfactor.EPS_TAU, flipped) + compfactor.line_orientations():
+        for block, (blocks, pairs) in forms._BLOCKS.items():
+            assert forms._form(eps, block) == _reference_form(eps, blocks, pairs), (eps, block)
+    assert len(forms.big_omega(flipped)) < 7
 
 
 def test_bilinear_and_volume_identities():

@@ -523,6 +523,23 @@ def test_delta_hat_claims_match_the_per_element_reference(monkeypatch, fresh_mem
     assert expected["welldefined"] is (error is None) is not bool(broken)
 
 
+def test_ac10_radon_reads_each_pair_once_and_sees_a_moved_delta(monkeypatch, fresh_memos):
+    # AC10.radon checks each distinct pair of a base's line word and a delta
+    # once; with the sign at P1 flipped in the deltas over the shift, which
+    # moves their transforms off the line word, the per-element reference
+    # and the claim both fail
+    assert g2.delta_hat_claims()["radon"] is _reference_delta_hat_sweep()[0]["radon"] is True
+    tables = g2._delta_hat_tables
+
+    def moved():
+        words, flips, errors = tables()
+        return {g: w ^ (g == fano.TAU) for g, w in words.items()}, flips, errors
+
+    monkeypatch.setattr(g2, "_delta_hat_tables", moved)
+    fresh_memos()
+    assert g2.delta_hat_claims()["radon"] is _reference_delta_hat_sweep()[0]["radon"] is False
+
+
 def _reference_delta_hat_loop(g):
     """The sign word of (g, +1) by one loop per collineation over the
     entries of the 21 matrices, entry by entry, in the layout of the

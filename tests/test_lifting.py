@@ -200,6 +200,41 @@ def test_line_words_match_the_per_element_loop(monkeypatch, fresh_memos):
     assert None in words and set(words) != {None}
 
 
+def _reference_multiplier_identity(products):
+    """delta*(g2 g1, D) = delta*(g2, g1 D) delta*(g1, D) on all 168^2 pairs,
+    the product g2 g1 of each pair composed as tuples (products[g1][g2]) and
+    each mask moved by g1 line by line."""
+    group = fano.all_collineations()
+    words = {g: lifting.delta_star_fn(g) for g in group}
+    if None in words.values():
+        return False
+    for g1 in group:
+        lines = fano.line_perm(g1)
+        moved = {
+            w: sum((w >> lines[d - 1] - 1 & 1) << d - 1 for d in fano.LINES) ^ words[g1]
+            for w in set(words.values())
+        }
+        if any(words.get(products[g1][g2]) != moved[words[g2]] for g2 in group):
+            return False
+    return True
+
+
+def test_bit_planes_match_the_pairwise_multiplier_reference(monkeypatch, fresh_memos):
+    # AC5.identities reads the multiplier identity off bit planes of the
+    # masks: against the pair-by-pair loop on EPS_TAU, on each of the 16
+    # composition factors, and on EPS_TAU with one pair flipped (where some
+    # word is None); on each factor the claim holds
+    group = fano.all_collineations()
+    products = {g1: {g2: fano.compose(g2, g1) for g2 in group} for g1 in group}
+    assert lifting.delta_star_properties() is _reference_multiplier_identity(products) is True
+    flipped = _flipped_pair()
+    for eps in compfactor.enumerate_composition_factors() + (flipped,):
+        monkeypatch.setattr(compfactor, "EPS_TAU", eps)
+        fresh_memos()
+        reference = _reference_multiplier_identity(products)
+        assert lifting.delta_star_properties() is reference is (eps != flipped), eps
+
+
 # `diagram delta` on each composition factor as EPS_TAU, by its index in
 # enumerate_composition_factors(): the two whose line cycles the X(P, D)
 # follow draw their 64 colourings; the others name the first generator whose

@@ -116,6 +116,13 @@ def test_clifford_property():
         assert octonion.mul(x, octonion.mul(x, e)) == _scale(-n, e)
 
 
+def _flipped(eps):
+    """eps with the antisymmetric pair (P1, P2) flipped."""
+    table = [list(row) for row in eps]
+    table[0][1], table[1][0] = table[1][0], table[0][1]
+    return tuple(map(tuple, table))
+
+
 def test_certificates_reject_a_flipped_pair(monkeypatch):
     """One antisymmetric pair of EPS_TAU flipped breaks every certificate
     but conjugation, which holds for any antisymmetric table."""
@@ -128,6 +135,94 @@ def test_certificates_reject_a_flipped_pair(monkeypatch):
     assert not octonion.is_alternative()
     assert not octonion.clifford_identity()
     assert not octonion.lines_are_associative()
+
+
+# The certificates one signed label (s, c), meaning s e_c, at a time, as the
+# product table t gives them: the references of the associator table.
+
+
+def _mul(t, u, v):
+    r, m = t[u[1]][v[1]]
+    return u[0] * v[0] * r, m
+
+
+def _vanishes(*terms):
+    out = [0] * 8
+    for c, k in terms:
+        out[k] += c
+    return not any(out)
+
+
+def _associator(t, a, b, c):
+    return _mul(t, t[a][b], (1, c)), _mul(t, (-1, a), t[b][c])
+
+
+def _reference_certificates(t):
+    """AC14.alternative, conjugation, quaternion and clifford on a product
+    table, each triple, pair or line checked on its own."""
+
+    def bar(u):
+        return (u[0] if u[1] == 0 else -u[0]), u[1]
+
+    triples = list(product(range(8), repeat=3))
+    return (
+        all(
+            _vanishes(*_associator(t, a, b, c), *_associator(t, b, a, c))
+            and _vanishes(*_associator(t, c, a, b), *_associator(t, c, b, a))
+            for a, b, c in triples
+        ),
+        all(bar(t[a][b]) == _mul(t, bar((1, b)), bar((1, a))) for a, b in product(range(8), repeat=2)),
+        all(
+            _vanishes(*_associator(t, a, b, c))
+            for d in fano.LINES
+            for a, b, c in product(octonion.quaternion_subalgebra(d), repeat=3)
+        ),
+        all(
+            _vanishes(_mul(t, (1, p), t[q][b]), _mul(t, (1, q), t[p][b]), (2 if p == q else 0, b))
+            for p, q in product(fano.POINTS, repeat=2)
+            for b in range(8)
+        ),
+    )
+
+
+def _certificates():
+    return (
+        octonion.is_alternative(),
+        octonion.conjugation_is_antiautomorphism(),
+        octonion.lines_are_associative(),
+        octonion.clifford_identity(),
+    )
+
+
+def _relabelled(t):
+    """The product table t with the labels 1 and 2 of its products swapped,
+    signs kept."""
+    swap = {1: 2, 2: 1}
+    return tuple(tuple((s, swap.get(c, c)) for s, c in row) for row in t)
+
+
+def test_associator_table_matches_the_label_by_label_reference(monkeypatch):
+    # the four certificates read off the 512 associators against the loops
+    # over signed labels: on EPS_TAU, on every line orientation (the 16
+    # composition factors among them), on EPS_TAU with one pair flipped, and
+    # on the table of EPS_TAU with two labels swapped, which only the labels
+    # give away
+    t = octonion.products(compfactor.EPS_TAU)
+    assert _certificates() == _reference_certificates(t) == (True,) * 4
+    factors = set(compfactor.enumerate_composition_factors())
+    passing = set()
+    for eps in compfactor.line_orientations() + (_flipped(compfactor.EPS_TAU),):
+        monkeypatch.setattr(compfactor, "EPS_TAU", eps)
+        got = _certificates()
+        assert got == _reference_certificates(octonion.products(eps)), eps
+        if all(got):
+            passing.add(eps)
+    assert passing == factors
+    monkeypatch.undo()
+    monkeypatch.setattr(octonion, "products", lambda eps: _relabelled(t))
+    got = _certificates()
+    assert got == _reference_certificates(_relabelled(t))
+    assert not got[0] and not got[3]
 
 
 def _failing_quadruples(t):

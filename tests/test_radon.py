@@ -78,9 +78,51 @@ def test_mult_kernel_is_group():
             assert f ^ g in ker
 
 
+def _reference_radon(f):
+    """The transform point by point: f summed over the three points of each
+    line."""
+    out = 0
+    for d in fano.LINES:
+        if sum(radon.evaluate(f, p) for p in fano.LINE_POINTS[d]) % 2:
+            out |= 1 << (d - 1)
+    return out
+
+
+def _reference_concurrency_identity(f):
+    """(lhs, rhs): the sum of f* over each concurrent line triple, read off
+    radon.radon, bit by bit, and the total sum of f."""
+    h = radon.radon(f)
+    rhs = sum(radon.evaluate(f, p) for p in fano.POINTS) % 2
+    lhs = tuple(
+        (radon.evaluate(h, d1) + radon.evaluate(h, d2) + radon.evaluate(h, d3)) % 2
+        for d1, d2, d3 in radon.concurrent_triples()
+    )
+    return lhs, rhs
+
+
+def _reference_concurrency_holds():
+    return len(radon.concurrent_triples()) == 7 and all(
+        all(v == rhs for v in lhs) for lhs, rhs in map(_reference_concurrency_identity, range(128))
+    )
+
+
 def test_concurrency_identity():
     trips = radon.concurrent_triples()
     assert len(trips) == 7
     for f in range(128):
-        lhs, rhs = radon.concurrency_identity(f)
+        lhs, rhs = _reference_concurrency_identity(f)
         assert all(v == rhs for v in lhs)
+    assert radon.concurrency_holds() is _reference_concurrency_holds() is True
+
+
+def test_parities_match_the_pointwise_reference(monkeypatch, fresh_memos):
+    # the transform as parities of f & LINE_MASKS[D - 1], and the
+    # concurrency claim as parities of masked transforms, against the point
+    # by point loops on all 128 functions; with the transform broken to the
+    # identity both claims fail alike
+    assert [radon.radon(f) for f in range(128)] == [_reference_radon(f) for f in range(128)]
+    assert radon.LINE_MASKS == tuple(map(radon.line_indicator, fano.LINES))
+    monkeypatch.setattr(radon, "radon", lambda f: f)
+    assert radon.concurrency_holds() is _reference_concurrency_holds() is False
+    monkeypatch.setattr(radon, "radon", lambda f: _reference_radon(f) ^ (f == 5))
+    assert radon.concurrency_holds() is _reference_concurrency_holds() is False
