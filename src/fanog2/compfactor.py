@@ -146,6 +146,11 @@ def enumerate_composition_factors():
     return tuple(eps for i, eps in enumerate(found) if mask >> i & 1)
 
 
+def factor_count():
+    """AC3.count: the number of composition factors."""
+    return len(enumerate_composition_factors())
+
+
 def _moved_signs(eps):
     """The signs of a sign table moved by each collineation h, in
     all_collineations() order: the 42 entries eps(hP, hQ) at the pairs
@@ -190,6 +195,11 @@ def orbit_decomposition():
     return tuple(orbits)
 
 
+def orbit_sizes():
+    """AC3.orbits: the sizes of the orbits, sorted."""
+    return sorted(map(len, orbit_decomposition()))
+
+
 def orbit_sides():
     """AC3.sides: the set of side tags of each orbit, sorted."""
     return sorted(({side(f) for f in o} for o in orbit_decomposition()), key=str)
@@ -201,6 +211,11 @@ def isotropy():
     table's own; memoized."""
     own = bytes(map((-1).__eq__, _PICK(sum(EPS_TAU, ()))))
     return frozenset(compress(fano.all_collineations(), map(own.__eq__, _moved_signs(EPS_TAU))))
+
+
+def isotropy_order():
+    """AC3.isotropy-order: the order of the isotropy group of EPS_TAU."""
+    return len(isotropy())
 
 
 def isotropy_is_shift_normalizer():
@@ -245,6 +260,11 @@ def enumerate_oriented_maps():
             )
         ]
     return tuple(maps)
+
+
+def oriented_map_count():
+    """AC3.oriented-maps: the number of oriented maps."""
+    return len(enumerate_oriented_maps())
 
 
 def exponentiate(maps):

@@ -127,6 +127,11 @@ def all_collineations():
     return tuple(sorted(result))
 
 
+def group_order():
+    """AC1.size: the number of collineations."""
+    return len(all_collineations())
+
+
 @lru_cache(maxsize=None)
 def order(g):
     """The order of a permutation of the points, memoized: the lcm of the
@@ -297,14 +302,21 @@ def all_triangles():
 
 def conjugacy_class(g):
     """The conjugacy class of a collineation, by exhaustive conjugation: for
-    each h, h g h^-1 is the c with c h = h g, read off the product table as
-    the position in the row of h of the code of h g.  Empty when some
-    conjugate lies outside all_collineations(), which is then no group."""
-    table, j, group = _product_table()[0], _position(g), all_collineations()
-    try:
-        return frozenset([group[row.index(c)] for row, c in zip(table, table[j])])
-    except ValueError:
+    each h, h g h^-1 = (h g) h^-1 is two lookups in the product table, the
+    position of h g in the row of g and then the code at that position in
+    the row of h^-1.  The position of each h^-1 is read once, by the code of
+    the inverse permutation.  Empty when some product or inverse lies outside
+    all_collineations(), which is then no group."""
+    (table, at), group = _product_table(), all_collineations()
+    inverses = [
+        at.get(MASK[h.index(1) + 1] | MASK[h.index(2) + 1] << 3 | MASK[h.index(3) + 1] << 6)
+        for h in group
+    ]
+    products = [at.get(c) for c in table[_position(g)]]
+    if None in inverses or None in products:
         return frozenset()
+    conjugates = {at.get(table[i][k]) for i, k in zip(inverses, products)}
+    return frozenset() if None in conjugates else frozenset(map(group.__getitem__, conjugates))
 
 
 def order7_class_split():

@@ -823,6 +823,33 @@ def delta_hat_claims():
     }
 
 
+def delta_hat_welldefined():
+    """AC10.welldefined: every delta passes its checks."""
+    return delta_hat_claims()["welldefined"]
+
+
+def delta_hat_count():
+    """AC10.count: the number of distinct deltas and the set of their
+    multiplicities."""
+    return delta_hat_claims()["count"]
+
+
+def delta_hat_in_r():
+    """AC10.in-R: every delta has an even number of -1 points."""
+    return delta_hat_claims()["in-R"]
+
+
+def delta_hat_radon():
+    """AC10.radon: the transform of each delta is the line word of its
+    base."""
+    return delta_hat_claims()["radon"]
+
+
+def delta_hat_ahat():
+    """AC10.ahat: the +1 points of the delta of AHAT."""
+    return delta_hat_claims()["ahat"]
+
+
 # ---------------------------------------------------------------------------
 # point subalgebras (sl(3)/su(3)) and the almost-complex structure
 

@@ -138,11 +138,16 @@ def distinguished_point(fn):
     return _POINT_OF[fn]
 
 
-def generator_points():
-    """AC5.generator-a and AC5.generator-b: the distinguished points of the
-    delta_star functions of the standard generators a and b; None for one
-    outside R*, so the claim fails rather than raises."""
-    return tuple(_POINT_OF.get(delta_star_fn(g)) for g in fano.standard_generators())
+def generator_a_point():
+    """AC5.generator-a: the distinguished point of the delta_star function
+    of the standard generator a; None for one outside R*, so the claim
+    fails rather than raises."""
+    return _POINT_OF.get(delta_star_fn(fano.standard_generators()[0]))
+
+
+def generator_b_point():
+    """AC5.generator-b: as generator_a_point, for the standard generator b."""
+    return _POINT_OF.get(delta_star_fn(fano.standard_generators()[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +233,16 @@ def enumerate_aug_group():
     return tuple(chain.from_iterable(map(lifts, fano.all_collineations())))
 
 
+def aug_group_order():
+    """AC6.size: the number of augmented automorphisms."""
+    return len(enumerate_aug_group())
+
+
+def ahat_is_a_lift():
+    """AC6.ahat: AHAT is one of the lifts of its base."""
+    return AHAT in lifts(AHAT[0])
+
+
 def kernel_elements():
     """ker(projection): the identity and the seven t_D."""
     return (AUG_IDENTITY,) + tuple(t_map(d) for d in fano.LINES)
@@ -253,6 +268,27 @@ def order_profiles():
     c = fano.compose(a, fano.compose(b, fano.compose(fano.inverse(a), fano.inverse(b))))
     bases = {2: a, 3: b, 7: fano.TAU, 4: c}
     return {n: tuple(sorted(map(aug_order, lifts(g)))) for n, g in bases.items()}
+
+
+def order2_profile():
+    """AC6.profile-2: the lift order profile over the order-2 base."""
+    return order_profiles()[2]
+
+
+def order3_profile():
+    """AC6.profile-3: the lift order profile over the order-3 base."""
+    return order_profiles()[3]
+
+
+def order7_profile():
+    """AC6.profile-7: the lift order profile over the order-7 base."""
+    return order_profiles()[7]
+
+
+def order4_profile():
+    """AC6.profile-4: the lift order profile over the order-4 base, the
+    non-splitness witness."""
+    return order_profiles()[4]
 
 
 def orientation_power_count():

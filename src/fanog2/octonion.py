@@ -138,6 +138,11 @@ def polarized_norm_identity(eps):
     return norm_identity_holds([products(eps)]) == 1
 
 
+def norm_is_multiplicative():
+    """AC14.norm-sampled: the polarized norm identity for EPS_TAU."""
+    return polarized_norm_identity(compfactor.EPS_TAU)
+
+
 def norm_identity_holds(tables):
     """polarized_norm_identity on a family of product tables, as a mask with
     bit i set where it holds on tables[i].

@@ -67,6 +67,11 @@ def kernel():
     return tuple(f for f in ALL_FUNCTIONS if radon(f) == 0)
 
 
+def kernel_size():
+    """AC4.kernel: the number of functions with zero transform."""
+    return len(kernel())
+
+
 def kernel_is_off_line_indicators():
     """AC4.kernel-shape: the kernel is 0 and the seven T_D."""
     return set(kernel()) == {ZERO} | {t_line(d) for d in fano.LINES}
@@ -76,6 +81,11 @@ def kernel_is_off_line_indicators():
 def image():
     """The 16-element image of the transform."""
     return tuple(sorted({radon(f) for f in ALL_FUNCTIONS}))
+
+
+def image_size():
+    """AC4.image: the number of transforms."""
+    return len(image())
 
 
 # PENCILS[P - 1]: the indicator of the pencil of lines through P, a mask on
@@ -122,6 +132,11 @@ def mult_domain():
     return tuple(f for f in ALL_FUNCTIONS if not f.bit_count() % 2)
 
 
+def mult_domain_size():
+    """AC4.mult-domain: the number of members of R."""
+    return len(mult_domain())
+
+
 def mult_image():
     """R*: the transform of the domain R, as a sorted tuple.
 
@@ -151,6 +166,11 @@ def mult_kernel():
     """The 8-element kernel of the multiplicative transform on R: the
     members whose transform is the constant +1."""
     return tuple(f for f in mult_domain() if radon(f) == ZERO)
+
+
+def mult_kernel_size():
+    """AC4.mult-kernel: the number of members of the multiplicative kernel."""
+    return len(mult_kernel())
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,15 @@
 """Acceptance gate: every claim of the `fanog2 verify` suites.
 
-The claims are listed once, in `cli.SUITES`, and each claim's observed
-value is computed by one call into the module it is about.  This module runs
-`fanog2 verify all --json` once, and each acceptance criterion ACn reads the
-checks of the suite holding its claims from that report and prints one
+Each claim is one row of a suite in `cli.SUITES`: its id, its description,
+its expected value and the function of the module it is about that
+computes its observed value.  This module runs `fanog2 verify all --json`
+once, and each acceptance criterion ACn reads the checks of the suite
+holding its claims from that report and prints one
 `<claim> PASS|FAIL: <description>` line per check, so that
 `pytest -s tests/test_acceptance.py` reads as a certificate.  The report's
 bytes are pinned by their sha256; a change to a claim's text or value
-updates the digest in the same diff.
+updates the digest in the same diff.  The claim ids of the report, in
+order, are those that the benchmark checks its reports against.
 
 Three more tests run `verify all` in process.  One runs it twice, the
 second time on warm memos, and pins both reports.  Another counts the
@@ -56,6 +58,16 @@ def suite_checks(report_bytes):
 def test_report_bytes_are_pinned(report_bytes):
     assert len(report_bytes) == 22178
     assert hashlib.sha256(report_bytes).hexdigest() == REPORT_SHA256
+
+
+def test_claim_ids_are_the_benchmark_list(report_bytes):
+    # bench/claim_ids.json is kept by hand; the benchmark requires each of
+    # its ids in every verify report
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "claim_ids.json")) as fh:
+        listed = json.load(fh)
+    suites = json.loads(report_bytes)["suites"]
+    assert [c["claim"] for s in suites for c in s["checks"]] == listed
 
 
 def _verify_all(path):

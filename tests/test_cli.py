@@ -543,6 +543,25 @@ def _negated_law(monkeypatch):
     monkeypatch.setattr(g2, "_bracket_case", negated)
 
 
+def test_the_text_report_gives_the_values_of_a_failed_claim(
+    monkeypatch, tmp_path, fresh_memos
+):
+    # each failed claim is marked FAIL and followed by its expected and
+    # observed values, one line each
+    _negated_law(monkeypatch)
+    out = tmp_path / "g2.txt"
+    assert _run(["verify", "g2", "--out", str(out)]) == 1
+    text = _read(out)
+    assert text.startswith("suite g2: FAIL\n")
+    assert (
+        "  [FAIL] AC8.jacobi: Jacobi identity on all basis triples\n"
+        "      expected: True\n"
+        "      observed: False\n"
+        "  [ok] AC9.census: incidence-orbit census\n"
+    ) in text
+    assert text.endswith("\n25 checks, overall FAIL\n")
+
+
 def _raising_suite(monkeypatch):
     def suite():
         raise RuntimeError("a suite raised")

@@ -5,10 +5,11 @@ is read by its function, every defaulted parameter is passed by some call,
 and no required parameter gets the same constant from every call.  A guard also keeps `random` out of the
 package: a certificate is exhaustive or an exact identity, never a sample.
 Another keeps loops out of the cli suites, so that each claim's sweep is
-defined in the module the claim is about, and another keeps every
-`except AssertionError` out of the package.  Another keeps every sum of
-sparse terms in g2.combine, and a last one keeps the DOT incidence graph
-in radon.incidence_dot.
+defined in the module the claim is about, and another keeps each suite a
+list of rows whose observed values are functions of that module.  Another
+keeps every `except AssertionError` out of the package.  Another keeps
+every sum of sparse terms in g2.combine, and a last one keeps the DOT
+incidence graph in radon.incidence_dot.
 
 Stdlib only (ast), so it runs wherever the tests run.
 """
@@ -282,6 +283,68 @@ def test_suites_hold_no_loops():
         if isinstance(node, (ast.For, ast.While, ast.Try))
     ]
     assert not found, "statements in suites: %s" % ", ".join(found)
+
+
+# the one row whose observed value reads the suite's argument, the field
+# that --field parses to
+FIELD_ROW = "AC11.chevalley-field"
+
+
+def _defined_functions(module):
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
+def test_suites_are_rows_of_module_functions():
+    """A cli suite is one import of a module and one _records call over
+    rows (claim, description, expected, fn), with fn a function that the
+    module defines, named as its attribute: not a lambda, call or subscript
+    that computes an observed value in cli.py.  FIELD_ROW alone is
+    exempt."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    suites = [
+        fn for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("suite_")
+    ]
+    assert suites
+    bad, claims = [], []
+    for fn in suites:
+        body = fn.body
+        call = body[-1].value if isinstance(body[-1], ast.Return) else None
+        if not (
+            len(body) == 2
+            and isinstance(body[0], ast.ImportFrom)
+            and len(body[0].names) == 1
+            and isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "_records"
+            and not call.keywords
+            and len(call.args) == 1
+            and isinstance(call.args[0], ast.Tuple)
+        ):
+            bad.append(fn.name)
+            continue
+        module = body[0].names[0].name
+        defined = _defined_functions(module)
+        for row in call.args[0].elts:
+            if not (
+                isinstance(row, ast.Tuple)
+                and len(row.elts) == 4
+                and isinstance(row.elts[0], ast.Constant)
+            ):
+                bad.append("%s line %d" % (fn.name, row.lineno))
+                continue
+            claim, observed = row.elts[0].value, row.elts[3]
+            claims.append(claim)
+            if claim != FIELD_ROW and not (
+                isinstance(observed, ast.Attribute)
+                and isinstance(observed.value, ast.Name)
+                and observed.value.id == module
+                and observed.attr in defined
+            ):
+                bad.append(claim)
+    assert not bad, "suites or rows not of module functions: %s" % ", ".join(bad)
+    assert FIELD_ROW in claims
 
 
 def _catches_assertion_error(handler):
