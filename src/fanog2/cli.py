@@ -380,16 +380,11 @@ def cmd_diagram(opts):
         sys.stderr.write("error: the sign table EPS_TAU is not a composition factor\n")
         return 1
     if opts.target == "delta-star":
-        try:
-            text = (
-                lifting.delta_star_diagram_dot()
-                if opts.format == "dot"
-                else lifting.delta_star_diagram_text()
-            )
-        except ValueError as exc:
-            # a line sign outside R* has no distinguished point
-            sys.stderr.write("error: %s\n" % exc)
-            return 1
+        text = (
+            lifting.delta_star_diagram_dot()
+            if opts.format == "dot"
+            else lifting.delta_star_diagram_text()
+        )
     else:
         # the 64 point-sign colorings over the augmented group; a delta that
         # fails its checks is reported as a failed check

@@ -151,18 +151,25 @@ def factor_count():
     return len(enumerate_composition_factors())
 
 
-def _moved_signs(eps):
-    """The signs of a sign table moved by each collineation h, in
-    all_collineations() order: the 42 entries eps(hP, hQ) at the pairs
-    (P, Q) of _OFF_DIAGONAL, as bytes with 1 where the entry is -1, one
-    translate of fano._pair_columns per pair.  They are the entries of the
-    left action h^-1 . eps, so they run over the orbit of eps, and the
-    isotropy is where they are those of eps."""
+@lru_cache(maxsize=None)
+def moved_flags(eps):
+    """The -1 flags of a sign table moved by every collineation, memoized
+    per table: for each pair (P, Q) of _OFF_DIAGONAL, the byte 1 where
+    eps(hP, hQ) is -1, for each h in all_collineations() order, one
+    translate of fano._pair_columns."""
     flags = bytearray(256)
     for p, q in _OFF_DIAGONAL:
         flags[8 * p + q] = eps[p - 1][q - 1] == -1
     columns = fano._pair_columns()
-    return list(map(bytes, zip(*(columns[pq].translate(flags) for pq in _OFF_DIAGONAL))))
+    return {pq: columns[pq].translate(flags) for pq in _OFF_DIAGONAL}
+
+
+def _moved_signs(eps):
+    """The signs of a sign table moved by each collineation h, in
+    all_collineations() order: moved_flags transposed, 42 bytes per h.  They
+    are the entries of the left action h^-1 . eps, so they run over the
+    orbit of eps, and the isotropy is where they are those of eps."""
+    return list(map(bytes, zip(*moved_flags(eps).values())))
 
 
 # for each row P, the positions of its entries in a value of _moved_signs,
@@ -221,9 +228,10 @@ def isotropy_order():
 def isotropy_is_shift_normalizer():
     """AC3.isotropy-normalizer: the isotropy equals the normalizer of the
     subgroup T generated by the shift fano.TAU.  g normalizes T iff
-    g T = T g: in fano's product table the codes of g t, over all g, are
-    the row of t, and those of t g are the entries at t of the row of g."""
-    table = fano._product_table()[0]
+    g T = T g: in fano's product table the positions of g t, over all g,
+    are the row of t, and those of t g are the entries at t of the row of
+    g."""
+    table = fano._product_table()
     powers = list(map(fano._position, fano.generated_subgroup((fano.TAU,))))
     left = zip(*[table[i] for i in powers])
     right = [[row[i] for i in powers] for row in table]

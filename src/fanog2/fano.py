@@ -12,7 +12,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import lcm
-from operator import or_
+from operator import itemgetter, or_
 from struct import calcsize, pack, unpack
 
 # label -> 3-bit mask, generated by the recurrence P_{i+3} = P_i + P_{i+1}
@@ -174,13 +174,11 @@ def line_perm(g):
 def _group_columns():
     """all_collineations() transposed, memoized: over all h in that order,
     the images h P of each label P = 0..7 (h fixes the unit 0) and h D of each
-    line D, as bytes; MASK[hP] per point P, in the 16-bit fields of fmt."""
+    line D, as bytes."""
     group = all_collineations()
     points = (bytes(len(group)),) + tuple(map(bytes, zip(*group)))
     lines = dict(zip(LINES, map(bytes, zip(*map(line_perm, group)))))
-    fmt = "<%dH" % len(group)
-    masks = {p: int.from_bytes(pack(fmt, *map(MASK.get, points[p])), "little") for p in POINTS}
-    return points, lines, masks, fmt
+    return points, lines
 
 
 @lru_cache(maxsize=None)
@@ -196,30 +194,32 @@ def _pair_columns():
 
 @lru_cache(maxsize=None)
 def _product_table():
-    """The group's product table, memoized: the row of the element at each
-    position of all_collineations() is its right_products, the codes of h g
-    over h; and the position of each code."""
-    at = {c: n for n, c in enumerate(right_products(IDENTITY))}
-    return tuple(map(right_products, all_collineations())), at
+    """The group's Cayley table, memoized: the row of g at each position of
+    all_collineations() holds the position of h g for each h in that order,
+    255 where h g lies outside the list, which is then no group.  h g is
+    found by its code, the masks of its images of P1, P2, P3 at bits 0, 3,
+    6, which fix it; the codes over all h are read off the 16-bit mask
+    columns of g P1, g P2, g P3, since h g sends P_k to h(g P_k)."""
+    group, points = all_collineations(), _group_columns()[0]
+    fmt = "<%dH" % len(group)
+    masks = {p: int.from_bytes(pack(fmt, *map(MASK.get, points[p])), "little") for p in POINTS}
+
+    def right_products(g):
+        code = masks[g[0]] | masks[g[1]] << 3 | masks[g[2]] << 6
+        return unpack(fmt, code.to_bytes(calcsize(fmt), "little"))
+
+    at = bytearray(b"\xff" * 512)
+    for n, code in enumerate(right_products(IDENTITY)):
+        at[code] = n
+    return tuple([bytes(itemgetter(*right_products(g))(at)) for g in group])
 
 
 def _position(g):
-    """The position of a collineation in all_collineations(), by its code;
-    ValueError for anything else."""
-    code = MASK.get(g[0], 0) | MASK.get(g[1], 0) << 3 | MASK.get(g[2], 0) << 6
-    n = _product_table()[1].get(code)
-    if n is None or all_collineations()[n] != g:
+    """The position of a collineation in all_collineations(); ValueError for
+    anything else."""
+    if g not in all_collineations():
         raise ValueError("not a collineation: %r" % (g,))
-    return n
-
-
-def right_products(g):
-    """The code of h g for each h in all_collineations() order: the masks of
-    the images of P1, P2, P3 at bits 0, 3, 6, which fix a collineation, read
-    off the mask columns of g P1, g P2, g P3 (h g sends P_k to h(g P_k))."""
-    m, fmt = _group_columns()[2:]
-    code = m[g[0]] | m[g[1]] << 3 | m[g[2]] << 6
-    return unpack(fmt, code.to_bytes(calcsize(fmt), "little"))
+    return all_collineations().index(g)
 
 
 def order7_minimal_polynomial(g):
@@ -278,7 +278,7 @@ def generated_subgroup(gens):
     breadth-first search over positions: each product g h is read off the
     row of h in the product table.  A product outside all_collineations(),
     which is then no group, is left out."""
-    table, at = _product_table()
+    table = _product_table()
     rows = [table[_position(h)] for h in gens]
     seen = {_position(IDENTITY), *map(_position, gens)}
     frontier = list(seen)
@@ -286,8 +286,8 @@ def generated_subgroup(gens):
         new = []
         for i in frontier:
             for row in rows:
-                k = at.get(row[i])
-                if k is not None and k not in seen:
+                k = row[i]
+                if k not in seen and k != 255:
                     seen.add(k)
                     new.append(k)
         frontier = new
@@ -303,20 +303,18 @@ def all_triangles():
 def conjugacy_class(g):
     """The conjugacy class of a collineation, by exhaustive conjugation: for
     each h, h g h^-1 = (h g) h^-1 is two lookups in the product table, the
-    position of h g in the row of g and then the code at that position in
-    the row of h^-1.  The position of each h^-1 is read once, by the code of
-    the inverse permutation.  Empty when some product or inverse lies outside
-    all_collineations(), which is then no group."""
-    (table, at), group = _product_table(), all_collineations()
-    inverses = [
-        at.get(MASK[h.index(1) + 1] | MASK[h.index(2) + 1] << 3 | MASK[h.index(3) + 1] << 6)
-        for h in group
-    ]
-    products = [at.get(c) for c in table[_position(g)]]
-    if None in inverses or None in products:
+    position of h g in the row of g and then the position at that entry of
+    the row of h^-1.  The row of each h holds the position of h^-1 where it
+    holds that of the identity.  Empty when some product or inverse lies
+    outside all_collineations(), which is then no group."""
+    table, group = _product_table(), all_collineations()
+    identity = _position(IDENTITY)
+    inverses = [row.find(identity) for row in table]
+    products = table[_position(g)]
+    if -1 in inverses or 255 in products:
         return frozenset()
-    conjugates = {at.get(table[i][k]) for i, k in zip(inverses, products)}
-    return frozenset() if None in conjugates else frozenset(map(group.__getitem__, conjugates))
+    conjugates = {table[i][k] for i, k in zip(inverses, products)}
+    return frozenset() if 255 in conjugates else frozenset(map(group.__getitem__, conjugates))
 
 
 def order7_class_split():

@@ -721,7 +721,7 @@ def _delta_hat_tables():
     from . import lifting
 
     matrices = dict(zip(INCIDENT_PAIRS, starmap(x_matrix2, INCIDENT_PAIRS)))
-    points, lines = fano._group_columns()[:2]
+    points, lines = fano._group_columns()
     columns, group = fano._pair_columns(), fano.all_collineations()
     ones = int.from_bytes(b"\1" * len(group), "little")
     # by_flag: the matrix at each key gP << 9 | gD << 6; lookup[v]: t = v (0)

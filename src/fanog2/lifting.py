@@ -22,8 +22,7 @@ tuple, and SIGNS and MASK_OF convert between the two forms.
 """
 
 from functools import lru_cache
-from itertools import chain, permutations
-from operator import itemgetter
+from itertools import chain
 
 from . import compfactor, fano, radon
 
@@ -46,19 +45,16 @@ def delta_star_fn(g):
 @lru_cache(maxsize=None)
 def _delta_star_words():
     """The word of delta_star_fn for each collineation, memoized: per pair
-    P != Q, the -1 flags of eps(gP, gQ) eps(P, Q) for all g, as an integer
-    with bit D - 1 of a byte per g; their OR, or None where a pair of a line
-    differs from the first."""
+    P != Q, the -1 flags of eps(gP, gQ) eps(P, Q) for all g, from
+    compfactor.moved_flags, as an integer with bit D - 1 of a byte per g;
+    their OR, or None where a pair of a line differs from the first."""
     group = fano.all_collineations()
-    columns = fano._pair_columns()
     eps = compfactor.EPS_TAU
-    flags = bytes(a and b and a < 8 and eps[a - 1][b - 1] < 0 for a in range(32) for b in range(8))
     ones = int.from_bytes(b"\1" * len(group), "little")
     word, bad, first = 0, 0, {}
-    for p, q in permutations(fano.POINTS, 2):
+    for (p, q), col in compfactor.moved_flags(eps).items():
         d = fano.wedge(p, q)
-        col = columns[p, q].translate(flags)
-        col = (int.from_bytes(col, "little") ^ ones * (eps[p - 1][q - 1] < 0)) << d - 1
+        col = (int.from_bytes(col, "little") ^ ones * (eps[p - 1][q - 1] == -1)) << d - 1
         bad |= first.setdefault(d, col) ^ col
         word |= col
     rows = zip(group, word.to_bytes(len(group), "little"), bad.to_bytes(len(group), "little"))
@@ -88,19 +84,17 @@ def delta_star_properties():
         (m & lines).bit_count() % 2 for m in values for lines in (radon.ONE,) + radon.PENCILS
     ):
         return False
-    # the masks by code (h 1 = h); 255 at a code that no listed element has
-    by_code = bytearray(b"\xff" * 512)
-    for code, m in zip(fano.right_products(fano.IDENTITY), listed):
-        by_code[code] = m
+    # the masks by position; 255 where a product outside the group lands
+    by_position = bytes(listed).ljust(256, b"\xff")
     # bit k of the mask of each g2, a byte per g2 of an integer
     planes = [int.from_bytes(bytes([m >> k & 1 for m in listed]), "little") for k in range(7)]
     ones = int.from_bytes(b"\1" * len(group), "little")
-    for g1, m1, products in zip(group, listed, fano._product_table()[0]):
-        # the masks of g2 g1, by the codes in the row of g1 of the product
-        # table, against m(g1 D) at bit D - 1 times delta*(g1, D), for the
-        # mask m of each g2
+    for g1, m1, products in zip(group, listed, fano._product_table()):
+        # the masks of g2 g1, by the positions in the row of g1 of the
+        # product table, against m(g1 D) at bit D - 1 times delta*(g1, D),
+        # for the mask m of each g2
         moved = sum([planes[e - 1] << d for d, e in enumerate(fano.line_perm(g1))])
-        if int.from_bytes(bytes(itemgetter(*products)(by_code)), "little") != moved ^ ones * m1:
+        if int.from_bytes(products.translate(by_position), "little") != moved ^ ones * m1:
             return False
     return True
 

@@ -76,8 +76,9 @@ def mul(x, y, eps=compfactor.EPS_TAU, field=QQ):
     The coordinates of x and y are elements of field, or ints and Fractions
     that field contains.  Over Q the product is xy = (dx x)(dy y) / (dx dy)
     with dx x and dy y integer vectors; over Q(i) the real and imaginary
-    parts multiply as (xr + i xi)(yr + i yi) = (xr yr - xi yi) + i(xr yi +
-    xi yr); over F_p the residues multiply and are reduced once.
+    parts multiply as (xr + i xi)(yr + i yi) = (xr yr - xi yi) + i((xr +
+    xi)(yr + yi) - xr yr - xi yi), three products; over F_p the residues
+    multiply and are reduced once.
     """
     t = products(eps)
     if field is QQ:
@@ -89,8 +90,10 @@ def mul(x, y, eps=compfactor.EPS_TAU, field=QQ):
         (xr, xi), dx = _gaussian_integers(x)
         (yr, yi), dy = _gaussian_integers(y)
         d = dx * dy
-        re = map(operator.sub, _integer_mul(t, xr, yr), _integer_mul(t, xi, yi))
-        im = map(operator.add, _integer_mul(t, xr, yi), _integer_mul(t, xi, yr))
+        rr, ii = _integer_mul(t, xr, yr), _integer_mul(t, xi, yi)
+        ss = _integer_mul(t, map(operator.add, xr, xi), list(map(operator.add, yr, yi)))
+        re = map(operator.sub, rr, ii)
+        im = map(operator.sub, map(operator.sub, ss, rr), ii)
         return tuple(
             GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im)
         )

@@ -104,7 +104,7 @@ MEMOS = {
     g2.delta_hat_claims: 1,  # the 1344 deltas behind the AC10 claims
     lifting.order_profiles: 1,
     g2.law: 1,  # the law table of the 441 brackets and its 14 coordinates
-    fano._product_table: 1,  # the codes of all 168^2 products, read by AC1 and AC2
+    fano._product_table: 1,  # the positions of all 168^2 products, read by AC1, AC2, AC3 and AC5
     g2._delta_hat_tables: 1,  # the sign words of all 168 collineations and 128 sign vectors
     lifting._delta_star_words: 1,  # the line words of all 168 collineations
     fano._group_columns: 1,  # the group as columns, read by every sweep
@@ -113,6 +113,7 @@ MEMOS = {
     radon.preimages: 16,  # the image members, whose preimages the lifts read too
     octonion._label_plan: 1,  # the 128 line orientations share their labels
     fano._pair_columns: 1,  # 8 hP + hQ over the group for each pair, read by the AC3 and AC5 sweeps
+    compfactor.moved_flags: 3,  # the -1 flags over the group of EPS_TAU and the 2 orbits' least tables
     octonion._associator_table: 1,  # the 512 basis associators of the four AC14 identities
 }
 

@@ -8,8 +8,10 @@ Another keeps loops out of the cli suites, so that each claim's sweep is
 defined in the module the claim is about, and another keeps each suite a
 list of rows whose observed values are functions of that module.  Another
 keeps every `except AssertionError` out of the package.  Another keeps
-every sum of sparse terms in g2.combine, and a last one keeps the DOT
-incidence graph in radon.incidence_dot.
+every sum of sparse terms in g2.combine, and another keeps the DOT
+incidence graph in radon.incidence_dot.  The last two keep the code of a
+collineation inside fano and the -1 flags of a moved sign table in one
+builder.
 
 Stdlib only (ast), so it runs wherever the tests run.
 """
@@ -438,3 +440,45 @@ def test_only_radon_writes_dot_edges():
         if path.stem != "radon" and "-- D" in path.read_text()
     )
     assert not found, "modules writing DOT edges besides radon: %s" % ", ".join(found)
+
+
+def _names(node):
+    """The bare names and attribute names under a node."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+# the names under which a collineation's code, the masks of its images of
+# P1, P2 and P3 at bits 0, 3 and 6, has been read outside the function of
+# fano that builds the product table
+CODE_NAMES = {"right_products", "by_code"}
+
+
+def test_only_fano_knows_the_collineation_code():
+    """fano._product_table finds each product by its code and hands out
+    positions in all_collineations(); a module that names the code, or a
+    function of fano's surface that computes it, decodes the products
+    again."""
+    found = sorted(
+        path.stem
+        for path, tree in _trees(PACKAGE).items()
+        if path.stem != "fano" and _names(tree) & CODE_NAMES
+    )
+    assert not found, "modules naming the collineation code: %s" % ", ".join(found)
+    assert not _defined_functions("fano") & CODE_NAMES
+
+
+def test_one_function_builds_the_moved_sign_flags():
+    """The -1 flags of a sign table moved by every collineation are one
+    translate of each column of fano._pair_columns; a second function that
+    translates those columns builds them again."""
+    found = sorted(
+        "%s.%s" % (path.stem, fn.name)
+        for path, tree in _trees(PACKAGE).items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and {"_pair_columns", "translate"} <= _names(fn)
+    )
+    assert found == ["compfactor.moved_flags"], found

@@ -57,17 +57,16 @@ def test_compose_inverse_order():
 
 
 def test_right_products_are_the_compositions():
-    # the codes of the products h g, read off three columns, against
-    # compose on all 168^2 = 28 224 pairs; the codes of h 1 = h are 168
-    # distinct codes
+    # each entry of the product table, the position of h g in the row of g,
+    # against the position of compose(h, g) on all 168^2 = 28 224 pairs
     group = fano.all_collineations()
-    by_code = dict(zip(fano.right_products(fano.IDENTITY), group))
-    assert len(by_code) == 168
+    position = {g: n for n, g in enumerate(group)}
+    table = fano._product_table()
+    assert len(table) == 168
     pairs = 0
-    for g in group:
-        products = [by_code[c] for c in fano.right_products(g)]
-        assert products == [fano.compose(h, g) for h in group], g
-        pairs += len(products)
+    for g, row in zip(group, table):
+        assert list(row) == [position[fano.compose(h, g)] for h in group], g
+        pairs += len(row)
     assert pairs == 28224
 
 

@@ -118,9 +118,10 @@ def test_line_words_are_the_delta_star_masks(monkeypatch, fresh_memos):
 
 
 def test_delta_star_diagram_draws_every_composition_factor(monkeypatch, fresh_memos, tmp_path):
-    # on each of the 16 composition factors every delta* lies in R*, so the
-    # ValueError handler of `diagram delta-star`, behind the gate that
-    # refuses any other sign table, has nothing left to catch
+    # on each of the 16 composition factors every delta* lies in R*, so
+    # `diagram delta-star`, behind the gate that refuses any other sign
+    # table, finds a distinguished point for every coloring and needs no
+    # handler for the ValueError of lifting.distinguished_point
     image = set(radon.mult_image())
     out = tmp_path / "diagram"
     for eps in compfactor.enumerate_composition_factors():
@@ -133,25 +134,19 @@ def test_delta_star_diagram_draws_every_composition_factor(monkeypatch, fresh_me
 
 
 def test_a_corrupted_product_index_fails_the_identities(monkeypatch, fresh_memos):
-    # the code of TAU^-1 TAU = 1 replaced by that of a collineation whose
-    # delta* differs: that product then reads the wrong mask, and
-    # AC5.identities fails
+    # the position of TAU^-1 TAU = 1 in the product table replaced by that of
+    # a collineation whose delta* differs: that product then reads the wrong
+    # mask, and AC5.identities fails
     group = fano.all_collineations()
-    codes = list(fano.right_products(fano.IDENTITY))
-    other = codes[next(i for i, g in enumerate(group) if lifting.delta_star_fn(g) != radon.ZERO)]
+    other = next(i for i, g in enumerate(group) if lifting.delta_star_fn(g) != radon.ZERO)
+    table = list(fano._product_table())
+    row = bytearray(table[group.index(fano.TAU)])
     at = group.index(fano.inverse(fano.TAU))
-    right_products = fano.right_products
+    assert row[at] == group.index(fano.IDENTITY)
+    row[at] = other
+    table[group.index(fano.TAU)] = bytes(row)
 
-    def corrupted(g):
-        out = list(right_products(g))
-        if g == fano.TAU:
-            assert out[at] == codes[group.index(fano.IDENTITY)]
-            out[at] = other
-        return out
-
-    # the product table reads right_products: it is built again under the
-    # patch, and once more after it
-    monkeypatch.setattr(fano, "right_products", corrupted)
+    monkeypatch.setattr(fano, "_product_table", lambda: tuple(table))
     fresh_memos()
     assert lifting.delta_star_properties() is False
     checks = {c["claim"]: c["pass"] for c in cli.suite_lifting()}
