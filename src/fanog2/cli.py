@@ -24,6 +24,7 @@ import argparse
 import atexit
 import gc
 import json
+import os
 import sys
 
 
@@ -386,11 +387,9 @@ def cmd_diagram(opts):
             else lifting.delta_star_diagram_text()
         )
     else:
-        # the 64 point-sign colorings over the augmented group; a delta that
-        # fails its checks is reported as a failed check
-        from . import g2
-
-        fns, error = g2.delta_hats()
+        # the 64 point-sign colorings of the lifts, read off the incidence
+        # formula with no matrix; a delta that fails its checks fails here
+        fns, error = lifting.delta_hats()
         if error:
             sys.stderr.write("error: %s\n" % error)
             return 1
@@ -412,6 +411,9 @@ class UsageError(Exception):
 
 
 def _emit(text, opts):
+    """Write the output to --out or stdout.  A failed write is a usage error,
+    but a pipe that its reader has closed, as `| head` does, drops the rest
+    quietly; stdout then points at the null device, so exit flushes cleanly."""
     if opts.out is not None:
         try:
             with open(opts.out, "w") as fh:
@@ -419,7 +421,13 @@ def _emit(text, opts):
         except OSError as exc:
             raise UsageError("cannot write --out %s: %s" % (opts.out, exc.strerror))
     else:
-        sys.stdout.write(text + "\n")
+        try:
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                raise UsageError("cannot write to stdout: %s" % exc.strerror)
 
 
 def build_parser():

@@ -104,6 +104,14 @@ def canonical_epsilon(tau=fano.TAU):
 EPS_TAU = canonical_epsilon()
 
 
+def eps_star():
+    """The canonical composition factor of the dual plane, a 7x7 sign table
+    on line labels, from the line permutation of the shift.  AC8.action
+    pins its orientation: the opposite one flips every off-line sign of
+    lifting.action_signs."""
+    return canonical_epsilon(fano.line_perm(fano.TAU))
+
+
 @lru_cache(maxsize=None)
 def line_orientations():
     """The 2^7 = 128 antisymmetric tables that orient each line cyclically,

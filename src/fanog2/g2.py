@@ -10,11 +10,13 @@ so(7) structure constants on the pair basis e_{PiPj} (i < j, sparse dicts
 {(i,j): coefficient} with e_{PjPi} = -e_{PiPj}), and 8x8 spinor matrices,
 kept as their nonzero entries {(row, col): value}; _product is the one
 matrix product.  so(7) and the matrices serve the claims about the
-embedding, and the point sign delta-hat of the 1344 signed automorphisms:
-_delta_hat_tables builds its sign words once, and one sweep, delta_hats,
-serves the AC10 claims and `diagram delta`.  The generators, and so every
-sign, are those of the canonical composition factor compfactor.EPS_TAU;
-coefficients are in Z, or in Z[i] in the Chevalley presentation.
+embedding.  AC8.action certifies against the matrices the incidence
+formula [X_{P,D}, e_Q] = sigma e_{P+Q} of lifting.action_signs, from which
+lifting.delta_hats reads the point sign delta of the 1344 signed
+automorphisms; the AC10 claims read that sweep.  The generators, and so
+every sign, are those of the canonical composition factor
+compfactor.EPS_TAU; coefficients are in Z, or in Z[i] in the Chevalley
+presentation.
 
 Sums of sparse terms go through combine: elt, law elements, _product,
 matrix2 and the wedge, contract and derive of forms.  add_elt and bracket
@@ -23,17 +25,10 @@ and times bracket.
 """
 
 from collections import Counter
-from functools import lru_cache, reduce
-from itertools import (
-    chain,
-    combinations,
-    combinations_with_replacement,
-    permutations,
-    repeat,
-    starmap,
-)
+from functools import lru_cache
+from itertools import chain, combinations, combinations_with_replacement, permutations
 import json
-from operator import itemgetter, or_
+from operator import itemgetter
 from types import SimpleNamespace
 
 from . import compfactor, fano, linalg, octonion
@@ -301,49 +296,26 @@ def g2_basis():
 
 
 # ---------------------------------------------------------------------------
-# the dual composition factor and the action on basis octonions
-
-
-@lru_cache(maxsize=None)
-def eps_star():
-    """Canonical composition factor of the dual plane, built from the line
-    permutation induced by the point shift; a 7x7 sign table on line labels.
-
-    The sign convention is pinned by the exhaustive matrix cross-check in
-    action_formula_holds: with this orientation the incidence formula for
-    [X_{P,D}, e_Q] reproduces the spinor commutators exactly, while the
-    opposite orientation flips every off-line sign.
-    """
-    return compfactor.canonical_epsilon(fano.line_perm(fano.TAU))
-
-
-def action_on_basis(p, d, q):
-    """[X_{P,D}, e_Q] as a signed point: (sign, point) or (0, 0) if Q in D.
-
-    Predicted by sign = eps_{PQ} * eps*_{P^Q, D}.
-    """
-    _check_incident(p, d)
-    if q in fano.LINE_POINTS[d]:
-        return 0, 0
-    eps_pq = compfactor.eps_get(compfactor.EPS_TAU, p, q)
-    return eps_pq * eps_star()[fano.wedge(p, q) - 1][d - 1], fano.add(p, q)
+# the action on basis octonions
 
 
 def action_formula_holds():
-    """action_on_basis against the spinor matrices on all 147 cases (P, D, Q):
-    the commutator of 2 rho_hat(X_{P,D}) with rho(e_Q) is 2 rho([X_{P,D}, e_Q]).
-    Each matrix is grouped by row once.
+    """AC8.action: the incidence formula lifting.action_signs against the
+    spinor matrices on all 147 cases (P, D, Q): the commutator of
+    2 rho_hat(X_{P,D}) with rho(e_Q) is 2 rho([X_{P,D}, e_Q]), with
+    [X_{P,D}, e_Q] = sigma e_{P+Q}.  Each matrix is grouped by row once.
     """
+    from . import lifting
+
     r = rho()
     r_rows = {q: _by_row(m) for q, m in r.items()}
-    for p, d in INCIDENT_PAIRS:
-        m = x_matrix2(p, d)
-        m_rows = _by_row(m)
-        for q in fano.POINTS:
-            s, k = action_on_basis(p, d, q)
-            if _commutator(m, m_rows, r[q], r_rows[q]) != (scale_elt(2 * s, r[k]) if s else {}):
-                return False
-    return True
+    mats = {pd: x_matrix2(*pd) for pd in INCIDENT_PAIRS}
+    m_rows = {pd: _by_row(m) for pd, m in mats.items()}
+    return all(
+        _commutator(mats[p, d], m_rows[p, d], r[q], r_rows[q])
+        == (scale_elt(2 * s, r[fano.add(p, q)]) if s else {})
+        for (p, d, q), s in lifting.action_signs().items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -686,123 +658,14 @@ def root_systems_hold():
 # the sign delta of augmented automorphisms acting on the X's
 
 
-_POINT_BIT = (0,) + tuple(1 << (q - 1) for q in fano.POINTS)
-
-
-@lru_cache(maxsize=None)
-def _delta_hat_tables():
-    """The sign words of delta, memoized: the word of (g, +1) for each
-    collineation g, the word XORed into it to give that of (g, s) for each
-    sign vector s, and the error message of each check bit.  Each entry of
-    the 21 matrices 2 rho_hat(X_{P,D}) is read once for the whole group.
-
-    ghat = (g, s) fixes e_0 and sends e_Q to s_Q e_{gQ}, so conjugating a
-    spinor matrix moves its entry (a, b) to (ga, gb) times s_a s_b (with
-    g0 = 0 and s_0 = 1).  A nonzero entry v of 2 rho_hat(X_{P,D}) lands on
-    sign times the entry t of 2 rho_hat(X_{gP,gD}) at (ga, gb) iff t = +-v
-    and sign = (t/v) s_a s_b.  With -1 written as the bit 1, that sign is an
-    affine form over Z_2 in the bits of s: its constant, the bit t = -v,
-    depends on g, and its coefficient of s_Q, the bits of a and b, does not.
-    Each bit of a word is such a form: the word of (g, +1) holds the
-    constants, the word of s the coefficients at its -1 points.
-
-    Bits 0..6 of the word hold the sign at each point, read off its first
-    entry.  Each higher bit is a check that passes iff it reads 0.  Per
-    (P, D): each further entry agrees with the first; then a bit set if some
-    entry lands on no +-v or the two matrices differ in their number of
-    entries.  Per P, after its lines: the other two lines agree with the
-    first.
-
-    Per entry, the key gP << 9 | gD << 6 | ga << 3 | gb of each g looks up
-    t = v (0), -v (1) or neither (2), a byte per g of an integer; XORs and
-    ORs of those give the constants, packed 8 to a byte and transposed.  If
-    all 21 matrices are antisymmetric, (b, a) lands as (a, b): a < b is read.
-    """
-    from . import lifting
-
-    matrices = dict(zip(INCIDENT_PAIRS, starmap(x_matrix2, INCIDENT_PAIRS)))
-    points, lines = fano._group_columns()
-    columns, group = fano._pair_columns(), fano.all_collineations()
-    ones = int.from_bytes(b"\1" * len(group), "little")
-    # by_flag: the matrix at each key gP << 9 | gD << 6; lookup[v]: t = v (0)
-    # or -v (1) at each key of an entry t, with 2 (neither) the default
-    half, by_flag, lookup = True, {}, {}
-    for (p, d), m in matrices.items():
-        by_flag[p << 9 | d << 6] = m
-        for (a, b), t in m.items():
-            half = half and m.get((b, a)) == -t
-            key = p << 9 | d << 6 | a << 3 | b
-            lookup.setdefault(t, {})[key] = 0
-            lookup.setdefault(-t, {}).setdefault(key, 1)
-    # each bit as (constants by g, coefficients of s, message)
-    signs, checks = [], []
-    for p in fano.POINTS:
-        leads = []
-        for d in fano.lines_through(p):
-            keys = tuple(map(or_, map((512).__mul__, points[p]), map((64).__mul__, lines[d])))
-            got, cols, forms = {}, [], []
-            for (a, b), v in matrices[p, d].items():
-                if a < b or not half:
-                    got[a, b] = bytes(map(lookup[v].get, map(or_, keys, columns[a, b]), repeat(2)))
-            for a, b in matrices[p, d]:
-                cols.append(int.from_bytes(got.get((a, b)) or got[b, a], "little"))
-                forms.append(_POINT_BIT[a] ^ _POINT_BIT[b])
-            differ = bytes(map(len(forms).__ne__, map(len, map(by_flag.__getitem__, keys))))
-            stray = (reduce(or_, cols) >> 1 | int.from_bytes(differ, "little")) & ones
-            error = "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
-            for c, f in zip(cols[1:], forms[1:]):
-                checks.append(((c ^ cols[0]) & ones, f ^ forms[0], error))
-            checks.append((stray, 0, error))
-            leads.append((cols[0] & ones, forms[0]))
-        (col, form), error = leads[0], "delta depends on the line at P%d" % p
-        signs.append((col, form, None))
-        for c, f in leads[1:]:
-            checks.append((c ^ col, f ^ form, error))
-    bits, forms, errors = zip(*signs, *checks)
-    # bit k of every word, a byte per g, packed 8 to a byte and transposed
-    packed = []
-    for k, c in enumerate(bits):
-        if not k % 8:
-            packed.append(0)
-        packed[-1] |= c << k % 8
-    rows = map(bytes, zip(*[x.to_bytes(len(group), "little") for x in packed]))
-    words = dict(zip(group, map(int.from_bytes, rows, repeat("little"))))
-    # the word of the sign mask m is the XOR of the coefficients of its bits
-    flips = [0]
-    for q in range(7):
-        column = 0
-        for k, f in enumerate(forms):
-            column |= (f >> q & 1) << k
-        flips += list(map(column.__xor__, flips))
-    return words, dict(zip(lifting.SIGNS, flips)), errors[7:]
-
-
-def delta_hats():
-    """delta for the 1344 signed automorphisms, in one sweep: the signs
-    delta(P), P = P1..P7, with ghat X_{P,D} ghat^-1 = delta(P) X_{gP,gD}
-    for every line D through P, as the mask of the points where delta is
-    -1, for each element whose check bits are clear; and the message of the
-    first check that fails, in group order (its lowest set check bit), or
-    None.  The word of (g, s) is that of (g, +1) XOR the word of s, so
-    every entry and agreement of all 21 generators is evaluated at once."""
-    from . import lifting
-
-    words, flips, errors = _delta_hat_tables()
-    group = lifting.enumerate_aug_group()
-    sweep = [words[g] ^ flips[s] for g, s in group]
-    failed = next((w >> 7 for w in sweep if w >> 7), 0)
-    error = errors[(failed & -failed).bit_length() - 1] if failed else None
-    return {aug: w for aug, w in zip(group, sweep) if not w >> 7}, error
-
-
 @lru_cache(maxsize=None)
 def delta_hat_claims():
-    """The observed value of each AC10 claim by name, read off delta_hats;
-    memoized.  An element whose delta fails its checks gets no value, so
-    those claims fail rather than raise."""
+    """The observed value of each AC10 claim by name, read off
+    lifting.delta_hats; memoized.  An element whose delta fails its checks
+    gets no value, so those claims fail rather than raise."""
     from . import lifting, radon
 
-    fns, error = delta_hats()
+    fns, error = lifting.delta_hats()
     counts = Counter(fns.values())
     # each delta with the line word of its base, read once per collineation,
     # once per distinct pair: the 8 deltas over each delta* class

@@ -16,13 +16,18 @@ for all of the group at once; the lifts, AC5, AC10.radon and diagrams read it.
 AC6.orientation-powers compares fano.oriented_lines of each order-7
 collineation with that of the shift.
 
+The point sign delta of each lift, with which it conjugates every X_{P,D}
+of g2 to delta(P) X_{gP,gD}, is read off the incidence formula for the
+action of the X's on the units, action_signs; delta_hats sweeps the 1344.
+
 Sign functions on points and lines are radon masks: bit P - 1 (or D - 1) is
 set where the sign is -1.  Only the s of an augmented automorphism is a sign
 tuple, and SIGNS and MASK_OF convert between the two forms.
 """
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import not_
 
 from . import compfactor, fano, radon
 
@@ -230,6 +235,115 @@ def enumerate_aug_group():
 def aug_group_order():
     """AC6.size: the number of augmented automorphisms."""
     return len(enumerate_aug_group())
+
+
+# ---------------------------------------------------------------------------
+# the point sign delta of the lifts, read off the action of g2 on the units
+
+
+@lru_cache(maxsize=None)
+def action_signs():
+    """sigma(P, D, Q) for the 147 cases of a flag (P, D) and a point Q,
+    memoized: [X_{P,D}, e_Q] = sigma e_{P+Q}, with sigma = eps(P, Q)
+    eps*(P v Q, D) for Q off D, and 0 for Q on D, where the bracket is 0.
+    g2's AC8.action certifies it against the spinor matrices."""
+    eps, star = compfactor.EPS_TAU, compfactor.eps_star()
+    return {
+        (p, d, q): 0
+        if q in fano.LINE_POINTS[d]
+        else eps[p - 1][q - 1] * star[fano.wedge(p, q) - 1][d - 1]
+        for p in fano.POINTS
+        for d in fano.lines_through(p)
+        for q in fano.POINTS
+    }
+
+
+# the 84 cases (bit, P, D, Q, P + Q) with Q off D: the k-th case at P, in
+# the order of fano.lines_through(P) and then of the points, is bit
+# P - 1 + 7 k of a delta word, so the word is 12 rows of 7 bits, one per
+# point, and it is well defined iff every row is its first
+_CASES = tuple(
+    (p - 1 + 7 * k, p, d, q, fano.add(p, q))
+    for p in fano.POINTS
+    for k, (d, q) in enumerate(
+        (d, q) for d in fano.lines_through(p) for q in fano.POINTS if q not in fano.LINE_POINTS[d]
+    )
+)
+_ROW, _REPEAT = 127, sum(1 << 7 * k for k in range(12))
+
+
+@lru_cache(maxsize=None)
+def _delta_hat_words():
+    """The delta words, memoized: for each collineation g, bit sigma(P, D, Q)
+    XOR sigma(gP, gD, gQ) at each case; for each sign vector s, bit s_Q XOR
+    s_{P+Q} (-1 read as 1).  (g, s) sends e_Q to s_Q e_{gQ}, so it conjugates
+    X_{P,D} to the derivation that sends e_{gQ} to s_Q s_{P+Q} sigma(P, D, Q)
+    e_{gP+gQ} and kills e_{gQ} for Q on D, as X_{gP,gD} does: the conjugate
+    is delta(P) X_{gP,gD} iff the four cases of (P, D) in the XOR of the two
+    words all read delta(P).  The group's columns, read as integers with a
+    byte per g, give the key 8 gP + gD, which one translate turns into
+    8 f for the position f of the flag (gP, gD), and the key 8 f + gQ, which
+    another turns into the bit of sigma(gP, gD, gQ)."""
+    sigma = action_signs()
+    points, lines = fano._group_columns()
+    group, n = fano.all_collineations(), len(points[0])
+    column = [int.from_bytes(c, "little") for c in points]
+    # 8 P + D -> 8 f for the flag (P, D) at position f; 8 f + Q -> 1 where
+    # sigma of that flag at Q is -1
+    position, flag_key, minus = {}, bytearray(256), bytearray(256)
+    for (p, d, q), v in sigma.items():
+        f = position.setdefault((p, d), len(position))
+        flag_key[8 * p + d], minus[8 * f + q] = 8 * f, v < 0
+    flags = {}
+    for p, d in position:
+        keys = (column[p] << 3 | int.from_bytes(lines[d], "little")).to_bytes(n, "little")
+        flags[p, d] = int.from_bytes(keys.translate(flag_key), "little")
+    ones = int.from_bytes(b"\1" * n, "little")
+    packed, flip_columns = [0] * ((len(_CASES) + 7) // 8), dict.fromkeys(fano.POINTS, 0)
+    for b, p, d, q, r in _CASES:
+        keys = (flags[p, d] | column[q]).to_bytes(n, "little")
+        moved = int.from_bytes(keys.translate(minus), "little")
+        # bit b of every word, a byte per g, packed 8 to a byte
+        packed[b >> 3] |= (moved ^ ones * (sigma[p, d, q] < 0)) << (b & 7)
+        flip_columns[q] |= 1 << b
+        flip_columns[r] |= 1 << b
+    rows = map(bytes, zip(*[x.to_bytes(n, "little") for x in packed]))
+    words = dict(zip(group, map(int.from_bytes, rows, repeat("little"))))
+    # the word of the sign mask m is the XOR of the columns of its -1 points
+    flips = [0]
+    for q in fano.POINTS:
+        flips += [f ^ flip_columns[q] for f in flips]
+    return words, dict(zip(SIGNS, flips))
+
+
+def _failure(word):
+    """The message of the first check a delta word fails: at each point P
+    in turn, the first line D through P whose four cases disagree, and then
+    the disagreement of its three lines."""
+    for p in fano.POINTS:
+        row = [word >> p - 1 + 7 * k & 1 for k in range(12)]
+        for i, d in enumerate(fano.lines_through(p)):
+            if len(set(row[4 * i : 4 * i + 4])) > 1:
+                return "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
+        if len(set(row)) > 1:
+            return "delta depends on the line at P%d" % p
+
+
+def delta_hats():
+    """delta for the 1344 signed automorphisms, in one sweep: the signs
+    delta(P), P = P1..P7, with ghat X_{P,D} ghat^-1 = delta(P) X_{gP,gD}
+    for every line D through P, as the mask of the points where delta is
+    -1, for each element whose word is well defined; and the message of
+    the first element, in group order, whose word is not, or None.  The
+    word of (g, s) is that of g XOR that of s, so every case of all 21
+    generators is evaluated at once."""
+    words, flips = _delta_hat_words()
+    group = enumerate_aug_group()
+    sweep = [words[g] ^ flips[s] for g, s in group]
+    welldefined = [w == (w & _ROW) * _REPEAT for w in sweep]
+    fns = {aug: w & _ROW for aug, w in compress(zip(group, sweep), welldefined)}
+    failed = next(compress(sweep, map(not_, welldefined)), None)
+    return fns, failed and _failure(failed)
 
 
 def ahat_is_a_lift():

@@ -105,7 +105,8 @@ MEMOS = {
     lifting.order_profiles: 1,
     g2.law: 1,  # the law table of the 441 brackets and its 14 coordinates
     fano._product_table: 1,  # the positions of all 168^2 products, read by AC1, AC2, AC3 and AC5
-    g2._delta_hat_tables: 1,  # the sign words of all 168 collineations and 128 sign vectors
+    lifting.action_signs: 1,  # sigma of the 147 cases, read by AC8.action and the delta words
+    lifting._delta_hat_words: 1,  # the delta words of all 168 collineations and 128 sign vectors
     lifting._delta_star_words: 1,  # the line words of all 168 collineations
     fano._group_columns: 1,  # the group as columns, read by every sweep
     compfactor.off_diagonal_words: 2,  # as compfactor.rules_hold

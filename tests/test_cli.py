@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import fanog2
-from fanog2 import cli, fano, g2, lifting, linalg, radon
+from fanog2 import cli, compfactor, fano, g2, lifting, linalg, radon
 from fanog2.scalars import PrimeField
 
 
@@ -256,36 +256,40 @@ def test_concurrency_claim_counts_the_triples(monkeypatch, fresh_memos):
     assert all(c["pass"] for k, c in checks.items() if k != "AC4.concurrency")
 
 
-def test_action_claim_fails_instead_of_raising(monkeypatch):
+def test_action_claim_fails_instead_of_raising(monkeypatch, fresh_memos):
     # the dual factor of the opposite orientation flips every off-line sign
-    # of the incidence formula: AC8.action must come out as a FAIL record
-    eps_star = g2.eps_star
-    sign, point = g2.action_on_basis(1, 1, 3)
-    monkeypatch.setattr(g2, "eps_star", lambda: tuple(tuple(-v for v in row) for row in eps_star()))
-    assert g2.action_on_basis(1, 1, 3) == (-sign, point)
+    # of the incidence formula: AC8.action must come out as a FAIL record,
+    # while delta, which reads only ratios of those signs, is unchanged
+    eps_star = compfactor.eps_star
+    sign = lifting.action_signs()[1, 1, 3]
+    monkeypatch.setattr(
+        compfactor, "eps_star", lambda: tuple(tuple(-v for v in row) for row in eps_star())
+    )
+    fresh_memos()
+    assert lifting.action_signs()[1, 1, 3] == -sign != 0
     checks = {c["claim"]: c for c in cli.suite_g2(PrimeField(13))}
     assert checks["AC8.action"]["pass"] is False
     assert all(c["pass"] for k, c in checks.items() if k != "AC8.action")
 
 
 def _break_words_off_the_identity(monkeypatch):
-    """Set check bit 7 on the sign word of every collineation but the
-    identity."""
-    tables = g2._delta_hat_tables
+    """Flip bit 7, the second case of X_{P1,D1}, in the delta word of every
+    collineation but the identity."""
+    words_of = lifting._delta_hat_words
 
     def broken():
-        words, flips, errors = tables()
-        return {g: w | (g != fano.IDENTITY) << 7 for g, w in words.items()}, flips, errors
+        words, flips = words_of()
+        return {g: w ^ (g != fano.IDENTITY) << 7 for g, w in words.items()}, flips
 
-    monkeypatch.setattr(g2, "_delta_hat_tables", broken)
+    monkeypatch.setattr(lifting, "_delta_hat_words", broken)
 
 
 def test_broken_delta_hat_fails_instead_of_raising(monkeypatch, tmp_path, fresh_memos):
-    # check bit 7 set for every collineation but the identity: the sweep
+    # bit 7 flipped for every collineation but the identity: the sweep
     # leaves out the 1336 elements off the kernel, and the AC10 claims that
     # read their values must come out as FAIL records
     _break_words_off_the_identity(monkeypatch)
-    fns, error = g2.delta_hats()
+    fns, error = lifting.delta_hats()
     assert len(fns) == 8 and error.startswith("conjugate of X_")
     out = tmp_path / "g2.json"
     assert _run(["verify", "g2", "--json", "--out", str(out)]) == 1
@@ -433,7 +437,7 @@ MODULES_LOADED = (
     (["table", "octonion"], OCTONION),
     (["table", "brackets", "--json"], G2),
     (["diagram", "delta-star", "--format", "dot"], LIFTING),
-    (["diagram", "delta", "--format", "text"], LIFTING | G2),
+    (["diagram", "delta", "--format", "text"], LIFTING),
     (["verify", "lifting"], LIFTING | {"fanog2.scalars"}),
 )
 
@@ -480,7 +484,8 @@ def test_importing_every_module_fills_no_table():
     )
     misses = dict(line.split() for line in proc.stdout.splitlines())
     assert {name for name, n in misses.items() if n != "0"} == FILLED_AT_IMPORT
-    assert misses["g2._delta_hat_tables"] == misses["fano.all_collineations"] == "0"
+    assert misses["lifting.action_signs"] == misses["lifting._delta_hat_words"] == "0"
+    assert misses["fano.all_collineations"] == "0"
 
 
 def test_package_attributes_load_each_layer_on_first_use():
@@ -505,6 +510,66 @@ def test_package_attributes_load_each_layer_on_first_use():
     assert fanog2.__getattr__("radon") is radon
     with pytest.raises(AttributeError):
         fanog2.__getattr__("nope")
+
+
+def test_diagrams_load_no_matrix_layer():
+    # both colorings read the sign tables alone: delta comes off the
+    # incidence formula, so neither target builds a matrix or a fraction
+    code = (
+        "import sys, fanog2.cli\n"
+        "for target in ('delta', 'delta-star'):\n"
+        "    assert fanog2.cli.main(['diagram', target, '--out', sys.argv[1]]) == 0\n"
+        "loaded = {'fanog2.g2', 'fanog2.linalg', 'fanog2.octonion', 'fanog2.scalars', 'fractions'}\n"
+        "print(' '.join(sorted(loaded & set(sys.modules))))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fanog2.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.devnull], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "\n"
+
+
+def _launch(argv, **kwargs):
+    """Run the CLI in a fresh interpreter on the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fanog2.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, **kwargs.pop("env", {}))
+    return subprocess.run([sys.executable, "-m", "fanog2.cli"] + argv, env=env, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [["verify", "fano", "--json"], ["enumerate", "aug-aut"]])
+def test_a_full_stdout_is_a_usage_error(argv):
+    with open("/dev/full", "w") as full:
+        proc = _launch(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write to stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "fano"], ["enumerate", "aug-aut"]])
+def test_a_closed_pipe_ends_quietly(argv):
+    # the reader has closed its end before the command writes, as `| head`
+    # does once it has its lines: the output is dropped without a traceback
+    # or an "Exception ignored" line at exit, and the exit code is the
+    # command's own
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _launch(argv, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "all", "--json"], ["diagram", "delta"]], ids=["verify-all", "delta"]
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    outs = [
+        _launch(argv, capture_output=True, check=True, env={"PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1] != b""
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ def test_point_relation_and_dimension():
 def test_eps_star_matches_action():
     # the sign rule for the action on basis octonions, pinned by matrices
     assert g2.action_formula_holds()
-    assert g2.action_on_basis(1, 1, 2) == (0, 0)
+    assert lifting.action_signs()[1, 1, 2] == 0
 
 
 def test_anchored_brackets():
@@ -335,7 +335,7 @@ def test_root_system():
 def test_delta_hat():
     a, _ = fano.standard_generators()
     ahat = (a, (1, 1, 1, 1, -1, 1, -1))
-    fn = g2.delta_hats()[0][ahat]
+    fn = lifting.delta_hats()[0][ahat]
     assert {p for p in fano.POINTS if not radon.evaluate(fn, p)} == {1, 6, 7}
     assert radon.radon(fn) == lifting.delta_star_fn(a)
 
@@ -388,7 +388,7 @@ def _sweep_of_one(monkeypatch):
 
     def outcome(aug):
         group[:] = [aug]
-        fns, error = g2.delta_hats()
+        fns, error = lifting.delta_hats()
         return error or fns[aug]
 
     return outcome
@@ -413,78 +413,93 @@ def test_delta_hat_matches_the_entry_by_entry_reference(monkeypatch):
     assert {(g, tuple(-v for v in s)) for g, s in group} == accepted - group
 
 
-def _reference_delta_hat_forms(g):
-    """The affine form of each bit of the sign word of (g, s), as a list:
-    bits 0..6 of a form are its coefficients of s_1..s_7, bit 7 its
-    constant.  Bits 0..6 of the word are the first form of each point, then
-    per (P, D) each further form against the first and a constant bit set
-    unless every entry lands on +-v, then per P the other two lines' first
-    forms against the first line's."""
-    point_bit = (0,) + tuple(1 << (q - 1) for q in fano.POINTS)
-    img = (0,) + g
-    lines = fano.line_perm(g)
-    signs, checks = [], []
+# a delta word of 12 rows of 7 bits, all equal: bit P - 1 of every row
+REPEAT = sum(1 << 7 * k for k in range(12))
+
+
+def _cases():
+    """(bit, P, D, Q) for the 84 cases with Q off D, each point's 12 in the
+    order of its lines and then of the points, written out per point."""
+    cases = []
     for p in fano.POINTS:
-        leads = []
+        k = 0
         for d in fano.lines_through(p):
-            source = g2.x_matrix2(p, d)
-            target = g2.x_matrix2(g[p - 1], lines[d - 1])
-            forms, lands = [], len(source) == len(target)
-            for (a, b), v in source.items():
-                t = target.get((img[a], img[b]))
-                lands = lands and (t == v or t == -v)
-                forms.append((t == -v) << 7 | point_bit[a] ^ point_bit[b])
-            leads.append(forms[0])
-            checks += [f ^ forms[0] for f in forms[1:]]
-            checks.append(0 if lands else 1 << 7)
-        signs.append(leads[0])
-        checks += [lead ^ leads[0] for lead in leads[1:]]
-    return signs + checks
+            for q in fano.POINTS:
+                if q not in fano.LINE_POINTS[d]:
+                    cases.append((p - 1 + 7 * k, p, d, q))
+                    k += 1
+    return cases
 
 
-def _reference_delta_hat_word(aug):
-    """The sign word of (g, s), each form evaluated at s."""
+def _reference_word(aug):
+    """The delta word of (g, s), case by case off the sigma table: bit
+    sigma(P, D, Q) s_Q s_{P+Q} sigma(gP, gD, gQ), -1 read as 1."""
     g, s = aug
-    minus = sum(1 << (q - 1) for q in fano.POINTS if s[q - 1] < 0)
+    sigma, lines, sg = lifting.action_signs(), fano.line_perm(g), (1,) + s
     return sum(
-        ((f >> 7) ^ bin(f & minus).count("1")) % 2 << k
-        for k, f in enumerate(_reference_delta_hat_forms(g))
+        (sigma[p, d, q] * sg[q] * sg[fano.add(p, q)] * sigma[g[p - 1], lines[d - 1], g[q - 1]] < 0)
+        << b
+        for b, p, d, q in _cases()
     )
 
 
-def test_delta_hat_words_match_the_forms_reference():
-    # the one-pass words of (g, +1) on all 168 collineations, and the words
-    # of all 1344 signed automorphisms through the flips, against the words
-    # folded from the lists of forms; the sweep keeps each word whole
-    words, flips, errors = g2._delta_hat_tables()
-    assert len(flips) == 128
-    for g in fano.all_collineations():
-        assert words[g] == _reference_delta_hat_word((g, (1,) * 7)), g
-    fns, error = g2.delta_hats()
-    assert error is None
+def _reference_failure(word):
+    """The message the matrix reference gives for a word that is not 12
+    equal rows: the first point, in order, whose cases disagree, and there
+    the first line, in the order of fano.lines_through, whose four cases
+    disagree, else the point."""
+    for p in fano.POINTS:
+        by_line = collections.defaultdict(set)
+        for b, q, d, _ in _cases():
+            if q == p:
+                by_line[d].add(word >> b & 1)
+        for d in fano.lines_through(p):
+            if len(by_line[d]) > 1:
+                return "conjugate of X_{P%d,D%d} is not proportional to an X" % (p, d)
+        if len(set().union(*by_line.values())) > 1:
+            return "delta depends on the line at P%d" % p
+    raise AssertionError("the word is well defined")
+
+
+def test_sign_words_match_the_per_element_loop(monkeypatch, fresh_memos):
+    # the words of the whole-group pass against a loop over each case of the
+    # sigma table for each collineation and each sign vector, on EPS_TAU,
+    # where each lift's word is 12 copies of its delta, and on EPS_TAU with
+    # the pair P1-P2 flipped, where some words are not
+    group = fano.all_collineations()
+    flipped = [list(row) for row in compfactor.EPS_TAU]
+    flipped[0][1], flipped[1][0] = flipped[1][0], flipped[0][1]
+    for table in (compfactor.EPS_TAU, tuple(map(tuple, flipped))):
+        monkeypatch.setattr(compfactor, "EPS_TAU", table)
+        fresh_memos()
+        words, flips = lifting._delta_hat_words()
+        assert [words[g] for g in group] == [_reference_word((g, (1,) * 7)) for g in group]
+        assert len(flips) == 128
+        for s, flip in flips.items():
+            assert flip == _reference_word((fano.IDENTITY, s)) ^ words[fano.IDENTITY], s
+    assert any(words[g] != (words[g] & 127) * REPEAT for g in group)
+    monkeypatch.undo()
+    fresh_memos()
+    fns, error = lifting.delta_hats()
+    assert error is None and len(fns) == 1344
     for aug in lifting.enumerate_aug_group():
-        word = _reference_delta_hat_word(aug)
-        assert words[aug[0]] ^ flips[aug[1]] == word, aug
-        assert word < 128
-        assert fns[aug] == word
-    # one error message per check bit
-    assert len(errors) == len(_reference_delta_hat_forms(fano.IDENTITY)) - 7
+        word = _reference_word(aug)
+        assert word == fns[aug] * REPEAT, aug
 
 
 def _reference_delta_hat_sweep():
     """The AC10 values, and the message of the first failed check, from one
     loop over the 1344 elements, each word read off the tables on its own;
-    an element with a check bit set is left out."""
-    words, flips, errors = g2._delta_hat_tables()
+    an element whose word is not 12 equal rows is left out."""
+    words, flips = lifting._delta_hat_words()
     group = lifting.enumerate_aug_group()
     fns, error = {}, None
     for g, s in group:
         word = words[g] ^ flips[s]
-        if not word >> 7:
-            fns[g, s] = word
+        if word == (word & 127) * REPEAT:
+            fns[g, s] = word & 127
         elif error is None:
-            checks = word >> 7
-            error = errors[(checks & -checks).bit_length() - 1]
+            error = _reference_failure(word)
     counts = collections.Counter(fns.values())
     return {
         "welldefined": len(fns) == len(group),
@@ -498,14 +513,15 @@ def _reference_delta_hat_sweep():
 
 
 def _break_words(monkeypatch, broken):
-    """Set check bit 7 on the sign words of the broken collineations."""
-    tables = g2._delta_hat_tables
+    """Set bit 7, the second case of X_{P1,D1}, on the words of the broken
+    collineations."""
+    words_of = lifting._delta_hat_words
 
     def patched():
-        words, flips, errors = tables()
-        return {g: w | (g in broken) << 7 for g, w in words.items()}, flips, errors
+        words, flips = words_of()
+        return {g: w ^ (g in broken) << 7 for g, w in words.items()}, flips
 
-    monkeypatch.setattr(g2, "_delta_hat_tables", patched)
+    monkeypatch.setattr(lifting, "_delta_hat_words", patched)
 
 
 @pytest.mark.parametrize(
@@ -514,85 +530,38 @@ def _break_words(monkeypatch, broken):
     ids=["none", "ahat", "all-but-identity"],
 )
 def test_delta_hat_claims_match_the_per_element_reference(monkeypatch, fresh_memos, broken):
-    # the one sweep against a loop over every element, with a check bit set
+    # the one sweep against a loop over every element, with bit 7 flipped
     # on the words of the broken collineations
     _break_words(monkeypatch, broken)
     expected, error = _reference_delta_hat_sweep()
     assert g2.delta_hat_claims() == expected
-    assert g2.delta_hats()[1] == error
+    assert lifting.delta_hats()[1] == error
     assert expected["welldefined"] is (error is None) is not bool(broken)
+    assert error in (None, "conjugate of X_{P1,D1} is not proportional to an X")
 
 
 def test_ac10_radon_reads_each_pair_once_and_sees_a_moved_delta(monkeypatch, fresh_memos):
     # AC10.radon checks each distinct pair of a base's line word and a delta
-    # once; with the sign at P1 flipped in the deltas over the shift, which
-    # moves their transforms off the line word, the per-element reference
-    # and the claim both fail
+    # once; with the sign at P1 flipped in the deltas over the shift (all 12
+    # rows of their words), which moves their transforms off the line word,
+    # the per-element reference and the claim both fail
     assert g2.delta_hat_claims()["radon"] is _reference_delta_hat_sweep()[0]["radon"] is True
-    tables = g2._delta_hat_tables
+    words_of = lifting._delta_hat_words
 
     def moved():
-        words, flips, errors = tables()
-        return {g: w ^ (g == fano.TAU) for g, w in words.items()}, flips, errors
+        words, flips = words_of()
+        return {g: w ^ (g == fano.TAU) * REPEAT for g, w in words.items()}, flips
 
-    monkeypatch.setattr(g2, "_delta_hat_tables", moved)
+    monkeypatch.setattr(lifting, "_delta_hat_words", moved)
     fresh_memos()
     assert g2.delta_hat_claims()["radon"] is _reference_delta_hat_sweep()[0]["radon"] is False
 
 
-def _reference_delta_hat_loop(g):
-    """The sign word of (g, +1) by one loop per collineation over the
-    entries of the 21 matrices, entry by entry, in the layout of the
-    words of _delta_hat_tables."""
-    img = (0,) + g
-    lines = fano.line_perm(g)
-    word, k = 0, 7
-    for p in fano.POINTS:
-        leads = []
-        for d in fano.lines_through(p):
-            source = g2.x_matrix2(p, d)
-            target = g2.x_matrix2(g[p - 1], lines[d - 1])
-            first, lands = None, len(source) == len(target)
-            for (a, b), v in source.items():
-                t = target.get((img[a], img[b]))
-                flip = t == -v
-                lands = lands and (flip or t == v)
-                if first is None:
-                    first = flip
-                else:
-                    word |= (flip ^ first) << k
-                    k += 1
-            word |= (not lands) << k
-            k += 1
-            leads.append(first)
-        word |= leads[0] << (p - 1)
-        for lead in leads[1:]:
-            word |= (lead ^ leads[0]) << k
-            k += 1
-    return word
-
-
-def test_sign_words_match_the_per_element_loop(monkeypatch, fresh_memos):
-    # the words of the whole-group sweep, which reads only the entries
-    # a < b of antisymmetric matrices, against the loop over all 84 entries
-    # of each collineation, on EPS_TAU and on EPS_TAU with the pair P1-P2
-    # flipped
-    group = fano.all_collineations()
-    flipped = [list(row) for row in compfactor.EPS_TAU]
-    flipped[0][1], flipped[1][0] = flipped[1][0], flipped[0][1]
-    for table in (compfactor.EPS_TAU, tuple(map(tuple, flipped))):
-        monkeypatch.setattr(compfactor, "EPS_TAU", table)
-        fresh_memos()
-        words = list(map(g2._delta_hat_tables()[0].__getitem__, group))
-        assert words == list(map(_reference_delta_hat_loop, group)), table
-    assert any(w >> 7 for w in words)
-
-
-def test_a_negated_matrix_entry_fails_welldefined(monkeypatch, capsys, fresh_memos):
-    # one entry of 2 rho_hat(X_{P3,D7}) negated: the matrix is no longer
-    # antisymmetric, so every entry is read; the words still match the
-    # loop, AC10.welldefined fails, and `diagram delta` names the first
-    # failed check of the loop over the 1344 elements
+def test_a_negated_matrix_entry_fails_the_matrix_claims(monkeypatch, fresh_memos):
+    # one entry of 2 rho_hat(X_{P3,D7}) negated: the claims that compare the
+    # incidence formula and the law with the spinor matrices fail, and so
+    # does the matrix commutation of AC11.almost-complex; delta reads the
+    # formula alone, so AC10 and `diagram delta` are unchanged
     x_matrix2 = g2.x_matrix2
 
     def negated(p, d):
@@ -603,19 +572,11 @@ def test_a_negated_matrix_entry_fails_welldefined(monkeypatch, capsys, fresh_mem
         return m
 
     monkeypatch.setattr(g2, "x_matrix2", negated)
-    group = fano.all_collineations()
-    words, flips, errors = g2._delta_hat_tables()
-    assert list(map(words.__getitem__, group)) == list(map(_reference_delta_hat_loop, group))
-    assert g2.delta_hat_claims()["welldefined"] is False
-    failed = next(
-        w >> 7
-        for w in (_reference_delta_hat_loop(g) ^ flips[s] for g, s in lifting.enumerate_aug_group())
-        if w >> 7
-    )
-    message = errors[(failed & -failed).bit_length() - 1]
-    assert cli.main(["diagram", "delta"]) == 1
-    assert capsys.readouterr() == ("", "error: %s\n" % message)
-    assert message == "conjugate of X_{P3,D7} is not proportional to an X"
+    checks = cli.suite_g2(QQ)
+    failed = {c["claim"] for c in checks if not c["pass"]}
+    assert failed == {"AC8.action", "AC8.bracket-law", "AC11.almost-complex"}
+    assert all(c["pass"] for c in checks if c["claim"].startswith("AC10."))
+    assert lifting.delta_hats()[1] is None
 
 
 def test_delta_hat_rejects_a_non_automorphism(monkeypatch):

@@ -230,28 +230,43 @@ def test_bit_planes_match_the_pairwise_multiplier_reference(monkeypatch, fresh_m
         assert lifting.delta_star_properties() is reference is (eps != flipped), eps
 
 
-# `diagram delta` on each composition factor as EPS_TAU, by its index in
-# enumerate_composition_factors(): the two whose line cycles the X(P, D)
-# follow draw their 64 colourings; the others name the first generator whose
-# conjugate is no signed X (ROADMAP item 8)
-DELTA_DIAGRAM_ERRORS = {
-    i: "error: conjugate of X_{P1,D%d} is not proportional to an X\n"
-    % (1 if i in (3, 4, 11, 12) else 5)
-    for i in range(1, 15)
-}
-
-
 def test_delta_diagram_on_every_composition_factor(monkeypatch, fresh_memos, capsys):
+    # `diagram delta` with each composition factor as EPS_TAU draws its 64
+    # colourings: delta reads the incidence formula of that factor
     for i, eps in enumerate(compfactor.enumerate_composition_factors()):
         monkeypatch.setattr(compfactor, "EPS_TAU", eps)
         fresh_memos()
         rc = cli.main(["diagram", "delta"])
         out, err = capsys.readouterr()
-        if i in DELTA_DIAGRAM_ERRORS:
-            assert (rc, out, err) == (1, "", DELTA_DIAGRAM_ERRORS[i]), i
-        else:
-            assert (rc, len(out.splitlines()), err) == (0, 64, ""), i
+        assert (rc, len(out.splitlines()), err) == (0, 64, ""), i
     assert i == 15
+
+
+def test_every_factor_is_the_canonical_one_twisted_by_signs(monkeypatch, fresh_memos):
+    # each factor is eps = eps_tau ds, ds(P, Q) = s_P s_Q s_{P+Q}, for some s;
+    # d_s: e_Q -> s_Q e_Q is then an isomorphism from O_tau onto O_eps, and
+    # the sigma table of eps is that of eps_tau twisted by ds, as the action
+    # signs of s_P d_s X_tau(P, D) d_s, a derivation of O_eps, are
+    tau, sigma_tau = compfactor.EPS_TAU, lifting.action_signs()
+    products_tau = octonion.products(tau)
+    for eps in compfactor.enumerate_composition_factors():
+        s = next(
+            (1,) + s
+            for s in lifting.SIGNS
+            if all(
+                eps[p - 1][q - 1] == tau[p - 1][q - 1] * s[p - 1] * s[q - 1] * s[fano.add(p, q) - 1]
+                for p, q in itertools.permutations(fano.POINTS, 2)
+            )
+        )
+        monkeypatch.setattr(compfactor, "EPS_TAU", eps)
+        fresh_memos()
+        assert lifting.action_signs() == {
+            (p, d, q): s[p] * s[q] * s[fano.add(p, q)] * v for (p, d, q), v in sigma_tau.items()
+        }
+        products = octonion.products(eps)
+        for a, row in enumerate(products_tau):
+            for b, (sign, c) in enumerate(row):
+                assert products[a][b] == (s[a] * s[b] * s[c] * sign, c)
 
 
 def test_memos_filled_under_a_patch_are_cleared(monkeypatch, fresh_memos):
