@@ -443,6 +443,47 @@ def _reference_word(aug):
     )
 
 
+def _reference_delta_hat_forms(g):
+    """The 84 bits of the delta words over g as affine forms in the -1
+    points of s, in the order of the bits: bit 7 the constant
+    sigma(P, D, Q) XOR sigma(gP, gD, gQ), bit Q - 1 and bit P+Q - 1 set."""
+    sigma, lines = lifting.action_signs(), fano.line_perm(g)
+    return [
+        (sigma[p, d, q] * sigma[g[p - 1], lines[d - 1], g[q - 1]] < 0) << 7
+        | 1 << q - 1
+        | 1 << fano.add(p, q) - 1
+        for _, p, d, q in _cases()
+    ]
+
+
+def _reference_delta_hat_word(aug):
+    """The delta word of (g, s), each form evaluated at s."""
+    g, s = aug
+    minus = sum(1 << q - 1 for q in fano.POINTS if s[q - 1] < 0)
+    return sum(
+        ((f >> 7) ^ (f & minus).bit_count()) % 2 << b
+        for (b, *_), f in zip(_cases(), _reference_delta_hat_forms(g))
+    )
+
+
+def test_delta_hat_words_match_the_forms_reference():
+    # the one-pass words of (g, +1) on all 168 collineations, the flips of
+    # all 128 sign vectors, and the words of all 1344 signed automorphisms,
+    # against the words folded from the lists of forms
+    words, flips = lifting._delta_hat_words()
+    for g in fano.all_collineations():
+        assert words[g] == _reference_delta_hat_word((g, (1,) * 7)), g
+    assert len(flips) == 128
+    for s, flip in flips.items():
+        assert flip == _reference_delta_hat_word((fano.IDENTITY, s)) ^ words[fano.IDENTITY], s
+    fns, error = lifting.delta_hats()
+    assert error is None
+    for aug in lifting.enumerate_aug_group():
+        word = _reference_delta_hat_word(aug)
+        assert words[aug[0]] ^ flips[aug[1]] == word, aug
+        assert word == fns[aug] * REPEAT, aug
+
+
 def _reference_failure(word):
     """The message the matrix reference gives for a word that is not 12
     equal rows: the first point, in order, whose cases disagree, and there
